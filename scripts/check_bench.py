@@ -32,7 +32,14 @@ bench/baseline.json and exits non-zero on a regression:
     diversity grows, so any increase means a request pattern started missing
     the polymorphic cache and re-specializing.
 
-Everything else in the records (sim_us, latency percentiles, reuse rates) is
+  * sim_us: the simulated device clock behind the paper's Figs. 5/7/8 — a
+    deterministic model output (fig5, fig6 and tune_search records carry
+    it). Gated EXACTLY in both directions, to a relative tolerance of
+    SIM_US_RTOL, wherever both the baseline and the current record carry
+    it: a drift down is as much a change to the paper's numbers as a drift
+    up. A record carrying it on one side only is reported, not gated.
+
+Everything else in the records (latency percentiles, reuse rates) is
 informational: printed on drift, never fatal.
 
 Usage:
@@ -71,6 +78,10 @@ EXACT_EXTRA_GATES = {
                  "pattern stopped hitting the polymorphic key, DESIGN.md "
                  "§13)"),
 }
+
+# sim_us is gated exactly in both directions; this relative tolerance only
+# absorbs float formatting round-trips through JSON.
+SIM_US_RTOL = 1e-9
 
 # The autotuner's measured-win floor: a tune_search summary record whose
 # extra.tuned_wins falls below this means the measured shortlist stopped
@@ -173,6 +184,21 @@ def compare(current, baseline, threshold):
                 notes.append(
                     f"IMPROVED  {key}: launches {base_launches} -> "
                     f"{cur_launches}; consider re-baselining to lock it in")
+
+        cur_sim = record.get("sim_us")
+        base_sim = base.get("sim_us")
+        if cur_sim is not None and base_sim is not None:
+            checked["exact"] += 1
+            if abs(cur_sim - base_sim) > SIM_US_RTOL * max(abs(cur_sim),
+                                                            abs(base_sim)):
+                failures.append(
+                    f"SIM_US    {key}: {base_sim!r} -> {cur_sim!r}; the "
+                    "simulated clock is deterministic, any drift in either "
+                    "direction changes the paper's numbers")
+        elif cur_sim is not None or base_sim is not None:
+            side = "current" if cur_sim is not None else "baseline"
+            notes.append(f"SIM_US    {key}: only the {side} record carries "
+                         "sim_us; not gated")
 
         cur_ns = record.get("ns_per_iter")
         base_ns = base.get("ns_per_iter")
@@ -303,6 +329,38 @@ def self_test():
                               "extra": {"tuned_wins": 2.0}}, 100.0)}
     failures, _, _ = compare(current, {}, 1.25)
     expect("tuned-wins at floor passes", not failures, repr(failures))
+
+    # sim_us is gated exactly in BOTH directions: drift up and drift down
+    # each fail by name; an identical value passes and counts as an exact
+    # gate; a value carried on one side only is a note, not a failure.
+    baseline = {"f/fig": entry("f/fig", sim_us=1000.0, kernel_launches=3)}
+    for label, sim in (("up", 1000.001), ("down", 999.999)):
+        current = {"f/fig": ({"name": "fig", "sim_us": sim,
+                              "kernel_launches": 3}, 100.0)}
+        failures, _, _ = compare(current, baseline, 1.25)
+        expect(f"sim_us drift {label} fails",
+               len(failures) == 1 and failures[0].startswith("SIM_US")
+               and "f/fig" in failures[0], repr(failures))
+    current = {"f/fig": ({"name": "fig", "sim_us": 1000.0,
+                          "kernel_launches": 3}, 100.0)}
+    failures, _, checked = compare(current, baseline, 1.25)
+    expect("identical sim_us passes as an exact gate",
+           not failures and checked["exact"] == 2, repr((failures, checked)))
+    current = {"f/fig": ({"name": "fig", "sim_us": 1000.0 * (1 + 1e-12),
+                          "kernel_launches": 3}, 100.0)}
+    failures, _, _ = compare(current, baseline, 1.25)
+    expect("sim_us within the round-trip tolerance passes", not failures,
+           repr(failures))
+    for label, cur_fields, base_fields in (
+            ("current", {"sim_us": 5.0}, {}),
+            ("baseline", {}, {"sim_us": 5.0})):
+        current = {"f/one": ({"name": "one", **cur_fields}, 100.0)}
+        failures, notes, checked = compare(
+            current, {"f/one": entry("f/one", **base_fields)}, 1.25)
+        expect(f"sim_us only on the {label} side is a note, not a failure",
+               not failures and checked["exact"] == 0
+               and any(n.startswith("SIM_US") and label in n for n in notes),
+               repr((failures, notes)))
 
     # Zero-ns baseline record: must fail cleanly NAMING the record, not
     # crash with ZeroDivisionError.

@@ -1,7 +1,5 @@
 #include "src/analysis/cost.h"
 
-#include <algorithm>
-
 #include "src/support/error.h"
 #include "src/texpr/texpr.h"
 
@@ -9,24 +7,6 @@ namespace tssa::analysis {
 
 using ir::Node;
 using ir::OpKind;
-
-const TensorMeta& CostValue::tensorMeta() const {
-  const TensorMeta* t = std::get_if<TensorMeta>(&value_);
-  TSSA_CHECK(t != nullptr, "cost value is not a tensor");
-  return *t;
-}
-
-Scalar CostValue::scalarValue() const {
-  const Scalar* s = std::get_if<Scalar>(&value_);
-  TSSA_CHECK(s != nullptr, "cost value is not a known scalar");
-  return *s;
-}
-
-const std::vector<TensorMeta>& CostValue::listMeta() const {
-  const auto* l = std::get_if<std::vector<TensorMeta>>(&value_);
-  TSSA_CHECK(l != nullptr, "cost value is not a tensor list");
-  return *l;
-}
 
 std::vector<CostValue> costInputs(std::span<const runtime::RtValue> inputs) {
   std::vector<CostValue> out;
@@ -84,936 +64,185 @@ std::vector<CostValue> bindSymbolic(
 
 namespace {
 
-std::int64_t ceilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
-
-/// The metadata interpreter. Mirrors runtime::Interpreter's charging rules
-/// node for node (see interpreter.cpp); any divergence between the two is a
-/// bug caught by the differential property tests.
+/// The metadata walk. It owns no per-op rule — leaf ops go through
+/// inferOutputs/chargeOf, FusionGroups through fusionGroupCharge — only the
+/// abstract propagation of values through blocks, branches and loops.
 class CostWalker {
  public:
-  CostWalker(const CostOptions& opts) : opts_(opts) {}
+  CostWalker(const CostOptions& opts, runtime::Profiler& profiler)
+      : opts_(opts), sink_(&profiler) {}
 
-  CostReport walk(const ir::Graph& graph, std::span<const CostValue> inputs) {
+  std::int64_t walk(const ir::Graph& graph,
+                    std::span<const CostValue> inputs) {
     TSSA_CHECK(inputs.size() == graph.inputs().size(),
                "estimateCost: expected " << graph.inputs().size()
                                          << " inputs, got " << inputs.size());
-    Env env;
     for (std::size_t i = 0; i < inputs.size(); ++i)
-      env[graph.inputs()[i]] = inputs[i];
-    Ctx ctx;
-    walkBlock(*graph.topBlock(), env, ctx);
-    return std::move(report_);
+      env_[graph.inputs()[i]] = inputs[i];
+    walkBlock(*graph.topBlock());
+    return unknownOps_;
   }
 
  private:
-  using Env = std::unordered_map<const ir::Value*, CostValue>;
-
-  struct Slot {
-    std::string name;
-    std::int64_t bytes = 0;
-    std::int64_t flops = 0;
-  };
-
-  struct Ctx {
-    int mergeDepth = 0;
-    std::size_t mergePos = 0;
-    std::vector<Slot> mergeSlots;
-    int suppressDepth = 0;
-    std::int64_t suppressFlops = 0;
-    std::int64_t suppressSavedBytes = 0;
-    /// >0 while pricing a texpr-backed FusionGroup body: shapes propagate
-    /// but nothing is charged (the group is priced from RunStats rules).
-    int silentDepth = 0;
-    bool silentFailed = false;
-  };
-
-  // ---- Profiler math (Profiler::kernel / hostOnly, verbatim) -------------
-
-  void recordKernel(const std::string& name, std::int64_t bytes,
-                    std::int64_t flops) {
-    const double k = opts_.device.kernelTimeUs(bytes, flops);
-    const double hostUs = opts_.host.perOpUs;
-    ++report_.launches;
-    report_.bytes += bytes;
-    report_.flops += flops;
-    report_.gpuUs += k;
-    report_.hostUs += hostUs;
-    report_.simUs +=
-        opts_.host.serialDispatch ? k + hostUs : (k > hostUs ? k : hostUs);
-    report_.perKernel[name] += 1;
-  }
-
-  void hostOnly(double us) {
-    report_.hostUs += us;
-    report_.simUs += us;
-  }
-
-  // ---- Interpreter charge plumbing (chargeKernel / chargeOpDispatch) -----
-
-  void chargeKernel(const Node& node, std::int64_t bytes, std::int64_t flops,
-                    Ctx& ctx) {
-    if (ctx.silentDepth > 0) return;
-    if (ctx.suppressDepth > 0) {
-      ctx.suppressFlops += flops;
-      return;
-    }
-    if (ctx.mergeDepth > 0) {
-      if (ctx.mergePos >= ctx.mergeSlots.size())
-        ctx.mergeSlots.push_back(Slot{std::string(opName(node.kind())), 0, 0});
-      ctx.mergeSlots[ctx.mergePos].bytes += bytes;
-      ctx.mergeSlots[ctx.mergePos].flops += flops;
-      ++ctx.mergePos;
-      return;
-    }
-    recordKernel(std::string(opName(node.kind())), bytes, flops);
-  }
-
-  void chargeOpDispatch(Ctx& ctx) {
-    if (ctx.silentDepth > 0 || ctx.mergeDepth > 0) return;
-    hostOnly(opts_.host.perOpUs);
-  }
-
-  // ---- Environment helpers ----------------------------------------------
-
-  const CostValue& get(const ir::Value* v, const Env& env) const {
-    auto it = env.find(v);
-    TSSA_CHECK(it != env.end(), "cost value %" << v->id() << " not bound");
+  const CostValue& get(const ir::Value* v) const {
+    auto it = env_.find(v);
+    TSSA_CHECK(it != env_.end(), "cost value %" << v->id() << " not bound");
     return it->second;
   }
 
-  const TensorMeta& tensorIn(const Node& node, std::size_t i,
-                             const Env& env) const {
-    return get(node.input(i), env).tensorMeta();
+  std::vector<Operand> operands(const Node& node) const {
+    std::vector<Operand> in;
+    in.reserve(node.numInputs());
+    for (const ir::Value* v : node.inputs()) in.push_back(get(v).operand());
+    return in;
   }
 
-  Scalar scalarIn(const Node& node, std::size_t i, const Env& env) const {
-    return get(node.input(i), env).scalarValue();
-  }
-
-  std::vector<CostValue> blockReturns(const ir::Block& block, const Env& env) {
+  std::vector<CostValue> blockReturns(const ir::Block& block) const {
     std::vector<CostValue> out;
     out.reserve(block.numReturns());
-    for (const ir::Value* r : block.returns()) out.push_back(get(r, env));
+    for (const ir::Value* r : block.returns()) out.push_back(get(r));
     return out;
   }
 
-  void bindOutputsUnknown(const Node& node, Env& env) {
-    for (const ir::Value* out : node.outputs())
-      env[out] = CostValue::unknown();
+  void bindOutputs(const Node& node, std::vector<CostValue> values) {
+    for (std::size_t i = 0; i < values.size(); ++i)
+      env_[node.output(i)] = std::move(values[i]);
   }
 
-  void markUnknown(const Node& node, Env& env, Ctx& ctx) {
-    if (ctx.silentDepth > 0) {
-      ctx.silentFailed = true;
-    } else {
-      ++report_.unknownOps;
-    }
-    bindOutputsUnknown(node, env);
-  }
-
-  // ---- Block walk --------------------------------------------------------
-
-  void walkBlock(const ir::Block& block, Env& env, Ctx& ctx) {
-    // Region-call charge at block entry (Interpreter::runBlockBody).
-    if (ctx.silentDepth == 0 && ctx.mergeDepth == 0 &&
-        ctx.suppressDepth == 0 && opts_.host.perRegionCallUs > 0) {
-      bool hasFusion = false;
-      for (const Node* node : block) {
-        if (node->kind() == OpKind::FusionGroup) {
-          hasFusion = true;
-          break;
-        }
+  void walkBlock(const ir::Block& block) {
+    sink_.enterBlock(block);
+    for (const Node* node : block) {
+      try {
+        walkNode(*node);
+      } catch (const Error&) {
+        // Unknown operands, out-of-metadata structure, shape mismatches:
+        // the node's effect cannot be priced. Charges are always issued
+        // after a node's metadata resolved, so a throwing node charged
+        // nothing.
+        ++unknownOps_;
+        for (const ir::Value* out : node->outputs())
+          env_[out] = CostValue::unknown();
       }
-      if (hasFusion) hostOnly(opts_.host.perRegionCallUs);
-    }
-    for (const Node* node : block) execNodeGuarded(*node, env, ctx);
-  }
-
-  void execNodeGuarded(const Node& node, Env& env, Ctx& ctx) {
-    try {
-      execNode(node, env, ctx);
-    } catch (const Error&) {
-      // Unknown operands, out-of-metadata structure, shape mismatches: the
-      // node's effect cannot be priced. Charges are always issued after a
-      // node's metadata resolved, so a throwing node charged nothing.
-      markUnknown(node, env, ctx);
     }
   }
 
-  // ---- View metadata (Interpreter::applyView / resolvedSizes) ------------
-
-  Shape resolvedSizes(const Node& node, std::size_t operandStart,
-                      const Env& env) const {
-    Shape sizes = node.attrs().ints("sizes");
-    if (!node.attrs().has("dyn")) return sizes;
-    std::size_t k = operandStart;
-    for (std::int64_t& s : sizes) {
-      if (s != -1) continue;
-      TSSA_CHECK(k < node.numInputs(), "dyn sizes: missing extent operand");
-      s = scalarIn(node, k++, env).toInt();
-      TSSA_CHECK(s >= 0, "dyn sizes: negative runtime extent " << s);
-    }
-    return sizes;
-  }
-
-  TensorMeta applyView(OpKind viewKind, const Node& node,
-                       const TensorMeta& base, std::size_t operandStart,
-                       const Env& env) const {
-    const auto& attrs = node.attrs();
-    const auto rank = static_cast<std::int64_t>(base.sizes.size());
-    TensorMeta out = base;
-    switch (viewKind) {
-      case OpKind::Identity:
-        return out;
-      case OpKind::Select: {
-        const std::int64_t d = normalizeDim(attrs.i("dim"), rank);
-        normalizeIndex(scalarIn(node, operandStart, env).toInt(),
-                       base.sizes[static_cast<std::size_t>(d)]);
-        out.sizes.erase(out.sizes.begin() + d);
-        return out;
-      }
-      case OpKind::Slice: {
-        const std::int64_t d = normalizeDim(attrs.i("dim"), rank);
-        const std::int64_t step = attrs.i("step");
-        TSSA_CHECK(step > 0, "slice step must be positive");
-        std::int64_t start = scalarIn(node, operandStart, env).toInt();
-        std::int64_t end = scalarIn(node, operandStart + 1, env).toInt();
-        normalizeSliceBounds(base.sizes[static_cast<std::size_t>(d)], start,
-                             end);
-        out.sizes[static_cast<std::size_t>(d)] = ceilDiv(end - start, step);
-        return out;
-      }
-      case OpKind::Reshape:
-        out.sizes =
-            inferView(base, resolvedSizes(node, operandStart, env));
-        return out;
-      case OpKind::Permute: {
-        const std::vector<std::int64_t>& dims = attrs.ints("dims");
-        TSSA_CHECK(static_cast<std::int64_t>(dims.size()) == rank,
-                   "permute needs one entry per dimension");
-        Shape sizes(dims.size());
-        for (std::size_t i = 0; i < dims.size(); ++i)
-          sizes[i] = base.sizes[static_cast<std::size_t>(
-              normalizeDim(dims[i], rank))];
-        out.sizes = std::move(sizes);
-        return out;
-      }
-      case OpKind::Transpose: {
-        const std::int64_t d0 = normalizeDim(attrs.i("dim0"), rank);
-        const std::int64_t d1 = normalizeDim(attrs.i("dim1"), rank);
-        std::swap(out.sizes[static_cast<std::size_t>(d0)],
-                  out.sizes[static_cast<std::size_t>(d1)]);
-        return out;
-      }
-      case OpKind::Expand: {
-        Shape target = resolvedSizes(node, operandStart, env);
-        TSSA_CHECK(broadcastableTo(base.sizes, target),
-                   "cannot expand to target shape");
-        out.sizes = std::move(target);
-        return out;
-      }
-      case OpKind::Squeeze: {
-        const std::int64_t d = normalizeDim(attrs.i("dim"), rank);
-        TSSA_CHECK(base.sizes[static_cast<std::size_t>(d)] == 1,
-                   "squeeze of non-unit dimension");
-        out.sizes.erase(out.sizes.begin() + d);
-        return out;
-      }
-      case OpKind::Unsqueeze: {
-        std::int64_t d = attrs.i("dim");
-        if (d < 0) d += rank + 1;
-        TSSA_CHECK(d >= 0 && d <= rank, "unsqueeze dim out of range");
-        out.sizes.insert(out.sizes.begin() + d, 1);
-        return out;
-      }
-      case OpKind::Flatten: {
-        const std::int64_t s = normalizeDim(attrs.i("start_dim"), rank);
-        const std::int64_t e = normalizeDim(attrs.i("end_dim"), rank);
-        TSSA_CHECK(s <= e, "flatten start after end");
-        Shape sizes(base.sizes.begin(), base.sizes.begin() + s);
-        std::int64_t merged = 1;
-        for (std::int64_t d = s; d <= e; ++d)
-          merged *= base.sizes[static_cast<std::size_t>(d)];
-        sizes.push_back(merged);
-        sizes.insert(sizes.end(), base.sizes.begin() + e + 1,
-                     base.sizes.end());
-        out.sizes = std::move(sizes);
-        return out;
-      }
-      default:
-        TSSA_THROW("not a view kind: " << opName(viewKind));
-    }
-  }
-
-  /// Tensor::view's -1 inference on metadata.
-  static Shape inferView(const TensorMeta& base, Shape sizes) {
-    std::int64_t inferDim = -1;
-    std::int64_t known = 1;
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      if (sizes[i] == -1) {
-        TSSA_CHECK(inferDim == -1, "at most one -1 dimension in view");
-        inferDim = static_cast<std::int64_t>(i);
+  /// Runs `body` once per iteration: param 0 is the induction variable, the
+  /// rest carry `carried` from one iteration's returns to the next.
+  void walkIterations(const ir::Block& body, std::int64_t trip,
+                      std::vector<CostValue>& carried, bool perIteration) {
+    TSSA_CHECK(trip <= opts_.maxLoopTrip, "loop trip beyond cost budget");
+    for (std::int64_t it = 0; it < trip; ++it) {
+      if (perIteration) {
+        sink_.loopIteration();
       } else {
-        known *= sizes[i];
+        sink_.beginIteration();
       }
+      env_[body.param(0)] = CostValue::scalar(Scalar(it));
+      for (std::size_t i = 0; i < carried.size(); ++i)
+        env_[body.param(i + 1)] = std::move(carried[i]);
+      walkBlock(body);
+      carried = blockReturns(body);
     }
-    if (inferDim >= 0) {
-      TSSA_CHECK(known != 0 && base.numel() % known == 0,
-                 "cannot infer view dimension");
-      sizes[static_cast<std::size_t>(inferDim)] = base.numel() / known;
-    }
-    TSSA_CHECK(numelOf(sizes) == base.numel(),
-               "view shape has wrong element count");
-    return sizes;
   }
 
-  // ---- Node walk ---------------------------------------------------------
-
-  void execNode(const Node& node, Env& env, Ctx& ctx) {
-    const OpKind kind = node.kind();
-    const auto& attrs = node.attrs();
-
-    auto bindOut = [&](std::size_t i, CostValue v) {
-      env[node.output(i)] = std::move(v);
-    };
-    auto bindTensor = [&](std::size_t i, TensorMeta m) {
-      env[node.output(i)] = CostValue::tensor(std::move(m));
-    };
-
-    auto evalBinary = [&](DType outDType, bool promote) {
-      const TensorMeta& a = tensorIn(node, 0, env);
-      const TensorMeta& b = tensorIn(node, 1, env);
-      TensorMeta out{broadcastShapes(a.sizes, b.sizes),
-                     promote ? promoteTypes(a.dtype, b.dtype) : outDType};
-      chargeKernel(node, a.bytes() + b.bytes() + out.bytes(), out.numel(),
-                   ctx);
-      bindTensor(0, std::move(out));
-    };
-    auto evalUnary = [&](DType outDType) {
-      const TensorMeta& a = tensorIn(node, 0, env);
-      TensorMeta out{a.sizes, outDType};
-      chargeKernel(node, a.bytes() + out.bytes(), out.numel(), ctx);
-      bindTensor(0, std::move(out));
-    };
-    // evalInplace: the result aliases the target; shape/dtype unchanged.
-    // Charged as one kernel over the target (interpreter's evalInplace).
-    auto evalInplace = [&](std::size_t extraTensorOperands) {
-      const TensorMeta target = tensorIn(node, 0, env);
-      for (std::size_t i = 1; i <= extraTensorOperands; ++i)
-        (void)tensorIn(node, i, env);  // unknown operand -> unknown op
-      chargeKernel(node, 2 * target.bytes(), target.numel(), ctx);
-      bindTensor(0, target);
-    };
-
-    switch (kind) {
-      // ---- structural ----
-      case OpKind::Constant:
-        if (attrs.has("tensor")) {
-          const Tensor& t = attrs.tensor("tensor");
-          bindTensor(0, TensorMeta{t.sizes(), t.dtype()});
-        } else {
-          bindOut(0, CostValue::scalar(attrs.scalar("value")));
-        }
-        return;
-      case OpKind::ListConstruct: {
-        std::vector<TensorMeta> list;
-        list.reserve(node.numInputs());
-        for (std::size_t i = 0; i < node.numInputs(); ++i)
-          list.push_back(tensorIn(node, i, env));
-        chargeOpDispatch(ctx);
-        bindOut(0, CostValue::list(std::move(list)));
-        return;
-      }
-      case OpKind::ListIndex: {
-        const auto& list = get(node.input(0), env).listMeta();
-        const std::int64_t i = scalarIn(node, 1, env).toInt();
-        TSSA_CHECK(i >= 0 && i < static_cast<std::int64_t>(list.size()),
-                   "list index out of range");
-        chargeOpDispatch(ctx);
-        bindTensor(0, list[static_cast<std::size_t>(i)]);
-        return;
-      }
-      case OpKind::Return:
-      case OpKind::Update:
-        TSSA_THROW("not executable: " << opName(kind));
-
-      // ---- control flow ----
+  void walkNode(const Node& node) {
+    switch (node.kind()) {
       case OpKind::If: {
-        const bool cond = scalarIn(node, 0, env).toBool();
-        if (ctx.silentDepth == 0 && ctx.mergeDepth == 0)
-          hostOnly(opts_.host.perIfUs);
+        const bool cond = get(node.input(0)).scalarValue().toBool();
+        sink_.branch();
         const ir::Block& block = *node.block(cond ? 0 : 1);
-        walkBlock(block, env, ctx);
-        auto rets = blockReturns(block, env);
-        for (std::size_t i = 0; i < rets.size(); ++i)
-          bindOut(i, std::move(rets[i]));
+        walkBlock(block);
+        bindOutputs(node, blockReturns(block));
         return;
       }
-      case OpKind::Loop: {
-        const std::int64_t trip = scalarIn(node, 0, env).toInt();
-        TSSA_CHECK(trip <= opts_.maxLoopTrip, "loop trip beyond cost budget");
-        const ir::Block& body = *node.block(0);
-        std::vector<CostValue> carried;
-        for (std::size_t i = 1; i < node.numInputs(); ++i)
-          carried.push_back(get(node.input(i), env));
-        for (std::int64_t it = 0; it < trip; ++it) {
-          if (ctx.silentDepth == 0 && ctx.mergeDepth == 0)
-            hostOnly(opts_.host.perLoopIterUs);
-          env[body.param(0)] = CostValue::scalar(Scalar(it));
-          for (std::size_t i = 0; i < carried.size(); ++i)
-            env[body.param(i + 1)] = std::move(carried[i]);
-          walkBlock(body, env, ctx);
-          carried = blockReturns(body, env);
-        }
-        for (std::size_t i = 0; i < carried.size(); ++i)
-          bindOut(i, std::move(carried[i]));
-        return;
-      }
+      case OpKind::Loop:
       case OpKind::ParallelMap: {
-        // Always the serial-merge accounting: the threaded executor merges
-        // per-worker slots into identical totals by construction.
-        const std::int64_t trip = scalarIn(node, 0, env).toInt();
-        TSSA_CHECK(trip <= opts_.maxLoopTrip, "loop trip beyond cost budget");
-        const ir::Block& body = *node.block(0);
+        const std::int64_t trip = get(node.input(0)).scalarValue().toInt();
         std::vector<CostValue> carried;
         for (std::size_t i = 1; i < node.numInputs(); ++i)
-          carried.push_back(get(node.input(i), env));
-        std::vector<Slot> slots;
-        {
-          ++ctx.mergeDepth;
-          for (std::int64_t it = 0; it < trip; ++it) {
-            ctx.mergePos = 0;
-            env[body.param(0)] = CostValue::scalar(Scalar(it));
-            for (std::size_t i = 0; i < carried.size(); ++i)
-              env[body.param(i + 1)] = std::move(carried[i]);
-            walkBlock(body, env, ctx);
-            carried = blockReturns(body, env);
-          }
-          slots.swap(ctx.mergeSlots);
-          --ctx.mergeDepth;
-        }
-        if (ctx.silentDepth == 0 && ctx.mergeDepth == 0) {
-          for (const Slot& slot : slots) {
-            recordKernel("tssa::ParallelMap(" + slot.name + ")", slot.bytes,
-                         slot.flops);
-          }
-        }
-        for (std::size_t i = 0; i < carried.size(); ++i)
-          bindOut(i, std::move(carried[i]));
-        return;
-      }
-      case OpKind::FusionGroup: {
-        const ir::Block& body = *node.block(0);
-        std::int64_t bytes = 0;
-        std::vector<CostValue> groupInputs;
-        groupInputs.reserve(node.numInputs());
-        for (std::size_t i = 0; i < node.numInputs(); ++i) {
-          const CostValue& v = get(node.input(i), env);
-          TSSA_CHECK(!v.isUnknown(), "fusion group input unknown");
-          if (v.isTensor()) bytes += v.tensorMeta().bytes();
-          groupInputs.push_back(v);
-        }
-        const bool viaTexpr =
-            opts_.useTexpr && texpr::Kernel::supports(body);
-        std::int64_t flops = 0;
-        std::int64_t savedBytes = 0;
-        std::vector<CostValue> rets;
-        for (std::size_t i = 0; i < groupInputs.size(); ++i)
-          env[body.param(i)] = groupInputs[i];
-        if (viaTexpr) {
-          // texpr RunStats pricing: flops = sum of every body node's
-          // output-0 element count; savedBytes per in-place Assign.
-          ++ctx.silentDepth;
-          bool bad = false;
-          for (const Node* bn : body) {
-            execNodeGuarded(*bn, env, ctx);
-            const CostValue& ov = get(bn->output(0), env);
-            if (ov.isTensor()) {
-              flops += ov.tensorMeta().numel();
-            } else if (ov.isScalar()) {
-              flops += 1;
-            } else {
-              bad = true;
-            }
-            if (bn->kind() == OpKind::Assign &&
-                bn->attrs().bOr("inplace", false)) {
-              const CostValue& base = get(bn->input(0), env);
-              const CostValue& src = get(bn->input(1), env);
-              if (base.isTensor() && src.isTensor()) {
-                savedBytes += std::max<std::int64_t>(
-                    0, 2 * (base.tensorMeta().bytes() -
-                            src.tensorMeta().bytes()));
-              } else {
-                bad = true;
-              }
-            }
-          }
-          --ctx.silentDepth;
-          if (bad || ctx.silentFailed) {
-            ctx.silentFailed = false;
-            markUnknown(node, env, ctx);
-            return;
-          }
-          rets = blockReturns(body, env);
+          carried.push_back(get(node.input(i)));
+        if (node.kind() == OpKind::Loop) {
+          walkIterations(*node.block(0), trip, carried, true);
         } else {
-          // Interpreted body: suppress scope counts elementwise flops and
-          // in-place savings; views/scalars inside still pay op dispatch.
-          const std::int64_t savedF = ctx.suppressFlops;
-          const std::int64_t savedB = ctx.suppressSavedBytes;
-          ctx.suppressFlops = 0;
-          ctx.suppressSavedBytes = 0;
-          ++ctx.suppressDepth;
-          walkBlock(body, env, ctx);
-          flops = ctx.suppressFlops;
-          savedBytes = ctx.suppressSavedBytes;
-          ctx.suppressFlops = savedF;
-          ctx.suppressSavedBytes = savedB;
-          --ctx.suppressDepth;
-          rets = blockReturns(body, env);
-        }
-        for (const CostValue& r : rets) {
-          if (r.isUnknown()) {
-            bindOutputsUnknown(node, env);
-            return;
+          // Always the serial-merge accounting: the threaded executor
+          // merges per-worker slots into identical totals by construction.
+          std::vector<ChargeSink::Slot> slots;
+          {
+            ChargeSink::MergeScope merge(sink_);
+            walkIterations(*node.block(0), trip, carried, false);
+            slots = sink_.takeSlots();
           }
-          if (r.isTensor()) bytes += r.tensorMeta().bytes();
+          sink_.flushParallelMap(slots);
         }
-        bytes = std::max<std::int64_t>(0, bytes - savedBytes);
-        chargeKernel(node, bytes, flops, ctx);
-        for (std::size_t i = 0; i < rets.size(); ++i)
-          bindOut(i, std::move(rets[i]));
+        bindOutputs(node, std::move(carried));
         return;
       }
-
-      // ---- scalar arithmetic ----
-      case OpKind::ScalarAdd:
-      case OpKind::ScalarSub:
-      case OpKind::ScalarMul:
-      case OpKind::ScalarMod:
-      case OpKind::ScalarMin:
-      case OpKind::ScalarMax: {
-        const Scalar a = scalarIn(node, 0, env);
-        const Scalar b = scalarIn(node, 1, env);
-        chargeOpDispatch(ctx);
-        if (a.isFloat() || b.isFloat()) {
-          const double x = a.toDouble(), y = b.toDouble();
-          double r = 0;
-          switch (kind) {
-            case OpKind::ScalarAdd: r = x + y; break;
-            case OpKind::ScalarSub: r = x - y; break;
-            case OpKind::ScalarMul: r = x * y; break;
-            case OpKind::ScalarMin: r = std::min(x, y); break;
-            case OpKind::ScalarMax: r = std::max(x, y); break;
-            default: TSSA_THROW("mod of float scalars");
-          }
-          bindOut(0, CostValue::scalar(Scalar(r)));
-        } else {
-          const std::int64_t x = a.toInt(), y = b.toInt();
-          std::int64_t r = 0;
-          switch (kind) {
-            case OpKind::ScalarAdd: r = x + y; break;
-            case OpKind::ScalarSub: r = x - y; break;
-            case OpKind::ScalarMul: r = x * y; break;
-            case OpKind::ScalarMod:
-              TSSA_CHECK(y != 0, "mod by zero");
-              r = x % y;
-              break;
-            case OpKind::ScalarMin: r = std::min(x, y); break;
-            case OpKind::ScalarMax: r = std::max(x, y); break;
-            default: break;
-          }
-          bindOut(0, CostValue::scalar(Scalar(r)));
-        }
+      case OpKind::FusionGroup:
+        walkFusionGroup(node);
         return;
-      }
-      case OpKind::SizeOf: {
-        const TensorMeta& t = tensorIn(node, 0, env);
-        std::int64_t d = attrs.i("dim");
-        if (d < 0) d += static_cast<std::int64_t>(t.sizes.size());
-        TSSA_CHECK(d >= 0 && d < static_cast<std::int64_t>(t.sizes.size()),
-                   "size dim out of range");
-        chargeOpDispatch(ctx);
-        bindOut(0, CostValue::scalar(
-                       Scalar(t.sizes[static_cast<std::size_t>(d)])));
-        return;
-      }
-      case OpKind::ScalarLt:
-      case OpKind::ScalarLe:
-      case OpKind::ScalarGt:
-      case OpKind::ScalarGe:
-      case OpKind::ScalarEq:
-      case OpKind::ScalarNe: {
-        const double x = scalarIn(node, 0, env).toDouble();
-        const double y = scalarIn(node, 1, env).toDouble();
-        chargeOpDispatch(ctx);
-        bool r = false;
-        switch (kind) {
-          case OpKind::ScalarLt: r = x < y; break;
-          case OpKind::ScalarLe: r = x <= y; break;
-          case OpKind::ScalarGt: r = x > y; break;
-          case OpKind::ScalarGe: r = x >= y; break;
-          case OpKind::ScalarEq: r = x == y; break;
-          case OpKind::ScalarNe: r = x != y; break;
-          default: break;
-        }
-        bindOut(0, CostValue::scalar(Scalar(r)));
-        return;
-      }
-
-      // ---- elementwise binary ----
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Mul:
-      case OpKind::Minimum:
-      case OpKind::Maximum:
-        return evalBinary(DType::Float32, /*promote=*/true);
-      case OpKind::Div:
-      case OpKind::Pow:
-        return evalBinary(DType::Float32, /*promote=*/false);
-      case OpKind::Eq:
-      case OpKind::Ne:
-      case OpKind::Lt:
-      case OpKind::Le:
-      case OpKind::Gt:
-      case OpKind::Ge:
-      case OpKind::LogicalAnd:
-      case OpKind::LogicalOr:
-        return evalBinary(DType::Bool, /*promote=*/false);
-
-      // ---- elementwise unary ----
-      case OpKind::Neg:
-      case OpKind::Abs:
-      case OpKind::Relu:
-      case OpKind::Clamp:
-        return evalUnary(tensorIn(node, 0, env).dtype);
-      case OpKind::Exp:
-      case OpKind::Log:
-      case OpKind::Sqrt:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-        return evalUnary(DType::Float32);
-      case OpKind::LogicalNot:
-        return evalUnary(DType::Bool);
-      case OpKind::Cast:
-        return evalUnary(attrs.dtype("dtype"));
-
-      // ---- elementwise n-ary ----
-      case OpKind::Where: {
-        const TensorMeta& c = tensorIn(node, 0, env);
-        const TensorMeta& a = tensorIn(node, 1, env);
-        const TensorMeta& b = tensorIn(node, 2, env);
-        TensorMeta out{
-            broadcastShapes(broadcastShapes(c.sizes, a.sizes), b.sizes),
-            promoteTypes(a.dtype, b.dtype)};
-        chargeKernel(node, c.bytes() + a.bytes() + b.bytes() + out.bytes(),
-                     out.numel(), ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::MaskedFill: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        const TensorMeta& mask = tensorIn(node, 1, env);
-        (void)scalarIn(node, 2, env);
-        // ops::maskedFill = where(mask, full-scalar, a): the rank-0 fill
-        // never widens the broadcast and its dtype promotes back to a's.
-        TensorMeta out{broadcastShapes(mask.sizes, a.sizes), a.dtype};
-        chargeKernel(node, a.bytes() + mask.bytes() + out.bytes(),
-                     out.numel(), ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-
-      // ---- reductions ----
-      case OpKind::Sum: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        TensorMeta out{Shape{},
-                       a.dtype == DType::Bool ? DType::Int64 : a.dtype};
-        chargeKernel(node, a.bytes(), a.numel(), ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::SumDim:
-      case OpKind::Mean:
-      case OpKind::MaxDim:
-      case OpKind::MinDim:
-      case OpKind::Argmax: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        const std::int64_t d = normalizeDim(
-            attrs.i("dim"), static_cast<std::int64_t>(a.sizes.size()));
-        const bool keep = attrs.bOr("keepdim", false);
-        TensorMeta out = a;
-        if (keep) {
-          out.sizes[static_cast<std::size_t>(d)] = 1;
-        } else {
-          out.sizes.erase(out.sizes.begin() + d);
-        }
-        switch (kind) {
-          case OpKind::SumDim:
-            out.dtype = a.dtype == DType::Bool ? DType::Int64 : a.dtype;
-            break;
-          case OpKind::Mean: out.dtype = DType::Float32; break;
-          case OpKind::Argmax: out.dtype = DType::Int64; break;
-          default: break;  // Max/MinDim keep a's dtype
-        }
-        chargeKernel(node, a.bytes() + out.bytes(), a.numel(), ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Softmax: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        normalizeDim(attrs.i("dim"),
-                     static_cast<std::int64_t>(a.sizes.size()));
-        TensorMeta out{a.sizes, DType::Float32};
-        chargeKernel(node, 2 * a.bytes() + out.bytes(), 5 * a.numel(), ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Cumsum: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        normalizeDim(attrs.i("dim"),
-                     static_cast<std::int64_t>(a.sizes.size()));
-        TensorMeta out = a;
-        chargeKernel(node, a.bytes() + out.bytes(), a.numel(), ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-
-      // ---- linear algebra ----
-      case OpKind::Matmul: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        const TensorMeta& b = tensorIn(node, 1, env);
-        TensorMeta out;
-        out.dtype = DType::Float32;
-        std::int64_t flops = 0;
-        if (a.sizes.size() == 3 && b.sizes.size() == 3) {
-          TSSA_CHECK(a.sizes[0] == b.sizes[0] && a.sizes[2] == b.sizes[1],
-                     "bmm dims disagree");
-          out.sizes = {a.sizes[0], a.sizes[1], b.sizes[2]};
-          flops = 2 * a.sizes[0] * a.sizes[1] * a.sizes[2] * b.sizes[2];
-        } else {
-          TSSA_CHECK(a.sizes.size() == 2 && b.sizes.size() == 2 &&
-                         a.sizes[1] == b.sizes[0],
-                     "matmul dims disagree");
-          out.sizes = {a.sizes[0], b.sizes[1]};
-          flops = 2 * a.sizes[0] * a.sizes[1] * b.sizes[1];
-        }
-        chargeKernel(node, a.bytes() + b.bytes() + out.bytes(), flops, ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Bmm: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        const TensorMeta& b = tensorIn(node, 1, env);
-        TSSA_CHECK(a.sizes.size() == 3 && b.sizes.size() == 3 &&
-                       a.sizes[0] == b.sizes[0] && a.sizes[2] == b.sizes[1],
-                   "bmm dims disagree");
-        TensorMeta out{{a.sizes[0], a.sizes[1], b.sizes[2]}, DType::Float32};
-        chargeKernel(node, a.bytes() + b.bytes() + out.bytes(),
-                     2 * a.sizes[0] * a.sizes[1] * a.sizes[2] * b.sizes[2],
-                     ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-
-      // ---- shape / data movement ----
-      case OpKind::Cat:
-      case OpKind::Stack: {
-        const auto& list = get(node.input(0), env).listMeta();
-        TSSA_CHECK(!list.empty(), "cat/stack of zero tensors");
-        std::vector<TensorMeta> items = list;
-        std::int64_t d = attrs.i("dim");
-        if (kind == OpKind::Stack) {
-          const auto rank = static_cast<std::int64_t>(items[0].sizes.size());
-          if (d < 0) d += rank + 1;
-          for (TensorMeta& m : items)
-            m.sizes.insert(m.sizes.begin() + d, 1);
-        } else {
-          d = normalizeDim(d,
-                           static_cast<std::int64_t>(items[0].sizes.size()));
-        }
-        TensorMeta out = items[0];
-        std::int64_t total = 0;
-        for (const TensorMeta& m : items) {
-          TSSA_CHECK(m.sizes.size() == out.sizes.size(),
-                     "cat rank mismatch");
-          for (std::size_t i = 0; i < m.sizes.size(); ++i) {
-            if (static_cast<std::int64_t>(i) != d)
-              TSSA_CHECK(m.sizes[i] == out.sizes[i], "cat shape mismatch");
-          }
-          total += m.sizes[static_cast<std::size_t>(d)];
-          out.dtype = promoteTypes(out.dtype, m.dtype);
-        }
-        out.sizes[static_cast<std::size_t>(d)] = total;
-        chargeKernel(node, 2 * out.bytes(), 0, ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::IndexSelect: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        const TensorMeta& idx = tensorIn(node, 1, env);
-        const std::int64_t d = normalizeDim(
-            attrs.i("dim"), static_cast<std::int64_t>(a.sizes.size()));
-        TensorMeta out = a;
-        out.sizes[static_cast<std::size_t>(d)] = idx.numel();
-        chargeKernel(node, out.bytes() * 2 + idx.bytes(), 0, ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Gather: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        const TensorMeta& idx = tensorIn(node, 1, env);
-        TensorMeta out{idx.sizes, a.dtype};
-        chargeKernel(node, out.bytes() * 2 + idx.bytes(), 0, ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Topk: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        TSSA_CHECK(!a.sizes.empty(), "topk needs rank >= 1");
-        const std::int64_t k = attrs.i("k");
-        TSSA_CHECK(k >= 0 && k <= a.sizes.back(), "topk k out of range");
-        TensorMeta values = a;
-        values.sizes.back() = k;
-        TensorMeta indices{values.sizes, DType::Int64};
-        for (int pass = 0; pass < 4; ++pass)
-          chargeKernel(node, a.bytes() + values.bytes(), a.numel(), ctx);
-        if (ctx.silentDepth == 0 && ctx.mergeDepth == 0 &&
-            ctx.suppressDepth == 0)
-          hostOnly(2 * opts_.device.syncLatencyUs);
-        bindTensor(0, std::move(values));
-        bindTensor(1, std::move(indices));
-        return;
-      }
-      case OpKind::Argsort: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        TensorMeta out{a.sizes, DType::Int64};
-        for (int pass = 0; pass < 4; ++pass)
-          chargeKernel(node, a.bytes() + out.bytes(), a.numel(), ctx);
-        if (ctx.silentDepth == 0 && ctx.mergeDepth == 0 &&
-            ctx.suppressDepth == 0)
-          hostOnly(2 * opts_.device.syncLatencyUs);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Clone:
-      case OpKind::Contiguous: {
-        const TensorMeta& a = tensorIn(node, 0, env);
-        chargeKernel(node, 2 * a.bytes(), 0, ctx);
-        bindTensor(0, a);
-        return;
-      }
-
-      // ---- factories ----
-      case OpKind::Zeros:
-      case OpKind::Ones: {
-        TensorMeta out{resolvedSizes(node, 0, env), attrs.dtype("dtype")};
-        chargeKernel(node, out.bytes(), 0, ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Full: {
-        (void)scalarIn(node, 0, env);
-        TensorMeta out{resolvedSizes(node, 1, env), attrs.dtype("dtype")};
-        chargeKernel(node, out.bytes(), 0, ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Arange: {
-        const std::int64_t start = scalarIn(node, 0, env).toInt();
-        const std::int64_t end = scalarIn(node, 1, env).toInt();
-        const std::int64_t step = scalarIn(node, 2, env).toInt();
-        TSSA_CHECK(step != 0, "arange step must be nonzero");
-        std::int64_t n = 0;
-        if (step > 0 && end > start) n = ceilDiv(end - start, step);
-        if (step < 0 && end < start) n = ceilDiv(start - end, -step);
-        TensorMeta out{{n}, DType::Int64};
-        chargeKernel(node, out.bytes(), 0, ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-
-      // ---- tensor views ----
-      case OpKind::Select:
-      case OpKind::Slice:
-      case OpKind::Reshape:
-      case OpKind::Permute:
-      case OpKind::Transpose:
-      case OpKind::Expand:
-      case OpKind::Squeeze:
-      case OpKind::Unsqueeze:
-      case OpKind::Flatten:
-      case OpKind::Identity: {
-        const TensorMeta& base = tensorIn(node, 0, env);
-        TensorMeta out = applyView(kind, node, base, 1, env);
-        chargeOpDispatch(ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-
-      // ---- mutation ----
-      case OpKind::Copy_: {
-        const TensorMeta& dst = tensorIn(node, 0, env);
-        const TensorMeta& src = tensorIn(node, 1, env);
-        chargeKernel(node, dst.bytes() + src.bytes(), 0, ctx);
-        bindTensor(0, dst);
-        return;
-      }
-      case OpKind::Fill_:
-      case OpKind::Zero_: {
-        const TensorMeta& dst = tensorIn(node, 0, env);
-        if (kind == OpKind::Fill_) (void)scalarIn(node, 1, env);
-        chargeKernel(node, dst.bytes(), 0, ctx);
-        bindTensor(0, dst);
-        return;
-      }
-      case OpKind::Add_:
-      case OpKind::Sub_:
-      case OpKind::Mul_:
-      case OpKind::Div_:
-        return evalInplace(1);
-      case OpKind::Relu_:
-      case OpKind::Sigmoid_:
-      case OpKind::Tanh_:
-        return evalInplace(0);
-      case OpKind::MaskedFill_: {
-        (void)tensorIn(node, 1, env);
-        (void)scalarIn(node, 2, env);
-        return evalInplace(0);
-      }
-
-      // ---- TensorSSA ----
-      case OpKind::Access: {
-        const TensorMeta& base = tensorIn(node, 0, env);
-        const auto viewKind = static_cast<OpKind>(attrs.i("view"));
-        TensorMeta out = applyView(viewKind, node, base, 1, env);
-        chargeKernel(node, 2 * out.bytes(), 0, ctx);
-        bindTensor(0, std::move(out));
-        return;
-      }
-      case OpKind::Assign: {
-        const TensorMeta& base = tensorIn(node, 0, env);
-        const TensorMeta& src = tensorIn(node, 1, env);
-        const auto viewKind = static_cast<OpKind>(attrs.i("view"));
-        (void)applyView(viewKind, node, base, 2, env);
-        const bool inplace = attrs.bOr("inplace", false);
-        if (inplace) {
-          if (ctx.suppressDepth > 0) {
-            ctx.suppressSavedBytes += std::max<std::int64_t>(
-                0, 2 * (base.bytes() - src.bytes()));
-          }
-          chargeKernel(node, 2 * src.bytes(), 0, ctx);
-        } else {
-          chargeKernel(node, 2 * base.bytes() + src.bytes(), 0, ctx);
-        }
-        bindTensor(0, base);
+      default: {
+        const std::vector<Operand> in = operands(node);
+        std::vector<CostValue> out(node.numOutputs());
+        inferOutputs(node, in, out);
+        std::vector<Operand> outOps;
+        outOps.reserve(out.size());
+        for (const CostValue& v : out) outOps.push_back(v.operand());
+        sink_.charge(node, chargeOf(node, in, outOps));
+        bindOutputs(node, std::move(out));
         return;
       }
     }
-    TSSA_THROW("cost model: unhandled op " << opName(kind));
   }
 
-  CostOptions opts_;
-  CostReport report_;
+  void walkFusionGroup(const Node& node) {
+    const ir::Block& body = *node.block(0);
+    const std::vector<Operand> in = operands(node);
+    for (std::size_t i = 0; i < node.numInputs(); ++i) {
+      const CostValue& v = get(node.input(i));
+      TSSA_CHECK(!v.isUnknown(), "fusion group input unknown");
+      env_[body.param(i)] = v;
+    }
+    std::int64_t flops = 0;
+    std::int64_t savedBytes = 0;
+    std::vector<CostValue> rets;
+    if (opts_.useTexpr && texpr::Kernel::supports(body)) {
+      // Priced exactly as the texpr kernel reports its own runs.
+      const texpr::Kernel::BodyMeta meta = texpr::Kernel::infer(body, in);
+      flops = meta.stats.flops;
+      savedBytes = meta.stats.savedBytes;
+      for (const ir::Value* r : body.returns()) {
+        auto it = meta.tensors.find(r);
+        TSSA_CHECK(it != meta.tensors.end(), "fusion group return unknown");
+        rets.push_back(CostValue::tensor(it->second));
+      }
+    } else {
+      // Interpreted body: the suppress scope counts elementwise flops and
+      // in-place savings; views/scalars inside still pay op dispatch.
+      ChargeSink::SuppressScope suppress(sink_);
+      walkBlock(body);
+      flops = suppress.flops();
+      savedBytes = suppress.savedBytes();
+      rets = blockReturns(body);
+      for (const CostValue& r : rets) {
+        // Already counted as an unknown op inside the body.
+        if (r.isUnknown()) {
+          for (const ir::Value* out : node.outputs())
+            env_[out] = CostValue::unknown();
+          return;
+        }
+      }
+    }
+    std::vector<Operand> outOps;
+    outOps.reserve(rets.size());
+    for (const CostValue& r : rets) outOps.push_back(r.operand());
+    sink_.charge(node, fusionGroupCharge(in, outOps, flops, savedBytes));
+    bindOutputs(node, std::move(rets));
+  }
+
+  const CostOptions& opts_;
+  ChargeSink sink_;
+  std::unordered_map<const ir::Value*, CostValue> env_;
+  std::int64_t unknownOps_ = 0;
 };
 
 }  // namespace
@@ -1021,7 +250,17 @@ class CostWalker {
 CostReport estimateCost(const ir::Graph& graph,
                         std::span<const CostValue> inputs,
                         const CostOptions& options) {
-  return CostWalker(options).walk(graph, inputs);
+  runtime::Profiler profiler(options.device, options.host);
+  CostReport r;
+  r.unknownOps = CostWalker(options, profiler).walk(graph, inputs);
+  r.launches = profiler.kernelLaunches();
+  r.bytes = profiler.bytesMoved();
+  r.flops = profiler.flops();
+  r.gpuUs = profiler.gpuTimeUs();
+  r.hostUs = profiler.hostTimeUs();
+  r.simUs = profiler.simTimeUs();
+  r.perKernel = profiler.kernelHistogram();
+  return r;
 }
 
 }  // namespace tssa::analysis

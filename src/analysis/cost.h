@@ -3,18 +3,20 @@
 // estimateCost() walks a graph with *metadata semantics*: every value is
 // reduced to its shape/dtype (tensors), its concrete value (scalars — loop
 // trips, slice bounds and view extents depend on them), or a list of tensor
-// metas. No tensor data is allocated or moved. The walk mirrors the
-// reference interpreter's charging rules exactly — the same per-op bytes and
-// flops formulas (matmul = 2·M·N·K, softmax = 5·numel, ...), the same
-// ParallelMap launch merging, the same FusionGroup external-traffic pricing
-// (texpr-backed groups priced by the texpr RunStats rules, interpreted
-// bodies by the suppress-scope rules) — and prices them with the same
-// DeviceSpec/HostSpec math as the Profiler. For a program whose control
-// flow and shapes are fully determined by the inputs' metadata (all eight
-// paper workloads qualify), the report equals what Profiler would observe:
-// identical launches, bytes, flops, per-kernel histogram, and simulated
-// latency. Property tests in tests/cost_model_test.cpp hold this equality
-// differentially against real execution.
+// metas. No tensor data is allocated or moved. The walk owns no per-op rule:
+// each leaf op's outputs come from analysis::inferOutputs and its charge from
+// analysis::chargeOf (src/analysis/op_rules.h), recorded through the same
+// ChargeSink — ParallelMap launch merging, interpreted-FusionGroup pricing —
+// into a runtime::Profiler configured with the DeviceSpec/HostSpec under
+// study. texpr-backed FusionGroups are priced by texpr::Kernel::infer, the
+// function the texpr kernel binds its own runs with. The walk itself only
+// propagates abstract values through control flow. For a program whose
+// control flow and shapes are fully determined by the inputs' metadata (all
+// eight paper workloads qualify), the report therefore equals what the
+// interpreter's Profiler observes: identical launches, bytes, flops,
+// per-kernel histogram, and simulated latency. Property tests in
+// tests/cost_model_test.cpp hold this equality differentially against real
+// execution.
 //
 // Symbolic dims: bindSymbolic() turns a workload's SymbolicPattern input
 // types plus a symbol->extent binding into cost inputs, so one polymorphic
@@ -32,75 +34,14 @@
 #include <map>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
+#include "src/analysis/op_rules.h"
 #include "src/ir/ir.h"
 #include "src/runtime/device.h"
 #include "src/runtime/rt_value.h"
-#include "src/tensor/dtype.h"
-#include "src/tensor/scalar.h"
-#include "src/tensor/shape.h"
 
 namespace tssa::analysis {
-
-/// Shape/dtype of one tensor, without storage.
-struct TensorMeta {
-  Shape sizes;
-  DType dtype = DType::Float32;
-
-  std::int64_t numel() const { return numelOf(sizes); }
-  std::int64_t bytes() const {
-    return numel() * static_cast<std::int64_t>(dtypeSize(dtype));
-  }
-  friend bool operator==(const TensorMeta&, const TensorMeta&) = default;
-};
-
-/// Abstract runtime value of the cost walk: tensor metadata, a known scalar,
-/// a list of tensor metas, or unknown (data-dependent).
-class CostValue {
- public:
-  CostValue() : value_(Unknown{}) {}
-
-  static CostValue tensor(Shape sizes, DType dtype) {
-    CostValue v;
-    v.value_ = TensorMeta{std::move(sizes), dtype};
-    return v;
-  }
-  static CostValue tensor(TensorMeta meta) {
-    CostValue v;
-    v.value_ = std::move(meta);
-    return v;
-  }
-  static CostValue scalar(Scalar s) {
-    CostValue v;
-    v.value_ = s;
-    return v;
-  }
-  static CostValue list(std::vector<TensorMeta> items) {
-    CostValue v;
-    v.value_ = std::move(items);
-    return v;
-  }
-  static CostValue unknown() { return CostValue(); }
-
-  bool isTensor() const { return std::holds_alternative<TensorMeta>(value_); }
-  bool isScalar() const { return std::holds_alternative<Scalar>(value_); }
-  bool isList() const {
-    return std::holds_alternative<std::vector<TensorMeta>>(value_);
-  }
-  bool isUnknown() const { return std::holds_alternative<Unknown>(value_); }
-
-  /// Typed accessors; throw tssa::Error when the value is of another kind
-  /// (estimateCost turns that into an unknown-op, never a crash).
-  const TensorMeta& tensorMeta() const;
-  Scalar scalarValue() const;
-  const std::vector<TensorMeta>& listMeta() const;
-
- private:
-  struct Unknown {};
-  std::variant<Unknown, TensorMeta, Scalar, std::vector<TensorMeta>> value_;
-};
 
 /// Metadata of concrete runtime inputs (what the serving engine holds at
 /// admission time).

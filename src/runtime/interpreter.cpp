@@ -1,6 +1,7 @@
 #include "src/runtime/interpreter.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 
 #include "src/ir/printer.h"
@@ -13,75 +14,64 @@ namespace tssa::runtime {
 using ir::Node;
 using ir::OpKind;
 
-namespace {
-
-/// Rough FLOP estimate for one elementwise-style kernel output.
-std::int64_t ewiseFlops(const Tensor& out) { return out.numel(); }
-
-}  // namespace
-
 void Interpreter::setThreads(int threads) {
   threads_ = threads == 0 ? ThreadPool::hardwareThreads()
                           : std::max(threads, 1);
 }
 
-// ---- Merge scope: collapse kernels recorded inside into one launch ---------------
+// ---- Operands ---------------------------------------------------------------
 
-struct Interpreter::MergeScope {
-  explicit MergeScope(ExecContext& ctx) : ctx_(ctx) { ++ctx_.mergeDepth; }
-  ~MergeScope() { --ctx_.mergeDepth; }
-  MergeScope(const MergeScope&) = delete;
-  MergeScope& operator=(const MergeScope&) = delete;
-  ExecContext& ctx_;
-};
+/// A node's operands looked up once: the runtime values plus their metadata
+/// views for the op rules (non-owning: they point into the values). Inline
+/// storage covers every leaf op; only wide nodes (long lists, big fusion
+/// groups) spill to the heap.
+class Interpreter::Operands {
+ public:
+  Operands(const Node& node, const Env& env, const Interpreter& interp)
+      : Operands(node.numInputs()) {
+    for (std::size_t i = 0; i < n_; ++i)
+      set(i, interp.get(node.input(i), env));
+  }
+  explicit Operands(std::span<const RtValue> values)
+      : Operands(values.size()) {
+    for (std::size_t i = 0; i < n_; ++i) set(i, values[i]);
+  }
+  Operands(const Operands&) = delete;
+  Operands& operator=(const Operands&) = delete;
 
-// Inside a FusionGroup body: no kernels are recorded, only the per-element
-// op count (the group itself is priced as one kernel by its caller).
-struct Interpreter::SuppressScope {
-  explicit SuppressScope(ExecContext& ctx) : ctx_(ctx) {
-    ++ctx_.suppressDepth;
-    saved_ = ctx_.suppressFlops;
-    savedBytes_ = ctx_.suppressSavedBytes;
-    ctx_.suppressFlops = 0;
-    ctx_.suppressSavedBytes = 0;
+  const RtValue& value(std::size_t i) const {
+    TSSA_CHECK(i < n_, "missing operand " << i);
+    return *values_[i];
   }
-  ~SuppressScope() {
-    ctx_.suppressFlops = saved_;
-    ctx_.suppressSavedBytes = savedBytes_;
-    --ctx_.suppressDepth;
-  }
-  SuppressScope(const SuppressScope&) = delete;
-  SuppressScope& operator=(const SuppressScope&) = delete;
-  ExecContext& ctx_;
-  std::int64_t saved_ = 0;
-  std::int64_t savedBytes_ = 0;
-};
+  const Tensor& tensor(std::size_t i) const { return value(i).tensor(); }
+  Scalar scalar(std::size_t i) const { return value(i).scalar(); }
+  std::span<const analysis::Operand> meta() const { return {meta_, n_}; }
 
-void Interpreter::chargeKernel(const Node& node, std::int64_t bytes,
-                               std::int64_t flops, ExecContext& ctx) {
-  if (profiler_ == nullptr) return;
-  if (ctx.suppressDepth > 0) {
-    ctx.suppressFlops += flops;
-    return;
-  }
-  if (ctx.mergeDepth > 0) {
-    if (ctx.mergePos >= ctx.mergeSlots.size()) {
-      ctx.mergeSlots.push_back(
-          MergedKernel{std::string(opName(node.kind())), 0, 0});
+ private:
+  static constexpr std::size_t kInline = 6;
+
+  explicit Operands(std::size_t n) : n_(n) {
+    if (n_ > kInline) {
+      heapValues_.resize(n_);
+      heapMeta_.resize(n_);
+      values_ = heapValues_.data();
+      meta_ = heapMeta_.data();
     }
-    ctx.mergeSlots[ctx.mergePos].bytes += bytes;
-    ctx.mergeSlots[ctx.mergePos].flops += flops;
-    ++ctx.mergePos;
-    return;
   }
-  profiler_->kernel(opName(node.kind()), bytes, flops,
-                    profiler_->host().perOpUs);
-}
+  void set(std::size_t i, const RtValue& v) {
+    values_[i] = &v;
+    meta_[i] = analysis::operandOf(v);
+  }
 
-void Interpreter::chargeOpDispatch(ExecContext& ctx) {
-  if (profiler_ == nullptr || ctx.mergeDepth > 0) return;
-  profiler_->opDispatch();
-}
+  std::size_t n_;
+  // Only the first n_ entries are ever set or read.
+  std::array<const RtValue*, kInline> inlineValues_;
+  std::array<analysis::Operand, kInline> inlineMeta_;
+  std::vector<const RtValue*> heapValues_;
+  std::vector<analysis::Operand> heapMeta_;
+  const RtValue** values_ = inlineValues_.data();
+  analysis::Operand* meta_ = inlineMeta_.data();
+};
 
 // ---- Entry ----------------------------------------------------------------------------
 
@@ -95,7 +85,7 @@ std::vector<RtValue> Interpreter::run(const ir::Graph& graph,
   Env env;
   for (std::size_t i = 0; i < inputs.size(); ++i)
     env[graph.inputs()[i]] = inputs[i];
-  ExecContext ctx;
+  ExecContext ctx(profiler_);
   // With a plan attached, publish the root arena for the whole run:
   // Tensor::empty then draws intermediates from the pool. Graph inputs and
   // outputs are held by the caller (refcount > 1), so they are never pooled
@@ -125,23 +115,7 @@ std::vector<RtValue> Interpreter::run(const ir::Graph& graph,
 
 void Interpreter::runBlockBody(const ir::Block& block, Env& env,
                                ExecContext& ctx) {
-  // Graph-break model: entering a block whose compiled segment contains
-  // generated kernels costs one region call (guard checks, Python resume).
-  if (profiler_ != nullptr && ctx.mergeDepth == 0 && ctx.suppressDepth == 0 &&
-      !ctx.onWorker && profiler_->host().perRegionCallUs > 0) {
-    auto it = blockHasFusion_.find(&block);
-    if (it == blockHasFusion_.end()) {
-      bool has = false;
-      for (const Node* node : block) {
-        if (node->kind() == OpKind::FusionGroup) {
-          has = true;
-          break;
-        }
-      }
-      it = blockHasFusion_.emplace(&block, has).first;
-    }
-    if (it->second) profiler_->regionCall();
-  }
+  ctx.sink.enterBlock(block);
   for (const Node* node : block) {
     execNode(*node, env, ctx);
     if (plan_ != nullptr) releaseDead(*node, env, ctx);
@@ -195,35 +169,26 @@ const RtValue& Interpreter::get(const ir::Value* v, const Env& env) const {
   return it->second;
 }
 
-Tensor Interpreter::tensorIn(const Node& node, std::size_t i,
-                             const Env& env) const {
-  return get(node.input(i), env).tensor();
-}
-
-Scalar Interpreter::scalarIn(const Node& node, std::size_t i,
-                             const Env& env) const {
-  return get(node.input(i), env).scalar();
-}
-
 // ---- View application --------------------------------------------------------------------
 
 Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
-                              const Tensor& base, std::size_t operandStart,
-                              const Env& env) const {
+                              const Tensor& base,
+                              std::span<const analysis::Operand> in,
+                              std::size_t operandStart) const {
   const auto& attrs = node.attrs();
+  auto index = [&](std::size_t i) {
+    TSSA_CHECK(operandStart + i < in.size(), "view: missing dynamic operand");
+    return in[operandStart + i].scalar().toInt();
+  };
   switch (viewKind) {
     case OpKind::Identity:
       return base;
     case OpKind::Select:
-      return base.select(attrs.i("dim"),
-                         scalarIn(node, operandStart, env).toInt());
+      return base.select(attrs.i("dim"), index(0));
     case OpKind::Slice:
-      return base.slice(attrs.i("dim"),
-                        scalarIn(node, operandStart, env).toInt(),
-                        scalarIn(node, operandStart + 1, env).toInt(),
-                        attrs.i("step"));
+      return base.slice(attrs.i("dim"), index(0), index(1), attrs.i("step"));
     case OpKind::Reshape: {
-      Shape sizes = resolvedSizes(node, operandStart, env);
+      Shape sizes = analysis::resolvedSizes(node, in, operandStart);
       return base.isContiguous() ? base.view(std::move(sizes))
                                  : base.reshape(std::move(sizes));
     }
@@ -232,7 +197,7 @@ Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
     case OpKind::Transpose:
       return base.transpose(attrs.i("dim0"), attrs.i("dim1"));
     case OpKind::Expand:
-      return base.expand(resolvedSizes(node, operandStart, env));
+      return base.expand(analysis::resolvedSizes(node, in, operandStart));
     case OpKind::Squeeze:
       return base.squeeze(attrs.i("dim"));
     case OpKind::Unsqueeze:
@@ -242,22 +207,6 @@ Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
     default:
       TSSA_THROW("not a view kind: " << opName(viewKind));
   }
-}
-
-Shape Interpreter::resolvedSizes(const Node& node, std::size_t operandStart,
-                                 const Env& env) const {
-  Shape sizes = node.attrs().ints("sizes");
-  if (!node.attrs().has("dyn")) return sizes;
-  // Symbolic-dim graphs leave runtime extents as -1 placeholders bound from
-  // trailing scalar operands, in order (IRBuilder's dynamic-size overloads).
-  std::size_t k = operandStart;
-  for (std::int64_t& s : sizes) {
-    if (s != -1) continue;
-    TSSA_CHECK(k < node.numInputs(), "dyn sizes: missing extent operand");
-    s = scalarIn(node, k++, env).toInt();
-    TSSA_CHECK(s >= 0, "dyn sizes: negative runtime extent " << s);
-  }
-  return sizes;
 }
 
 // ---- Fusion kernel cache -----------------------------------------------------------------
@@ -283,8 +232,8 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
   // Preconditions: a worker budget, top-level context (a ParallelMap cannot
   // nest inside another one's body, but be defensive), and the converting
   // pass's independence proof attached as metadata.
-  if (threads_ <= 1 || trip <= 1 || ctx.onWorker || ctx.mergeDepth > 0 ||
-      ctx.suppressDepth > 0) {
+  if (threads_ <= 1 || trip <= 1 || ctx.onWorker || ctx.sink.merging() ||
+      ctx.sink.suppressing()) {
     return false;
   }
   if (!node.attrs().has("par_dims")) return false;
@@ -314,7 +263,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
 
   const int workers =
       static_cast<int>(std::min<std::int64_t>(threads_, trip));
-  std::vector<std::vector<MergedKernel>> workerSlots(
+  std::vector<std::vector<analysis::ChargeSink::Slot>> workerSlots(
       static_cast<std::size_t>(workers));
   std::vector<Arena::Stats> workerArenaDeltas(static_cast<std::size_t>(workers));
 
@@ -333,7 +282,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
         // the carried values — legal because the pass proved each iteration
         // touches only its own slice.
         Env wenv = env;
-        ExecContext wctx;
+        ExecContext wctx(profiler_);
         wctx.onWorker = true;
         // Planned runs give each worker its own thread-local arena (no
         // contention); the Scope nests over whatever arena the calling
@@ -346,9 +295,9 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
           wbefore = wctx.arena->stats();
           warenaScope.emplace(wctx.arena);
         }
-        MergeScope merge(wctx);
+        analysis::ChargeSink::MergeScope merge(wctx.sink);
         for (std::int64_t it = begin; it < end; ++it) {
-          wctx.mergePos = 0;  // kernel j of every iteration shares launch j
+          wctx.sink.beginIteration();  // kernel j of every iteration: launch j
           wenv[body.param(0)] = Scalar(it);
           for (std::size_t k = 0; k < carried.size(); ++k)
             wenv[body.param(k + 1)] = carried[k];
@@ -367,8 +316,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
           // values stay shared with the caller and are not donated).
         }
         recycleEnv(wenv, wctx);
-        workerSlots[static_cast<std::size_t>(chunk)] =
-            std::move(wctx.mergeSlots);
+        workerSlots[static_cast<std::size_t>(chunk)] = wctx.sink.takeSlots();
         if (wctx.arena != nullptr)
           workerArenaDeltas[static_cast<std::size_t>(chunk)] +=
               wctx.arena->stats() - wbefore;
@@ -377,19 +325,11 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
   // Deterministic slot merge: chunk order, position-wise. Every iteration
   // records the same kernel sequence (the body has no control flow), so this
   // reproduces the serial accumulation exactly.
-  std::vector<MergedKernel> slots;
-  for (const std::vector<MergedKernel>& ws : workerSlots) {
-    for (std::size_t j = 0; j < ws.size(); ++j) {
-      if (j >= slots.size()) slots.push_back(MergedKernel{ws[j].name, 0, 0});
-      slots[j].bytes += ws[j].bytes;
-      slots[j].flops += ws[j].flops;
-    }
-  }
+  std::vector<analysis::ChargeSink::Slot> slots;
+  for (const auto& ws : workerSlots)
+    analysis::ChargeSink::accumulate(slots, ws);
+  ctx.sink.flushParallelMap(slots);
   if (profiler_ != nullptr) {
-    for (const MergedKernel& slot : slots) {
-      profiler_->kernel("tssa::ParallelMap(" + slot.name + ")", slot.bytes,
-                        slot.flops, profiler_->host().perOpUs);
-    }
     if (plan_ != nullptr) {
       // Worker-arena traffic, merged at the barrier (a single-threaded
       // point). Unlike launch counts, the fresh/reuse split legitimately
@@ -409,75 +349,14 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
 // ---- Node execution ----------------------------------------------------------------------
 
 void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
-  const OpKind kind = node.kind();
-  const auto& attrs = node.attrs();
-
   auto bindOut = [&](std::size_t i, RtValue v) {
     env[node.output(i)] = std::move(v);
   };
 
-  // Elementwise binary compute.
-  auto evalBinary = [&](auto&& fn) {
-    Tensor a = tensorIn(node, 0, env);
-    Tensor b = tensorIn(node, 1, env);
-    Tensor out = fn(a, b);
-    chargeKernel(node, tensorBytes(a) + tensorBytes(b) + tensorBytes(out),
-                 ewiseFlops(out), ctx);
-    bindOut(0, std::move(out));
-  };
-  auto evalUnary = [&](auto&& fn) {
-    Tensor a = tensorIn(node, 0, env);
-    Tensor out = fn(a);
-    chargeKernel(node, tensorBytes(a) + tensorBytes(out), ewiseFlops(out),
-                 ctx);
-    bindOut(0, std::move(out));
-  };
-  // In-place op: compute pure equivalent, write through the target view.
-  // PyTorch semantics: one kernel, result aliases the target.
-  auto evalInplace = [&](auto&& fn) {
-    Tensor target = tensorIn(node, 0, env);
-    Tensor result = fn(target);
-    target.copy_(result);
-    chargeKernel(node, 2 * tensorBytes(target), ewiseFlops(target), ctx);
-    bindOut(0, target);
-  };
-
-  switch (kind) {
-    // ---- structural -------------------------------------------------------
-    case OpKind::Constant:
-      if (attrs.has("tensor")) {
-        bindOut(0, attrs.tensor("tensor"));
-      } else {
-        bindOut(0, attrs.scalar("value"));
-      }
-      return;
-    case OpKind::ListConstruct: {
-      std::vector<Tensor> list;
-      for (std::size_t i = 0; i < node.numInputs(); ++i)
-        list.push_back(tensorIn(node, i, env));
-      chargeOpDispatch(ctx);
-      bindOut(0, std::move(list));
-      return;
-    }
-    case OpKind::ListIndex: {
-      const auto& list = get(node.input(0), env).list();
-      const std::int64_t i = scalarIn(node, 1, env).toInt();
-      TSSA_CHECK(i >= 0 && i < static_cast<std::int64_t>(list.size()),
-                 "list index out of range");
-      chargeOpDispatch(ctx);
-      bindOut(0, list[static_cast<std::size_t>(i)]);
-      return;
-    }
-    case OpKind::Return:
-      TSSA_THROW("return sentinel must not be executed");
-    case OpKind::Update:
-      TSSA_THROW("tssa::update is annotation-only and must be removed "
-                 "before execution");
-
-    // ---- control flow -----------------------------------------------------
+  switch (node.kind()) {
     case OpKind::If: {
-      const bool cond = scalarIn(node, 0, env).toBool();
-      if (profiler_ != nullptr && ctx.mergeDepth == 0) profiler_->branch();
+      const bool cond = get(node.input(0), env).scalar().toBool();
+      ctx.sink.branch();
       const ir::Block& block = *node.block(cond ? 0 : 1);
       runBlockBody(block, env, ctx);
       auto rets = blockReturns(block, env);
@@ -490,14 +369,13 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       return;
     }
     case OpKind::Loop: {
-      const std::int64_t trip = scalarIn(node, 0, env).toInt();
+      const std::int64_t trip = get(node.input(0), env).scalar().toInt();
       const ir::Block& body = *node.block(0);
       std::vector<RtValue> carried;
       for (std::size_t i = 1; i < node.numInputs(); ++i)
         carried.push_back(get(node.input(i), env));
       for (std::int64_t it = 0; it < trip; ++it) {
-        if (profiler_ != nullptr && ctx.mergeDepth == 0)
-          profiler_->loopIteration();
+        ctx.sink.loopIteration();
         env[body.param(0)] = Scalar(it);
         for (std::size_t i = 0; i < carried.size(); ++i) {
           // The previous iteration's carried value dies at this rebind (its
@@ -525,7 +403,7 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       // construction (the pass proved it), so the threaded engine really
       // runs them concurrently; without metadata or a worker budget the
       // serial walk below executes the same batched-launch pricing.
-      const std::int64_t trip = scalarIn(node, 0, env).toInt();
+      const std::int64_t trip = get(node.input(0), env).scalar().toInt();
       const ir::Block& body = *node.block(0);
       std::vector<RtValue> carried;
       for (std::size_t i = 1; i < node.numInputs(); ++i)
@@ -540,11 +418,11 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
         return;
       }
       span.arg("threaded", std::int64_t{0});
-      std::vector<MergedKernel> slots;
+      std::vector<analysis::ChargeSink::Slot> slots;
       {
-        MergeScope merge(ctx);
+        analysis::ChargeSink::MergeScope merge(ctx.sink);
         for (std::int64_t it = 0; it < trip; ++it) {
-          ctx.mergePos = 0;  // kernel j of every iteration shares launch j
+          ctx.sink.beginIteration();  // kernel j of every iteration: launch j
           env[body.param(0)] = Scalar(it);
           for (std::size_t i = 0; i < carried.size(); ++i) {
             // Move for the same reason as the Loop path: the serial
@@ -555,15 +433,9 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
           carried = blockReturns(body, env);
           if (ctx.arena != nullptr) dropReturnBindings(body, env);
         }
-        slots.swap(ctx.mergeSlots);
+        slots = ctx.sink.takeSlots();
       }
-      if (profiler_ != nullptr && ctx.mergeDepth == 0) {
-        for (const MergedKernel& slot : slots) {
-          profiler_->kernel("tssa::ParallelMap(" + slot.name + ")",
-                            slot.bytes, slot.flops,
-                            profiler_->host().perOpUs);
-        }
-      }
+      ctx.sink.flushParallelMap(slots);
       for (std::size_t i = 0; i < carried.size(); ++i)
         bindOut(i, std::move(carried[i]));
       return;
@@ -573,14 +445,10 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       // live in registers of the generated kernel.
       obs::TraceSpan span("exec", "FusionGroup");
       const ir::Block& body = *node.block(0);
-      std::int64_t bytes = 0;
       std::vector<RtValue> groupInputs;
       groupInputs.reserve(node.numInputs());
-      for (std::size_t i = 0; i < node.numInputs(); ++i) {
-        const RtValue& v = get(node.input(i), env);
-        if (v.isTensor()) bytes += tensorBytes(v.tensor());
-        groupInputs.push_back(v);
-      }
+      for (std::size_t i = 0; i < node.numInputs(); ++i)
+        groupInputs.push_back(get(node.input(i), env));
 
       // Prefer the tensor-expression kernel (the NNC-substitute backend);
       // bodies it cannot express fall back to per-node interpretation.
@@ -600,418 +468,251 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       } else {
         for (std::size_t i = 0; i < node.numInputs(); ++i)
           env[body.param(i)] = groupInputs[i];
-        SuppressScope suppress(ctx);
+        analysis::ChargeSink::SuppressScope suppress(ctx.sink);
         runBlockBody(body, env, ctx);
-        flops = ctx.suppressFlops;
-        savedBytes = ctx.suppressSavedBytes;
+        flops = suppress.flops();
+        savedBytes = suppress.savedBytes();
         rets = blockReturns(body, env);
         if (ctx.arena != nullptr) dropReturnBindings(body, env);
       }
-      for (const RtValue& r : rets) {
-        if (r.isTensor()) bytes += tensorBytes(r.tensor());
+      if (ctx.sink.enabled() || span.active()) {
+        const analysis::Charge charge = analysis::fusionGroupCharge(
+            Operands(groupInputs).meta(), Operands(rets).meta(), flops,
+            savedBytes);
+        if (span.active()) {
+          span.arg("backend", kernel != nullptr ? "texpr" : "interp");
+          span.arg("bytes", charge.bytes);
+          span.arg("flops", flops);
+        }
+        ctx.sink.charge(node, charge);
       }
-      bytes = std::max<std::int64_t>(0, bytes - savedBytes);
-      if (span.active()) {
-        span.arg("backend", kernel != nullptr ? "texpr" : "interp");
-        span.arg("bytes", bytes);
-        span.arg("flops", flops);
-      }
-      if (profiler_ != nullptr) chargeKernel(node, bytes, flops, ctx);
       for (std::size_t i = 0; i < rets.size(); ++i)
         bindOut(i, std::move(rets[i]));
       return;
     }
+    default:
+      break;
+  }
 
-    // ---- scalar arithmetic --------------------------------------------------
-    case OpKind::ScalarAdd:
-    case OpKind::ScalarSub:
-    case OpKind::ScalarMul:
-    case OpKind::ScalarMod:
-    case OpKind::ScalarMin:
-    case OpKind::ScalarMax: {
-      const Scalar a = scalarIn(node, 0, env);
-      const Scalar b = scalarIn(node, 1, env);
-      chargeOpDispatch(ctx);
-      if (a.isFloat() || b.isFloat()) {
-        const double x = a.toDouble(), y = b.toDouble();
-        double r = 0;
-        switch (kind) {
-          case OpKind::ScalarAdd: r = x + y; break;
-          case OpKind::ScalarSub: r = x - y; break;
-          case OpKind::ScalarMul: r = x * y; break;
-          case OpKind::ScalarMin: r = std::min(x, y); break;
-          case OpKind::ScalarMax: r = std::max(x, y); break;
-          default: TSSA_THROW("mod of float scalars");
-        }
-        bindOut(0, Scalar(r));
-      } else {
-        const std::int64_t x = a.toInt(), y = b.toInt();
-        std::int64_t r = 0;
-        switch (kind) {
-          case OpKind::ScalarAdd: r = x + y; break;
-          case OpKind::ScalarSub: r = x - y; break;
-          case OpKind::ScalarMul: r = x * y; break;
-          case OpKind::ScalarMod: TSSA_CHECK(y != 0, "mod by zero"); r = x % y; break;
-          case OpKind::ScalarMin: r = std::min(x, y); break;
-          case OpKind::ScalarMax: r = std::max(x, y); break;
-          default: break;
-        }
-        bindOut(0, Scalar(r));
-      }
-      return;
-    }
-    case OpKind::SizeOf: {
-      // Reads the runtime extent off the tensor: the binding step that makes
-      // a symbolically-shaped graph concrete (trip counts, factory sizes).
-      const Tensor t = tensorIn(node, 0, env);
-      std::int64_t d = attrs.i("dim");
-      if (d < 0) d += static_cast<std::int64_t>(t.sizes().size());
-      chargeOpDispatch(ctx);
-      bindOut(0, Scalar(t.size(d)));
-      return;
-    }
-    case OpKind::ScalarLt:
-    case OpKind::ScalarLe:
-    case OpKind::ScalarGt:
-    case OpKind::ScalarGe:
-    case OpKind::ScalarEq:
-    case OpKind::ScalarNe: {
-      const double x = scalarIn(node, 0, env).toDouble();
-      const double y = scalarIn(node, 1, env).toDouble();
-      chargeOpDispatch(ctx);
-      bool r = false;
-      switch (kind) {
-        case OpKind::ScalarLt: r = x < y; break;
-        case OpKind::ScalarLe: r = x <= y; break;
-        case OpKind::ScalarGt: r = x > y; break;
-        case OpKind::ScalarGe: r = x >= y; break;
-        case OpKind::ScalarEq: r = x == y; break;
-        case OpKind::ScalarNe: r = x != y; break;
-        default: break;
-      }
-      bindOut(0, Scalar(r));
-      return;
-    }
+  // Leaf op: execute, then charge from the operand/result metadata before
+  // binding (a failing launch probe leaves the outputs unbound).
+  constexpr std::size_t kMaxOutputs = 2;
+  TSSA_CHECK(node.numOutputs() <= kMaxOutputs,
+             "interpreter: " << opName(node.kind()) << " has "
+                             << node.numOutputs() << " outputs");
+  const Operands in(node, env, *this);
+  std::array<RtValue, kMaxOutputs> outs;
+  const std::span<RtValue> out(outs.data(), node.numOutputs());
+  execLeaf(node, in, out);
+  if (ctx.sink.enabled()) {
+    std::array<analysis::Operand, kMaxOutputs> results;
+    for (std::size_t i = 0; i < out.size(); ++i)
+      results[i] = analysis::operandOf(out[i]);
+    ctx.sink.charge(node, analysis::chargeOf(node, in.meta(),
+                                             {results.data(), out.size()}));
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) bindOut(i, std::move(out[i]));
+}
 
-    // ---- elementwise binary -------------------------------------------------
-    case OpKind::Add: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::add(a, b); });
-    case OpKind::Sub: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::sub(a, b); });
-    case OpKind::Mul: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::mul(a, b); });
-    case OpKind::Div: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::div(a, b); });
-    case OpKind::Pow: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::pow(a, b); });
-    case OpKind::Minimum: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::minimum(a, b); });
-    case OpKind::Maximum: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::maximum(a, b); });
-    case OpKind::Eq: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::eq(a, b); });
-    case OpKind::Ne: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::ne(a, b); });
-    case OpKind::Lt: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::lt(a, b); });
-    case OpKind::Le: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::le(a, b); });
-    case OpKind::Gt: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::gt(a, b); });
-    case OpKind::Ge: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::ge(a, b); });
-    case OpKind::LogicalAnd: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::logicalAnd(a, b); });
-    case OpKind::LogicalOr: return evalBinary([](const Tensor& a, const Tensor& b) { return ops::logicalOr(a, b); });
-
-    // ---- elementwise unary -----------------------------------------------------
-    case OpKind::Neg: return evalUnary([](const Tensor& a) { return ops::neg(a); });
-    case OpKind::Exp: return evalUnary([](const Tensor& a) { return ops::exp(a); });
-    case OpKind::Log: return evalUnary([](const Tensor& a) { return ops::log(a); });
-    case OpKind::Sqrt: return evalUnary([](const Tensor& a) { return ops::sqrt(a); });
-    case OpKind::Abs: return evalUnary([](const Tensor& a) { return ops::abs(a); });
-    case OpKind::Sigmoid: return evalUnary([](const Tensor& a) { return ops::sigmoid(a); });
-    case OpKind::Tanh: return evalUnary([](const Tensor& a) { return ops::tanh(a); });
-    case OpKind::Relu: return evalUnary([](const Tensor& a) { return ops::relu(a); });
-    case OpKind::LogicalNot: return evalUnary([](const Tensor& a) { return ops::logicalNot(a); });
-    case OpKind::Clamp:
-      return evalUnary([&](const Tensor& a) {
-        return ops::clamp(a, attrs.scalar("lo"), attrs.scalar("hi"));
-      });
-    case OpKind::Cast:
-      return evalUnary([&](const Tensor& a) { return a.to(attrs.dtype("dtype")); });
-
-    // ---- elementwise n-ary --------------------------------------------------------
-    case OpKind::Where: {
-      Tensor c = tensorIn(node, 0, env);
-      Tensor a = tensorIn(node, 1, env);
-      Tensor b = tensorIn(node, 2, env);
-      Tensor out = ops::where(c, a, b);
-      chargeKernel(node,
-                   tensorBytes(c) + tensorBytes(a) + tensorBytes(b) +
-                       tensorBytes(out),
-                   ewiseFlops(out), ctx);
-      bindOut(0, std::move(out));
+void Interpreter::execLeaf(const Node& node, const Operands& in,
+                          std::span<RtValue> out) const {
+  const OpKind kind = node.kind();
+  const auto& attrs = node.attrs();
+  const ir::OpCategory category = ir::opCategory(kind);
+  // Scalar ops compute their value from metadata alone: the shared rule.
+  if (category == ir::OpCategory::Scalar) {
+    out[0] = analysis::scalarResult(node, in.meta());
+    return;
+  }
+  if (category == ir::OpCategory::ViewOp) {
+    out[0] = applyView(kind, node, in.tensor(0), in.meta(), 1);
+    return;
+  }
+  switch (kind) {
+    // ---- structural -------------------------------------------------------
+    case OpKind::Constant:
+      out[0] = attrs.has("tensor") ? RtValue(attrs.tensor("tensor"))
+                                   : RtValue(attrs.scalar("value"));
+      return;
+    case OpKind::ListConstruct: {
+      std::vector<Tensor> list;
+      list.reserve(node.numInputs());
+      for (std::size_t i = 0; i < node.numInputs(); ++i)
+        list.push_back(in.tensor(i));
+      out[0] = std::move(list);
       return;
     }
-    case OpKind::MaskedFill: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor mask = tensorIn(node, 1, env);
-      const Scalar v = scalarIn(node, 2, env);
-      Tensor out = ops::maskedFill(a, mask, v);
-      chargeKernel(node, tensorBytes(a) + tensorBytes(mask) + tensorBytes(out),
-                   ewiseFlops(out), ctx);
-      bindOut(0, std::move(out));
+    case OpKind::ListIndex: {
+      const auto& list = in.value(0).list();
+      const std::int64_t i = in.scalar(1).toInt();
+      TSSA_CHECK(i >= 0 && i < static_cast<std::int64_t>(list.size()),
+                 "list index out of range");
+      out[0] = list[static_cast<std::size_t>(i)];
       return;
     }
-
-    // ---- reductions -------------------------------------------------------------
-    case OpKind::Sum: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor out = ops::sum(a);
-      chargeKernel(node, tensorBytes(a), a.numel(), ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
-    case OpKind::SumDim:
-    case OpKind::Mean:
-    case OpKind::MaxDim:
-    case OpKind::MinDim:
-    case OpKind::Argmax: {
-      Tensor a = tensorIn(node, 0, env);
-      const std::int64_t dim = attrs.i("dim");
-      const bool keep = attrs.bOr("keepdim", false);
-      Tensor out;
-      switch (kind) {
-        case OpKind::SumDim: out = ops::sum(a, dim, keep); break;
-        case OpKind::Mean: out = ops::mean(a, dim, keep); break;
-        case OpKind::MaxDim: out = ops::maxReduce(a, dim, keep); break;
-        case OpKind::MinDim: out = ops::minReduce(a, dim, keep); break;
-        case OpKind::Argmax: out = ops::argmax(a, dim, keep); break;
-        default: break;
-      }
-      chargeKernel(node, tensorBytes(a) + tensorBytes(out), a.numel(), ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
-    case OpKind::Softmax: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor out = ops::softmax(a, attrs.i("dim"));
-      chargeKernel(node, 2 * tensorBytes(a) + tensorBytes(out), 5 * a.numel(),
-                   ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
-    case OpKind::Cumsum: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor out = ops::cumsum(a, attrs.i("dim"));
-      chargeKernel(node, tensorBytes(a) + tensorBytes(out), a.numel(), ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
-
-    // ---- linear algebra ------------------------------------------------------------
-    case OpKind::Matmul: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor b = tensorIn(node, 1, env);
-      Tensor out = ops::matmul(a, b);
-      const std::int64_t flops =
-          a.dim() == 2 ? 2 * a.size(0) * a.size(1) * b.size(b.dim() - 1)
-                       : 2 * a.size(0) * a.size(1) * a.size(2) * b.size(2);
-      chargeKernel(node, tensorBytes(a) + tensorBytes(b) + tensorBytes(out),
-                   flops, ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
-    case OpKind::Bmm: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor b = tensorIn(node, 1, env);
-      Tensor out = ops::bmm(a, b);
-      chargeKernel(node, tensorBytes(a) + tensorBytes(b) + tensorBytes(out),
-                   2 * a.size(0) * a.size(1) * a.size(2) * b.size(2), ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
-
-    // ---- shape / data movement --------------------------------------------------------
+    case OpKind::Return:
+      TSSA_THROW("return sentinel must not be executed");
+    case OpKind::Update:
+      TSSA_THROW("tssa::update is annotation-only and must be removed "
+                 "before execution");
     case OpKind::Cat:
-    case OpKind::Stack: {
-      const auto& list = get(node.input(0), env).list();
-      const std::int64_t dim = attrs.i("dim");
-      Tensor out = kind == OpKind::Cat ? ops::cat(list, dim)
-                                       : ops::stack(list, dim);
-      chargeKernel(node, 2 * tensorBytes(out), 0, ctx);
-      bindOut(0, std::move(out));
+      out[0] = ops::cat(in.value(0).list(), attrs.i("dim"));
       return;
-    }
-    case OpKind::IndexSelect: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor idx = tensorIn(node, 1, env);
-      Tensor out = ops::indexSelect(a, attrs.i("dim"), idx);
-      chargeKernel(node, tensorBytes(out) * 2 + tensorBytes(idx), 0, ctx);
-      bindOut(0, std::move(out));
+    case OpKind::Stack:
+      out[0] = ops::stack(in.value(0).list(), attrs.i("dim"));
       return;
-    }
-    case OpKind::Gather: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor idx = tensorIn(node, 1, env);
-      Tensor out = ops::gather(a, attrs.i("dim"), idx);
-      chargeKernel(node, tensorBytes(out) * 2 + tensorBytes(idx), 0, ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
-    case OpKind::Topk: {
-      // GPU selection/sort runs as a multi-pass primitive (CUB-style) with
-      // host synchronization between stages: model it as four dependent
-      // kernels plus two device syncs.
-      Tensor a = tensorIn(node, 0, env);
-      auto [values, indices] = ops::topk(a, attrs.i("k"));
-      for (int pass = 0; pass < 4; ++pass) {
-        chargeKernel(node, tensorBytes(a) + tensorBytes(values), a.numel(),
-                     ctx);
-      }
-      if (profiler_ != nullptr && ctx.mergeDepth == 0 &&
-          ctx.suppressDepth == 0)
-        profiler_->hostOnly(2 * profiler_->device().syncLatencyUs);
-      bindOut(0, std::move(values));
-      bindOut(1, std::move(indices));
-      return;
-    }
-    case OpKind::Argsort: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor out = ops::argsort(a, attrs.b("descending"));
-      for (int pass = 0; pass < 4; ++pass) {
-        chargeKernel(node, tensorBytes(a) + tensorBytes(out), a.numel(), ctx);
-      }
-      if (profiler_ != nullptr && ctx.mergeDepth == 0 &&
-          ctx.suppressDepth == 0)
-        profiler_->hostOnly(2 * profiler_->device().syncLatencyUs);
-      bindOut(0, std::move(out));
-      return;
-    }
-    case OpKind::Clone:
-    case OpKind::Contiguous: {
-      Tensor a = tensorIn(node, 0, env);
-      Tensor out = kind == OpKind::Clone ? a.clone() : a.contiguous();
-      chargeKernel(node, 2 * tensorBytes(a), 0, ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
 
-    // ---- factories -----------------------------------------------------------------------
+    // ---- factories ----------------------------------------------------------
     case OpKind::Zeros:
     case OpKind::Ones: {
-      Shape sizes = resolvedSizes(node, 0, env);
+      const Shape sizes = analysis::resolvedSizes(node, in.meta(), 0);
       const DType dt = attrs.dtype("dtype");
-      Tensor out = kind == OpKind::Zeros ? Tensor::zeros(sizes, dt)
-                                         : Tensor::ones(sizes, dt);
-      chargeKernel(node, tensorBytes(out), 0, ctx);
-      bindOut(0, std::move(out));
+      out[0] = kind == OpKind::Zeros ? Tensor::zeros(sizes, dt)
+                                     : Tensor::ones(sizes, dt);
       return;
     }
-    case OpKind::Full: {
-      Shape sizes = resolvedSizes(node, 1, env);
-      Tensor out =
-          Tensor::full(sizes, scalarIn(node, 0, env), attrs.dtype("dtype"));
-      chargeKernel(node, tensorBytes(out), 0, ctx);
-      bindOut(0, std::move(out));
+    case OpKind::Full:
+      out[0] = Tensor::full(analysis::resolvedSizes(node, in.meta(), 1),
+                            in.scalar(0), attrs.dtype("dtype"));
       return;
-    }
-    case OpKind::Arange: {
-      Tensor out = Tensor::arange(scalarIn(node, 0, env).toInt(),
-                                  scalarIn(node, 1, env).toInt(),
-                                  scalarIn(node, 2, env).toInt());
-      chargeKernel(node, tensorBytes(out), 0, ctx);
-      bindOut(0, std::move(out));
+    case OpKind::Arange:
+      out[0] = Tensor::arange(in.scalar(0).toInt(), in.scalar(1).toInt(),
+                              in.scalar(2).toInt());
       return;
-    }
+    default:
+      break;
+  }
 
-    // ---- tensor views (alias; host-only metadata op) -----------------------------------------
-    case OpKind::Select:
-    case OpKind::Slice:
-    case OpKind::Reshape:
-    case OpKind::Permute:
-    case OpKind::Transpose:
-    case OpKind::Expand:
-    case OpKind::Squeeze:
-    case OpKind::Unsqueeze:
-    case OpKind::Flatten:
-    case OpKind::Identity: {
-      Tensor base = tensorIn(node, 0, env);
-      chargeOpDispatch(ctx);
-      bindOut(0, applyView(kind, node, base, 1, env));
-      return;
-    }
+  const Tensor& a = in.tensor(0);
+  // In-place op: compute the pure equivalent, write through the target
+  // view; the result aliases the target (PyTorch semantics: one kernel).
+  auto inplace = [&](const Tensor& result) {
+    Tensor target = a;
+    target.copy_(result);
+    out[0] = target;
+  };
 
-    // ---- mutation (writes through aliases; Definition 3.2) ------------------------------------
-    case OpKind::Copy_: {
-      Tensor dst = tensorIn(node, 0, env);
-      Tensor src = tensorIn(node, 1, env);
-      dst.copy_(src);
-      chargeKernel(node, tensorBytes(dst) + tensorBytes(src), 0, ctx);
-      bindOut(0, dst);
+  switch (kind) {
+    // ---- elementwise ------------------------------------------------------
+    case OpKind::Add: out[0] = ops::add(a, in.tensor(1)); return;
+    case OpKind::Sub: out[0] = ops::sub(a, in.tensor(1)); return;
+    case OpKind::Mul: out[0] = ops::mul(a, in.tensor(1)); return;
+    case OpKind::Div: out[0] = ops::div(a, in.tensor(1)); return;
+    case OpKind::Pow: out[0] = ops::pow(a, in.tensor(1)); return;
+    case OpKind::Minimum: out[0] = ops::minimum(a, in.tensor(1)); return;
+    case OpKind::Maximum: out[0] = ops::maximum(a, in.tensor(1)); return;
+    case OpKind::Eq: out[0] = ops::eq(a, in.tensor(1)); return;
+    case OpKind::Ne: out[0] = ops::ne(a, in.tensor(1)); return;
+    case OpKind::Lt: out[0] = ops::lt(a, in.tensor(1)); return;
+    case OpKind::Le: out[0] = ops::le(a, in.tensor(1)); return;
+    case OpKind::Gt: out[0] = ops::gt(a, in.tensor(1)); return;
+    case OpKind::Ge: out[0] = ops::ge(a, in.tensor(1)); return;
+    case OpKind::LogicalAnd: out[0] = ops::logicalAnd(a, in.tensor(1)); return;
+    case OpKind::LogicalOr: out[0] = ops::logicalOr(a, in.tensor(1)); return;
+    case OpKind::Neg: out[0] = ops::neg(a); return;
+    case OpKind::Exp: out[0] = ops::exp(a); return;
+    case OpKind::Log: out[0] = ops::log(a); return;
+    case OpKind::Sqrt: out[0] = ops::sqrt(a); return;
+    case OpKind::Abs: out[0] = ops::abs(a); return;
+    case OpKind::Sigmoid: out[0] = ops::sigmoid(a); return;
+    case OpKind::Tanh: out[0] = ops::tanh(a); return;
+    case OpKind::Relu: out[0] = ops::relu(a); return;
+    case OpKind::LogicalNot: out[0] = ops::logicalNot(a); return;
+    case OpKind::Clamp:
+      out[0] = ops::clamp(a, attrs.scalar("lo"), attrs.scalar("hi"));
+      return;
+    case OpKind::Cast: out[0] = a.to(attrs.dtype("dtype")); return;
+    case OpKind::Where:
+      out[0] = ops::where(a, in.tensor(1), in.tensor(2));
+      return;
+    case OpKind::MaskedFill:
+      out[0] = ops::maskedFill(a, in.tensor(1), in.scalar(2));
+      return;
+
+    // ---- reductions -------------------------------------------------------
+    case OpKind::Sum: out[0] = ops::sum(a); return;
+    case OpKind::SumDim:
+      out[0] = ops::sum(a, attrs.i("dim"), attrs.bOr("keepdim", false));
+      return;
+    case OpKind::Mean:
+      out[0] = ops::mean(a, attrs.i("dim"), attrs.bOr("keepdim", false));
+      return;
+    case OpKind::MaxDim:
+      out[0] = ops::maxReduce(a, attrs.i("dim"), attrs.bOr("keepdim", false));
+      return;
+    case OpKind::MinDim:
+      out[0] = ops::minReduce(a, attrs.i("dim"), attrs.bOr("keepdim", false));
+      return;
+    case OpKind::Argmax:
+      out[0] = ops::argmax(a, attrs.i("dim"), attrs.bOr("keepdim", false));
+      return;
+    case OpKind::Softmax: out[0] = ops::softmax(a, attrs.i("dim")); return;
+    case OpKind::Cumsum: out[0] = ops::cumsum(a, attrs.i("dim")); return;
+
+    // ---- linear algebra ---------------------------------------------------
+    case OpKind::Matmul: out[0] = ops::matmul(a, in.tensor(1)); return;
+    case OpKind::Bmm: out[0] = ops::bmm(a, in.tensor(1)); return;
+
+    // ---- shape / data movement ----------------------------------------------
+    case OpKind::IndexSelect:
+      out[0] = ops::indexSelect(a, attrs.i("dim"), in.tensor(1));
+      return;
+    case OpKind::Gather:
+      out[0] = ops::gather(a, attrs.i("dim"), in.tensor(1));
+      return;
+    case OpKind::Topk: {
+      auto [values, indices] = ops::topk(a, attrs.i("k"));
+      out[0] = std::move(values);
+      out[1] = std::move(indices);
       return;
     }
-    case OpKind::Fill_: {
-      Tensor dst = tensorIn(node, 0, env);
-      dst.fill_(scalarIn(node, 1, env));
-      chargeKernel(node, tensorBytes(dst), 0, ctx);
-      bindOut(0, dst);
+    case OpKind::Argsort:
+      out[0] = ops::argsort(a, attrs.b("descending"));
       return;
-    }
+    case OpKind::Clone: out[0] = a.clone(); return;
+    case OpKind::Contiguous: out[0] = a.contiguous(); return;
+
+    // ---- mutation (writes through aliases; Definition 3.2) ------------------
+    case OpKind::Copy_:
+    case OpKind::Fill_:
     case OpKind::Zero_: {
-      Tensor dst = tensorIn(node, 0, env);
-      dst.fill_(Scalar(0));
-      chargeKernel(node, tensorBytes(dst), 0, ctx);
-      bindOut(0, dst);
-      return;
-    }
-    case OpKind::Add_:
-      return evalInplace([&](const Tensor& t) {
-        return ops::add(t, tensorIn(node, 1, env));
-      });
-    case OpKind::Sub_:
-      return evalInplace([&](const Tensor& t) {
-        return ops::sub(t, tensorIn(node, 1, env));
-      });
-    case OpKind::Mul_:
-      return evalInplace([&](const Tensor& t) {
-        return ops::mul(t, tensorIn(node, 1, env));
-      });
-    case OpKind::Div_:
-      return evalInplace([&](const Tensor& t) {
-        return ops::div(t, tensorIn(node, 1, env));
-      });
-    case OpKind::Relu_:
-      return evalInplace([](const Tensor& t) { return ops::relu(t); });
-    case OpKind::Sigmoid_:
-      return evalInplace([](const Tensor& t) { return ops::sigmoid(t); });
-    case OpKind::Tanh_:
-      return evalInplace([](const Tensor& t) { return ops::tanh(t); });
-    case OpKind::MaskedFill_:
-      return evalInplace([&](const Tensor& t) {
-        return ops::maskedFill(t, tensorIn(node, 1, env),
-                               scalarIn(node, 2, env));
-      });
-
-    // ---- TensorSSA (pure semantics of Definitions 3.3/3.4) -------------------------------------
-    case OpKind::Access: {
-      Tensor base = tensorIn(node, 0, env);
-      const OpKind viewKind = static_cast<OpKind>(attrs.i("view"));
-      Tensor out = applyView(viewKind, node, base, 1, env).clone();
-      chargeKernel(node, 2 * tensorBytes(out), 0, ctx);
-      bindOut(0, std::move(out));
-      return;
-    }
-    case OpKind::Assign: {
-      Tensor base = tensorIn(node, 0, env);
-      Tensor src = tensorIn(node, 1, env);
-      const OpKind viewKind = static_cast<OpKind>(attrs.i("view"));
-      // Donated buffers (marked by markInplaceAssigns) are written in place:
-      // the new version reuses the dead old version's storage, so traffic is
-      // just the written region, not a whole-buffer copy.
-      const bool inplace = attrs.bOr("inplace", false);
-      Tensor out = inplace ? base : base.clone();
-      applyView(viewKind, node, out, 2, env).copy_(src);
-      if (inplace) {
-        if (ctx.suppressDepth > 0) {
-          ctx.suppressSavedBytes += std::max<std::int64_t>(
-              0, 2 * (tensorBytes(base) - tensorBytes(src)));
-        }
-        chargeKernel(node, 2 * tensorBytes(src), 0, ctx);
+      Tensor dst = a;
+      if (kind == OpKind::Copy_) {
+        dst.copy_(in.tensor(1));
       } else {
-        chargeKernel(node, 2 * tensorBytes(base) + tensorBytes(src), 0, ctx);
+        dst.fill_(kind == OpKind::Fill_ ? in.scalar(1) : Scalar(0));
       }
-      bindOut(0, std::move(out));
+      out[0] = dst;
       return;
     }
+    case OpKind::Add_: return inplace(ops::add(a, in.tensor(1)));
+    case OpKind::Sub_: return inplace(ops::sub(a, in.tensor(1)));
+    case OpKind::Mul_: return inplace(ops::mul(a, in.tensor(1)));
+    case OpKind::Div_: return inplace(ops::div(a, in.tensor(1)));
+    case OpKind::Relu_: return inplace(ops::relu(a));
+    case OpKind::Sigmoid_: return inplace(ops::sigmoid(a));
+    case OpKind::Tanh_: return inplace(ops::tanh(a));
+    case OpKind::MaskedFill_:
+      return inplace(ops::maskedFill(a, in.tensor(1), in.scalar(2)));
 
+    // ---- TensorSSA (pure semantics of Definitions 3.3/3.4) ------------------
+    case OpKind::Access:
+      out[0] = applyView(static_cast<OpKind>(attrs.i("view")), node, a,
+                         in.meta(), 1)
+                   .clone();
+      return;
+    case OpKind::Assign: {
+      // Donated buffers (marked by markInplaceAssigns) are written in place:
+      // the new version reuses the dead old version's storage.
+      Tensor result = attrs.bOr("inplace", false) ? a : a.clone();
+      applyView(static_cast<OpKind>(attrs.i("view")), node, result, in.meta(),
+                2)
+          .copy_(in.tensor(1));
+      out[0] = std::move(result);
+      return;
+    }
+    default:
+      break;
   }
   TSSA_THROW("interpreter: unhandled op " << opName(kind) << " in\n"
                                           << ir::toString(node));

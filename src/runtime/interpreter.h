@@ -9,8 +9,13 @@
 // the whole compilation pipeline.
 //
 // When a Profiler is attached, execution also produces the paper's metrics:
-// kernel-launch counts and modelled latency. Fusion constructs are priced
-// structurally (one launch; external bytes only), everything else per op.
+// kernel-launch counts and modelled latency. The interpreter owns no pricing
+// rule: after executing a node it hands the node's operand and result
+// metadata (non-owning size views) to analysis::chargeOf, and records the
+// charge through an analysis::ChargeSink (src/analysis/op_rules.h) — the
+// same rules and sink the cost model (src/analysis/cost.h) walks. Fusion
+// constructs are priced structurally (one launch; external bytes only),
+// everything else per op.
 //
 // Threading (see DESIGN.md "Threading model"): with `threads > 1`, a
 // tssa::ParallelMap whose converting pass attached `par_dims` metadata runs
@@ -30,6 +35,7 @@
 #include <mutex>
 
 #include "src/analysis/liveness.h"
+#include "src/analysis/op_rules.h"
 #include "src/ir/ir.h"
 #include "src/runtime/profiler.h"
 #include "src/runtime/rt_value.h"
@@ -80,34 +86,23 @@ class Interpreter {
  private:
   using Env = std::unordered_map<const ir::Value*, RtValue>;
 
-  /// One batched launch being accumulated: the j-th kernel of every
-  /// ParallelMap iteration merges into slot j (a batched grid), matching
-  /// what horizontal parallelization can actually launch. A FusionGroup
-  /// contributes exactly one slot.
-  struct MergedKernel {
-    std::string name;
-    std::int64_t bytes = 0;
-    std::int64_t flops = 0;
-  };
-
   /// Per-execution-thread interpreter state. The root context belongs to the
   /// caller of run(); every ParallelMap worker gets a fresh context, which is
   /// what makes block execution re-entrant across threads. Cost accounting
-  /// accumulates here and is only merged into the shared Profiler at
-  /// single-threaded points (parallelFor barriers).
+  /// (merge slots, suppress totals) accumulates in the context's sink and is
+  /// only merged into the shared Profiler at single-threaded points
+  /// (parallelFor barriers).
   struct ExecContext {
-    int mergeDepth = 0;        ///< >0 inside a ParallelMap merge scope
-    std::size_t mergePos = 0;  ///< next slot for the current iteration
-    std::vector<MergedKernel> mergeSlots;
-    int suppressDepth = 0;  ///< >0 inside an interpreted FusionGroup body
-    std::int64_t suppressFlops = 0;
-    std::int64_t suppressSavedBytes = 0;
+    explicit ExecContext(Profiler* profiler) : sink(profiler) {}
+    analysis::ChargeSink sink;
     bool onWorker = false;  ///< true on pool threads (no nested parallelism)
     /// This context's buffer pool (null when planning is off). The root
     /// context uses the interpreter-owned arena; each pool worker uses its
     /// thread-local one, so parallel regions never contend on a free list.
     Arena* arena = nullptr;
   };
+
+  class Operands;  // a node's operand values plus their metadata views
 
   void runBlockBody(const ir::Block& block, Env& env, ExecContext& ctx);
   std::vector<RtValue> blockReturns(const ir::Block& block, const Env& env);
@@ -139,33 +134,21 @@ class Interpreter {
                       std::int64_t trip, const std::vector<RtValue>& carried);
 
   const RtValue& get(const ir::Value* v, const Env& env) const;
-  Tensor tensorIn(const ir::Node& node, std::size_t i, const Env& env) const;
-  Scalar scalarIn(const ir::Node& node, std::size_t i, const Env& env) const;
+
+  /// Executes leaf op `node` (anything but control flow and fusion groups)
+  /// into `out`, one value per node output.
+  void execLeaf(const ir::Node& node, const Operands& in,
+                std::span<RtValue> out) const;
 
   /// Applies the view rule of `viewKind` to `base`; dynamic view operands
-  /// (select index, slice bounds, "dyn" extents) start at node input
-  /// `operandStart`.
+  /// (select index, slice bounds, "dyn" extents) start at `in[operandStart]`.
   Tensor applyView(ir::OpKind viewKind, const ir::Node& node,
-                   const Tensor& base, std::size_t operandStart,
-                   const Env& env) const;
-
-  /// The node's "sizes" attr with -1 placeholders bound from trailing scalar
-  /// operands when the node carries the "dyn" marker (symbolic-dim graphs).
-  /// Without "dyn", returns the attr untouched (-1 keeps reshape's static
-  /// infer meaning).
-  Shape resolvedSizes(const ir::Node& node, std::size_t operandStart,
-                      const Env& env) const;
+                   const Tensor& base, std::span<const analysis::Operand> in,
+                   std::size_t operandStart) const;
 
   /// Compiled texpr kernel for a FusionGroup node, cached across runs and
   /// threads (nullptr when the body is unsupported).
   texpr::Kernel* kernelFor(const ir::Node& node, const ir::Block& body);
-
-  // ---- Cost accounting ----
-  void chargeKernel(const ir::Node& node, std::int64_t bytes,
-                    std::int64_t flops, ExecContext& ctx);
-  void chargeOpDispatch(ExecContext& ctx);
-  struct MergeScope;     // accumulates kernels into batched launches
-  struct SuppressScope;  // FusionGroup interiors: count flops, no kernels
 
   Profiler* profiler_;
   bool useTexpr_ = true;
@@ -180,14 +163,6 @@ class Interpreter {
   std::unordered_map<const ir::Node*, std::unique_ptr<texpr::Kernel>>
       kernels_;
   std::mutex kernelsMutex_;
-  std::unordered_map<const ir::Block*, bool> blockHasFusion_;
 };
-
-/// Convenience: bytes footprint of a tensor.
-inline std::int64_t tensorBytes(const Tensor& t) {
-  return t.defined()
-             ? t.numel() * static_cast<std::int64_t>(dtypeSize(t.dtype()))
-             : 0;
-}
 
 }  // namespace tssa::runtime

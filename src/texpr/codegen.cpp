@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/analysis/op_rules.h"
 #include "src/ir/op_kind.h"
 #include "src/tensor/shape.h"
 
@@ -74,9 +75,9 @@ std::string attrKeyString(const AttrValue& value) {
 }
 
 /// Per-slot dtype/rank facts derived from the input signature alone (shapes
-/// stay runtime). Must track Kernel::inferAll's dtype rules exactly: a wrong
-/// dtype here becomes a wrong rounding in the generated code, which the
-/// differential fuzz harness exists to catch.
+/// stay runtime). Dtypes come from the shared op rules
+/// (analysis::elementwiseDType), the same ones Kernel::infer binds: a wrong
+/// dtype here would become a wrong rounding in the generated code.
 struct SlotMeta {
   bool isTensor = false;
   DType dtype = DType::Float32;
@@ -251,60 +252,28 @@ Decline resolveMetas(const Block& body,
         }
         case OpKind::MaskedFill:
           return Decline::Op;  // also caught structurally
-        case OpKind::Where: {
-          for (std::size_t i = 0; i < 3; ++i)
-            if (!tensorOperand(node->input(i))) return Decline::Op;
-          out.rank = std::max({metaOf(node->input(0)).rank,
-                               metaOf(node->input(1)).rank,
-                               metaOf(node->input(2)).rank});
-          out.dtype = promoteTypes(metaOf(node->input(1)).dtype,
-                                   metaOf(node->input(2)).dtype);
-          break;
-        }
         default: {
-          // Elementwise compute.
+          // Elementwise compute (where included), typed by the shared rule.
           out.rank = 0;
+          DType dtypes[3] = {};
+          const std::size_t n = std::min<std::size_t>(node->numInputs(), 3);
           for (std::size_t i = 0; i < node->numInputs(); ++i) {
             if (!tensorOperand(node->input(i))) return Decline::Op;
             out.rank = std::max(out.rank, metaOf(node->input(i)).rank);
+            if (i < n) dtypes[i] = metaOf(node->input(i)).dtype;
           }
-          const DType a = metaOf(node->input(0)).dtype;
+          out.dtype = analysis::elementwiseDType(*node, std::span(dtypes, n));
           switch (kind) {
-            case OpKind::Div:
-            case OpKind::Pow:
-            case OpKind::Exp:
-            case OpKind::Log:
-            case OpKind::Sqrt:
-            case OpKind::Sigmoid:
-            case OpKind::Tanh:
-              out.dtype = DType::Float32;
-              break;
-            case OpKind::Eq:
-            case OpKind::Ne:
-            case OpKind::Lt:
-            case OpKind::Le:
-            case OpKind::Gt:
-            case OpKind::Ge:
-            case OpKind::LogicalAnd:
-            case OpKind::LogicalOr:
-            case OpKind::LogicalNot:
-              out.dtype = DType::Bool;
-              break;
-            case OpKind::Cast:
-              out.dtype = node->attrs().dtype("dtype");
-              break;
             case OpKind::Add:
             case OpKind::Sub:
             case OpKind::Mul:
             case OpKind::Minimum:
             case OpKind::Maximum:
-              out.dtype = promoteTypes(a, metaOf(node->input(1)).dtype);
               // Bool arithmetic (e.g. Bool + Bool) stays interpreter-only:
               // the natural trigger for the "dtype" decline reason.
               if (out.dtype == DType::Bool) return Decline::Dtype;
               break;
             default:
-              out.dtype = a;
               break;
           }
           break;
@@ -647,7 +616,7 @@ class Emitter {
         const auto& dims = attrs.ints("dims");
         declBc();
         for (std::size_t i = 0; i < dims.size(); ++i)
-          os_ << "  bc[" << dims[i] << "] = c[" << i << "];\n";
+          os_ << "  bc[" << normDim(dims[i], rb) << "] = c[" << i << "];\n";
         ret();
         return;
       }
@@ -812,7 +781,7 @@ class Emitter {
         const auto& dims = attrs.ints("dims");
         os_ << "  i64 vc[" << arrayLen(r) << "];\n";
         for (std::size_t i = 0; i < dims.size(); ++i)
-          os_ << "  vc[" << i << "] = c[" << dims[i] << "];\n";
+          os_ << "  vc[" << i << "] = c[" << normDim(dims[i], r) << "];\n";
         coveredReturn("vc", r);
         return;
       }

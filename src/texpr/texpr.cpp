@@ -90,13 +90,16 @@ Shape delinearize(std::int64_t lin, std::span<const std::int64_t> shape) {
 
 struct Kernel::Binding {
   std::span<const RtValue> inputs;
-  std::unordered_map<const Value*, Shape> shapes;
-  std::unordered_map<const Value*, DType> dtypes;
-  std::unordered_map<const Value*, double> scalars;
+  BodyMeta meta;
+  /// View shape of each Assign through Reshape/Flatten, resolved once per
+  /// run instead of once per evaluated element.
+  std::unordered_map<const Node*, Shape> assignViews;
 
-  const Shape& shapeOf(const Value* v) const { return shapes.at(v); }
-  DType dtypeOf(const Value* v) const { return dtypes.at(v); }
-  double scalarOf(const Value* v) const { return scalars.at(v); }
+  const Shape& shapeOf(const Value* v) const {
+    return meta.tensors.at(v).sizes;
+  }
+  DType dtypeOf(const Value* v) const { return meta.tensors.at(v).dtype; }
+  Scalar scalarOf(const Value* v) const { return meta.scalars.at(v); }
 };
 
 // ---- Support check -------------------------------------------------------------------
@@ -112,7 +115,8 @@ bool Kernel::supports(const Block& body) {
       case ir::OpCategory::Immut:
         // Dynamic-extent view rules ("dyn" marker: sizes bound from scalar
         // operands at run time) stay on the per-node interpreter path —
-        // viewShape below reads "sizes" as static (-1 means infer there).
+        // the coordinate maps below read "sizes" as static (-1 means infer
+        // there).
         if (node->attrs().has("dyn")) return false;
         if (node->kind() == OpKind::Access) {
           if (!supportedViewRule(viewRuleOf(*node), /*forAssign=*/false))
@@ -141,204 +145,44 @@ Kernel::~Kernel() = default;
 
 // ---- Shape/dtype inference ---------------------------------------------------------------
 
-namespace {
-
-/// Shape produced by applying a view rule to `base` (for Access), given the
-/// node's attrs and dynamic scalar operands starting at `operandStart`.
-Shape viewShape(const Node& node, OpKind rule, const Shape& base,
-                std::size_t operandStart, const Kernel::Binding& b);
-
-}  // namespace
-
-void Kernel::inferAll(Binding& b) const {
-  // Parameters.
-  for (std::size_t i = 0; i < body_.numParams(); ++i) {
-    const Value* p = body_.param(i);
-    const RtValue& in = b.inputs[i];
-    if (in.isTensor()) {
-      b.shapes[p] = in.tensor().sizes();
-      b.dtypes[p] = in.tensor().dtype();
-    } else if (in.isScalar()) {
-      b.scalars[p] = in.scalar().toDouble();
+Kernel::BodyMeta Kernel::infer(const Block& body,
+                               std::span<const analysis::Operand> params) {
+  TSSA_CHECK(params.size() == body.numParams(),
+             "texpr body expects " << body.numParams() << " params");
+  BodyMeta m;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (params[i].isTensor()) {
+      m.tensors[body.param(i)] = params[i].meta();
+    } else if (params[i].isScalar()) {
+      m.scalars[body.param(i)] = params[i].scalar();
     }
   }
-  for (const Node* node : body_) {
-    const Value* out = node->output(0);
-    switch (node->kind()) {
-      case OpKind::Access: {
-        const Value* base = node->input(0);
-        const OpKind rule = viewRuleOf(*node);
-        b.shapes[out] = viewShape(*node, rule, b.shapeOf(base), 1, b);
-        b.dtypes[out] = b.dtypeOf(base);
-        break;
-      }
-      case OpKind::Assign: {
-        const Value* base = node->input(0);
-        b.shapes[out] = b.shapeOf(base);
-        b.dtypes[out] = b.dtypeOf(base);
-        break;
-      }
-      case OpKind::Where: {
-        Shape s = broadcastShapes(b.shapeOf(node->input(0)),
-                                  b.shapeOf(node->input(1)));
-        b.shapes[out] = broadcastShapes(s, b.shapeOf(node->input(2)));
-        b.dtypes[out] = promoteTypes(b.dtypeOf(node->input(1)),
-                                     b.dtypeOf(node->input(2)));
-        break;
-      }
-      case OpKind::MaskedFill: {
-        const DType at = b.dtypeOf(node->input(0));
-        b.shapes[out] = broadcastShapes(b.shapeOf(node->input(0)),
-                                        b.shapeOf(node->input(1)));
-        // Mirrors ops::maskedFill: where(mask, full(value), a).
-        const DType vt = isFloatingPoint(at) ? DType::Float32
-                                             : DType::Int64;
-        b.dtypes[out] = promoteTypes(vt, at);
-        break;
-      }
-      default: {
-        // Elementwise compute.
-        if (node->numInputs() == 2) {
-          b.shapes[out] = broadcastShapes(b.shapeOf(node->input(0)),
-                                          b.shapeOf(node->input(1)));
-        } else {
-          b.shapes[out] = b.shapeOf(node->input(0));
-        }
-        const DType a = b.dtypeOf(node->input(0));
-        switch (node->kind()) {
-          case OpKind::Div:
-          case OpKind::Pow:
-          case OpKind::Exp:
-          case OpKind::Log:
-          case OpKind::Sqrt:
-          case OpKind::Sigmoid:
-          case OpKind::Tanh:
-            b.dtypes[out] = DType::Float32;
-            break;
-          case OpKind::Eq:
-          case OpKind::Ne:
-          case OpKind::Lt:
-          case OpKind::Le:
-          case OpKind::Gt:
-          case OpKind::Ge:
-          case OpKind::LogicalAnd:
-          case OpKind::LogicalOr:
-          case OpKind::LogicalNot:
-            b.dtypes[out] = DType::Bool;
-            break;
-          case OpKind::Cast:
-            b.dtypes[out] = node->attrs().dtype("dtype");
-            break;
-          case OpKind::Add:
-          case OpKind::Sub:
-          case OpKind::Mul:
-          case OpKind::Minimum:
-          case OpKind::Maximum:
-            b.dtypes[out] = promoteTypes(a, b.dtypeOf(node->input(1)));
-            break;
-          default:
-            b.dtypes[out] = a;
-            break;
-        }
-        break;
+  std::vector<analysis::Operand> in;
+  for (const Node* node : body) {
+    in.clear();
+    for (const Value* v : node->inputs()) {
+      if (auto t = m.tensors.find(v); t != m.tensors.end()) {
+        in.push_back(analysis::Operand::tensor(t->second));
+      } else if (auto s = m.scalars.find(v); s != m.scalars.end()) {
+        in.push_back(analysis::Operand::scalar(s->second));
+      } else {
+        in.emplace_back();  // defined outside the body: the rule rejects it
       }
     }
+    analysis::CostValue out;
+    analysis::inferOutputs(*node, in, std::span(&out, 1));
+    const analysis::TensorMeta& meta =
+        m.tensors[node->output(0)] = out.tensorMeta();
+    // One flop per produced element per op; donated assigns save traffic.
+    m.stats.flops += meta.numel();
+    const analysis::Operand result = analysis::Operand::tensor(meta);
+    m.stats.savedBytes +=
+        analysis::chargeOf(*node, in, std::span(&result, 1)).savedBytes;
   }
+  return m;
 }
 
 namespace {
-
-Shape viewShape(const Node& node, OpKind rule, const Shape& base,
-                std::size_t operandStart, const Kernel::Binding& b) {
-  const auto& attrs = node.attrs();
-  auto dynInt = [&](std::size_t i) {
-    return static_cast<std::int64_t>(b.scalarOf(node.input(i)));
-  };
-  Shape out = base;
-  switch (rule) {
-    case OpKind::Identity:
-      return out;
-    case OpKind::Select: {
-      const std::int64_t d = normalizeDim(attrs.i("dim"),
-                                          static_cast<std::int64_t>(base.size()));
-      out.erase(out.begin() + d);
-      return out;
-    }
-    case OpKind::Slice: {
-      const std::int64_t d = normalizeDim(attrs.i("dim"),
-                                          static_cast<std::int64_t>(base.size()));
-      std::int64_t start = dynInt(operandStart);
-      std::int64_t end = dynInt(operandStart + 1);
-      normalizeSliceBounds(base[static_cast<std::size_t>(d)], start, end);
-      const std::int64_t step = attrs.i("step");
-      out[static_cast<std::size_t>(d)] = (end - start + step - 1) / step;
-      return out;
-    }
-    case OpKind::Transpose: {
-      const auto d0 = static_cast<std::size_t>(normalizeDim(
-          attrs.i("dim0"), static_cast<std::int64_t>(base.size())));
-      const auto d1 = static_cast<std::size_t>(normalizeDim(
-          attrs.i("dim1"), static_cast<std::int64_t>(base.size())));
-      std::swap(out[d0], out[d1]);
-      return out;
-    }
-    case OpKind::Permute: {
-      const auto& dims = attrs.ints("dims");
-      for (std::size_t i = 0; i < dims.size(); ++i)
-        out[i] = base[static_cast<std::size_t>(dims[i])];
-      return out;
-    }
-    case OpKind::Squeeze: {
-      const std::int64_t d = normalizeDim(attrs.i("dim"),
-                                          static_cast<std::int64_t>(base.size()));
-      out.erase(out.begin() + d);
-      return out;
-    }
-    case OpKind::Unsqueeze: {
-      const std::int64_t rank = static_cast<std::int64_t>(base.size());
-      std::int64_t d = attrs.i("dim");
-      if (d < 0) d += rank + 1;
-      out.insert(out.begin() + d, 1);
-      return out;
-    }
-    case OpKind::Reshape: {
-      Shape sizes = attrs.ints("sizes");
-      std::int64_t known = 1;
-      std::int64_t infer = -1;
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        if (sizes[i] == -1) {
-          infer = static_cast<std::int64_t>(i);
-        } else {
-          known *= sizes[i];
-        }
-      }
-      if (infer >= 0)
-        sizes[static_cast<std::size_t>(infer)] = numelOf(base) / known;
-      return sizes;
-    }
-    case OpKind::Flatten: {
-      const std::int64_t rank = static_cast<std::int64_t>(base.size());
-      const std::int64_t s = normalizeDim(attrs.i("start_dim"), rank);
-      const std::int64_t e = normalizeDim(attrs.i("end_dim"), rank);
-      Shape sizes;
-      for (std::int64_t i = 0; i < s; ++i)
-        sizes.push_back(base[static_cast<std::size_t>(i)]);
-      std::int64_t merged = 1;
-      for (std::int64_t i = s; i <= e; ++i)
-        merged *= base[static_cast<std::size_t>(i)];
-      sizes.push_back(merged);
-      for (std::int64_t i = e + 1; i < rank; ++i)
-        sizes.push_back(base[static_cast<std::size_t>(i)]);
-      return sizes;
-    }
-    case OpKind::Expand: {
-      Shape sizes = attrs.ints("sizes");
-      return sizes;
-    }
-    default:
-      TSSA_THROW("unsupported view rule in texpr: " << opName(rule));
-  }
-}
 
 /// For an Access: the base coordinate that view coordinate `coord` reads.
 Shape accessBaseCoord(const Node& node, OpKind rule,
@@ -346,7 +190,7 @@ Shape accessBaseCoord(const Node& node, OpKind rule,
                       std::size_t operandStart, const Kernel::Binding& b) {
   const auto& attrs = node.attrs();
   auto dynInt = [&](std::size_t i) {
-    return static_cast<std::int64_t>(b.scalarOf(node.input(i)));
+    return b.scalarOf(node.input(i)).toInt();
   };
   switch (rule) {
     case OpKind::Identity:
@@ -382,9 +226,10 @@ Shape accessBaseCoord(const Node& node, OpKind rule,
     }
     case OpKind::Permute: {
       const auto& dims = attrs.ints("dims");
+      const auto rank = static_cast<std::int64_t>(base.size());
       Shape out(base.size());
       for (std::size_t i = 0; i < dims.size(); ++i)
-        out[static_cast<std::size_t>(dims[i])] = coord[i];
+        out[static_cast<std::size_t>(normalizeDim(dims[i], rank))] = coord[i];
       return out;
     }
     case OpKind::Squeeze: {
@@ -403,10 +248,8 @@ Shape accessBaseCoord(const Node& node, OpKind rule,
       return out;
     }
     case OpKind::Reshape:
-    case OpKind::Flatten: {
-      const Shape mine = viewShape(node, rule, base, operandStart, b);
-      return delinearize(linearize(coord, mine), base);
-    }
+    case OpKind::Flatten:
+      return delinearize(linearize(coord, b.shapeOf(node.output(0))), base);
     case OpKind::Expand: {
       Shape out(base.size());
       for (std::size_t i = 0; i < base.size(); ++i) {
@@ -427,7 +270,7 @@ bool assignCovers(const Node& node, OpKind rule,
                   const Kernel::Binding& b, Shape& viewCoord) {
   const auto& attrs = node.attrs();
   auto dynInt = [&](std::size_t i) {
-    return static_cast<std::int64_t>(b.scalarOf(node.input(i)));
+    return b.scalarOf(node.input(i)).toInt();
   };
   switch (rule) {
     case OpKind::Identity:
@@ -467,9 +310,11 @@ bool assignCovers(const Node& node, OpKind rule,
     }
     case OpKind::Permute: {
       const auto& dims = attrs.ints("dims");
+      const auto rank = static_cast<std::int64_t>(base.size());
       viewCoord.resize(base.size());
       for (std::size_t i = 0; i < dims.size(); ++i)
-        viewCoord[i] = coord[static_cast<std::size_t>(dims[i])];
+        viewCoord[i] =
+            coord[static_cast<std::size_t>(normalizeDim(dims[i], rank))];
       return true;
     }
     case OpKind::Squeeze: {
@@ -488,11 +333,10 @@ bool assignCovers(const Node& node, OpKind rule,
       return true;
     }
     case OpKind::Reshape:
-    case OpKind::Flatten: {
-      const Shape mine = viewShape(node, rule, base, 2, b);
-      viewCoord = delinearize(linearize(coord, base), mine);
+    case OpKind::Flatten:
+      viewCoord =
+          delinearize(linearize(coord, base), b.assignViews.at(&node));
       return true;
-    }
     default:
       TSSA_THROW("unsupported assign rule in texpr: " << opName(rule));
   }
@@ -555,7 +399,7 @@ double Kernel::evalAt(const Value* v, std::span<const std::int64_t> coord,
     case OpKind::Where:
       return finish(operand(0) != 0.0 ? operand(1) : operand(2));
     case OpKind::MaskedFill:
-      return finish(operand(1) != 0.0 ? b.scalarOf(def->input(2))
+      return finish(operand(1) != 0.0 ? b.scalarOf(def->input(2)).toDouble()
                                       : operand(0));
     case OpKind::Access: {
       const Value* base = def->input(0);
@@ -668,8 +512,7 @@ bool Kernel::tryRunJit(std::span<const RtValue> inputs, const Binding& b,
     std::int64_t d = guard.dim < 0 ? guard.dim + rank : guard.dim;
     if (d < 0 || d >= rank) return false;
     const std::int64_t extent = baseShape[static_cast<std::size_t>(d)];
-    std::int64_t idx =
-        static_cast<std::int64_t>(b.scalarOf(guard.indexParam));
+    std::int64_t idx = b.scalarOf(guard.indexParam).toInt();
     if (idx < 0) idx += extent;
     if (idx < 0 || idx >= extent) return false;
   }
@@ -678,8 +521,8 @@ bool Kernel::tryRunJit(std::span<const RtValue> inputs, const Binding& b,
   const auto slotVals = gen_->slotValues();
   std::vector<const std::int64_t*> shapes(slotVals.size(), nullptr);
   for (std::size_t s = 0; s < slotVals.size(); ++s) {
-    auto it = b.shapes.find(slotVals[s]);
-    if (it != b.shapes.end()) shapes[s] = it->second.data();
+    auto it = b.meta.tensors.find(slotVals[s]);
+    if (it != b.meta.tensors.end()) shapes[s] = it->second.sizes.data();
   }
   std::vector<jit::JitBuffer> ins(body_.numParams());
   std::vector<double> scalars(body_.numParams(), 0.0);
@@ -742,30 +585,29 @@ std::vector<RtValue> Kernel::run(std::span<const RtValue> inputs,
                                  RunStats* stats, int threads) const {
   TSSA_CHECK(inputs.size() == body_.numParams(),
              "texpr kernel expects " << body_.numParams() << " inputs");
-  Binding b;
-  b.inputs = inputs;
-  inferAll(b);
+  std::vector<analysis::Operand> params;
+  params.reserve(inputs.size());
+  for (const RtValue& in : inputs) params.push_back(analysis::operandOf(in));
+  Binding b{inputs, infer(body_, params), {}};
   if (stats != nullptr) {
-    for (const Node* node : body_) {
-      const Value* out = node->output(0);
-      stats->flops += numelOf(b.shapeOf(out));
-      if (node->kind() == OpKind::Assign &&
-          node->attrs().bOr("inplace", false)) {
-        const Value* base = node->input(0);
-        const Value* src = node->input(1);
-        const std::int64_t baseBytes =
-            numelOf(b.shapeOf(base)) *
-            static_cast<std::int64_t>(dtypeSize(b.dtypeOf(base)));
-        const std::int64_t srcBytes =
-            numelOf(b.shapeOf(src)) *
-            static_cast<std::int64_t>(dtypeSize(b.dtypeOf(src)));
-        stats->savedBytes += std::max<std::int64_t>(0, 2 * (baseBytes - srcBytes));
-      }
-    }
+    stats->flops += b.meta.stats.flops;
+    stats->savedBytes += b.meta.stats.savedBytes;
   }
 
   std::vector<RtValue> outputs;
   if (tryRunJit(inputs, b, outputs, threads)) return outputs;
+  for (const Node* node : body_) {
+    const OpKind rule = node->kind() == OpKind::Assign ? viewRuleOf(*node)
+                                                       : OpKind::Identity;
+    if (rule != OpKind::Reshape && rule != OpKind::Flatten) continue;
+    // Static view rules only ("dyn" bodies stay off texpr): no operands.
+    b.assignViews[node] =
+        analysis::viewMeta(rule, *node,
+                           analysis::Operand::tensor(
+                               b.meta.tensors.at(node->input(0))),
+                           {}, 2)
+            .sizes;
+  }
   outputs.reserve(body_.numReturns());
   for (const Value* r : body_.returns()) {
     Tensor out = Tensor::empty(b.shapeOf(r), b.dtypeOf(r));

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/analysis/op_rules.h"
 #include "src/ir/ir.h"
 #include "src/runtime/rt_value.h"
 
@@ -51,6 +52,22 @@ class Kernel {
     std::int64_t savedBytes = 0;  ///< traffic saved by donated assigns
   };
 
+  /// What a run over given inputs binds before evaluating anything: the
+  /// shape/dtype of every tensor value of the body (params and node
+  /// outputs), the scalar params, and the RunStats the run reports. Derived
+  /// from the params' metadata alone through the shared op rules
+  /// (src/analysis/op_rules.h); the cost model prices texpr-backed
+  /// FusionGroups with exactly this.
+  struct BodyMeta {
+    std::unordered_map<const ir::Value*, analysis::TensorMeta> tensors;
+    std::unordered_map<const ir::Value*, Scalar> scalars;
+    RunStats stats;
+  };
+  /// One operand per body param. Throws tssa::Error when a rule rejects its
+  /// operands (bad view, shape mismatch, unknown operand).
+  static BodyMeta infer(const ir::Block& body,
+                        std::span<const analysis::Operand> params);
+
   /// Executes: one RtValue per body parameter, returns one tensor per body
   /// return. Tensor inputs may be views; scalar inputs feed dynamic view
   /// operands (select indices, slice bounds).
@@ -64,13 +81,9 @@ class Kernel {
                                     RunStats* stats = nullptr,
                                     int threads = 1) const;
 
-  struct Binding;  // per-run resolved shapes/dtypes/input tensors
+  struct Binding;  // per-run input tensors and their BodyMeta
 
  private:
-
-  /// Infers the shape/dtype of every body value for this run's inputs.
-  void inferAll(Binding& b) const;
-
   /// Evaluates the scalar element of `v` at output coordinate `coord`
   /// (a coordinate in v's own shape).
   double evalAt(const ir::Value* v, std::span<const std::int64_t> coord,

@@ -25,6 +25,7 @@
 #include "src/core/fusion.h"
 #include "src/ir/builder.h"
 #include "src/runtime/pipeline.h"
+#include "src/runtime/thread_pool.h"
 #include "src/tensor/random.h"
 #include "src/workloads/workload.h"
 #include "tests/property_gen.h"
@@ -262,9 +263,6 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnAllWorkloadsAndPipelines) {
     for (PipelineKind kind : runtime::allPipelines()) {
       PipelineOptions po;
       po.threads = 1;
-      runtime::Pipeline pipeline(kind, *w.graph, po);
-      pipeline.run(w.inputs);
-
       auto compiled = ir::cloneGraph(*w.graph);
       runtime::compileGraph(kind, *compiled, po);
       CostOptions opts;
@@ -272,9 +270,18 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnAllWorkloadsAndPipelines) {
       opts.host = runtime::hostSpecFor(kind);
       opts.useTexpr = po.useTexpr;
       const CostReport r = estimateCost(*compiled, costInputs(w.inputs), opts);
-      expectMatchesProfiler(
-          *compiled, pipeline.profiler(), r,
-          name + "/" + std::string(runtime::pipelineName(kind)));
+      // The report is thread-invariant: it must equal the serial run's
+      // Profiler and the threaded one's (per-worker ParallelMap slots merged
+      // at the barrier).
+      for (const int threads : {1, runtime::ThreadPool::hardwareThreads()}) {
+        po.threads = threads;
+        runtime::Pipeline pipeline(kind, *w.graph, po);
+        pipeline.run(w.inputs);
+        expectMatchesProfiler(
+            *compiled, pipeline.profiler(), r,
+            name + "/" + std::string(runtime::pipelineName(kind)) +
+                "/threads=" + std::to_string(threads));
+      }
     }
   }
 }
@@ -327,6 +334,75 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnRandomFusedRegions) {
       expectMatchesProfiler(g, pipeline.profiler(), r,
                             "seed " + std::to_string(seed) +
                                 (useTexpr ? "/texpr" : "/interp"));
+    }
+  }
+}
+
+/// A graph whose only node is a FusionGroup wrapping `makeBody` over
+/// `inputTypes` (one body param each).
+template <typename Fn>
+std::unique_ptr<Graph> fusionGroupGraph(const std::vector<ir::Type>& inputTypes,
+                                        Fn&& makeBody) {
+  auto g = std::make_unique<Graph>();
+  std::vector<Value*> ins;
+  for (const ir::Type& t : inputTypes) ins.push_back(g->addInput(t));
+  IRBuilder b(*g);
+  ir::Node* group = b.emitNode(ir::OpKind::FusionGroup, ins, 0);
+  ir::Block* body = group->addBlock();
+  for (Value* in : ins) body->addParam(in->type());
+  IRBuilder inner(*g);
+  inner.setInsertionPointToEnd(body);
+  makeBody(inner, body);
+  for (std::size_t i = 0; i < body->numReturns(); ++i)
+    g->addOutput(group->addOutput(ir::Type::tensor()));
+  return g;
+}
+
+TEST(CostModelDifferentialTest, MatchesProfilerOnMaskedFillAndPermuteGroups) {
+  // Regression graphs where texpr's shape/dtype rules once drifted from the
+  // interpreter's: masked_fill on non-float bases (the fill keeps the base
+  // dtype, so the output's bytes do too) and Access(Permute) with negative
+  // dims.
+  auto maskedFill = fusionGroupGraph(
+      {ir::Type::tensor(), ir::Type::tensor(DType::Bool), ir::Type::floating()},
+      [](IRBuilder& b, ir::Block* body) {
+        body->addReturn(
+            b.maskedFill(body->param(0), body->param(1), body->param(2)));
+      });
+  auto permute = fusionGroupGraph(
+      {ir::Type::tensor()}, [](IRBuilder& b, ir::Block* body) {
+        ir::Node* n = b.emitNode(ir::OpKind::Access, {body->param(0)}, 1);
+        n->attrs().set("view",
+                       Scalar(static_cast<std::int64_t>(ir::OpKind::Permute)));
+        n->attrs().set("dims", std::vector<std::int64_t>{-1, 0});
+        body->addReturn(b.relu(n->output()));
+      });
+  const Tensor mask = Tensor::full({4, 3}, Scalar(true), DType::Bool);
+  std::vector<std::pair<const Graph*, std::vector<RtValue>>> cases;
+  for (const DType dtype : {DType::Float32, DType::Int64, DType::Bool}) {
+    cases.push_back({maskedFill.get(),
+                     {RtValue(Tensor::full({4, 3}, Scalar(0), dtype)),
+                      RtValue(mask), RtValue(Scalar(2.5))}});
+  }
+  Rng rng(11);
+  cases.push_back({permute.get(), {RtValue(rng.uniform({2, 3}))}});
+  for (const auto& [graph, inputs] : cases) {
+    for (const bool useTexpr : {false, true}) {
+      PipelineOptions po;
+      po.threads = 1;
+      po.useTexpr = useTexpr;
+      po.memoryPlan = false;
+      runtime::Pipeline pipeline(PipelineKind::Eager, *graph, po);
+      pipeline.run(inputs);
+      CostOptions opts;
+      opts.host = runtime::hostSpecFor(PipelineKind::Eager);
+      opts.useTexpr = useTexpr;
+      const CostReport r = estimateCost(*graph, costInputs(inputs), opts);
+      expectMatchesProfiler(
+          *graph, pipeline.profiler(), r,
+          std::string(graph == permute.get() ? "permute" : "masked_fill") +
+              "/" + dtypeName(inputs[0].tensor().dtype()) +
+              (useTexpr ? "/texpr" : "/interp"));
     }
   }
 }

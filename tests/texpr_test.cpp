@@ -2,6 +2,8 @@
 // element must agree exactly with node-by-node interpretation.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "src/core/fusion.h"
 #include "src/core/lower_inplace.h"
 #include "src/core/tensor_ssa.h"
@@ -141,6 +143,28 @@ TEST(TexprTest, AssignSelectAndSliceRegions) {
            RtValue(Scalar(2))});
 }
 
+TEST(TexprTest, AssignThroughReshapeAndFlatten) {
+  // Whole-buffer writes through a reshaped / flattened view of the base: the
+  // evaluator maps each base coordinate into the view's shape.
+  auto g = groupGraph(3, [&](IRBuilder& b, Block* body) {
+    Node* rs = b.emitNode(OpKind::Assign, {body->param(0), body->param(1)}, 1);
+    rs->attrs().set("view",
+                    Scalar(static_cast<std::int64_t>(OpKind::Reshape)));
+    rs->attrs().set("sizes", std::vector<std::int64_t>{-1, 4});
+    Node* fl = b.emitNode(OpKind::Assign, {rs->output(), body->param(2)}, 1);
+    fl->attrs().set("view",
+                    Scalar(static_cast<std::int64_t>(OpKind::Flatten)));
+    fl->attrs().set("start_dim", Scalar(0));
+    fl->attrs().set("end_dim", Scalar(-1));
+    body->addReturn(b.relu(rs->output()));
+    body->addReturn(b.neg(fl->output()));
+  });
+  Rng rng(9);
+  expectTexprMatchesInterpreter(*g, {RtValue(rng.uniform({2, 6}, -2, 2)),
+                                     RtValue(rng.uniform({4}, -2, 2)),
+                                     RtValue(rng.uniform({12}, -2, 2))});
+}
+
 TEST(TexprTest, SupportsGate) {
   // Reduction inside -> unsupported; pure elementwise -> supported.
   auto gRed = groupGraph(1, [](IRBuilder& b, Block* body) {
@@ -178,6 +202,84 @@ TEST(TexprTest, RunStatsReportFlopsAndDonation) {
   EXPECT_EQ(stats.flops, 64 + 64);  // assign + relu, one per element
   // Donation saves 2*(64-8)*4 bytes of round-trip traffic.
   EXPECT_EQ(stats.savedBytes, 2 * (64 - 8) * 4);
+}
+
+/// Dtype, shape and every element's bits must agree.
+void expectSameDtypeAndBits(const Tensor& a, const Tensor& b,
+                            const std::string& label) {
+  ASSERT_EQ(a.dtype(), b.dtype()) << label;
+  ASSERT_EQ(a.sizes(), b.sizes()) << label;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.scalarAtLinear(i)),
+              std::bit_cast<std::uint64_t>(b.scalarAtLinear(i)))
+        << label << " element " << i;
+  }
+}
+
+/// FusionGroup `masked_fill(a, mask, fill)` with a scalar fill param.
+std::unique_ptr<Graph> maskedFillGroup() {
+  auto g = groupGraph(3, [](IRBuilder& b, Block* body) {
+    body->addReturn(
+        b.maskedFill(body->param(0), body->param(1), body->param(2)));
+  });
+  g->inputs()[2]->setType(Type::floating());
+  return g;
+}
+
+TEST(TexprTest, MaskedFillKeepsBaseDtype) {
+  // ops::maskedFill keeps the base dtype: a fill of 2.5 into a bool tensor
+  // stores `true`, into an int64 tensor stores 2.
+  auto g = maskedFillGroup();
+  const Tensor mask = Tensor::full({4}, Scalar(true), DType::Bool);
+  for (const DType dtype : {DType::Float32, DType::Int64, DType::Bool}) {
+    const std::vector<RtValue> inputs = {
+        RtValue(Tensor::full({4}, Scalar(0), dtype)), RtValue(mask),
+        RtValue(Scalar(2.5))};
+    Interpreter withTexpr(nullptr, /*useTexpr=*/true);
+    Interpreter withoutTexpr(nullptr, /*useTexpr=*/false);
+    const Tensor a = withTexpr.run(*g, inputs)[0].tensor();
+    const Tensor b = withoutTexpr.run(*g, inputs)[0].tensor();
+    EXPECT_EQ(b.dtype(), dtype);
+    expectSameDtypeAndBits(a, b, std::string(dtypeName(dtype)));
+  }
+}
+
+/// FusionGroup returning `Access(view=Permute, dims)` of its one input.
+std::unique_ptr<Graph> permuteAccessGroup(std::vector<std::int64_t> dims) {
+  return groupGraph(1, [&](IRBuilder& b, Block* body) {
+    Node* n = b.emitNode(OpKind::Access, {body->param(0)}, 1);
+    n->attrs().set("view",
+                   Scalar(static_cast<std::int64_t>(OpKind::Permute)));
+    n->attrs().set("dims", dims);
+    body->addReturn(n->output());
+  });
+}
+
+TEST(TexprTest, AccessPermuteNormalizesNegativeDims) {
+  auto g = permuteAccessGroup({-1, 0});
+  Rng rng(7);
+  const std::vector<RtValue> inputs = {RtValue(rng.uniform({2, 3}))};
+  Interpreter withTexpr(nullptr, /*useTexpr=*/true);
+  Interpreter withoutTexpr(nullptr, /*useTexpr=*/false);
+  const Tensor a = withTexpr.run(*g, inputs)[0].tensor();
+  const Tensor b = withoutTexpr.run(*g, inputs)[0].tensor();
+  EXPECT_EQ(a.sizes(), (Shape{3, 2}));
+  expectSameDtypeAndBits(a, b, "permute[-1,0]");
+}
+
+TEST(TexprTest, InvalidAccessViewRaisesTypedError) {
+  Rng rng(8);
+  const std::vector<RtValue> inputs = {RtValue(rng.uniform({2, 3}))};
+  for (const std::vector<std::int64_t>& dims :
+       {std::vector<std::int64_t>{2, 0}, std::vector<std::int64_t>{0, 0},
+        std::vector<std::int64_t>{0}}) {
+    auto g = permuteAccessGroup(dims);
+    for (const bool useTexpr : {true, false}) {
+      Interpreter interp(nullptr, useTexpr);
+      EXPECT_THROW(interp.run(*g, inputs), Error)
+          << "dims " << dims.size() << (useTexpr ? " texpr" : " interp");
+    }
+  }
 }
 
 // Randomized: full pipelines already cross-check texpr numerics; this adds a
