@@ -1,15 +1,18 @@
 // Micro-benchmarks: tensor-library primitives, interpreter dispatch, the
 // analytic device model's per-op pricing (sanity anchors for the figures),
-// and fused-region execution — texpr JIT native code vs the tree-walking
-// interpreter on identical bodies (records feed the CI perf gate).
+// and fused-region execution — texpr JIT native code vs the interpreted body
+// (tensor/ops.h, one op at a time) on identical regions (records feed the CI
+// perf gate).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 
 #include "bench/bench_common.h"
 #include "src/ir/builder.h"
+#include "src/runtime/interpreter.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/random.h"
+#include "src/texpr/jit.h"
 #include "src/texpr/texpr.h"
 
 namespace {
@@ -192,15 +195,14 @@ ir::Block* buildViewBody(ir::Graph& g) {
   return body;
 }
 
-/// Best-of-`reps` mean ns per kernel run over `iters` runs.
-double fusedNsPerIter(const texpr::Kernel& kernel,
-                      const std::vector<runtime::RtValue>& inputs, int iters,
-                      int reps) {
+/// Best-of-`reps` mean ns per `runOnce()` over `iters` runs.
+template <typename Fn>
+double fusedNsPerIter(Fn&& runOnce, int iters, int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
-      auto out = kernel.run(inputs, nullptr, 1);
+      auto out = runOnce();
       benchmark::DoNotOptimize(out);
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -220,7 +222,12 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
   };
   const Case cases[] = {{"ewise", buildEwiseBody, 3},
                         {"views", buildViewBody, 2}};
-  std::printf("\n=== Fused-region ns/iter: texpr JIT vs interpreter ===\n");
+  std::printf(
+      "\n=== Fused-region ns/iter: texpr JIT vs interpreted body ===\n");
+  if (!texpr::jit::jitEnabled()) {
+    std::printf("  skipped: texpr JIT disabled\n");
+    return;
+  }
   for (const Case& c : cases) {
     ir::Graph g;
     ir::Block* body = c.build(g);
@@ -229,20 +236,26 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
     for (std::size_t i = 0; i < c.numInputs; ++i)
       inputs.emplace_back(rng.uniform({256, 256}, -1, 1));
 
-    texpr::Kernel jit(*body, /*allowJit=*/true);
-    texpr::Kernel interp(*body, /*allowJit=*/false);
-    // Warm up: first JIT run pays the external compile; outputs must agree
-    // bitwise or the comparison is meaningless.
-    const auto a = jit.run(inputs, nullptr, 1);
-    const auto b = interp.run(inputs, nullptr, 1);
-    if (!bench::outputsBitwiseEqual(a, b)) {
-      std::fprintf(stderr, "fused_region/%s: JIT and interpreter disagree\n",
+    texpr::Kernel jit(*body);
+    runtime::Interpreter interp(nullptr, /*useTexpr=*/true, 1,
+                                /*texprJit=*/false);
+    auto runJit = [&] { return *jit.run(inputs, nullptr, 1); };
+    auto runInterp = [&] { return interp.run(g, inputs); };
+    // Warm up: first JIT run pays the external compile; the JIT must accept
+    // the region and agree bitwise, or the comparison is meaningless.
+    if (!jit.run(inputs, nullptr, 1).has_value()) {
+      std::fprintf(stderr, "fused_region/%s: JIT declined\n", c.name);
+      std::exit(1);
+    }
+    if (!bench::outputsBitwiseEqual(runJit(), runInterp())) {
+      std::fprintf(stderr,
+                   "fused_region/%s: JIT and interpreted body disagree\n",
                    c.name);
       std::exit(1);
     }
 
-    const double jitNs = fusedNsPerIter(jit, inputs, 40, flags.reps);
-    const double interpNs = fusedNsPerIter(interp, inputs, 3, flags.reps);
+    const double jitNs = fusedNsPerIter(runJit, 40, flags.reps);
+    const double interpNs = fusedNsPerIter(runInterp, 3, flags.reps);
     const double speedup = interpNs / jitNs;
     std::printf("  %-8s jit=%10.0f ns  interp=%12.0f ns  speedup=%6.1fx\n",
                 c.name, jitNs, interpNs, speedup);

@@ -206,7 +206,8 @@ class CostWalker {
     std::int64_t savedBytes = 0;
     std::vector<CostValue> rets;
     if (opts_.useTexpr && texpr::Kernel::supports(body)) {
-      // Priced exactly as the texpr kernel reports its own runs.
+      // Priced exactly as the interpreter charges a supported body, native
+      // or interpreted.
       const texpr::Kernel::BodyMeta meta = texpr::Kernel::infer(body, in);
       flops = meta.stats.flops;
       savedBytes = meta.stats.savedBytes;

@@ -8,8 +8,9 @@
 // analysis::chargeOf (src/analysis/op_rules.h), recorded through the same
 // ChargeSink — ParallelMap launch merging, interpreted-FusionGroup pricing —
 // into a runtime::Profiler configured with the DeviceSpec/HostSpec under
-// study. texpr-backed FusionGroups are priced by texpr::Kernel::infer, the
-// function the texpr kernel binds its own runs with. The walk itself only
+// study. FusionGroups the texpr backend supports are priced by
+// texpr::Kernel::infer, as the interpreter charges them whether native code
+// or the interpreted body ran. The walk itself only
 // propagates abstract values through control flow. For a program whose
 // control flow and shapes are fully determined by the inputs' metadata (all
 // eight paper workloads qualify), the report therefore equals what the

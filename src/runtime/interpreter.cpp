@@ -8,6 +8,7 @@
 #include "src/obs/trace.h"
 #include "src/runtime/thread_pool.h"
 #include "src/tensor/ops.h"
+#include "src/texpr/jit.h"
 
 namespace tssa::runtime {
 
@@ -209,19 +210,20 @@ Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
   }
 }
 
-// ---- Fusion kernel cache -----------------------------------------------------------------
+// ---- Fused-body cache --------------------------------------------------------------------
 
-texpr::Kernel* Interpreter::kernelFor(const Node& node,
-                                      const ir::Block& body) {
-  std::lock_guard<std::mutex> lock(kernelsMutex_);
-  auto it = kernels_.find(&node);
-  if (it == kernels_.end()) {
-    std::unique_ptr<texpr::Kernel> compiled;
-    if (texpr::Kernel::supports(body))
-      compiled = std::make_unique<texpr::Kernel>(body, texprJit_);
-    it = kernels_.emplace(&node, std::move(compiled)).first;
+const Interpreter::FusedBody& Interpreter::fusedBodyFor(const Node& node,
+                                                        const ir::Block& body) {
+  std::lock_guard<std::mutex> lock(fusedMutex_);
+  auto it = fused_.find(&node);
+  if (it == fused_.end()) {
+    FusedBody fused;
+    fused.priced = texpr::Kernel::supports(body);
+    if (fused.priced && texprJit_ && texpr::jit::jitEnabled())
+      fused.kernel = std::make_unique<texpr::Kernel>(body);
+    it = fused_.emplace(&node, std::move(fused)).first;
   }
-  return it->second.get();
+  return it->second;
 }
 
 // ---- Threaded ParallelMap ----------------------------------------------------------------
@@ -450,21 +452,26 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       for (std::size_t i = 0; i < node.numInputs(); ++i)
         groupInputs.push_back(get(node.input(i), env));
 
-      // Prefer the tensor-expression kernel (the NNC-substitute backend);
-      // bodies it cannot express fall back to per-node interpretation.
-      texpr::Kernel* kernel =
-          useTexpr_ ? kernelFor(node, body) : nullptr;
+      // Supported bodies run as native code when the JIT accepts them and
+      // node by node otherwise; either way they are charged from their
+      // structure (texpr::Kernel::infer), so launches and simulated time do
+      // not depend on the path. Other bodies pay what their suppressed
+      // kernels count.
+      const FusedBody* fused = useTexpr_ ? &fusedBodyFor(node, body) : nullptr;
+      std::optional<texpr::Kernel::RunStats> priced;
+      std::optional<std::vector<RtValue>> native;
+      if (fused != nullptr && fused->kernel != nullptr) {
+        // Pool workers must not recurse into the pool: a ParallelMap body's
+        // fused kernels run single-threaded inside their iteration.
+        native = fused->kernel->run(groupInputs, &priced.emplace(),
+                                    ctx.onWorker ? 1 : threads_);
+      }
 
       std::vector<RtValue> rets;
       std::int64_t flops = 0;
       std::int64_t savedBytes = 0;
-      if (kernel != nullptr) {
-        texpr::Kernel::RunStats stats;
-        // Pool workers must not recurse into the pool: a ParallelMap body's
-        // fused kernels run single-threaded inside their iteration.
-        rets = kernel->run(groupInputs, &stats, ctx.onWorker ? 1 : threads_);
-        flops = stats.flops;
-        savedBytes = stats.savedBytes;
+      if (native) {
+        rets = std::move(*native);
       } else {
         for (std::size_t i = 0; i < node.numInputs(); ++i)
           env[body.param(i)] = groupInputs[i];
@@ -476,11 +483,19 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
         if (ctx.arena != nullptr) dropReturnBindings(body, env);
       }
       if (ctx.sink.enabled() || span.active()) {
+        // Only the charge needs the price of an interpreted supported body.
+        if (!priced && fused != nullptr && fused->priced)
+          priced =
+              texpr::Kernel::infer(body, Operands(groupInputs).meta()).stats;
+        if (priced) {
+          flops = priced->flops;
+          savedBytes = priced->savedBytes;
+        }
         const analysis::Charge charge = analysis::fusionGroupCharge(
             Operands(groupInputs).meta(), Operands(rets).meta(), flops,
             savedBytes);
         if (span.active()) {
-          span.arg("backend", kernel != nullptr ? "texpr" : "interp");
+          span.arg("backend", native ? "jit" : "interp");
           span.arg("bytes", charge.bytes);
           span.arg("flops", flops);
         }

@@ -46,15 +46,16 @@ namespace tssa::runtime {
 
 class Interpreter {
  public:
-  /// `profiler` may be null (pure execution, e.g. in tests). When
-  /// `useTexpr` is set (default), supported FusionGroup bodies execute
-  /// through the tensor-expression kernel (single pass, no intermediates);
-  /// otherwise bodies are interpreted node by node. Both paths are
-  /// cross-checked for equality in tests. `threads` caps the worker count
-  /// for parallel constructs: 1 (default) executes fully serially, 0 means
-  /// ThreadPool::hardwareThreads(). `texprJit` lets texpr kernels lower to
-  /// native code via src/texpr/jit.h (bitwise-identical; declines fall back
-  /// to per-element interpretation).
+  /// `profiler` may be null (pure execution, e.g. in tests). With
+  /// `useTexpr` (default), FusionGroup bodies the texpr backend supports
+  /// are priced as one texpr kernel (texpr::Kernel::infer) and, with
+  /// `texprJit` (and TSSA_TEXPR_JIT not 0), run as native code when the
+  /// JIT accepts them (src/texpr/texpr.h). Every other body, and every declined launch, is
+  /// interpreted node by node — the tensor/ops.h semantics the generated
+  /// code is fuzzed against; without `useTexpr` every body is interpreted
+  /// and pays what its suppressed kernels count. `threads` caps the worker
+  /// count for parallel constructs: 1 (default) executes fully serially, 0
+  /// means ThreadPool::hardwareThreads().
   explicit Interpreter(Profiler* profiler = nullptr, bool useTexpr = true,
                        int threads = 1, bool texprJit = true)
       : profiler_(profiler), useTexpr_(useTexpr), texprJit_(texprJit) {
@@ -146,9 +147,17 @@ class Interpreter {
                    const Tensor& base, std::span<const analysis::Operand> in,
                    std::size_t operandStart) const;
 
-  /// Compiled texpr kernel for a FusionGroup node, cached across runs and
-  /// threads (nullptr when the body is unsupported).
-  texpr::Kernel* kernelFor(const ir::Node& node, const ir::Block& body);
+  /// How a FusionGroup body runs and is priced, decided once per node.
+  struct FusedBody {
+    /// texpr::Kernel::supports(body): charged from texpr::Kernel::infer,
+    /// whichever path ran it.
+    bool priced = false;
+    /// Native-code host; null unless `priced`, texprJit and
+    /// texpr::jit::jitEnabled().
+    std::unique_ptr<texpr::Kernel> kernel;
+  };
+  /// The FusedBody of `node`, cached across runs and threads.
+  const FusedBody& fusedBodyFor(const ir::Node& node, const ir::Block& body);
 
   Profiler* profiler_;
   bool useTexpr_ = true;
@@ -158,11 +167,11 @@ class Interpreter {
   /// Root-context buffer pool, created lazily on the first planned run and
   /// kept across runs so steady-state executions reuse prior buffers.
   std::unique_ptr<Arena> arena_;
-  /// Compiled kernels, cached per FusionGroup node across runs. Guarded by
-  /// `kernelsMutex_`: ParallelMap workers may compile concurrently.
-  std::unordered_map<const ir::Node*, std::unique_ptr<texpr::Kernel>>
-      kernels_;
-  std::mutex kernelsMutex_;
+  /// Per FusionGroup node, kept across runs. Guarded by `fusedMutex_`:
+  /// ParallelMap workers may compile concurrently. Entries are never erased,
+  /// so returned references stay valid.
+  std::unordered_map<const ir::Node*, FusedBody> fused_;
+  std::mutex fusedMutex_;
 };
 
 }  // namespace tssa::runtime

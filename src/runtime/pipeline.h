@@ -43,6 +43,11 @@ std::string_view pipelineName(PipelineKind kind);
 struct PipelineOptions {
   DeviceSpec device = DeviceSpec::dataCenter();
   int threads = 1;
+  /// Fused element regions as texpr kernels (src/texpr/texpr.h): each
+  /// FusionGroup body the backend supports is priced as one kernel from its
+  /// structure (texpr::Kernel::infer) and may run as native code (see
+  /// `texprJit`); off, every fused body is interpreted node by node and
+  /// pays what its kernels count. Serve program keys include it.
   bool useTexpr = true;
   /// Liveness-driven memory planning (src/analysis/liveness.h): intermediates
   /// are released at their last use and their buffers recycled through
@@ -53,9 +58,9 @@ struct PipelineOptions {
   /// Native codegen for fused element regions (src/texpr/jit.h): texpr
   /// kernels compile to shared objects at runtime and dispatch through a C
   /// ABI; unsupported patterns and toolchain failures decline back to the
-  /// per-element interpreter. Results are bitwise identical either way (the
-  /// differential fuzz suite enforces this), so it defaults on; the toggle
-  /// exists for that cross-check and for toolchain-less deployments.
+  /// interpreted body. Results and charges are identical either way (the
+  /// differential fuzz suite enforces the results), so it defaults on; the
+  /// toggle exists for that cross-check and for toolchain-less deployments.
   bool texprJit = true;
   /// Cap on ops per fusion group (FusionPolicy::maxKernelOps): 0 keeps the
   /// unlimited heuristic; the autotuner sets small caps when the device

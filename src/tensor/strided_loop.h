@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "src/support/error.h"
 #include "src/tensor/dtype.h"
@@ -69,10 +70,23 @@ class StridedLoop {
   std::array<std::int64_t, K> offsets_;
 };
 
+/// The element a tensor of C++ element type `T` stores for `v`. Bool
+/// (uint8_t) stores `v != 0` — a cast would truncate 0.5 to false and is
+/// undefined for values outside [0, 256) — matching what comparisons and
+/// the JIT produce; the other types convert.
+template <typename T>
+inline T storedAs(double v) {
+  if constexpr (std::is_same_v<T, std::uint8_t>) {
+    return v != 0.0 ? 1 : 0;
+  } else {
+    return static_cast<T>(v);
+  }
+}
+
 /// Element load/store through function pointers selected once per call.
 /// Values travel as double with exactly the conversions the per-element
-/// dispatch used (bool reads as 0/1, stores as static_cast<uint8_t>), so the
-/// strided path is bitwise identical to the historical one.
+/// dispatch uses (bool reads as 0/1, stores through storedAs), so the
+/// strided path is bitwise identical to it.
 using LoadFn = double (*)(const Storage&, std::int64_t);
 using StoreFn = void (*)(Storage&, std::int64_t, double);
 
@@ -98,7 +112,7 @@ inline LoadFn loadFnFor(DType dtype) {
 
 template <typename T>
 inline void storeElem(Storage& s, std::int64_t off, double v) {
-  s.as<T>()[off] = static_cast<T>(v);
+  s.as<T>()[off] = storedAs<T>(v);
 }
 
 inline StoreFn storeFnFor(DType dtype) {

@@ -131,7 +131,7 @@ void Tensor::setScalarAt(std::span<const std::int64_t> index, double value) {
   const std::int64_t off = elementOffset(index);
   dispatchDType(dtype_, [&](auto tag) {
     using T = decltype(tag);
-    storage_->as<T>()[off] = static_cast<T>(value);
+    storage_->as<T>()[off] = detail::storedAs<T>(value);
   });
 }
 
@@ -157,7 +157,7 @@ void Tensor::setScalarAtLinear(std::int64_t linear, double value) {
   if (isContiguous()) {
     dispatchDType(dtype_, [&](auto tag) {
       using T = decltype(tag);
-      storage_->as<T>()[offset_ + linear] = static_cast<T>(value);
+      storage_->as<T>()[offset_ + linear] = detail::storedAs<T>(value);
     });
     return;
   }
@@ -426,7 +426,7 @@ void Tensor::fill_(Scalar value) {
     dispatchDType(dtype_, [&](auto tag) {
       using T = decltype(tag);
       T* p = storage_->as<T>() + offset_;
-      std::fill(p, p + n, static_cast<T>(v));
+      std::fill(p, p + n, detail::storedAs<T>(v));
     });
     return;
   }

@@ -328,8 +328,8 @@ const char* ctypeName(DType dtype) {
   return "double";
 }
 
-/// Wraps `expr` in the rounding that Kernel::evalAt's finish() applies: the
-/// value a tensor of `dtype` would store, kept as a double.
+/// Wraps `expr` in the rounding a tensor store applies: the value a tensor
+/// of `dtype` would store, kept as a double.
 std::string finishExpr(DType dtype, const std::string& expr) {
   switch (dtype) {
     case DType::Float32:
@@ -355,8 +355,8 @@ class Emitter {
         emitFast_(emitFast) {}
 
   std::string emit() {
-    os_ << "// Generated by the tssa texpr JIT backend. Mirrors\n"
-           "// texpr::Kernel::evalAt element for element (DESIGN.md S11);\n"
+    os_ << "// Generated by the tssa texpr JIT backend. Mirrors the\n"
+           "// interpreted body element for element (DESIGN.md S11);\n"
            "// compiled with -ffp-contract=off so every node boundary keeps\n"
            "// its own IEEE rounding, bitwise-equal to the interpreter.\n"
            "#include <algorithm>\n"
@@ -475,7 +475,7 @@ class Emitter {
 
   /// Elementwise body: loads operands (aligned coordinates in the generic
   /// form, the shared linear index in the fast form), then returns the op
-  /// expression with the output dtype's rounding. Mirrors evalAt.
+  /// expression with the output dtype's rounding, as tensor/ops.h stores it.
   void emitComputeBody(const Node& node, bool fast) {
     const SlotMeta& m = meta(node.output(0));
     std::vector<std::string> x;
@@ -547,7 +547,7 @@ class Emitter {
   }
 
   /// Access: compute the base coordinate `bc` that the view coordinate `c`
-  /// reads, then recurse into the base. Mirrors accessBaseCoord.
+  /// reads, then recurse into the base (the view rule run backwards).
   void emitAccessBody(const Node& node) {
     const Value* base = node.input(0);
     const int bs = slot(base);
@@ -689,8 +689,8 @@ class Emitter {
 
   /// Assign: if the base coordinate lies in the written view region, read
   /// the source at the view coordinate (with the output dtype's rounding);
-  /// otherwise pass the base element through unrounded. Mirrors
-  /// assignCovers + evalAt's Assign case.
+  /// otherwise pass the base element through unrounded — Assign's pure
+  /// definition (copy the base, write the source through the view).
   void emitAssignBody(const Node& node) {
     const Value* out = node.output(0);
     const Value* base = node.input(0);

@@ -2,9 +2,9 @@
 //
 // A texpr-supported FusionGroup body is lowered to a self-contained C++
 // translation unit: one `static inline double v<slot>(...)` per body value
-// (mirroring Kernel::evalAt node for node, including the per-node dtype
-// rounding that makes fused evaluation bitwise-equal to eager execution),
-// plus one loop body per return. The loop comes in two forms — a generic
+// (mirroring the interpreted body node for node, including the per-node
+// dtype rounding that makes fused evaluation bitwise-equal to eager
+// execution), plus one loop body per return. The loop comes in two forms — a generic
 // coordinate walk that handles broadcasts, strided inputs, and Access/Assign
 // index transforms, and a contiguous-innermost linear loop the host enables
 // at run time when every input is contiguous and shape-equal to the output

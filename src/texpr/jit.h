@@ -47,8 +47,8 @@ using EntryFn = void (*)(const JitBuffer* ins, JitBuffer* out,
                          std::int32_t flags);
 
 /// Process-wide kill switch: false when the environment sets
-/// TSSA_TEXPR_JIT=0 (read once; tests use PipelineOptions / the Kernel
-/// constructor flag instead so they can flip per instance).
+/// TSSA_TEXPR_JIT=0 (read once; tests use PipelineOptions::texprJit /
+/// the Interpreter flag instead so they can flip per instance).
 bool jitEnabled();
 
 /// A loaded shared object. Destruction dlcloses, so holders keep the

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/ir/builder.h"
+#include "src/runtime/interpreter.h"
 #include "src/tensor/random.h"
 #include "src/texpr/codegen.h"
 #include "src/texpr/jit.h"
@@ -26,6 +27,7 @@ using ir::Node;
 using ir::OpKind;
 using ir::Type;
 using ir::Value;
+using runtime::Interpreter;
 using runtime::RtValue;
 using texpr::codegen::Generator;
 using texpr::codegen::InputSig;
@@ -46,6 +48,20 @@ Block* addSquashBody(Graph& g) {
   group->addOutput(Type::tensor());
   g.addOutput(group->output(0));
   return body;
+}
+
+/// The reference: `g` with every fused body interpreted node by node.
+std::vector<RtValue> interpretedBody(const Graph& g,
+                                     std::span<const RtValue> inputs) {
+  return Interpreter(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/false)
+      .run(g, inputs);
+}
+
+void expectBitwiseEqual(const std::vector<RtValue>& got,
+                        const std::vector<RtValue>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_TRUE(allClose(got[i].tensor(), want[i].tensor(), 0.0));
 }
 
 InputSig tensorSig(DType dtype, int rank, bool contiguous) {
@@ -144,30 +160,29 @@ TEST(JitCacheTest, HonorsTmpdirForScratchFiles) {
   Rng rng(33);
   std::vector<RtValue> inputs{RtValue(rng.uniform({4, 4}, -1, 1)),
                               RtValue(rng.uniform({4, 4}, -1, 1))};
-  texpr::Kernel jitted(*body, /*allowJit=*/true);
-  texpr::Kernel reference(*body, /*allowJit=*/false);
+  texpr::Kernel jitted(*body);
   const auto got = jitted.run(inputs, nullptr, 1);
 
   // The kernel engaged: one successful native compile, no fallback — with
   // every scratch file created under TMPDIR and cleaned up afterwards.
+  EXPECT_TRUE(got.has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().compileFails, 0u);
   EXPECT_EQ(cache.stats().size, 1u);
-  const auto want = reference.run(inputs, nullptr, 1);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_TRUE(allClose(got[i].tensor(), want[i].tensor(), 0.0));
+  const auto want = interpretedBody(g, inputs);
+  if (got) expectBitwiseEqual(*got, want);
   EXPECT_EQ(::rmdir(scratch), 0) << "scratch dir not empty or never used";
 
   // Counter-probe: an unusable TMPDIR must break the compile — proof the
-  // path above really came from the environment, not a /tmp fallback.
+  // path above really came from the environment, not a /tmp fallback. The
+  // launch declines and the interpreter serves the interpreted body.
   cache.clearForTesting();
   ::setenv("TMPDIR", "./tssa-jit-does-not-exist", 1);
-  texpr::Kernel broken(*body, /*allowJit=*/true);
-  const auto fallback = broken.run(inputs, nullptr, 1);
+  const auto fallback =
+      Interpreter(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true)
+          .run(g, inputs);
   EXPECT_EQ(cache.stats().compileFails, 1u);
-  for (std::size_t i = 0; i < fallback.size(); ++i)
-    EXPECT_TRUE(allClose(fallback[i].tensor(), want[i].tensor(), 0.0));
+  expectBitwiseEqual(fallback, want);
 
   if (saved.empty())
     ::unsetenv("TMPDIR");
@@ -204,29 +219,27 @@ TEST(JitCacheTest, EvictedKernelStaysUsableWhileReferenced) {
                                RtValue(rng.uniform({4, 4}, -1, 1))};
   std::vector<RtValue> inputs2{RtValue(rng.uniform({4, 4}, -1, 1))};
 
-  texpr::Kernel k1(*body1, /*allowJit=*/true);
-  texpr::Kernel k2(*body2, /*allowJit=*/true);
-  texpr::Kernel ref1(*body1, /*allowJit=*/false);
+  texpr::Kernel k1(*body1);
+  texpr::Kernel k2(*body2);
 
   const auto first = k1.run(inputs1, nullptr, 1);
+  ASSERT_TRUE(first.has_value());
   ASSERT_EQ(cache.stats().size, 1u);
-  (void)k2.run(inputs2, nullptr, 1);
+  ASSERT_TRUE(k2.run(inputs2, nullptr, 1).has_value());
   // Capacity 1: compiling body2's kernel evicted body1's cache entry.
   EXPECT_EQ(cache.stats().size, 1u);
 
   // k1 still runs natively through its memoized kernel (counted as a hit)
-  // and still matches both its earlier result and the interpreter.
+  // and still matches both its earlier result and the interpreted body.
   const auto before = cache.stats();
   const auto again = k1.run(inputs1, nullptr, 1);
   const auto after = cache.stats();
+  ASSERT_TRUE(again.has_value());
   EXPECT_EQ(after.hits, before.hits + 1);
   EXPECT_EQ(after.misses, before.misses);
-  const auto reference = ref1.run(inputs1, nullptr, 1);
-  ASSERT_EQ(again.size(), reference.size());
-  for (std::size_t i = 0; i < again.size(); ++i) {
-    EXPECT_TRUE(allClose(again[i].tensor(), reference[i].tensor(), 0.0));
-    EXPECT_TRUE(allClose(first[i].tensor(), reference[i].tensor(), 0.0));
-  }
+  const auto reference = interpretedBody(g1, inputs1);
+  expectBitwiseEqual(*again, reference);
+  expectBitwiseEqual(*first, reference);
 
   cache.setCapacityForTesting(256);
   cache.clearForTesting();

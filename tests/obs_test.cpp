@@ -10,6 +10,7 @@
 // plus unit coverage for the JSON escaper and nearest-rank percentiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -20,13 +21,17 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/ir/builder.h"
 #include "src/obs/export.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/runtime/interpreter.h"
 #include "src/runtime/pipeline.h"
 #include "src/runtime/thread_pool.h"
 #include "src/serve/engine.h"
+#include "src/tensor/random.h"
+#include "src/texpr/jit.h"
 #include "src/workloads/workload.h"
 
 namespace tssa {
@@ -355,6 +360,64 @@ TEST_F(ObsTracerTest, TracedThreadedWorkloadShowsAllLayers) {
   EXPECT_EQ(byCatName["exec/Interpreter.run"], 1);
   EXPECT_GT(byCatName["exec/FusionGroup"], 0);
   expectProperNesting(doc.at("traceEvents").array);
+}
+
+/// Two fused regions over inputs (x, y, fill): `relu(x + y)`, which the JIT
+/// compiles, and `masked_fill(x, y > x, fill)`, which it declines.
+std::unique_ptr<ir::Graph> jitAndDeclinedRegions() {
+  auto g = std::make_unique<ir::Graph>();
+  ir::Value* x = g->addInput(ir::Type::tensor());
+  ir::Value* y = g->addInput(ir::Type::tensor());
+  ir::Value* fill = g->addInput(ir::Type::floating());
+  ir::IRBuilder b(*g);
+  auto group = [&](std::vector<ir::Value*> ins, auto&& makeBody) {
+    ir::Node* node = b.emitNode(ir::OpKind::FusionGroup, ins, 0);
+    ir::Block* body = node->addBlock();
+    for (ir::Value* in : ins) body->addParam(in->type());
+    ir::IRBuilder inner(*g);
+    inner.setInsertionPointToEnd(body);
+    body->addReturn(makeBody(inner, *body));
+    node->addOutput(ir::Type::tensor());
+    g->addOutput(node->output(0));
+  };
+  group({x, y}, [](ir::IRBuilder& in, ir::Block& body) {
+    return in.relu(in.add(body.param(0), body.param(1)));
+  });
+  group({x, y, fill}, [](ir::IRBuilder& in, ir::Block& body) {
+    return in.maskedFill(body.param(0), in.gt(body.param(1), body.param(0)),
+                         body.param(2));
+  });
+  return g;
+}
+
+TEST_F(ObsTracerTest, FusionGroupSpanNamesTheBackendThatRan) {
+  auto g = jitAndDeclinedRegions();
+  Rng rng(5);
+  const std::vector<runtime::RtValue> inputs = {
+      runtime::RtValue(rng.uniform({3, 4}, -1, 1)),
+      runtime::RtValue(rng.uniform({3, 4}, -1, 1)),
+      runtime::RtValue(Scalar(0.5))};
+  auto backends = [&](bool jit) {
+    Tracer& tracer = Tracer::instance();
+    tracer.clear();
+    tracer.enable();
+    runtime::Interpreter(nullptr, /*useTexpr=*/true, 1, jit).run(*g, inputs);
+    tracer.disable();
+    std::vector<std::string> out;
+    const JsonValue doc = JsonParser(tracer.chromeTraceJson()).parse();
+    for (const JsonValue& e : doc.at("traceEvents").array)
+      if (e.at("name").str == "FusionGroup")
+        out.push_back(e.at("args").at("backend").str);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<std::string> bothInterp = {"interp", "interp"};
+  if (texpr::jit::jitEnabled()) {
+    EXPECT_EQ(backends(true), (std::vector<std::string>{"interp", "jit"}));
+  } else {
+    EXPECT_EQ(backends(true), bothInterp);
+  }
+  EXPECT_EQ(backends(false), bothInterp);
 }
 
 TEST_F(ObsTracerTest, ChromeJsonSurvivesHostileArgStrings) {

@@ -190,6 +190,35 @@ TEST(TensorTest, DTypeCast) {
   EXPECT_EQ(b.scalarAtLinear(2), 0);
 }
 
+TEST(TensorTest, FloatToBoolStoresNonZero) {
+  // A Bool element stores `v != 0`, like comparisons and the texpr JIT: a
+  // narrowing cast would store 0.5 as false and -1.5 as 255 (undefined).
+  const Tensor src = Tensor::fromData({0.5f, -1.5f, 0.0f, 2.0f}, {4});
+  const double want[] = {1, 1, 0, 1};
+  auto expectBools = [&](const Tensor& t, const char* what) {
+    ASSERT_EQ(t.dtype(), DType::Bool) << what;
+    for (std::int64_t i = 0; i < t.numel(); ++i)
+      EXPECT_EQ(t.scalarAtLinear(i), want[i]) << what << " element " << i;
+  };
+  Tensor copied = Tensor::zeros({4}, DType::Bool);
+  copied.copy_(src);
+  expectBools(copied, "copy_");
+  expectBools(src.to(DType::Bool), "to(Bool)");
+
+  for (const double v : {0.5, -1.5}) {
+    Tensor filled = Tensor::zeros({2, 2}, DType::Bool);
+    filled.fill_(Scalar(v));
+    // A non-contiguous column takes the per-element path.
+    Tensor column = Tensor::zeros({2, 2}, DType::Bool);
+    column.select(1, 0).fill_(Scalar(v));
+    for (std::int64_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(filled.scalarAtLinear(i), 1.0) << "fill_ " << v;
+      EXPECT_EQ(column.scalarAtLinear(i), i % 2 == 0 ? 1.0 : 0.0)
+          << "strided fill_ " << v;
+    }
+  }
+}
+
 TEST(TensorTest, ChainedViewsShareOneStorage) {
   // The Figure-1 scenario: B = A[0], B.copy_(C) mutates A.
   Tensor a = Tensor::zeros({2, 2});

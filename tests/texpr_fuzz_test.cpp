@@ -1,7 +1,8 @@
 // Differential fuzz harness for the texpr JIT: randomized fused regions
-// must produce bitwise-identical results through the native-code path and
-// the tree-walking interpreter, at every thread count, and every decline
-// reason must fall back cleanly (same results, counter incremented).
+// must produce bitwise-identical results as native code and as the
+// interpreted body (the tensor/ops.h reference), serial and threaded, and
+// every decline reason must fall back to the interpreted body cleanly (same
+// results, counter incremented).
 //
 // Case count defaults to 1000 and is overridable via TSSA_FUZZ_REPS (CI's
 // sanitizer legs run a reduced sweep). Structures repeat every
@@ -14,6 +15,7 @@
 
 #include "src/ir/builder.h"
 #include "src/ir/verifier.h"
+#include "src/runtime/interpreter.h"
 #include "src/runtime/thread_pool.h"
 #include "src/tensor/random.h"
 #include "src/texpr/codegen.h"
@@ -31,6 +33,7 @@ using ir::Node;
 using ir::OpKind;
 using ir::Type;
 using ir::Value;
+using runtime::Interpreter;
 using runtime::RtValue;
 using testing_support::FusedRegionGenerator;
 
@@ -57,6 +60,18 @@ void expectBitwiseEqual(const std::vector<RtValue>& a,
   }
 }
 
+/// An Interpreter that runs supported fused bodies as native code.
+Interpreter jitInterpreter(int threads = 1) {
+  return Interpreter(nullptr, /*useTexpr=*/true, threads, /*texprJit=*/true);
+}
+
+/// The reference: every fused body interpreted node by node.
+std::vector<RtValue> interpretedBody(const Graph& g,
+                                     std::span<const RtValue> inputs) {
+  return Interpreter(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/false)
+      .run(g, inputs);
+}
+
 TEST(TexprFuzzTest, JitMatchesInterpreterBitwise) {
   const int reps = fuzzReps();
   const int hw = std::max(2, runtime::ThreadPool::hardwareThreads());
@@ -76,30 +91,24 @@ TEST(TexprFuzzTest, JitMatchesInterpreterBitwise) {
     ir::verify(g);
     ASSERT_TRUE(texpr::Kernel::supports(*built.body));
 
-    texpr::Kernel jitKernel(*built.body, /*allowJit=*/true);
-    texpr::Kernel interpKernel(*built.body, /*allowJit=*/false);
-
     const auto before = cache.stats();
-    const auto jitSerial = jitKernel.run(built.inputs, nullptr, 1);
+    const auto jitSerial = jitInterpreter().run(g, built.inputs);
     const auto after = cache.stats();
     // Every generated structure is JIT-supported: the run must have engaged
     // the native path (fresh compile or cache hit), never declined. With
-    // TSSA_TEXPR_JIT=0 the sweep still runs as a pure differential check of
-    // the interpreter against itself at both thread counts.
+    // TSSA_TEXPR_JIT=0 the sweep still runs, as a check of the interpreted
+    // body against itself.
     if (texpr::jit::jitEnabled()) {
       EXPECT_EQ(after.declines, before.declines);
       EXPECT_GE(after.hits + after.misses, before.hits + before.misses + 1);
     }
 
-    const auto interpSerial = interpKernel.run(built.inputs, nullptr, 1);
-    expectBitwiseEqual(jitSerial, interpSerial, "jit vs interp, serial");
-
-    const auto jitThreaded = jitKernel.run(built.inputs, nullptr, hw);
-    expectBitwiseEqual(jitThreaded, interpSerial,
-                       "jit(threads=" + std::to_string(hw) + ") vs interp");
-    const auto interpThreaded = interpKernel.run(built.inputs, nullptr, hw);
-    expectBitwiseEqual(interpThreaded, interpSerial,
-                       "interp threaded vs serial");
+    const auto reference = interpretedBody(g, built.inputs);
+    expectBitwiseEqual(jitSerial, reference, "jit vs interpreted body");
+    const auto jitThreaded = jitInterpreter(hw).run(g, built.inputs);
+    expectBitwiseEqual(jitThreaded, reference,
+                       "jit(threads=" + std::to_string(hw) +
+                           ") vs interpreted body");
   }
 }
 
@@ -145,57 +154,41 @@ std::unique_ptr<Graph> boolArithGraph() {
   return g;
 }
 
-Block* soleGroupBody(Graph& g) {
-  for (Node* n : *g.topBlock())
-    if (n->kind() == OpKind::FusionGroup) return n->block(0);
-  return nullptr;
-}
-
 TEST(TexprFuzzTest, OpDeclineFallsBackBitwise) {
   if (!texpr::jit::jitEnabled()) GTEST_SKIP() << "texpr JIT disabled";
   auto g = maskedFillGraph();
-  Block* body = soleGroupBody(*g);
-  ASSERT_NE(body, nullptr);
   Rng rng(11);
   std::vector<RtValue> inputs{RtValue(rng.uniform({3, 4}, -1, 1)),
                               RtValue(rng.uniform({3, 4}, -1, 1)),
                               RtValue(Scalar(0.5))};
   auto& cache = texpr::jit::KernelCache::instance();
-  texpr::Kernel jitKernel(*body, /*allowJit=*/true);
-  texpr::Kernel interpKernel(*body, /*allowJit=*/false);
   const auto before = cache.stats();
-  const auto a = jitKernel.run(inputs, nullptr, 1);
+  const auto a = jitInterpreter().run(*g, inputs);
   const auto after = cache.stats();
   EXPECT_EQ(after.declines, before.declines + 1);
   EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
-  const auto b = interpKernel.run(inputs, nullptr, 1);
-  expectBitwiseEqual(a, b, "op decline");
+  expectBitwiseEqual(a, interpretedBody(*g, inputs), "op decline");
 }
 
 TEST(TexprFuzzTest, DtypeDeclineFallsBackBitwise) {
   if (!texpr::jit::jitEnabled()) GTEST_SKIP() << "texpr JIT disabled";
   auto g = boolArithGraph();
-  Block* body = soleGroupBody(*g);
-  ASSERT_NE(body, nullptr);
   Rng rng(12);
   std::vector<RtValue> inputs{RtValue(rng.uniform({4, 5}, -1, 1)),
                               RtValue(rng.uniform({4, 5}, -1, 1))};
   auto& cache = texpr::jit::KernelCache::instance();
-  texpr::Kernel jitKernel(*body, /*allowJit=*/true);
-  texpr::Kernel interpKernel(*body, /*allowJit=*/false);
   const auto before = cache.stats();
-  const auto a = jitKernel.run(inputs, nullptr, 1);
+  const auto a = jitInterpreter().run(*g, inputs);
   const auto after = cache.stats();
   EXPECT_EQ(after.declines, before.declines + 1);
-  const auto b = interpKernel.run(inputs, nullptr, 1);
-  expectBitwiseEqual(a, b, "dtype decline");
+  expectBitwiseEqual(a, interpretedBody(*g, inputs), "dtype decline");
 }
 
 TEST(TexprFuzzTest, ToolchainFailureFallsBackBitwise) {
   if (!texpr::jit::jitEnabled()) GTEST_SKIP() << "texpr JIT disabled";
   // Point the per-compile compiler override at /bin/false: the compile
-  // fails, the launch declines (reason "toolchain"), and the interpreter
-  // result is served unchanged. The cache is cleared first so the key
+  // fails, the launch declines (reason "toolchain"), and the interpreted
+  // body's result is served unchanged. The cache is cleared first so the key
   // cannot be satisfied by an earlier successful compile.
   ::setenv("TSSA_JIT_CC", "/bin/false", 1);
   auto& cache = texpr::jit::KernelCache::instance();
@@ -206,40 +199,38 @@ TEST(TexprFuzzTest, ToolchainFailureFallsBackBitwise) {
   Rng dataRng(77);
   FusedRegionGenerator gen(g, structRng, dataRng);
   auto built = gen.build();
-  texpr::Kernel jitKernel(*built.body, /*allowJit=*/true);
-  texpr::Kernel interpKernel(*built.body, /*allowJit=*/false);
+  Interpreter jit = jitInterpreter();
 
   const auto before = cache.stats();
-  const auto a = jitKernel.run(built.inputs, nullptr, 1);
+  const auto a = jit.run(g, built.inputs);
   const auto after = cache.stats();
   ::unsetenv("TSSA_JIT_CC");
   cache.clearForTesting();
 
   EXPECT_EQ(after.compileFails, before.compileFails + 1);
   EXPECT_EQ(after.declines, before.declines + 1);
-  const auto b = interpKernel.run(built.inputs, nullptr, 1);
+  const auto b = interpretedBody(g, built.inputs);
   expectBitwiseEqual(a, b, "toolchain decline");
 
   // The failure is memoized per kernel: a second run declines again without
   // attempting another compile.
   const auto mid = cache.stats();
-  const auto c = jitKernel.run(built.inputs, nullptr, 1);
+  const auto c = jit.run(g, built.inputs);
   const auto last = cache.stats();
   EXPECT_EQ(last.compileFails, mid.compileFails);
   EXPECT_EQ(last.declines, mid.declines + 1);
   expectBitwiseEqual(c, b, "memoized toolchain decline");
 }
 
-TEST(TexprFuzzTest, DisabledKernelNeverTouchesJit) {
+TEST(TexprFuzzTest, JitOffInterpreterNeverTouchesKernelCache) {
   Graph g;
   Rng structRng(9);
   Rng dataRng(99);
   FusedRegionGenerator gen(g, structRng, dataRng);
   auto built = gen.build();
   auto& cache = texpr::jit::KernelCache::instance();
-  texpr::Kernel kernel(*built.body, /*allowJit=*/false);
   const auto before = cache.stats();
-  (void)kernel.run(built.inputs, nullptr, 1);
+  (void)interpretedBody(g, built.inputs);
   const auto after = cache.stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);

@@ -1,8 +1,10 @@
-// Tests for the tensor-expression backend: fused bodies evaluated per
-// element must agree exactly with node-by-node interpretation.
+// Tests for the tensor-expression backend: fused bodies run as native code
+// (or declined back to the interpreter) must agree exactly with node-by-node
+// interpretation.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <tuple>
 
 #include "src/core/fusion.h"
 #include "src/core/lower_inplace.h"
@@ -11,6 +13,7 @@
 #include "src/ir/verifier.h"
 #include "src/runtime/interpreter.h"
 #include "src/tensor/random.h"
+#include "src/texpr/jit.h"
 #include "src/texpr/texpr.h"
 #include "tests/property_gen.h"
 
@@ -49,11 +52,12 @@ std::unique_ptr<Graph> groupGraph(std::size_t numInputs, Fn&& makeBody) {
   return g;
 }
 
-/// Runs a graph twice — texpr on and off — and expects identical results.
+/// Runs a graph twice — supported fused bodies as native code where the JIT
+/// accepts them, and every body interpreted — and expects identical results.
 void expectTexprMatchesInterpreter(const Graph& g,
                                    std::vector<RtValue> inputs) {
-  Interpreter withTexpr(nullptr, /*useTexpr=*/true);
-  Interpreter withoutTexpr(nullptr, /*useTexpr=*/false);
+  Interpreter withTexpr(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true);
+  Interpreter withoutTexpr(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/false);
   auto a = withTexpr.run(g, inputs);
   auto b = withoutTexpr.run(g, inputs);
   ASSERT_EQ(a.size(), b.size());
@@ -144,8 +148,9 @@ TEST(TexprTest, AssignSelectAndSliceRegions) {
 }
 
 TEST(TexprTest, AssignThroughReshapeAndFlatten) {
-  // Whole-buffer writes through a reshaped / flattened view of the base: the
-  // evaluator maps each base coordinate into the view's shape.
+  // Whole-buffer writes through a reshaped / flattened view of the base. The
+  // JIT declines them (reason "op"): the fallback must equal the interpreted
+  // body.
   auto g = groupGraph(3, [&](IRBuilder& b, Block* body) {
     Node* rs = b.emitNode(OpKind::Assign, {body->param(0), body->param(1)}, 1);
     rs->attrs().set("view",
@@ -191,17 +196,28 @@ TEST(TexprTest, RunStatsReportFlopsAndDonation) {
     assign->attrs().set("inplace", Scalar(true));
     body->addReturn(b.relu(assign->output()));
   });
-  const Node* group = (*g->topBlock()->begin());
-  texpr::Kernel kernel(*group->block(0));
+  const Block& body = *(*g->topBlock()->begin())->block(0);
   Rng rng(6);
   std::vector<RtValue> in{RtValue(rng.uniform({8, 8})),
                           RtValue(rng.uniform({8}))};
-  texpr::Kernel::RunStats stats;
-  auto out = kernel.run(in, &stats);
-  EXPECT_EQ(out.size(), 1u);
+  std::vector<analysis::Operand> params;
+  for (const RtValue& v : in) params.push_back(analysis::operandOf(v));
+  // The stats derive from shapes alone, so both paths are priced alike.
+  const texpr::Kernel::RunStats stats =
+      texpr::Kernel::infer(body, params).stats;
   EXPECT_EQ(stats.flops, 64 + 64);  // assign + relu, one per element
   // Donation saves 2*(64-8)*4 bytes of round-trip traffic.
   EXPECT_EQ(stats.savedBytes, 2 * (64 - 8) * 4);
+  if (!texpr::jit::jitEnabled()) return;
+  texpr::Kernel kernel(body);
+  texpr::Kernel::RunStats ran;
+  // Filled whether or not native code ran.
+  const auto out = kernel.run(in, &ran);
+  if (out) {
+    EXPECT_EQ(out->size(), 1u);
+  }
+  EXPECT_EQ(ran.flops, stats.flops);
+  EXPECT_EQ(ran.savedBytes, stats.savedBytes);
 }
 
 /// Dtype, shape and every element's bits must agree.
@@ -244,6 +260,35 @@ TEST(TexprTest, MaskedFillKeepsBaseDtype) {
   }
 }
 
+TEST(TexprTest, FloatToBoolAssignMatchesJit) {
+  // immut::assign of a Float32 source into a Bool base: the interpreted body
+  // (copy_ into the base's dtype) and the generated code both store v != 0.
+  auto g = groupGraph(2, [](IRBuilder& b, Block* body) {
+    Node* assign = b.emitNode(OpKind::Assign,
+                              {body->param(0), body->param(1)}, 1);
+    assign->attrs().set("view",
+                        Scalar(static_cast<std::int64_t>(OpKind::Identity)));
+    body->addReturn(assign->output());
+  });
+  const std::vector<RtValue> inputs = {
+      RtValue(Tensor::zeros({2, 4}, DType::Bool)),
+      RtValue(Tensor::fromData({0.5f, -1.5f, 0.0f, 2.0f}, {4}))};
+  auto& cache = texpr::jit::KernelCache::instance();
+  const auto before = cache.stats();
+  Interpreter jit(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true);
+  const Tensor a = jit.run(*g, inputs)[0].tensor();
+  const auto after = cache.stats();
+  if (texpr::jit::jitEnabled()) {
+    EXPECT_EQ(after.declines, before.declines);
+    EXPECT_EQ(after.hits + after.misses, before.hits + before.misses + 1);
+  }
+  Interpreter interpreted(nullptr, /*useTexpr=*/false);
+  const Tensor b = interpreted.run(*g, inputs)[0].tensor();
+  expectSameDtypeAndBits(a, b, "float->bool assign");
+  for (std::int64_t i = 0; i < 8; ++i)
+    EXPECT_EQ(b.scalarAtLinear(i), i % 4 == 2 ? 0.0 : 1.0) << "element " << i;
+}
+
 /// FusionGroup returning `Access(view=Permute, dims)` of its one input.
 std::unique_ptr<Graph> permuteAccessGroup(std::vector<std::int64_t> dims) {
   return groupGraph(1, [&](IRBuilder& b, Block* body) {
@@ -259,8 +304,8 @@ TEST(TexprTest, AccessPermuteNormalizesNegativeDims) {
   auto g = permuteAccessGroup({-1, 0});
   Rng rng(7);
   const std::vector<RtValue> inputs = {RtValue(rng.uniform({2, 3}))};
-  Interpreter withTexpr(nullptr, /*useTexpr=*/true);
-  Interpreter withoutTexpr(nullptr, /*useTexpr=*/false);
+  Interpreter withTexpr(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true);
+  Interpreter withoutTexpr(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/false);
   const Tensor a = withTexpr.run(*g, inputs)[0].tensor();
   const Tensor b = withoutTexpr.run(*g, inputs)[0].tensor();
   EXPECT_EQ(a.sizes(), (Shape{3, 2}));
@@ -274,10 +319,14 @@ TEST(TexprTest, InvalidAccessViewRaisesTypedError) {
        {std::vector<std::int64_t>{2, 0}, std::vector<std::int64_t>{0, 0},
         std::vector<std::int64_t>{0}}) {
     auto g = permuteAccessGroup(dims);
-    for (const bool useTexpr : {true, false}) {
-      Interpreter interp(nullptr, useTexpr);
+    // Native code, the interpreted body priced as a texpr kernel, and the
+    // interpreted body alone (Tensor::permute's own checks).
+    for (const auto& [useTexpr, jit, label] :
+         {std::tuple{true, true, "jit"}, std::tuple{true, false, "interp"},
+          std::tuple{false, false, "no-texpr"}}) {
+      Interpreter interp(nullptr, useTexpr, 1, jit);
       EXPECT_THROW(interp.run(*g, inputs), Error)
-          << "dims " << dims.size() << (useTexpr ? " texpr" : " interp");
+          << "dims " << dims.size() << " " << label;
     }
   }
 }
