@@ -1,11 +1,14 @@
 // Micro-benchmarks: tensor-library primitives, interpreter dispatch, the
 // analytic device model's per-op pricing (sanity anchors for the figures),
-// and fused-region execution — texpr JIT native code vs the interpreted body
-// (tensor/ops.h, one op at a time) on identical regions (records feed the CI
-// perf gate).
+// per-op kernels at the shapes paper_nlp runs them (each checked bitwise
+// against its per-element reference first), and fused-region execution —
+// texpr JIT native code vs the interpreted body (tensor/ops.h, one op at a
+// time) on identical regions (records feed the CI perf gate).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
+#include <functional>
 
 #include "bench/bench_common.h"
 #include "src/ir/builder.h"
@@ -14,6 +17,7 @@
 #include "src/tensor/random.h"
 #include "src/texpr/jit.h"
 #include "src/texpr/texpr.h"
+#include "tests/ops_reference.h"
 
 namespace {
 
@@ -197,7 +201,7 @@ ir::Block* buildViewBody(ir::Graph& g) {
 
 /// Best-of-`reps` mean ns per `runOnce()` over `iters` runs.
 template <typename Fn>
-double fusedNsPerIter(Fn&& runOnce, int iters, int reps) {
+double bestNsPerIter(Fn&& runOnce, int iters, int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -254,8 +258,8 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
       std::exit(1);
     }
 
-    const double jitNs = fusedNsPerIter(runJit, 40, flags.reps);
-    const double interpNs = fusedNsPerIter(runInterp, 3, flags.reps);
+    const double jitNs = bestNsPerIter(runJit, 40, flags.reps);
+    const double interpNs = bestNsPerIter(runInterp, 3, flags.reps);
     const double speedup = interpNs / jitNs;
     std::printf("  %-8s jit=%10.0f ns  interp=%12.0f ns  speedup=%6.1fx\n",
                 c.name, jitNs, interpNs, speedup);
@@ -279,6 +283,85 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
   }
 }
 
+// ---- Per-op kernels at paper_nlp's shapes -------------------------------------
+
+/// One leg: `run` is timed; before that its result must match `reference`,
+/// the per-element formulation of tests/ops_reference.h, bitwise.
+struct KernelLeg {
+  const char* name;
+  int iters;
+  std::function<Tensor()> run;
+  std::function<Tensor()> reference;
+};
+
+void runKernelBench(const bench::BenchFlags& flags,
+                    bench::BenchReport& report) {
+  namespace ref = testing_support::reference;
+  Rng rng(11);
+  const Tensor h = rng.normal({8, 32});
+  const Tensor w = rng.normal({32, 12288}, 0.0, 0.2);
+  const Tensor logits = rng.normal({8, 12288}, 0.0, 2.0);
+  const Tensor rowMax = ops::maxReduce(logits, 1, /*keepDim=*/true);
+  const Tensor mid = rng.normal({8, 64, 256});
+  Tensor outBuf = Tensor::zeros({8, 64, 12288});
+  const auto softmaxRef = [&] {
+    const Tensor m = ref::refReduce(logits, 1, true, ref::Reduce::Max);
+    const Tensor e = ref::refUnary(
+        ref::refBinary(logits, m, DType::Float32,
+                       [](double x, double y) { return x - y; }),
+        DType::Float32, [](double x) { return std::exp(x); });
+    const Tensor s = ref::refReduce(e, 1, true, ref::Reduce::Sum);
+    return ref::refBinary(e, s, DType::Float32,
+                          [](double x, double y) { return x / y; });
+  };
+  const auto copyRef = [&] {
+    Tensor out = outBuf.clone();
+    Tensor view = out.select(1, 5);
+    ref::refCopy(view, logits);
+    return out;
+  };
+  const KernelLeg legs[] = {
+      {"matmul_8x32x12288", 20, [&] { return ops::matmul(h, w); },
+       [&] { return ref::refMatmul(h, w); }},
+      {"softmax_8x12288", 10, [&] { return ops::softmax(logits, 1); },
+       softmaxRef},
+      {"sum_mid_8x64x256", 20, [&] { return ops::sum(mid, 1); },
+       [&] { return ref::refReduce(mid, 1, false, ref::Reduce::Sum); }},
+      {"sub_bcast_8x12288", 50, [&] { return ops::sub(logits, rowMax); },
+       [&] {
+         return ref::refBinary(logits, rowMax, DType::Float32,
+                               [](double x, double y) { return x - y; });
+       }},
+      {"copy_select_8x64x12288", 50,
+       [&] {
+         outBuf.select(1, 5).copy_(logits);
+         return outBuf;
+       },
+       copyRef},
+      {"cast_f32_i64_8x12288", 50,
+       [&] { return logits.to(DType::Int64); },
+       [&] { return ref::refTo(logits, DType::Int64); }},
+  };
+  std::printf("\n=== Per-op kernels (ns/iter, checked bitwise first) ===\n");
+  for (const KernelLeg& leg : legs) {
+    const Tensor got = leg.run();
+    if (!ref::sameBits(got, leg.reference())) {
+      std::fprintf(stderr, "kernel/%s: result differs from the reference\n",
+                   leg.name);
+      std::exit(1);
+    }
+    const double ns = bestNsPerIter(leg.run, leg.iters, flags.reps);
+    std::printf("  %-24s %12.0f ns\n", leg.name, ns);
+    bench::BenchRecord record;
+    record.name = std::string("kernel/") + leg.name;
+    record.workload = "micro";
+    record.pipeline = "ops";
+    record.nsPerIter = ns;
+    record.timeGated = false;
+    report.add(std::move(record));
+  }
+}
+
 void printDeviceModelAnchors() {
   std::printf("\n=== Device-model anchors (per-kernel cost in us) ===\n");
   for (const auto& device : {runtime::DeviceSpec::consumer(),
@@ -296,6 +379,7 @@ int main(int argc, char** argv) {
   const tssa::bench::BenchFlags flags = tssa::bench::BenchFlags::parse(argc, argv);
   tssa::bench::BenchReport report("micro_ops", flags);
   printDeviceModelAnchors();
+  runKernelBench(flags, report);
   runFusedRegionBench(flags, report);
   report.finish();
   benchmark::Initialize(&argc, argv);

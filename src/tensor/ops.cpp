@@ -1,7 +1,9 @@
 #include "src/tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
 
 #include "src/tensor/strided_loop.h"
@@ -9,50 +11,70 @@
 namespace tssa::ops {
 namespace {
 
-/// Generic broadcasting elementwise binary op evaluated in double precision,
-/// with a fast path for same-shape contiguous Float32 operands.
+using detail::dispatchDType;
+using detail::kRowChunk;
+using detail::storedAs;
+using detail::StridedLoop;
+
+/// The mixed-dtype form of an elementwise kernel over `loop` (operand 0 the
+/// fresh contiguous output, operands 1..K the inputs): each chunk of a row is
+/// loaded into double buffers, `fn(buf, j)` computes element j, and the
+/// chunk is stored through the output dtype. Conversions are those of
+/// static_cast<double>/storedAs, picked once per call.
+template <std::size_t K, typename Fn>
+void stagedRows(StridedLoop<K + 1>& loop,
+                const std::array<const Tensor*, K>& in, Tensor& out,
+                Fn&& fn) {
+  std::array<detail::LoadRowFn, K> load;
+  for (std::size_t k = 0; k < K; ++k)
+    load[k] = detail::loadRowFor(in[k]->dtype());
+  const detail::StoreRowFn store = detail::storeRowFor(out.dtype());
+  Storage& stOut = *out.storage();
+  const std::int64_t n = loop.rowLength();
+  double buf[K][kRowChunk];
+  double res[kRowChunk];
+  for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+    for (std::int64_t j0 = 0; j0 < n; j0 += kRowChunk) {
+      const std::int64_t c = std::min(kRowChunk, n - j0);
+      for (std::size_t k = 0; k < K; ++k) {
+        const std::int64_t s = loop.rowStride(k + 1);
+        load[k](*in[k]->storage(), loop.offset(k + 1) + j0 * s, s, c, buf[k]);
+      }
+      for (std::int64_t j = 0; j < c; ++j) res[j] = fn(buf, j);
+      // The output is contiguous, so its row stride is 1.
+      store(stOut, loop.offset(0) + j0, c, res);
+    }
+  }
+}
+
+/// Broadcasting elementwise binary op evaluated in double precision: one row
+/// loop over (out, a, b). All-Float32 operands are read and written
+/// directly; any other dtype mix is staged through double buffers.
 template <typename Fn>
 Tensor binaryOp(const Tensor& a, const Tensor& b, DType outDType, Fn&& fn) {
   Shape outShape = broadcastShapes(a.sizes(), b.sizes());
   Tensor out = Tensor::empty(outShape, outDType);
-  if (a.dtype() == DType::Float32 && b.dtype() == DType::Float32 &&
-      outDType == DType::Float32 && a.isContiguous() && b.isContiguous() &&
-      a.sizes() == outShape && b.sizes() == outShape) {
-    const float* pa = a.data<float>();
-    const float* pb = b.data<float>();
-    float* po = out.data<float>();
-    const std::int64_t n = out.numel();
-    for (std::int64_t i = 0; i < n; ++i)
-      po[i] = static_cast<float>(fn(pa[i], pb[i]));
-    return out;
-  }
-  // General path: dtypes dispatched once per call, operand offsets walked
-  // incrementally with broadcast-aligned strides (transposed and broadcast
-  // layouts included). `out` is fresh and contiguous, so its element offset
-  // is simply the loop counter.
-  const std::int64_t n = out.numel();
-  if (n == 0) return out;
-  const Strides sa = detail::alignedStrides(outShape, a.sizes(), a.strides());
-  const Strides sb = detail::alignedStrides(outShape, b.sizes(), b.strides());
-  detail::StridedLoop<2> loop(outShape, {&sa, &sb},
-                              {a.storageOffset(), b.storageOffset()});
+  StridedLoop<3> loop(outShape, {&out, &a, &b});
   if (a.dtype() == DType::Float32 && b.dtype() == DType::Float32 &&
       outDType == DType::Float32) {
     const float* pa = a.storage()->as<float>();
     const float* pb = b.storage()->as<float>();
-    float* po = out.data<float>();
-    for (std::int64_t i = 0; i < n; ++i, loop.advance())
-      po[i] = static_cast<float>(fn(pa[loop.offset(0)], pb[loop.offset(1)]));
+    float* po = out.storage()->as<float>();
+    const std::int64_t n = loop.rowLength();
+    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+      float* o = po + loop.offset(0);
+      const float* x = pa + loop.offset(1);
+      const float* y = pb + loop.offset(2);
+      detail::forRow2(n, loop.rowStride(1), loop.rowStride(2),
+                      [&](std::int64_t j, std::int64_t i, std::int64_t k) {
+                        o[j] = static_cast<float>(fn(x[i], y[k]));
+                      });
+    }
     return out;
   }
-  const detail::LoadFn la = detail::loadFnFor(a.dtype());
-  const detail::LoadFn lb = detail::loadFnFor(b.dtype());
-  const detail::StoreFn store = detail::storeFnFor(outDType);
-  const Storage& stA = *a.storage();
-  const Storage& stB = *b.storage();
-  Storage& stOut = *out.storage();
-  for (std::int64_t i = 0; i < n; ++i, loop.advance())
-    store(stOut, i, fn(la(stA, loop.offset(0)), lb(stB, loop.offset(1))));
+  stagedRows<2>(loop, {&a, &b}, out, [&](const auto& buf, std::int64_t j) {
+    return fn(buf[0][j], buf[1][j]);
+  });
   return out;
 }
 
@@ -68,29 +90,32 @@ Tensor compare(const Tensor& a, const Tensor& b, Fn&& fn) {
                   [&](double x, double y) { return fn(x, y) ? 1.0 : 0.0; });
 }
 
-/// Generic elementwise unary op with Float32 fast path.
+/// Elementwise unary op: the row loop of binaryOp with one input.
 template <typename Fn>
 Tensor unaryOp(const Tensor& a, DType outDType, Fn&& fn) {
   Tensor out = Tensor::empty(a.sizes(), outDType);
-  if (a.dtype() == DType::Float32 && outDType == DType::Float32 &&
-      a.isContiguous()) {
-    const float* pa = a.data<float>();
-    float* po = out.data<float>();
-    const std::int64_t n = out.numel();
-    for (std::int64_t i = 0; i < n; ++i)
-      po[i] = static_cast<float>(fn(pa[i]));
+  StridedLoop<2> loop(a.sizes(), {&out, &a});
+  if (a.dtype() == DType::Float32 && outDType == DType::Float32) {
+    const float* pa = a.storage()->as<float>();
+    float* po = out.storage()->as<float>();
+    const std::int64_t n = loop.rowLength();
+    const std::int64_t s = loop.rowStride(1);
+    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+      float* o = po + loop.offset(0);
+      const float* x = pa + loop.offset(1);
+      if (s == 1) {
+        for (std::int64_t j = 0; j < n; ++j)
+          o[j] = static_cast<float>(fn(x[j]));
+      } else {
+        for (std::int64_t j = 0; j < n; ++j)
+          o[j] = static_cast<float>(fn(x[j * s]));
+      }
+    }
     return out;
   }
-  const std::int64_t n = out.numel();
-  if (n == 0) return out;
-  const Strides sa = detail::alignedStrides(a.sizes(), a.sizes(), a.strides());
-  detail::StridedLoop<1> loop(a.sizes(), {&sa}, {a.storageOffset()});
-  const detail::LoadFn load = detail::loadFnFor(a.dtype());
-  const detail::StoreFn store = detail::storeFnFor(outDType);
-  const Storage& stA = *a.storage();
-  Storage& stOut = *out.storage();
-  for (std::int64_t i = 0; i < n; ++i, loop.advance())
-    store(stOut, i, fn(load(stA, loop.offset(0))));
+  stagedRows<1>(loop, {&a}, out, [&](const auto& buf, std::int64_t j) {
+    return fn(buf[0][j]);
+  });
   return out;
 }
 
@@ -98,23 +123,62 @@ Tensor scalarTensor(Scalar s, DType like) {
   return Tensor::scalar(s, isFloatingPoint(like) ? DType::Float32 : s.dtype());
 }
 
-/// Casts a reduction accumulator through the output dtype after every step.
-/// This matches the historical behaviour of accumulating directly in the
-/// output buffer (Float32 sums round per step, Int64 truncates per step), so
-/// the rewrite below stays bitwise identical for finite inputs — but the
+/// `v` rounded through element type U and read back: a reduction
+/// accumulator is cast through the output dtype after every step. This
+/// matches the historical behaviour of accumulating directly in the output
+/// buffer (Float32 sums round per step, Int64 truncates per step) — but the
 /// cast is only ever applied to values that are representable: max/min seed
 /// from the first element instead of casting ±inf into Int64/Bool, which is
 /// undefined behaviour.
-double roundToDType(DType dtype, double v) {
-  switch (dtype) {
-    case DType::Float32:
-      return static_cast<double>(static_cast<float>(v));
-    case DType::Int64:
-      return static_cast<double>(static_cast<std::int64_t>(v));
-    case DType::Bool:
-      return v != 0.0 ? 1.0 : 0.0;
+template <typename U>
+double roundedTo(double v) {
+  return static_cast<double>(storedAs<U>(v));
+}
+
+/// Reduces dim `d` of `a` (element type T) into `out` (element type U, dim d
+/// of extent 1). Each output element accumulates its `extent` inputs in
+/// ascending order along d; see reduceDim for `seedFromFirst`/`init`/`fn`/
+/// `finish`. A chunk of one output row accumulates together, one step of d
+/// at a time, so the chunk's dependency chains run side by side.
+template <typename T, typename U, typename Fn, typename Finish>
+void reduceRows(const Tensor& a, std::int64_t d, Tensor& out,
+                bool seedFromFirst, double init, const Fn& fn,
+                const Finish& finish) {
+  const auto du = static_cast<std::size_t>(d);
+  const std::int64_t extent = a.sizes()[du];
+  const std::int64_t step = a.strides()[du];
+  // out has extent 1 at d, so the loop skips it: operand 1 starts each
+  // output's run of a.
+  StridedLoop<2> loop(out.sizes(), {&out, &a});
+  const T* pa = a.storage()->as<T>();
+  U* po = out.storage()->as<U>();
+  const std::int64_t n = loop.rowLength();
+  const std::int64_t sa = loop.rowStride(1);
+  const std::int64_t first = seedFromFirst ? 1 : 0;
+  auto seed = [&](const T* p) {
+    return seedFromFirst ? roundedTo<U>(static_cast<double>(p[0])) : init;
+  };
+  // When d has the smaller stride, each output reads its own run of a:
+  // eight runs side by side hide the chain latency without thrashing the
+  // cache. Otherwise a row of a feeds a whole chunk of outputs.
+  const std::int64_t chunk = std::abs(step) <= std::abs(sa) ? 8 : kRowChunk;
+  double acc[kRowChunk];
+  for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+    U* o = po + loop.offset(0);  // out is contiguous: row stride 1
+    const T* x = pa + loop.offset(1);
+    for (std::int64_t l0 = 0; l0 < n; l0 += chunk) {
+      const std::int64_t c = std::min(chunk, n - l0);
+      const T* base = x + l0 * sa;
+      for (std::int64_t l = 0; l < c; ++l) acc[l] = seed(base + l * sa);
+      for (std::int64_t j = first; j < extent; ++j) {
+        const T* p = base + j * step;
+        for (std::int64_t l = 0; l < c; ++l)
+          acc[l] = roundedTo<U>(fn(acc[l], static_cast<double>(p[l * sa])));
+      }
+      for (std::int64_t l = 0; l < c; ++l)
+        o[l0 + l] = storedAs<U>(finish(acc[l]));
+    }
   }
-  TSSA_THROW("unknown dtype");
 }
 
 /// Shared driver for dim reductions: reduces `dim` of `a` with `fn`. The
@@ -127,33 +191,57 @@ Tensor reduceDim(const Tensor& a, std::int64_t dim, bool keepDim,
                  DType outDType, bool seedFromFirst, double init, Fn&& fn,
                  Finish&& finish) {
   const std::int64_t d = normalizeDim(dim, a.dim());
-  const auto du = static_cast<std::size_t>(d);
-  const std::int64_t extent = a.size(d);
-  TSSA_CHECK(!seedFromFirst || extent > 0,
+  TSSA_CHECK(!seedFromFirst || a.size(d) > 0,
              "reduction over an empty dimension has no identity");
   Shape outShape = a.sizes();
-  outShape[du] = 1;
+  outShape[static_cast<std::size_t>(d)] = 1;
   Tensor out = Tensor::empty(outShape, outDType);
-  Shape idx;
-  for (IndexIterator it(outShape); it.valid(); it.next()) {
-    idx.assign(it.index().begin(), it.index().end());
-    double acc = init;
-    std::int64_t j = 0;
-    if (seedFromFirst) {
-      idx[du] = 0;
-      acc = roundToDType(outDType, a.scalarAt(idx));
-      j = 1;
+  dispatchDType(a.dtype(), [&](auto inTag) {
+    dispatchDType(outDType, [&](auto outTag) {
+      reduceRows<decltype(inTag), decltype(outTag)>(a, d, out, seedFromFirst,
+                                                    init, fn, finish);
+    });
+  });
+  return keepDim ? out : out.squeeze(d);
+}
+
+/// Float32 matmul operand as a contiguous buffer: the operand itself when it
+/// already is one, else a converted copy.
+Tensor contiguousFloat(const Tensor& t) {
+  return t.dtype() == DType::Float32 && t.isContiguous() ? t
+                                                         : t.to(DType::Float32);
+}
+
+/// po[m, n] = pa[m, k] x pb[k, n] over contiguous row-major Float32 blocks.
+/// The i-k-j loop is blocked over four output rows that share each row of B
+/// and over column tiles whose sums stay in a local buffer. Each output
+/// element still starts at +0.0f and adds its k products in ascending k
+/// order, as the plain i-k-j loop does.
+void matmulInto(const float* pa, const float* pb, float* po, std::int64_t m,
+                std::int64_t k, std::int64_t n) {
+  constexpr std::int64_t kRows = 4;
+  constexpr std::int64_t kTileCols = 256;
+  float acc[kRows][kTileCols];
+  for (std::int64_t i0 = 0; i0 < m; i0 += kRows) {
+    const std::int64_t rows = std::min(kRows, m - i0);
+    for (std::int64_t j0 = 0; j0 < n; j0 += kTileCols) {
+      const std::int64_t w = std::min(kTileCols, n - j0);
+      // Rows past `rows` (the last block of a ragged m) are computed from
+      // zeros and never stored; a fixed row count keeps the loop unrolled.
+      for (auto& row : acc) std::fill(row, row + w, 0.0f);
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        float va[kRows] = {};
+        for (std::int64_t r = 0; r < rows; ++r) va[r] = pa[(i0 + r) * k + kk];
+        const float* rowB = pb + kk * n + j0;
+        for (std::int64_t j = 0; j < w; ++j) {
+          const float b = rowB[j];
+          for (std::int64_t r = 0; r < kRows; ++r) acc[r][j] += va[r] * b;
+        }
+      }
+      for (std::int64_t r = 0; r < rows; ++r)
+        std::copy(acc[r], acc[r] + w, po + (i0 + r) * n + j0);
     }
-    for (; j < extent; ++j) {
-      idx[du] = j;
-      acc = roundToDType(outDType, fn(acc, a.scalarAt(idx)));
-    }
-    out.setScalarAt(it.index(), finish(acc));
   }
-  if (!keepDim) {
-    return out.squeeze(d);
-  }
-  return out;
 }
 
 }  // namespace
@@ -271,36 +359,30 @@ Tensor where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   Shape shape = broadcastShapes(cond.sizes(), a.sizes());
   shape = broadcastShapes(shape, b.sizes());
   Tensor out = Tensor::empty(shape, promoteTypes(a.dtype(), b.dtype()));
-  // One strided walk over (cond, a, b); dtypes dispatched once per call.
-  const std::int64_t n = out.numel();
-  if (n == 0) return out;
-  const Strides sc =
-      detail::alignedStrides(shape, cond.sizes(), cond.strides());
-  const Strides sa = detail::alignedStrides(shape, a.sizes(), a.strides());
-  const Strides sb = detail::alignedStrides(shape, b.sizes(), b.strides());
-  detail::StridedLoop<3> loop(
-      shape, {&sc, &sa, &sb},
-      {cond.storageOffset(), a.storageOffset(), b.storageOffset()});
-  const std::uint8_t* pc = cond.storage()->as<std::uint8_t>();
+  StridedLoop<4> loop(shape, {&out, &cond, &a, &b});
   if (a.dtype() == DType::Float32 && b.dtype() == DType::Float32) {
+    const std::uint8_t* pc = cond.storage()->as<std::uint8_t>();
     const float* pa = a.storage()->as<float>();
     const float* pb = b.storage()->as<float>();
-    float* po = out.data<float>();
-    for (std::int64_t i = 0; i < n; ++i, loop.advance())
-      po[i] = pc[loop.offset(0)] != 0 ? pa[loop.offset(1)]
-                                      : pb[loop.offset(2)];
+    float* po = out.storage()->as<float>();
+    const std::int64_t n = loop.rowLength();
+    const std::int64_t tc = loop.rowStride(1);
+    const std::int64_t ta = loop.rowStride(2);
+    const std::int64_t tb = loop.rowStride(3);
+    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+      float* o = po + loop.offset(0);
+      const std::uint8_t* c = pc + loop.offset(1);
+      const float* x = pa + loop.offset(2);
+      const float* y = pb + loop.offset(3);
+      for (std::int64_t j = 0; j < n; ++j)
+        o[j] = c[j * tc] != 0 ? x[j * ta] : y[j * tb];
+    }
     return out;
   }
-  const detail::LoadFn la = detail::loadFnFor(a.dtype());
-  const detail::LoadFn lb = detail::loadFnFor(b.dtype());
-  const detail::StoreFn store = detail::storeFnFor(out.dtype());
-  const Storage& stA = *a.storage();
-  const Storage& stB = *b.storage();
-  Storage& stOut = *out.storage();
-  for (std::int64_t i = 0; i < n; ++i, loop.advance())
-    store(stOut, i,
-          pc[loop.offset(0)] != 0 ? la(stA, loop.offset(1))
-                                  : lb(stB, loop.offset(2)));
+  stagedRows<3>(loop, {&cond, &a, &b}, out,
+                [&](const auto& buf, std::int64_t j) {
+                  return buf[0][j] != 0.0 ? buf[1][j] : buf[2][j];
+                });
   return out;
 }
 
@@ -315,8 +397,16 @@ Tensor maskedFill(const Tensor& a, const Tensor& mask, Scalar value) {
 
 Tensor sum(const Tensor& a) {
   double acc = 0;
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) acc += a.scalarAtLinear(i);
+  StridedLoop<1> loop(a.sizes(), {&a});
+  const std::int64_t n = loop.rowLength();
+  const std::int64_t s = loop.rowStride(0);
+  dispatchDType(a.dtype(), [&](auto tag) {
+    const auto* p = a.storage()->as<decltype(tag)>();
+    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+      const auto* x = p + loop.offset(0);
+      for (std::int64_t j = 0; j < n; ++j) acc += static_cast<double>(x[j * s]);
+    }
+  });
   const DType dt = a.dtype() == DType::Bool ? DType::Int64 : a.dtype();
   return Tensor::scalar(Scalar(acc), dt);
 }
@@ -366,27 +456,35 @@ Tensor argmax(const Tensor& a, std::int64_t dim, bool keepDim) {
   const auto du = static_cast<std::size_t>(d);
   const std::int64_t extent = a.size(d);
   TSSA_CHECK(extent > 0, "argmax over an empty dimension");
+  const std::int64_t step = a.strides()[du];
   Shape outShape = a.sizes();
   outShape[du] = 1;
   Tensor out = Tensor::empty(outShape, DType::Int64);
-  Shape idx;
-  for (IndexIterator it(outShape); it.valid(); it.next()) {
-    idx.assign(it.index().begin(), it.index().end());
-    idx[du] = 0;
-    double best = a.scalarAt(idx);
-    std::int64_t bestIndex = 0;
-    for (std::int64_t j = 1; j < extent; ++j) {
-      idx[du] = j;
-      const double v = a.scalarAt(idx);
-      // PyTorch semantics: NaN compares greater than everything, the first
-      // NaN wins; among ordinary values ties keep the earlier index.
-      if ((std::isnan(v) && !std::isnan(best)) || v > best) {
-        best = v;
-        bestIndex = j;
+  StridedLoop<2> loop(outShape, {&out, &a});
+  const std::int64_t n = loop.rowLength();
+  const std::int64_t sa = loop.rowStride(1);
+  std::int64_t* po = out.storage()->as<std::int64_t>();
+  dispatchDType(a.dtype(), [&](auto tag) {
+    const auto* pa = a.storage()->as<decltype(tag)>();
+    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+      for (std::int64_t l = 0; l < n; ++l) {
+        const auto* p = pa + loop.offset(1) + l * sa;
+        double best = static_cast<double>(p[0]);
+        std::int64_t bestIndex = 0;
+        for (std::int64_t j = 1; j < extent; ++j) {
+          const double v = static_cast<double>(p[j * step]);
+          // PyTorch semantics: NaN compares greater than everything, the
+          // first NaN wins; among ordinary values ties keep the earlier
+          // index.
+          if ((std::isnan(v) && !std::isnan(best)) || v > best) {
+            best = v;
+            bestIndex = j;
+          }
+        }
+        po[loop.offset(0) + l] = bestIndex;  // out is contiguous
       }
     }
-    out.setScalarAt(it.index(), static_cast<double>(bestIndex));
-  }
+  });
   return keepDim ? out : out.squeeze(d);
 }
 
@@ -408,32 +506,27 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   TSSA_CHECK(a.size(1) == b.size(0), "matmul inner dimensions disagree: "
                                          << a.size(1) << " vs " << b.size(0));
   const std::int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  Tensor ac = a.to(DType::Float32).contiguous();
-  Tensor bc = b.to(DType::Float32).contiguous();
-  Tensor out = Tensor::zeros({m, n}, DType::Float32);
-  const float* pa = ac.data<float>();
-  const float* pb = bc.data<float>();
-  float* po = out.data<float>();
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float va = pa[i * k + kk];
-      const float* rowB = pb + kk * n;
-      float* rowO = po + i * n;
-      for (std::int64_t j = 0; j < n; ++j) rowO[j] += va * rowB[j];
-    }
-  }
+  const Tensor ac = contiguousFloat(a);
+  const Tensor bc = contiguousFloat(b);
+  Tensor out = Tensor::empty({m, n}, DType::Float32);
+  matmulInto(ac.data<float>(), bc.data<float>(), out.data<float>(), m, k, n);
   return out;
 }
 
 Tensor bmm(const Tensor& a, const Tensor& b) {
   TSSA_CHECK(a.dim() == 3 && b.dim() == 3, "bmm expects 3-D operands");
   TSSA_CHECK(a.size(0) == b.size(0), "bmm batch dims disagree");
+  TSSA_CHECK(a.size(2) == b.size(1), "bmm inner dimensions disagree: "
+                                         << a.size(2) << " vs " << b.size(1));
   const std::int64_t batch = a.size(0);
-  std::vector<Tensor> outs;
-  outs.reserve(static_cast<std::size_t>(batch));
+  const std::int64_t m = a.size(1), k = a.size(2), n = b.size(2);
+  const Tensor ac = contiguousFloat(a);
+  const Tensor bc = contiguousFloat(b);
+  Tensor out = Tensor::empty({batch, m, n}, DType::Float32);
   for (std::int64_t i = 0; i < batch; ++i)
-    outs.push_back(matmul(a.select(0, i), b.select(0, i)));
-  return stack(outs, 0);
+    matmulInto(ac.data<float>() + i * m * k, bc.data<float>() + i * k * n,
+               out.data<float>() + i * m * n, m, k, n);
+  return out;
 }
 
 // ---- Shape combinators -----------------------------------------------------------------------
@@ -495,11 +588,23 @@ Tensor gather(const Tensor& a, std::int64_t dim, const Tensor& index) {
   TSSA_CHECK(index.dtype() == DType::Int64, "gather needs Int64 indices");
   TSSA_CHECK(index.dim() == a.dim(), "gather index rank must match input");
   const std::int64_t d = normalizeDim(dim, a.dim());
+  for (std::int64_t i = 0; i < a.dim(); ++i) {
+    TSSA_CHECK(i == d || index.size(i) <= a.size(i),
+               "gather index extent " << index.size(i)
+                                      << " exceeds input extent " << a.size(i)
+                                      << " in dim " << i);
+  }
+  const std::int64_t extent = a.size(d);
+  const std::int64_t* pi = index.storage()->as<std::int64_t>();
   Tensor out = Tensor::empty(index.sizes(), a.dtype());
   for (IndexIterator it(index.sizes()); it.valid(); it.next()) {
+    const std::int64_t j =
+        pi[index.storageOffset() + offsetOf(it.index(), index.strides())];
+    TSSA_CHECK(j >= 0 && j < extent, "gather index " << j
+                                         << " out of range for dim " << d
+                                         << " of extent " << extent);
     Shape srcIndex(it.index().begin(), it.index().end());
-    srcIndex[static_cast<std::size_t>(d)] =
-        static_cast<std::int64_t>(index.scalarAt(it.index()));
+    srcIndex[static_cast<std::size_t>(d)] = j;
     out.setScalarAt(it.index(), a.scalarAt(srcIndex));
   }
   return out;

@@ -46,7 +46,7 @@ Shape broadcastShapes(std::span<const std::int64_t> a,
       TSSA_THROW("cannot broadcast shapes " << bracketed(a) << " and "
                                             << bracketed(b));
     }
-    out[rank - 1 - i] = std::max(da, db);
+    out[rank - 1 - i] = da == 1 ? db : da;  // 1 broadcasts, also to 0
   }
   return out;
 }

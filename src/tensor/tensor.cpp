@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "src/tensor/arena.h"
 #include "src/tensor/strided_loop.h"
@@ -10,18 +12,34 @@
 namespace tssa {
 namespace {
 
-/// Dispatches `fn` with a type tag matching `dtype`.
-template <typename Fn>
-decltype(auto) dispatchDType(DType dtype, Fn&& fn) {
-  switch (dtype) {
-    case DType::Float32:
-      return fn(float{});
-    case DType::Int64:
-      return fn(std::int64_t{});
-    case DType::Bool:
-      return fn(std::uint8_t{});
+using detail::dispatchDType;
+
+/// Copies the rows of `loop` (operand 0 the destination, 1 the source).
+/// Equal dtypes copy bits, a unit-stride row as one memmove; otherwise each
+/// element converts through double and storedAs.
+template <typename D, typename S>
+void copyRows(detail::StridedLoop<2>& loop, D* pd, const S* ps) {
+  const std::int64_t n = loop.rowLength();
+  const std::int64_t sd = loop.rowStride(0);
+  const std::int64_t ss = loop.rowStride(1);
+  for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+    D* d = pd + loop.offset(0);
+    const S* s = ps + loop.offset(1);
+    if constexpr (std::is_same_v<D, S>) {
+      if (sd == 1 && ss == 1) {
+        std::memmove(d, s, static_cast<std::size_t>(n) * sizeof(D));
+        continue;
+      }
+    }
+    detail::forRow2(n, sd, ss,
+                    [&](std::int64_t, std::int64_t i, std::int64_t j) {
+                      if constexpr (std::is_same_v<D, S>) {
+                        d[i] = s[j];
+                      } else {
+                        d[i] = detail::storedAs<D>(static_cast<double>(s[j]));
+                      }
+                    });
   }
-  TSSA_THROW("unknown dtype");
 }
 
 }  // namespace
@@ -343,11 +361,7 @@ Tensor Tensor::flatten(std::int64_t startDim, std::int64_t endDim) const {
 
 // ---- Copies ------------------------------------------------------------------
 
-Tensor Tensor::clone() const {
-  Tensor out = empty(sizes_, dtype_);
-  out.copy_(*this);
-  return out;
-}
+Tensor Tensor::clone() const { return to(dtype_); }
 
 Tensor Tensor::contiguous() const {
   if (isContiguous()) return *this;
@@ -356,9 +370,7 @@ Tensor Tensor::contiguous() const {
 
 Tensor Tensor::to(DType dtype) const {
   Tensor out = empty(sizes_, dtype);
-  const std::int64_t n = numel();
-  for (std::int64_t i = 0; i < n; ++i)
-    out.setScalarAtLinear(i, scalarAtLinear(i));
+  out.copy_(*this);
   return out;
 }
 
@@ -371,67 +383,44 @@ void Tensor::copy_(const Tensor& src) {
                                    << " not broadcastable to "
                                    << bracketed(sizes_));
   if (numel() == 0) return;  // extent-0: raw() may be null, memmove(null) is UB
-  // Fast path: same dtype, both contiguous, same shape, no overlap concern
-  // (bitwise copy is fine even for self-copy).
-  if (src.dtype_ == dtype_ && isContiguous() && src.isContiguous() &&
-      src.sizes_ == sizes_) {
-    const std::size_t bytes =
-        static_cast<std::size_t>(numel()) * dtypeSize(dtype_);
-    std::memmove(storage_->raw() + static_cast<std::size_t>(offset_) *
-                                       dtypeSize(dtype_),
-                 src.storage_->raw() + static_cast<std::size_t>(src.offset_) *
-                                           dtypeSize(dtype_),
-                 bytes);
-    return;
-  }
-  // General path. If source and destination may overlap in storage, snapshot
-  // the source first (PyTorch semantics for overlapping copy_ are undefined;
-  // we pick the snapshot semantics so programs are deterministic).
-  Tensor source = src;
-  if (sharesStorageWith(src)) {
-    Tensor snapshot = Tensor::empty(src.sizes_, src.dtype_);
-    const std::int64_t n = src.numel();
-    for (std::int64_t i = 0; i < n; ++i)
-      snapshot.setScalarAtLinear(i, src.scalarAtLinear(i));
-    source = snapshot;
-  }
-  // Strided walk: dtype pair dispatched once, destination and (broadcast-
-  // aligned) source offsets updated incrementally per element.
-  const std::int64_t n = numel();
-  if (n == 0) return;
-  const Strides srcStrides =
-      detail::alignedStrides(sizes_, source.sizes_, source.strides_);
-  detail::StridedLoop<2> loop(sizes_, {&strides_, &srcStrides},
-                              {offset_, source.offset_});
-  if (dtype_ == DType::Float32 && source.dtype_ == DType::Float32) {
-    const float* ps = source.storage_->as<float>();
-    float* pd = storage_->as<float>();
-    for (std::int64_t i = 0; i < n; ++i, loop.advance())
-      pd[loop.offset(0)] = ps[loop.offset(1)];
-    return;
-  }
-  const detail::LoadFn load = detail::loadFnFor(source.dtype_);
-  const detail::StoreFn store = detail::storeFnFor(dtype_);
-  const Storage& ss = *source.storage_;
-  Storage& ds = *storage_;
-  for (std::int64_t i = 0; i < n; ++i, loop.advance())
-    store(ds, loop.offset(0), load(ss, loop.offset(1)));
+  // If source and destination may overlap in storage, snapshot the source
+  // first (PyTorch semantics for overlapping copy_ are undefined; we pick the
+  // snapshot semantics so programs are deterministic). Two same-shape
+  // contiguous blocks of one dtype are a single row, and its memmove already
+  // reads a snapshot.
+  const bool oneBlock = src.dtype_ == dtype_ && src.sizes_ == sizes_ &&
+                        isContiguous() && src.isContiguous();
+  Tensor snapshot;
+  if (sharesStorageWith(src) && !oneBlock) snapshot = src.clone();
+  const Tensor& source = snapshot.defined() ? snapshot : src;
+  detail::StridedLoop<2> loop(sizes_, {this, &source});
+  dispatchDType(dtype_, [&](auto dstTag) {
+    using D = decltype(dstTag);
+    dispatchDType(source.dtype_, [&](auto srcTag) {
+      using S = decltype(srcTag);
+      copyRows(loop, storage_->as<D>(), source.storage_->as<S>());
+    });
+  });
 }
 
 void Tensor::fill_(Scalar value) {
   TSSA_CHECK(defined(), "fill_ on undefined tensor");
   const double v = value.toDouble();
-  if (isContiguous()) {
-    const std::int64_t n = numel();
-    dispatchDType(dtype_, [&](auto tag) {
-      using T = decltype(tag);
-      T* p = storage_->as<T>() + offset_;
-      std::fill(p, p + n, detail::storedAs<T>(v));
-    });
-    return;
-  }
-  for (IndexIterator it(sizes_); it.valid(); it.next())
-    setScalarAt(it.index(), v);
+  detail::StridedLoop<1> loop(sizes_, {this});
+  const std::int64_t n = loop.rowLength();
+  const std::int64_t stride = loop.rowStride(0);
+  dispatchDType(dtype_, [&](auto tag) {
+    using T = decltype(tag);
+    const T x = detail::storedAs<T>(v);
+    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+      T* row = storage_->as<T>() + loop.offset(0);
+      if (stride == 1) {
+        std::fill(row, row + n, x);
+      } else {
+        for (std::int64_t j = 0; j < n; ++j) row[j * stride] = x;
+      }
+    }
+  });
 }
 
 // ---- Printing / comparison ------------------------------------------------------

@@ -391,5 +391,52 @@ TEST(EdgeCaseTest, RankZeroAndExtentZeroThroughPlannedPipeline) {
   }
 }
 
+
+// gather reads a[..., index[i...], ...]: an index past the gathered dim's
+// extent, a negative one, or an index extent larger than the input in
+// another dim would read out of bounds, so each raises a typed error.
+TEST(EdgeCaseTest, GatherOutOfRangeIndexRaisesTypedError) {
+  const Tensor a = Tensor::fromData({1, 2, 3, 4}, {2, 2});
+  auto index = [](std::vector<std::int64_t> v, Shape shape) {
+    return Tensor::fromData(std::span<const std::int64_t>(v), std::move(shape));
+  };
+  EXPECT_THROW(ops::gather(a, 0, index({1000000}, {1, 1})), Error);
+  EXPECT_THROW(ops::gather(a, 1, index({0, 2}, {1, 2})), Error);
+  EXPECT_THROW(ops::gather(a, 1, index({-1}, {1, 1})), Error);
+  EXPECT_THROW(ops::gather(a, 1, index({0, 0, 0}, {3, 1})), Error);
+  // The gathered dim's index extent may exceed the input's.
+  const Tensor g = ops::gather(a, 1, index({1, 0, 1, 1, 0, 0}, {2, 3}));
+  EXPECT_EQ(g.sizes(), (Shape{2, 3}));
+  const double expected[] = {2, 1, 2, 4, 3, 3};
+  for (std::int64_t i = 0; i < 6; ++i)
+    EXPECT_EQ(g.scalarAtLinear(i), expected[i]) << "index " << i;
+}
+
+// Broadcasting an extent of 1 against 0 gives 0 (NumPy rules); an extent of
+// 1 would make the kernels read one element of the empty operand.
+TEST(EdgeCaseTest, BroadcastAgainstZeroExtentIsEmpty) {
+  EXPECT_EQ(broadcastShapes(Shape{1}, Shape{0}), (Shape{0}));
+  EXPECT_EQ(broadcastShapes(Shape{}, Shape{1, 0}), (Shape{1, 0}));
+  const Tensor empty = Tensor::zeros({1, 0});
+  EXPECT_EQ(ops::add(Tensor::ones({3, 1}), empty).sizes(), (Shape{3, 0}));
+  EXPECT_EQ(ops::where(Tensor::ones({}, DType::Bool), Tensor::ones({}), empty)
+                .sizes(),
+            (Shape{1, 0}));
+}
+
+// Copies between tensors of one dtype move bits: Int64 values past 2^53
+// survive a strided copy_ and a cast to the same dtype rather than being
+// rounded through double.
+TEST(EdgeCaseTest, SameDtypeCopyKeepsLargeInt64Exact) {
+  const std::int64_t big = (std::int64_t{1} << 53) + 1;
+  const Tensor a = Tensor::fromData(std::vector<std::int64_t>{big, -big, 1, 2},
+                                    {2, 2});
+  EXPECT_EQ(a.to(DType::Int64).data<std::int64_t>()[0], big);
+  Tensor t = Tensor::zeros({2, 2}, DType::Int64);
+  t.copy_(a.transpose(0, 1));
+  EXPECT_EQ(t.data<std::int64_t>()[0], big);
+  EXPECT_EQ(t.data<std::int64_t>()[2], -big);
+}
+
 }  // namespace
 }  // namespace tssa

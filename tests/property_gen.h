@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "src/ir/builder.h"
@@ -718,6 +720,164 @@ class FusedRegionGenerator {
   Node* lastNode_ = nullptr;
   std::vector<Val> live_;
   std::vector<Val> produced_;  ///< node outputs, returned in order
+};
+
+/// A strided view of a base tensor, kept as the recipe that derives it so
+/// the same layout can be rebuilt over a copy of the base (`on`): kernel
+/// and reference then write through identical views of separate storage,
+/// and the two bases compare bytewise.
+struct ViewRecipe {
+  Shape perm;                   ///< base.permute(perm) puts dims in order
+  std::int64_t selectDim = -1;  ///< an extra dim selected away (-1: none)
+  std::int64_t selectIndex = 0;
+  /// Per remaining dim: slice(start, start + len * step, step); step 0
+  /// leaves the dim untouched.
+  Shape sliceStart, sliceStep, sliceLen;
+  Shape expandTo;  ///< empty: no expand
+
+  Tensor on(const Tensor& base) const {
+    Tensor t = base.permute(perm);
+    if (selectDim >= 0) t = t.select(selectDim, selectIndex);
+    for (std::size_t d = 0; d < sliceStep.size(); ++d) {
+      if (sliceStep[d] == 0) continue;
+      t = t.slice(static_cast<std::int64_t>(d), sliceStart[d],
+                  sliceStart[d] + sliceLen[d] * sliceStep[d], sliceStep[d]);
+    }
+    return expandTo.empty() ? t : t.expand(expandTo);
+  }
+};
+
+/// Random tensors for kernel-level differential tests: shapes of rank 0-4
+/// with extents 0 and 1 among them, reached through random chains of
+/// permute/transpose, select, slice and expand views of a fresh base, in
+/// Float32, Int64 or Bool. Float32 values include NaN, ±inf and -0.0 unless
+/// `finite` is set (casts into Int64 need finite values); Int64 values are
+/// small, so every conversion through double is exact.
+class ViewedTensorGenerator {
+ public:
+  explicit ViewedTensorGenerator(Rng& rng) : rng_(rng) {}
+
+  struct Viewed {
+    Tensor base;  ///< contiguous storage owner
+    ViewRecipe recipe;
+    Tensor view() const { return recipe.on(base); }
+  };
+
+  DType dtype() {
+    static constexpr DType kAll[] = {DType::Float32, DType::Int64,
+                                     DType::Bool};
+    return kAll[rng_.nextInt(0, 2)];
+  }
+
+  /// Rank 0-`maxRank`, extents drawn from {0, 1, 1, 2, 3, 4, 5}.
+  Shape shape(int maxRank = 4) {
+    static constexpr std::int64_t kExtents[] = {0, 1, 1, 2, 3, 4, 5};
+    Shape s(static_cast<std::size_t>(rng_.nextInt(0, maxRank)));
+    for (std::int64_t& e : s) e = kExtents[rng_.nextInt(0, 6)];
+    return s;
+  }
+
+  /// `to` with some dims collapsed to 1 and some leading dims dropped: a
+  /// shape that broadcasts to `to`.
+  Shape broadcastableTo(const Shape& to) {
+    const auto drop = static_cast<std::size_t>(
+        rng_.nextInt(0, static_cast<std::int64_t>(to.size())));
+    Shape s(to.begin() + static_cast<std::ptrdiff_t>(drop), to.end());
+    for (std::int64_t& e : s)
+      if (rng_.nextBool(0.3)) e = 1;
+    return s;
+  }
+
+  /// A contiguous tensor of fresh values.
+  Tensor values(const Shape& sizes, DType dtype, bool finite) {
+    Tensor t = Tensor::empty(sizes, dtype);
+    const std::int64_t n = t.numel();
+    switch (dtype) {
+      case DType::Float32: {
+        float* p = t.data<float>();
+        for (std::int64_t i = 0; i < n; ++i) p[i] = floatValue(finite);
+        break;
+      }
+      case DType::Int64: {
+        std::int64_t* p = t.data<std::int64_t>();
+        for (std::int64_t i = 0; i < n; ++i) p[i] = rng_.nextInt(-6, 6);
+        break;
+      }
+      case DType::Bool: {
+        std::uint8_t* p = t.data<std::uint8_t>();
+        for (std::int64_t i = 0; i < n; ++i) p[i] = rng_.nextBool() ? 1 : 0;
+        break;
+      }
+    }
+    return t;
+  }
+
+  /// A view of exactly `sizes` over a fresh base of its own layout: dims
+  /// permuted in storage, sliced with an offset and step, an extra dim
+  /// selected away, or (unless `writable`) broadcast from extent 1 by
+  /// expand — each at random.
+  Viewed viewOf(const Shape& sizes, DType dtype, bool finite,
+                bool writable = false) {
+    const std::size_t rank = sizes.size();
+    ViewRecipe r;
+    // Dims of the permuted-back base: `rank` target dims plus maybe one
+    // extra dim at `selectDim` that select removes.
+    Shape ordered;
+    const bool expand = !writable && rank > 0 && rng_.nextBool(0.25);
+    Shape pre(rank);  // extent of each target dim before expand
+    for (std::size_t d = 0; d < rank; ++d)
+      pre[d] = expand && rng_.nextBool(0.5) ? 1 : sizes[d];
+    if (expand) r.expandTo = sizes;
+    r.sliceStart.assign(rank, 0);
+    r.sliceStep.assign(rank, 0);
+    r.sliceLen.assign(rank, 0);
+    for (std::size_t d = 0; d < rank; ++d) {
+      std::int64_t extent = pre[d];
+      if (pre[d] > 0 && rng_.nextBool(0.3)) {
+        r.sliceStep[d] = rng_.nextInt(1, 2);
+        r.sliceStart[d] = rng_.nextInt(0, 2);
+        r.sliceLen[d] = pre[d];
+        extent = r.sliceStart[d] + pre[d] * r.sliceStep[d] + rng_.nextInt(0, 1);
+      }
+      ordered.push_back(extent);
+    }
+    if (rng_.nextBool(0.3)) {
+      r.selectDim = rng_.nextInt(0, static_cast<std::int64_t>(rank));
+      const std::int64_t extent = rng_.nextInt(1, 3);
+      r.selectIndex = rng_.nextInt(0, extent - 1);
+      ordered.insert(ordered.begin() + r.selectDim, extent);
+    }
+    // Store the dims in a random order; permute(perm) restores `ordered`.
+    Shape storageOrder(ordered.size());
+    std::iota(storageOrder.begin(), storageOrder.end(), 0);
+    std::shuffle(storageOrder.begin(), storageOrder.end(), rng_.engine());
+    Shape stored(ordered.size());
+    for (std::size_t i = 0; i < ordered.size(); ++i)
+      stored[i] = ordered[static_cast<std::size_t>(storageOrder[i])];
+    r.perm.assign(ordered.size(), 0);
+    for (std::size_t i = 0; i < ordered.size(); ++i)
+      r.perm[static_cast<std::size_t>(storageOrder[i])] =
+          static_cast<std::int64_t>(i);
+    Viewed v{values(stored, dtype, finite), r};
+    TSSA_CHECK(v.view().sizes() == sizes, "ViewedTensorGenerator shape");
+    return v;
+  }
+
+ private:
+  float floatValue(bool finite) {
+    if (rng_.nextBool(0.15)) {
+      static constexpr float kSpecial[] = {
+          0.0f, -0.0f, 1.0f, std::numeric_limits<float>::infinity(),
+          -std::numeric_limits<float>::infinity(),
+          std::numeric_limits<float>::quiet_NaN()};
+      return kSpecial[rng_.nextInt(0, finite ? 2 : 5)];
+    }
+    // Some integral values, so max/min/argmax see ties.
+    if (rng_.nextBool(0.2)) return static_cast<float>(rng_.nextInt(-3, 3));
+    return static_cast<float>(rng_.nextDouble(-4, 4));
+  }
+
+  Rng& rng_;
 };
 
 /// One step of a randomized cache schedule: worker `thread` looks up key
