@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "src/analysis/cost.h"
 #include "src/core/dce.h"
 #include "src/core/fusion.h"
 #include "src/core/inplace_reuse.h"
@@ -19,9 +20,6 @@
 namespace {
 
 using namespace tssa;
-using runtime::DeviceSpec;
-using runtime::HostSpec;
-using runtime::Profiler;
 
 enum class Variant {
   BaselineFusion,
@@ -95,10 +93,10 @@ void printAblation() {
     std::printf("%-10s", name.c_str());
     for (Variant v : variants) {
       auto graph = compileVariant(*w.graph, v);
-      Profiler prof(DeviceSpec::dataCenter(), HostSpec::torchscriptVm());
-      runtime::Interpreter interp(&prof);
-      interp.run(*graph, w.inputs);
-      std::printf(" %13.1fus", prof.simTimeUs());
+      // Defaults: data-center device, TorchScript VM host.
+      const analysis::CostReport cost =
+          analysis::estimateCost(*graph, analysis::costInputs(w.inputs));
+      std::printf(" %13.1fus", cost.simUs);
     }
     std::printf("\n");
   }

@@ -243,11 +243,11 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
     texpr::Kernel jit(*body);
     runtime::Interpreter interp(nullptr, /*useTexpr=*/true, 1,
                                 /*texprJit=*/false);
-    auto runJit = [&] { return *jit.run(inputs, nullptr, 1); };
+    auto runJit = [&] { return *jit.run(inputs, 1); };
     auto runInterp = [&] { return interp.run(g, inputs); };
     // Warm up: first JIT run pays the external compile; the JIT must accept
     // the region and agree bitwise, or the comparison is meaningless.
-    if (!jit.run(inputs, nullptr, 1).has_value()) {
+    if (!jit.run(inputs, 1).has_value()) {
       std::fprintf(stderr, "fused_region/%s: JIT declined\n", c.name);
       std::exit(1);
     }

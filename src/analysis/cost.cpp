@@ -1,5 +1,10 @@
 #include "src/analysis/cost.h"
 
+#include <string>
+#include <string_view>
+#include <utility>
+
+#include "src/runtime/profiler.h"
 #include "src/support/error.h"
 #include "src/texpr/texpr.h"
 
@@ -64,13 +69,143 @@ std::vector<CostValue> bindSymbolic(
 
 namespace {
 
+/// Turns charges into Profiler events. Owns the two pieces of state a
+/// metadata walk needs beyond the per-op rules: ParallelMap launch merging
+/// and the suppress scope of interpreted FusionGroup bodies.
+class ChargeSink {
+ public:
+  explicit ChargeSink(runtime::Profiler& profiler) : profiler_(profiler) {}
+
+  /// Records one op's charge. Inside a merge scope kernel j of the current
+  /// iteration joins batched launch slot j and host work is not paid;
+  /// inside a suppress scope kernels count only their flops.
+  void charge(const Node& node, const Charge& c) {
+    if (c.dispatch && mergeDepth_ == 0) profiler_.opDispatch();
+    if (suppressDepth_ > 0) suppressSavedBytes_ += c.savedBytes;
+    for (int i = 0; i < c.launches; ++i) kernel(node.kind(), c.bytes, c.flops);
+    if (c.hostSyncs > 0 && mergeDepth_ == 0 && suppressDepth_ == 0)
+      profiler_.hostOnly(c.hostSyncs * profiler_.device().syncLatencyUs);
+  }
+
+  /// Host control-flow charges; free inside a merge scope.
+  void loopIteration() {
+    if (mergeDepth_ == 0) profiler_.loopIteration();
+  }
+  void branch() {
+    if (mergeDepth_ == 0) profiler_.branch();
+  }
+  /// Graph-break model: entering a block whose segment contains generated
+  /// kernels costs one region call (guard checks, Python resume).
+  void enterBlock(const ir::Block& block) {
+    if (mergeDepth_ > 0 || suppressDepth_ > 0 ||
+        profiler_.host().perRegionCallUs <= 0)
+      return;
+    for (const Node* node : block) {
+      if (node->kind() == OpKind::FusionGroup) {
+        profiler_.regionCall();
+        return;
+      }
+    }
+  }
+
+  /// One batched launch of a ParallelMap: the j-th kernel of every
+  /// iteration, merged (a batched grid).
+  struct Slot {
+    std::string_view name;
+    std::int64_t bytes = 0;
+    std::int64_t flops = 0;
+  };
+
+  /// ParallelMap iterations: kernels charged inside merge into slots.
+  class MergeScope {
+   public:
+    explicit MergeScope(ChargeSink& sink) : sink_(sink) {
+      ++sink_.mergeDepth_;
+    }
+    ~MergeScope() { --sink_.mergeDepth_; }
+    MergeScope(const MergeScope&) = delete;
+    MergeScope& operator=(const MergeScope&) = delete;
+
+   private:
+    ChargeSink& sink_;
+  };
+  /// Starts an iteration: its first kernel joins slot 0 again.
+  void beginIteration() { mergePos_ = 0; }
+  /// Moves the accumulated slots out.
+  std::vector<Slot> takeSlots() { return std::exchange(slots_, {}); }
+  /// Records each slot as one `tssa::ParallelMap(<op>)` launch; nothing
+  /// inside an enclosing merge scope.
+  void flushParallelMap(std::span<const Slot> slots) {
+    if (mergeDepth_ > 0) return;
+    for (const Slot& slot : slots) {
+      profiler_.kernel("tssa::ParallelMap(" + std::string(slot.name) + ")",
+                       slot.bytes, slot.flops, profiler_.host().perOpUs);
+    }
+  }
+
+  /// Interpreted FusionGroup body: kernels count flops (and donated
+  /// assigns their savings) instead of launching; the group is charged as
+  /// one kernel by its caller. Nests: the outer totals are restored.
+  class SuppressScope {
+   public:
+    explicit SuppressScope(ChargeSink& sink)
+        : sink_(sink),
+          outerFlops_(sink.suppressFlops_),
+          outerSaved_(sink.suppressSavedBytes_) {
+      ++sink_.suppressDepth_;
+      sink_.suppressFlops_ = 0;
+      sink_.suppressSavedBytes_ = 0;
+    }
+    ~SuppressScope() {
+      sink_.suppressFlops_ = outerFlops_;
+      sink_.suppressSavedBytes_ = outerSaved_;
+      --sink_.suppressDepth_;
+    }
+    SuppressScope(const SuppressScope&) = delete;
+    SuppressScope& operator=(const SuppressScope&) = delete;
+
+    std::int64_t flops() const { return sink_.suppressFlops_; }
+    std::int64_t savedBytes() const { return sink_.suppressSavedBytes_; }
+
+   private:
+    ChargeSink& sink_;
+    std::int64_t outerFlops_;
+    std::int64_t outerSaved_;
+  };
+
+ private:
+  void kernel(OpKind kind, std::int64_t bytes, std::int64_t flops) {
+    if (suppressDepth_ > 0) {
+      suppressFlops_ += flops;
+      return;
+    }
+    if (mergeDepth_ > 0) {
+      if (mergePos_ >= slots_.size())
+        slots_.push_back(Slot{opName(kind), 0, 0});
+      slots_[mergePos_].bytes += bytes;
+      slots_[mergePos_].flops += flops;
+      ++mergePos_;
+      return;
+    }
+    profiler_.kernel(opName(kind), bytes, flops, profiler_.host().perOpUs);
+  }
+
+  runtime::Profiler& profiler_;
+  int mergeDepth_ = 0;
+  std::size_t mergePos_ = 0;
+  std::vector<Slot> slots_;
+  int suppressDepth_ = 0;
+  std::int64_t suppressFlops_ = 0;
+  std::int64_t suppressSavedBytes_ = 0;
+};
+
 /// The metadata walk. It owns no per-op rule — leaf ops go through
 /// inferOutputs/chargeOf, FusionGroups through fusionGroupCharge — only the
 /// abstract propagation of values through blocks, branches and loops.
 class CostWalker {
  public:
   CostWalker(const CostOptions& opts, runtime::Profiler& profiler)
-      : opts_(opts), sink_(&profiler) {}
+      : opts_(opts), sink_(profiler) {}
 
   std::int64_t walk(const ir::Graph& graph,
                     std::span<const CostValue> inputs) {
@@ -164,8 +299,8 @@ class CostWalker {
         if (node.kind() == OpKind::Loop) {
           walkIterations(*node.block(0), trip, carried, true);
         } else {
-          // Always the serial-merge accounting: the threaded executor
-          // merges per-worker slots into identical totals by construction.
+          // One batched launch per kernel position, however the executor
+          // schedules the iterations.
           std::vector<ChargeSink::Slot> slots;
           {
             ChargeSink::MergeScope merge(sink_);

@@ -1,34 +1,36 @@
-// Per-node flops/bytes accounting over graph-level IR (ROADMAP item 5).
+// Per-node flops/bytes accounting over graph-level IR: the one walk that
+// produces the paper's metrics.
 //
 // estimateCost() walks a graph with *metadata semantics*: every value is
 // reduced to its shape/dtype (tensors), its concrete value (scalars — loop
 // trips, slice bounds and view extents depend on them), or a list of tensor
 // metas. No tensor data is allocated or moved. The walk owns no per-op rule:
 // each leaf op's outputs come from analysis::inferOutputs and its charge from
-// analysis::chargeOf (src/analysis/op_rules.h), recorded through the same
-// ChargeSink — ParallelMap launch merging, interpreted-FusionGroup pricing —
-// into a runtime::Profiler configured with the DeviceSpec/HostSpec under
-// study. FusionGroups the texpr backend supports are priced by
-// texpr::Kernel::infer, as the interpreter charges them whether native code
-// or the interpreted body ran. The walk itself only
-// propagates abstract values through control flow. For a program whose
-// control flow and shapes are fully determined by the inputs' metadata (all
-// eight paper workloads qualify), the report therefore equals what the
-// interpreter's Profiler observes: identical launches, bytes, flops,
-// per-kernel histogram, and simulated latency. Property tests in
-// tests/cost_model_test.cpp hold this equality differentially against real
-// execution.
+// analysis::chargeOf (src/analysis/op_rules.h). It charges them into a
+// runtime::Profiler configured with the DeviceSpec/HostSpec under study,
+// merging the kernels of ParallelMap iterations into batched launches and
+// pricing FusionGroups as one kernel each. FusionGroups the texpr backend
+// supports are priced by texpr::Kernel::infer; other bodies count what
+// their suppressed kernels would.
+//
+// No op in the IR turns tensor data into a scalar, so input shapes and
+// scalar values fix every branch, trip count and shape, and the walk is
+// exact for every run that executes successfully. runtime::Pipeline::run
+// therefore prices each run with it (memoized per input signature) instead
+// of charging while the interpreter executes, and raises a tssa::Error if
+// a run it could not price exactly succeeds. The Profiler numbers a
+// Pipeline reports are this walk's numbers.
 //
 // Symbolic dims: bindSymbolic() turns a workload's SymbolicPattern input
 // types plus a symbol->extent binding into cost inputs, so one polymorphic
 // program yields a cost as a function of the bound extents — the offline
 // scoring oracle of the autotuner (src/tune).
 //
-// Ops whose outcome the metadata cannot determine (an If on a data-derived
-// condition, a loop with unknown trip count) are counted in `unknownOps`
-// (chainer-compiler's num_unknown_ops idiom): their outputs become unknown
-// and they charge nothing, so a report with unknownOps > 0 is a lower
-// bound, flagged by exact() == false.
+// Ops whose outcome the metadata cannot determine (an input scalar left
+// unknown, a loop beyond `maxLoopTrip`, operands a rule rejects) are
+// counted in `unknownOps` (chainer-compiler's num_unknown_ops idiom): their
+// outputs become unknown and they charge nothing, so a report with
+// unknownOps > 0 is a lower bound, flagged by exact() == false.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +63,8 @@ struct CostOptions {
   runtime::DeviceSpec device = runtime::DeviceSpec::dataCenter();
   runtime::HostSpec host = runtime::HostSpec::torchscriptVm();
   /// Price FusionGroups whose body the texpr backend supports by the texpr
-  /// RunStats rules (what the interpreter charges with useTexpr on);
-  /// otherwise every group is priced by the interpreted-body rules.
+  /// RunStats rules (PipelineOptions::useTexpr); otherwise every group is
+  /// priced by the interpreted-body rules.
   bool useTexpr = true;
   /// Loops beyond this trip count are not unrolled by the walk; they count
   /// as one unknown op instead (guards pathological generated programs).

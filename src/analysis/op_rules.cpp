@@ -708,67 +708,4 @@ Charge fusionGroupCharge(std::span<const Operand> in,
   return kernelCharge(std::max<std::int64_t>(0, bytes - savedBytes), flops);
 }
 
-// ---- Charge sink ------------------------------------------------------------
-
-void ChargeSink::kernel(OpKind kind, std::int64_t bytes, std::int64_t flops) {
-  if (suppressDepth_ > 0) {
-    suppressFlops_ += flops;
-    return;
-  }
-  if (mergeDepth_ > 0) {
-    if (mergePos_ >= slots_.size()) slots_.push_back(Slot{opName(kind), 0, 0});
-    slots_[mergePos_].bytes += bytes;
-    slots_[mergePos_].flops += flops;
-    ++mergePos_;
-    return;
-  }
-  profiler_->kernel(opName(kind), bytes, flops, profiler_->host().perOpUs);
-}
-
-void ChargeSink::charge(const Node& node, const Charge& c) {
-  if (profiler_ == nullptr) return;
-  if (c.dispatch && mergeDepth_ == 0) profiler_->opDispatch();
-  if (suppressDepth_ > 0) suppressSavedBytes_ += c.savedBytes;
-  for (int i = 0; i < c.launches; ++i) kernel(node.kind(), c.bytes, c.flops);
-  if (c.hostSyncs > 0 && mergeDepth_ == 0 && suppressDepth_ == 0)
-    profiler_->hostOnly(c.hostSyncs * profiler_->device().syncLatencyUs);
-}
-
-void ChargeSink::loopIteration() {
-  if (profiler_ != nullptr && mergeDepth_ == 0) profiler_->loopIteration();
-}
-
-void ChargeSink::branch() {
-  if (profiler_ != nullptr && mergeDepth_ == 0) profiler_->branch();
-}
-
-void ChargeSink::enterBlock(const ir::Block& block) {
-  if (profiler_ == nullptr || mergeDepth_ > 0 || suppressDepth_ > 0 ||
-      profiler_->host().perRegionCallUs <= 0)
-    return;
-  for (const Node* node : block) {
-    if (node->kind() == OpKind::FusionGroup) {
-      profiler_->regionCall();
-      return;
-    }
-  }
-}
-
-void ChargeSink::accumulate(std::vector<Slot>& into,
-                            std::span<const Slot> from) {
-  for (std::size_t j = 0; j < from.size(); ++j) {
-    if (j >= into.size()) into.push_back(Slot{from[j].name, 0, 0});
-    into[j].bytes += from[j].bytes;
-    into[j].flops += from[j].flops;
-  }
-}
-
-void ChargeSink::flushParallelMap(std::span<const Slot> slots) {
-  if (profiler_ == nullptr || mergeDepth_ > 0) return;
-  for (const Slot& slot : slots) {
-    profiler_->kernel("tssa::ParallelMap(" + std::string(slot.name) + ")",
-                      slot.bytes, slot.flops, profiler_->host().perOpUs);
-  }
-}
-
 }  // namespace tssa::analysis

@@ -1,15 +1,16 @@
 // Per-op rules: the one owner of what every leaf op produces and costs.
 //
 // The paper's metrics — kernel launches (Fig. 6) and modelled latency
-// (Figs. 5/7/8) — come from charging every executed op. Three consumers need
-// the same per-op facts, and all of them query this module instead of keeping
-// a copy:
+// (Figs. 5/7/8) — come from charging every op a run executes. Three
+// consumers need the same per-op facts, and all of them query this module
+// instead of keeping a copy:
 //
 //   * the reference interpreter (src/runtime/interpreter.h) executes real
-//     tensors, then charges each op through chargeOf() into a ChargeSink;
+//     tensors and reads view, size and scalar rules from here;
 //   * the cost model (src/analysis/cost.h) propagates metadata only: it
-//     infers each op's outputs with inferOutputs() and charges the same way,
-//     into a Profiler of its own;
+//     infers each op's outputs with inferOutputs() and charges them with
+//     chargeOf(). runtime::Pipeline prices every run through it, so it is
+//     the one walk that produces Profiler numbers;
 //   * the texpr backend (src/texpr/texpr.h) binds the shape/dtype of every
 //     fused body value with inferOutputs() and derives its RunStats from it.
 //
@@ -18,20 +19,16 @@
 // validates operands with a typed tssa::Error. chargeOf() is the per-op
 // charge, shaped like chainer-compiler's CalculateFlops(node): launches (0, 1,
 // or 4 for the multi-pass sorts), bytes and flops per launch, host syncs and
-// host dispatch. ChargeSink owns the state that turns charges into Profiler
-// events: ParallelMap launch merging, the suppress scope of interpreted
-// FusionGroup bodies, and the one `tssa::ParallelMap(<op>)` flush.
+// host dispatch.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "src/ir/ir.h"
-#include "src/runtime/profiler.h"
 #include "src/runtime/rt_value.h"
 #include "src/tensor/dtype.h"
 #include "src/tensor/scalar.h"
@@ -224,103 +221,5 @@ Charge chargeOf(const ir::Node& node, std::span<const Operand> in,
 Charge fusionGroupCharge(std::span<const Operand> in,
                          std::span<const Operand> out, std::int64_t flops,
                          std::int64_t savedBytes);
-
-/// Where charges go. One sink per execution thread: it owns the merge and
-/// suppress state and records everything else into a Profiler. A sink
-/// without a Profiler drops every charge.
-class ChargeSink {
- public:
-  explicit ChargeSink(runtime::Profiler* profiler)
-      : profiler_(profiler) {}
-
-  bool enabled() const { return profiler_ != nullptr; }
-
-  /// Records one op's charge. Inside a merge scope kernel j of the current
-  /// iteration joins batched launch slot j and host work is not paid;
-  /// inside a suppress scope kernels count only their flops.
-  void charge(const ir::Node& node, const Charge& c);
-
-  /// Host control-flow charges; free inside a merge scope.
-  void loopIteration();
-  void branch();
-  /// Graph-break model: entering a block whose segment contains generated
-  /// kernels costs one region call (guard checks, Python resume).
-  void enterBlock(const ir::Block& block);
-
-  /// One batched launch of a ParallelMap: the j-th kernel of every
-  /// iteration, merged (a batched grid).
-  struct Slot {
-    std::string_view name;
-    std::int64_t bytes = 0;
-    std::int64_t flops = 0;
-  };
-
-  /// ParallelMap iterations: kernels charged inside merge into slots.
-  class MergeScope {
-   public:
-    explicit MergeScope(ChargeSink& sink) : sink_(sink) {
-      ++sink_.mergeDepth_;
-    }
-    ~MergeScope() { --sink_.mergeDepth_; }
-    MergeScope(const MergeScope&) = delete;
-    MergeScope& operator=(const MergeScope&) = delete;
-
-   private:
-    ChargeSink& sink_;
-  };
-  /// Starts an iteration: its first kernel joins slot 0 again.
-  void beginIteration() { mergePos_ = 0; }
-  /// Moves the accumulated slots out.
-  std::vector<Slot> takeSlots() { return std::exchange(slots_, {}); }
-  /// Adds `from` into `into` position-wise (per-worker slot merge).
-  static void accumulate(std::vector<Slot>& into, std::span<const Slot> from);
-  /// Records each slot as one `tssa::ParallelMap(<op>)` launch; nothing
-  /// inside an enclosing merge scope.
-  void flushParallelMap(std::span<const Slot> slots);
-
-  /// Interpreted FusionGroup body: kernels count flops (and donated
-  /// assigns their savings) instead of launching; the group is charged as
-  /// one kernel by its caller. Nests: the outer totals are restored.
-  class SuppressScope {
-   public:
-    explicit SuppressScope(ChargeSink& sink)
-        : sink_(sink),
-          outerFlops_(sink.suppressFlops_),
-          outerSaved_(sink.suppressSavedBytes_) {
-      ++sink_.suppressDepth_;
-      sink_.suppressFlops_ = 0;
-      sink_.suppressSavedBytes_ = 0;
-    }
-    ~SuppressScope() {
-      sink_.suppressFlops_ = outerFlops_;
-      sink_.suppressSavedBytes_ = outerSaved_;
-      --sink_.suppressDepth_;
-    }
-    SuppressScope(const SuppressScope&) = delete;
-    SuppressScope& operator=(const SuppressScope&) = delete;
-
-    std::int64_t flops() const { return sink_.suppressFlops_; }
-    std::int64_t savedBytes() const { return sink_.suppressSavedBytes_; }
-
-   private:
-    ChargeSink& sink_;
-    std::int64_t outerFlops_;
-    std::int64_t outerSaved_;
-  };
-
-  bool merging() const { return mergeDepth_ > 0; }
-  bool suppressing() const { return suppressDepth_ > 0; }
-
- private:
-  void kernel(ir::OpKind kind, std::int64_t bytes, std::int64_t flops);
-
-  runtime::Profiler* profiler_;
-  int mergeDepth_ = 0;
-  std::size_t mergePos_ = 0;
-  std::vector<Slot> slots_;
-  int suppressDepth_ = 0;
-  std::int64_t suppressFlops_ = 0;
-  std::int64_t suppressSavedBytes_ = 0;
-};
 
 }  // namespace tssa::analysis

@@ -33,10 +33,6 @@ class Interpreter::Operands {
     for (std::size_t i = 0; i < n_; ++i)
       set(i, interp.get(node.input(i), env));
   }
-  explicit Operands(std::span<const RtValue> values)
-      : Operands(values.size()) {
-    for (std::size_t i = 0; i < n_; ++i) set(i, values[i]);
-  }
   Operands(const Operands&) = delete;
   Operands& operator=(const Operands&) = delete;
 
@@ -86,7 +82,7 @@ std::vector<RtValue> Interpreter::run(const ir::Graph& graph,
   Env env;
   for (std::size_t i = 0; i < inputs.size(); ++i)
     env[graph.inputs()[i]] = inputs[i];
-  ExecContext ctx(profiler_);
+  ExecContext ctx;
   // With a plan attached, publish the root arena for the whole run:
   // Tensor::empty then draws intermediates from the pool. Graph inputs and
   // outputs are held by the caller (refcount > 1), so they are never pooled
@@ -116,7 +112,6 @@ std::vector<RtValue> Interpreter::run(const ir::Graph& graph,
 
 void Interpreter::runBlockBody(const ir::Block& block, Env& env,
                                ExecContext& ctx) {
-  ctx.sink.enterBlock(block);
   for (const Node* node : block) {
     execNode(*node, env, ctx);
     if (plan_ != nullptr) releaseDead(*node, env, ctx);
@@ -210,20 +205,44 @@ Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
   }
 }
 
-// ---- Fused-body cache --------------------------------------------------------------------
+// ---- Fused-kernel cache -------------------------------------------------------------------
 
-const Interpreter::FusedBody& Interpreter::fusedBodyFor(const Node& node,
-                                                        const ir::Block& body) {
+const texpr::Kernel* Interpreter::fusedKernelFor(const Node& node,
+                                                 const ir::Block& body) {
   std::lock_guard<std::mutex> lock(fusedMutex_);
   auto it = fused_.find(&node);
   if (it == fused_.end()) {
-    FusedBody fused;
-    fused.priced = texpr::Kernel::supports(body);
-    if (fused.priced && texprJit_ && texpr::jit::jitEnabled())
-      fused.kernel = std::make_unique<texpr::Kernel>(body);
-    it = fused_.emplace(&node, std::move(fused)).first;
+    std::unique_ptr<texpr::Kernel> kernel;
+    if (texpr::jit::jitEnabled() && texpr::Kernel::supports(body))
+      kernel = std::make_unique<texpr::Kernel>(body);
+    it = fused_.emplace(&node, std::move(kernel)).first;
   }
-  return it->second;
+  return it->second.get();
+}
+
+// ---- Loops ----------------------------------------------------------------------------------
+
+void Interpreter::runIterations(const ir::Block& body, std::int64_t trip,
+                                std::vector<RtValue>& carried, Env& env,
+                                ExecContext& ctx) {
+  for (std::int64_t it = 0; it < trip; ++it) {
+    env[body.param(0)] = Scalar(it);
+    for (std::size_t i = 0; i < carried.size(); ++i) {
+      // The previous iteration's carried value dies at this rebind (its
+      // planned "death" is escape via the body Return, which the copy in
+      // `carried` satisfied). First iteration / shared buffers are safe:
+      // the initial values are still referenced from the outer env, so
+      // recycle refuses them.
+      // Move, don't copy: a copy left in `carried` would pin the
+      // refcount at 2 for the whole body, so the param's planned death
+      // could never free the buffer. The overwrite also drops any stale
+      // binding a param without a planned death still holds.
+      env[body.param(i + 1)] = std::move(carried[i]);
+    }
+    runBlockBody(body, env, ctx);
+    carried = blockReturns(body, env);
+    if (ctx.arena != nullptr) dropReturnBindings(body, env);
+  }
 }
 
 // ---- Threaded ParallelMap ----------------------------------------------------------------
@@ -234,10 +253,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
   // Preconditions: a worker budget, top-level context (a ParallelMap cannot
   // nest inside another one's body, but be defensive), and the converting
   // pass's independence proof attached as metadata.
-  if (threads_ <= 1 || trip <= 1 || ctx.onWorker || ctx.sink.merging() ||
-      ctx.sink.suppressing()) {
-    return false;
-  }
+  if (threads_ <= 1 || trip <= 1 || ctx.onWorker) return false;
   if (!node.attrs().has("par_dims")) return false;
   const std::vector<std::int64_t>& dims = node.attrs().ints("par_dims");
   if (dims.size() != carried.size()) return false;
@@ -256,17 +272,13 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
   // Pre-allocated output slots. Written slots get a private buffer cloned
   // from the carried input: slices the loop never writes (trip < extent)
   // keep their input values, exactly as in serial execution. The clone is an
-  // execution artifact of the threaded engine, not a modelled kernel — the
-  // profiler charge below is derived purely from the merged slots, matching
-  // the serial path bit-for-bit.
+  // execution artifact of the threaded engine, not a modelled kernel.
   std::vector<RtValue> outs(carried.size());
   for (std::size_t k = 0; k < carried.size(); ++k)
     outs[k] = dims[k] >= 0 ? RtValue(carried[k].tensor().clone()) : carried[k];
 
   const int workers =
       static_cast<int>(std::min<std::int64_t>(threads_, trip));
-  std::vector<std::vector<analysis::ChargeSink::Slot>> workerSlots(
-      static_cast<std::size_t>(workers));
   std::vector<Arena::Stats> workerArenaDeltas(static_cast<std::size_t>(workers));
 
   ThreadPool::shared().parallelFor(
@@ -284,7 +296,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
         // the carried values — legal because the pass proved each iteration
         // touches only its own slice.
         Env wenv = env;
-        ExecContext wctx(profiler_);
+        ExecContext wctx;
         wctx.onWorker = true;
         // Planned runs give each worker its own thread-local arena (no
         // contention); the Scope nests over whatever arena the calling
@@ -297,9 +309,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
           wbefore = wctx.arena->stats();
           warenaScope.emplace(wctx.arena);
         }
-        analysis::ChargeSink::MergeScope merge(wctx.sink);
         for (std::int64_t it = begin; it < end; ++it) {
-          wctx.sink.beginIteration();  // kernel j of every iteration: launch j
           wenv[body.param(0)] = Scalar(it);
           for (std::size_t k = 0; k < carried.size(); ++k)
             wenv[body.param(k + 1)] = carried[k];
@@ -318,30 +328,19 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
           // values stay shared with the caller and are not donated).
         }
         recycleEnv(wenv, wctx);
-        workerSlots[static_cast<std::size_t>(chunk)] = wctx.sink.takeSlots();
         if (wctx.arena != nullptr)
           workerArenaDeltas[static_cast<std::size_t>(chunk)] +=
               wctx.arena->stats() - wbefore;
       });
 
-  // Deterministic slot merge: chunk order, position-wise. Every iteration
-  // records the same kernel sequence (the body has no control flow), so this
-  // reproduces the serial accumulation exactly.
-  std::vector<analysis::ChargeSink::Slot> slots;
-  for (const auto& ws : workerSlots)
-    analysis::ChargeSink::accumulate(slots, ws);
-  ctx.sink.flushParallelMap(slots);
-  if (profiler_ != nullptr) {
-    if (plan_ != nullptr) {
-      // Worker-arena traffic, merged at the barrier (a single-threaded
-      // point). Unlike launch counts, the fresh/reuse split legitimately
-      // varies with the thread count — each worker warms its own pool.
-      Arena::Stats total;
-      for (const Arena::Stats& d : workerArenaDeltas) total += d;
-      profiler_->memory(total.freshAllocs, total.reusedAllocs,
-                        total.freshBytes, total.reusedBytes, total.recycled,
-                        total.recycleMisses);
-    }
+  if (profiler_ != nullptr && plan_ != nullptr) {
+    // Worker-arena traffic, merged at the barrier (a single-threaded
+    // point). The fresh/reuse split legitimately varies with the thread
+    // count — each worker warms its own pool.
+    Arena::Stats total;
+    for (const Arena::Stats& d : workerArenaDeltas) total += d;
+    profiler_->memory(total.freshAllocs, total.reusedAllocs, total.freshBytes,
+                      total.reusedBytes, total.recycled, total.recycleMisses);
   }
   for (std::size_t k = 0; k < outs.size(); ++k)
     env[node.output(k)] = std::move(outs[k]);
@@ -358,7 +357,6 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
   switch (node.kind()) {
     case OpKind::If: {
       const bool cond = get(node.input(0), env).scalar().toBool();
-      ctx.sink.branch();
       const ir::Block& block = *node.block(cond ? 0 : 1);
       runBlockBody(block, env, ctx);
       auto rets = blockReturns(block, env);
@@ -370,81 +368,38 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
         bindOut(i, std::move(rets[i]));
       return;
     }
-    case OpKind::Loop: {
-      const std::int64_t trip = get(node.input(0), env).scalar().toInt();
-      const ir::Block& body = *node.block(0);
-      std::vector<RtValue> carried;
-      for (std::size_t i = 1; i < node.numInputs(); ++i)
-        carried.push_back(get(node.input(i), env));
-      for (std::int64_t it = 0; it < trip; ++it) {
-        ctx.sink.loopIteration();
-        env[body.param(0)] = Scalar(it);
-        for (std::size_t i = 0; i < carried.size(); ++i) {
-          // The previous iteration's carried value dies at this rebind (its
-          // planned "death" is escape via the body Return, which the copy in
-          // `carried` satisfied). First iteration / shared buffers are safe:
-          // the initial values are still referenced from the outer env, so
-          // recycle refuses them.
-          // Move, don't copy: a copy left in `carried` would pin the
-          // refcount at 2 for the whole body, so the param's planned death
-          // could never free the buffer. The overwrite also drops any stale
-          // binding a param without a planned death still holds.
-          env[body.param(i + 1)] = std::move(carried[i]);
-        }
-        runBlockBody(body, env, ctx);
-        carried = blockReturns(body, env);
-        if (ctx.arena != nullptr) dropReturnBindings(body, env);
-      }
-      for (std::size_t i = 0; i < carried.size(); ++i)
-        bindOut(i, std::move(carried[i]));
-      return;
-    }
+    case OpKind::Loop:
     case OpKind::ParallelMap: {
-      // Semantics of Loop, executed as one batched kernel: the horizontal
-      // parallelization result (§4.2.2). Iterations are independent by
-      // construction (the pass proved it), so the threaded engine really
-      // runs them concurrently; without metadata or a worker budget the
-      // serial walk below executes the same batched-launch pricing.
       const std::int64_t trip = get(node.input(0), env).scalar().toInt();
-      const ir::Block& body = *node.block(0);
       std::vector<RtValue> carried;
       for (std::size_t i = 1; i < node.numInputs(); ++i)
         carried.push_back(get(node.input(i), env));
-      obs::TraceSpan span("exec", "ParallelMap");
-      span.arg("trip", trip);
-      if (tryParallelMap(node, env, ctx, trip, carried)) {
-        span.arg("threaded", std::int64_t{1});
-        span.arg("workers",
-                 static_cast<std::int64_t>(
-                     std::min<std::int64_t>(threads_, trip)));
-        return;
-      }
-      span.arg("threaded", std::int64_t{0});
-      std::vector<analysis::ChargeSink::Slot> slots;
-      {
-        analysis::ChargeSink::MergeScope merge(ctx.sink);
-        for (std::int64_t it = 0; it < trip; ++it) {
-          ctx.sink.beginIteration();  // kernel j of every iteration: launch j
-          env[body.param(0)] = Scalar(it);
-          for (std::size_t i = 0; i < carried.size(); ++i) {
-            // Move for the same reason as the Loop path: the serial
-            // ParallelMap walk also chains versions iteration-to-iteration.
-            env[body.param(i + 1)] = std::move(carried[i]);
-          }
-          runBlockBody(body, env, ctx);
-          carried = blockReturns(body, env);
-          if (ctx.arena != nullptr) dropReturnBindings(body, env);
+      if (node.kind() == OpKind::Loop) {
+        runIterations(*node.block(0), trip, carried, env, ctx);
+      } else {
+        // Semantics of Loop, modelled as one batched kernel per kernel
+        // position: the horizontal parallelization result (§4.2.2).
+        // Iterations are independent by construction (the pass proved it),
+        // so the threaded engine really runs them concurrently; without
+        // metadata or a worker budget they run as a Loop.
+        obs::TraceSpan span("exec", "ParallelMap");
+        span.arg("trip", trip);
+        const bool threaded = tryParallelMap(node, env, ctx, trip, carried);
+        span.arg("threaded", std::int64_t{threaded ? 1 : 0});
+        if (threaded) {
+          span.arg("workers", static_cast<std::int64_t>(
+                                  std::min<std::int64_t>(threads_, trip)));
+          return;
         }
-        slots = ctx.sink.takeSlots();
+        runIterations(*node.block(0), trip, carried, env, ctx);
       }
-      ctx.sink.flushParallelMap(slots);
       for (std::size_t i = 0; i < carried.size(); ++i)
         bindOut(i, std::move(carried[i]));
       return;
     }
     case OpKind::FusionGroup: {
-      // One kernel. External traffic only: inputs + outputs; intermediates
-      // live in registers of the generated kernel.
+      // One modelled kernel: native code when the JIT accepts the body,
+      // node by node otherwise.
       obs::TraceSpan span("exec", "FusionGroup");
       const ir::Block& body = *node.block(0);
       std::vector<RtValue> groupInputs;
@@ -452,54 +407,24 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       for (std::size_t i = 0; i < node.numInputs(); ++i)
         groupInputs.push_back(get(node.input(i), env));
 
-      // Supported bodies run as native code when the JIT accepts them and
-      // node by node otherwise; either way they are charged from their
-      // structure (texpr::Kernel::infer), so launches and simulated time do
-      // not depend on the path. Other bodies pay what their suppressed
-      // kernels count.
-      const FusedBody* fused = useTexpr_ ? &fusedBodyFor(node, body) : nullptr;
-      std::optional<texpr::Kernel::RunStats> priced;
+      const texpr::Kernel* kernel = jit_ ? fusedKernelFor(node, body) : nullptr;
       std::optional<std::vector<RtValue>> native;
-      if (fused != nullptr && fused->kernel != nullptr) {
+      if (kernel != nullptr) {
         // Pool workers must not recurse into the pool: a ParallelMap body's
         // fused kernels run single-threaded inside their iteration.
-        native = fused->kernel->run(groupInputs, &priced.emplace(),
-                                    ctx.onWorker ? 1 : threads_);
+        native = kernel->run(groupInputs, ctx.onWorker ? 1 : threads_);
       }
+      span.arg("backend", native ? "jit" : "interp");
 
       std::vector<RtValue> rets;
-      std::int64_t flops = 0;
-      std::int64_t savedBytes = 0;
       if (native) {
         rets = std::move(*native);
       } else {
         for (std::size_t i = 0; i < node.numInputs(); ++i)
           env[body.param(i)] = groupInputs[i];
-        analysis::ChargeSink::SuppressScope suppress(ctx.sink);
         runBlockBody(body, env, ctx);
-        flops = suppress.flops();
-        savedBytes = suppress.savedBytes();
         rets = blockReturns(body, env);
         if (ctx.arena != nullptr) dropReturnBindings(body, env);
-      }
-      if (ctx.sink.enabled() || span.active()) {
-        // Only the charge needs the price of an interpreted supported body.
-        if (!priced && fused != nullptr && fused->priced)
-          priced =
-              texpr::Kernel::infer(body, Operands(groupInputs).meta()).stats;
-        if (priced) {
-          flops = priced->flops;
-          savedBytes = priced->savedBytes;
-        }
-        const analysis::Charge charge = analysis::fusionGroupCharge(
-            Operands(groupInputs).meta(), Operands(rets).meta(), flops,
-            savedBytes);
-        if (span.active()) {
-          span.arg("backend", native ? "jit" : "interp");
-          span.arg("bytes", charge.bytes);
-          span.arg("flops", flops);
-        }
-        ctx.sink.charge(node, charge);
       }
       for (std::size_t i = 0; i < rets.size(); ++i)
         bindOut(i, std::move(rets[i]));
@@ -509,8 +434,7 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       break;
   }
 
-  // Leaf op: execute, then charge from the operand/result metadata before
-  // binding (a failing launch probe leaves the outputs unbound).
+  // Leaf op.
   constexpr std::size_t kMaxOutputs = 2;
   TSSA_CHECK(node.numOutputs() <= kMaxOutputs,
              "interpreter: " << opName(node.kind()) << " has "
@@ -519,13 +443,6 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
   std::array<RtValue, kMaxOutputs> outs;
   const std::span<RtValue> out(outs.data(), node.numOutputs());
   execLeaf(node, in, out);
-  if (ctx.sink.enabled()) {
-    std::array<analysis::Operand, kMaxOutputs> results;
-    for (std::size_t i = 0; i < out.size(); ++i)
-      results[i] = analysis::operandOf(out[i]);
-    ctx.sink.charge(node, analysis::chargeOf(node, in.meta(),
-                                             {results.data(), out.size()}));
-  }
   for (std::size_t i = 0; i < out.size(); ++i) bindOut(i, std::move(out[i]));
 }
 

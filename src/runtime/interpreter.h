@@ -8,14 +8,11 @@
 // fused forms — which is what lets tests assert bit-equal behaviour across
 // the whole compilation pipeline.
 //
-// When a Profiler is attached, execution also produces the paper's metrics:
-// kernel-launch counts and modelled latency. The interpreter owns no pricing
-// rule: after executing a node it hands the node's operand and result
-// metadata (non-owning size views) to analysis::chargeOf, and records the
-// charge through an analysis::ChargeSink (src/analysis/op_rules.h) — the
-// same rules and sink the cost model (src/analysis/cost.h) walks. Fusion
-// constructs are priced structurally (one launch; external bytes only),
-// everything else per op.
+// The interpreter only executes. It charges nothing: the paper's metrics
+// (kernel launches, modelled latency) depend only on the program and its
+// input metadata, so runtime::Pipeline prices each run with the cost walk
+// (src/analysis/cost.h) before executing it. An attached Profiler receives
+// only the memory planner's arena counters.
 //
 // Threading (see DESIGN.md "Threading model"): with `threads > 1`, a
 // tssa::ParallelMap whose converting pass attached `par_dims` metadata runs
@@ -25,8 +22,7 @@
 // pre-allocated output buffers (slices are disjoint by the pass's proof, so
 // no locks are needed). Fused element-kernels likewise split their index
 // space across the pool. `threads == 1` reproduces the serial executor
-// bit-for-bit, and any thread count yields bitwise-identical tensors and
-// identical profiler numbers.
+// bit-for-bit, and any thread count yields bitwise-identical tensors.
 #pragma once
 
 #include <unordered_map>
@@ -46,19 +42,17 @@ namespace tssa::runtime {
 
 class Interpreter {
  public:
-  /// `profiler` may be null (pure execution, e.g. in tests). With
-  /// `useTexpr` (default), FusionGroup bodies the texpr backend supports
-  /// are priced as one texpr kernel (texpr::Kernel::infer) and, with
-  /// `texprJit` (and TSSA_TEXPR_JIT not 0), run as native code when the
-  /// JIT accepts them (src/texpr/texpr.h). Every other body, and every declined launch, is
-  /// interpreted node by node — the tensor/ops.h semantics the generated
-  /// code is fuzzed against; without `useTexpr` every body is interpreted
-  /// and pays what its suppressed kernels count. `threads` caps the worker
-  /// count for parallel constructs: 1 (default) executes fully serially, 0
-  /// means ThreadPool::hardwareThreads().
+  /// `profiler`, when set, receives the arena counters of planned runs; it
+  /// may be null. With `useTexpr` and `texprJit` (the defaults) and
+  /// TSSA_TEXPR_JIT not 0, FusionGroup bodies the texpr backend supports run
+  /// as native code when the JIT accepts them (src/texpr/texpr.h). Every
+  /// other body, and every declined launch, is interpreted node by node —
+  /// the tensor/ops.h semantics the generated code is fuzzed against.
+  /// `threads` caps the worker count for parallel constructs: 1 (default)
+  /// executes fully serially, 0 means ThreadPool::hardwareThreads().
   explicit Interpreter(Profiler* profiler = nullptr, bool useTexpr = true,
                        int threads = 1, bool texprJit = true)
-      : profiler_(profiler), useTexpr_(useTexpr), texprJit_(texprJit) {
+      : profiler_(profiler), jit_(useTexpr && texprJit) {
     setThreads(threads);
   }
 
@@ -89,13 +83,8 @@ class Interpreter {
 
   /// Per-execution-thread interpreter state. The root context belongs to the
   /// caller of run(); every ParallelMap worker gets a fresh context, which is
-  /// what makes block execution re-entrant across threads. Cost accounting
-  /// (merge slots, suppress totals) accumulates in the context's sink and is
-  /// only merged into the shared Profiler at single-threaded points
-  /// (parallelFor barriers).
+  /// what makes block execution re-entrant across threads.
   struct ExecContext {
-    explicit ExecContext(Profiler* profiler) : sink(profiler) {}
-    analysis::ChargeSink sink;
     bool onWorker = false;  ///< true on pool threads (no nested parallelism)
     /// This context's buffer pool (null when planning is off). The root
     /// context uses the interpreter-owned arena; each pool worker uses its
@@ -128,6 +117,13 @@ class Interpreter {
   /// guard refuses them.
   void recycleEnv(Env& env, ExecContext& ctx);
 
+  /// Runs `body` `trip` times: param 0 is the induction variable, the rest
+  /// carry `carried` from one iteration's returns to the next. A Loop, and a
+  /// ParallelMap the threaded path declines.
+  void runIterations(const ir::Block& body, std::int64_t trip,
+                     std::vector<RtValue>& carried, Env& env,
+                     ExecContext& ctx);
+
   /// The threaded ParallelMap path; returns false when the node lacks the
   /// pass metadata or a runtime precondition fails (caller then runs the
   /// serial path).
@@ -147,21 +143,13 @@ class Interpreter {
                    const Tensor& base, std::span<const analysis::Operand> in,
                    std::size_t operandStart) const;
 
-  /// How a FusionGroup body runs and is priced, decided once per node.
-  struct FusedBody {
-    /// texpr::Kernel::supports(body): charged from texpr::Kernel::infer,
-    /// whichever path ran it.
-    bool priced = false;
-    /// Native-code host; null unless `priced`, texprJit and
-    /// texpr::jit::jitEnabled().
-    std::unique_ptr<texpr::Kernel> kernel;
-  };
-  /// The FusedBody of `node`, cached across runs and threads.
-  const FusedBody& fusedBodyFor(const ir::Node& node, const ir::Block& body);
+  /// The native-code host of FusionGroup `node`, decided once and cached
+  /// across runs and threads; null when its body runs node by node.
+  const texpr::Kernel* fusedKernelFor(const ir::Node& node,
+                                      const ir::Block& body);
 
   Profiler* profiler_;
-  bool useTexpr_ = true;
-  bool texprJit_ = true;
+  bool jit_ = true;  ///< useTexpr && texprJit
   int threads_ = 1;
   const analysis::MemoryPlan* plan_ = nullptr;
   /// Root-context buffer pool, created lazily on the first planned run and
@@ -169,8 +157,8 @@ class Interpreter {
   std::unique_ptr<Arena> arena_;
   /// Per FusionGroup node, kept across runs. Guarded by `fusedMutex_`:
   /// ParallelMap workers may compile concurrently. Entries are never erased,
-  /// so returned references stay valid.
-  std::unordered_map<const ir::Node*, FusedBody> fused_;
+  /// so returned pointers stay valid.
+  std::unordered_map<const ir::Node*, std::unique_ptr<texpr::Kernel>> fused_;
   std::mutex fusedMutex_;
 };
 

@@ -1,6 +1,8 @@
 #include "src/runtime/pipeline.h"
 
+#include <bit>
 #include <functional>
+#include <limits>
 
 #include "src/core/dce.h"
 #include "src/core/fusion.h"
@@ -80,6 +82,34 @@ GraphCounts countGraph(const ir::Graph& g) {
     }
   }
   return c;
+}
+
+/// What a run's price depends on, flattened for comparison: per input its
+/// kind, then tensor dtype and sizes, the scalar's bits, or the list's item
+/// metas.
+std::vector<std::int64_t> signatureOf(std::span<const RtValue> inputs) {
+  std::vector<std::int64_t> sig;
+  auto addTensor = [&sig](const Tensor& t) {
+    sig.push_back(static_cast<std::int64_t>(t.dtype()));
+    sig.push_back(t.dim());
+    sig.insert(sig.end(), t.sizes().begin(), t.sizes().end());
+  };
+  for (const RtValue& v : inputs) {
+    if (v.isTensor()) {
+      sig.push_back(0);
+      addTensor(v.tensor());
+    } else if (v.isScalar()) {
+      const Scalar s = v.scalar();
+      sig.push_back(s.isFloat() ? 1 : s.isInt() ? 2 : 3);
+      sig.push_back(s.isFloat() ? std::bit_cast<std::int64_t>(s.toDouble())
+                                : s.toInt());
+    } else {
+      sig.push_back(4);
+      sig.push_back(static_cast<std::int64_t>(v.list().size()));
+      for (const Tensor& t : v.list()) addTensor(t);
+    }
+  }
+  return sig;
 }
 
 /// Runs one compilation pass under a "pipeline" span. Graph statistics are
@@ -212,6 +242,11 @@ Pipeline::Pipeline(PipelineKind kind, const ir::Graph& source,
       interpreter_(&profiler_, options.useTexpr, options.threads,
                    options.texprJit) {
   compileGraph(kind, *graph_, options);
+  pricing_.device = options.device;
+  pricing_.host = hostSpecFor(kind);
+  pricing_.useTexpr = options.useTexpr;
+  // A pipeline must price every run it executes: no trip budget.
+  pricing_.maxLoopTrip = std::numeric_limits<std::int64_t>::max();
   // The plan is built once per compiled program; in the serving engine it
   // travels with the cached Pipeline, so every request hitting the same
   // shape signature reuses both the compilation AND the buffer plan.
@@ -236,11 +271,39 @@ std::vector<RtValue> Pipeline::run(std::span<const RtValue> inputs) {
 }
 
 std::vector<RtValue> Pipeline::runAccumulate(std::span<const RtValue> inputs) {
-  return interpreter_.run(*graph_, inputs);
+  const analysis::CostReport& cost = price(inputs);
+  const std::int64_t unknownOps = cost.unknownOps;
+  if (unknownOps == 0) {
+    if (launchProbe_) {
+      for (std::int64_t i = 0; i < cost.launches; ++i) launchProbe_();
+    }
+    profiler_.addRun(cost.launches, cost.bytes, cost.flops, cost.gpuUs,
+                     cost.hostUs, cost.simUs, cost.perKernel);
+  }
+  // An unpriceable run usually fails here with the interpreter's own error.
+  std::vector<RtValue> outs = interpreter_.run(*graph_, inputs);
+  TSSA_CHECK(unknownOps == 0, "pipeline " << name() << ": the run succeeded "
+                                  "but the cost walk left " << unknownOps
+                                  << " ops unpriced");
+  return outs;
 }
 
-void Pipeline::setLaunchProbe(Profiler::LaunchProbe probe) {
-  profiler_.setLaunchProbe(std::move(probe));
+const analysis::CostReport& Pipeline::price(std::span<const RtValue> inputs) {
+  std::vector<std::int64_t> signature = signatureOf(inputs);
+  for (const PricedRun& p : priced_)
+    if (p.signature == signature) return p.cost;
+  obs::TraceSpan span("pipeline", "price");
+  PricedRun run{std::move(signature),
+                analysis::estimateCost(*graph_, analysis::costInputs(inputs),
+                                       pricing_)};
+  if (priced_.size() < kPricedSignatures) {
+    priced_.push_back(std::move(run));
+    return priced_.back().cost;
+  }
+  PricedRun& slot = priced_[nextEvicted_];
+  nextEvicted_ = (nextEvicted_ + 1) % kPricedSignatures;
+  slot = std::move(run);
+  return slot.cost;
 }
 
 }  // namespace tssa::runtime

@@ -2,18 +2,23 @@
 //
 // Each pipeline clones the source program and applies the transformations
 // that the corresponding real system is capable of (see DESIGN.md §3), then
-// executes through the shared reference interpreter with that system's host
-// dispatch model. Numerics are identical across pipelines by construction —
-// tests assert it — only structure (fusion, functionalization scope) and the
-// dispatch model differ, which is what produces the paper's metrics.
+// executes through the shared reference interpreter. Numerics are identical
+// across pipelines by construction — tests assert it — only structure
+// (fusion, functionalization scope) and the host dispatch model differ,
+// which is what produces the paper's metrics. A run is priced, not
+// measured: the cost walk (src/analysis/cost.h) prices the compiled program
+// on the run's input metadata under that system's dispatch model, once per
+// input signature, and the interpreter only executes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/analysis/cost.h"
 #include "src/ir/ir.h"
 #include "src/runtime/interpreter.h"
 #include "src/runtime/profiler.h"
@@ -107,22 +112,44 @@ class Pipeline {
 
   /// Executes the compiled program. Profiling restarts on every call.
   std::vector<RtValue> run(std::span<const RtValue> inputs);
-  /// Executes without resetting the profiler (for accumulating runs).
+  /// Executes without resetting the profiler (for accumulating runs). The
+  /// run's price is added to the profiler before the program executes;
+  /// throws tssa::Error when the run succeeds but the cost walk could not
+  /// price it exactly (a lower bound is never reported as exact).
   std::vector<RtValue> runAccumulate(std::span<const RtValue> inputs);
 
   const Profiler& profiler() const { return profiler_; }
   const ir::Graph& compiled() const { return *graph_; }
 
-  /// Installs a hook invoked on every kernel launch this pipeline performs
-  /// (the serving engine's fault-injection seam — see Profiler::
-  /// setLaunchProbe for the contract). Pass nullptr to clear.
-  void setLaunchProbe(Profiler::LaunchProbe probe);
+  /// Installs a hook invoked once per modelled kernel launch of every run,
+  /// before the program executes (the serving engine's fault-injection
+  /// seam). The probe may throw: that models a kernel launch failure, and
+  /// the run throws without executing or recording anything. Pass nullptr
+  /// to clear.
+  using LaunchProbe = std::function<void()>;
+  void setLaunchProbe(LaunchProbe probe) { launchProbe_ = std::move(probe); }
 
  private:
+  /// The cost walk's report for a run on `inputs`. Memoized per input
+  /// signature — tensor sizes and dtypes, scalar values, list metas — for
+  /// the kPricedSignatures most recently priced. Runs of one Pipeline never
+  /// overlap, so the memo needs no lock.
+  const analysis::CostReport& price(std::span<const RtValue> inputs);
+
+  static constexpr std::size_t kPricedSignatures = 32;
+  struct PricedRun {
+    std::vector<std::int64_t> signature;
+    analysis::CostReport cost;
+  };
+
   PipelineKind kind_;
   std::unique_ptr<ir::Graph> graph_;
   Profiler profiler_;
   Interpreter interpreter_;
+  analysis::CostOptions pricing_;
+  std::vector<PricedRun> priced_;
+  std::size_t nextEvicted_ = 0;  ///< round-robin once priced_ is full
+  LaunchProbe launchProbe_;
   /// Liveness plan for the compiled graph (null when options.memoryPlan is
   /// off). Owned here because its Node*/Value* keys reference `graph_`.
   std::unique_ptr<analysis::MemoryPlan> plan_;

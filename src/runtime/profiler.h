@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -13,18 +11,14 @@
 namespace tssa::runtime {
 
 /// Collects the two metrics the paper reports: kernel launch counts (Fig. 6)
-/// and simulated latency (Figs. 5/7/8). The interpreter reports every
-/// framework action and kernel; the profiler prices them with the device and
-/// host models and combines per-op as max(host, kernel).
+/// and simulated latency (Figs. 5/7/8). The cost walk (src/analysis/cost.h)
+/// reports every framework action and kernel of a run; the profiler prices
+/// them with the device and host models and combines per-op as
+/// max(host, kernel). runtime::Pipeline adds each priced run with addRun.
+/// The interpreter reports only the memory planner's arena counters.
 ///
-/// Thread safety: recording (`kernel`, `hostOnly`, ...) and `reset` are
-/// serialized by an internal mutex, so events may be reported from worker
-/// threads (the threaded ParallelMap executor batches per-worker events and
-/// merges them at its barrier, but stray in-worker calls are still safe —
-/// `perKernel_` is no longer a bare map mutated without synchronization).
-/// Readers are expected to run after parallel regions completed (the
-/// interpreter's barrier guarantees it), so the getters take the same lock
-/// only where a torn map read could crash.
+/// Thread safety: every method takes an internal mutex, so a reader on
+/// another thread never sees a torn histogram.
 class Profiler {
  public:
   Profiler(DeviceSpec device, HostSpec host)
@@ -35,12 +29,6 @@ class Profiler {
   /// A device kernel plus the host work that dispatched it.
   void kernel(std::string_view name, std::int64_t bytes, std::int64_t flops,
               double hostUs) {
-    // Launch probe (fault-injection seam, src/serve/fault_injector.h): every
-    // launch of this pipeline flows through here, so this is the one place a
-    // scripted kernel failure can fire. Invoked outside mutex_ — the probe
-    // takes its own lock and may throw; the throwing launch is not recorded
-    // (it never "happened").
-    if (auto probe = launchProbe(); probe) (*probe)();
     const double k = device_.kernelTimeUs(bytes, flops);
     std::lock_guard<std::mutex> lock(mutex_);
     ++launches_;
@@ -65,6 +53,21 @@ class Profiler {
   void loopIteration() { hostOnly(host_.perLoopIterUs); }
   void branch() { hostOnly(host_.perIfUs); }
   void regionCall() { hostOnly(host_.perRegionCallUs); }
+
+  /// A whole run priced ahead of execution: the totals and per-kernel
+  /// launches another Profiler (the cost walk's) recorded for it.
+  void addRun(std::int64_t launches, std::int64_t bytes, std::int64_t flops,
+              double gpuUs, double hostUs, double simUs,
+              const std::map<std::string, std::int64_t>& perKernel) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    launches_ += launches;
+    bytes_ += bytes;
+    flops_ += flops;
+    gpuUs_ += gpuUs;
+    hostUs_ += hostUs;
+    simUs_ += simUs;
+    for (const auto& [name, count] : perKernel) perKernel_[name] += count;
+  }
 
   /// Arena allocation accounting from the memory planner (src/tensor/arena.h):
   /// pool misses ("fresh", heap allocations) vs. pool hits ("reused").
@@ -139,19 +142,6 @@ class Profiler {
   const DeviceSpec& device() const { return device_; }
   const HostSpec& host() const { return host_; }
 
-  /// Installs (or clears, with nullptr) a hook invoked at the top of every
-  /// kernel() call. The probe may throw — that models a kernel launch
-  /// failure and propagates out of the interpreter to the run() caller.
-  /// Unlike the counters it survives reset(): it is part of the pipeline's
-  /// wiring, not of a run's results.
-  using LaunchProbe = std::function<void()>;
-  void setLaunchProbe(LaunchProbe probe) {
-    auto shared = probe ? std::make_shared<const LaunchProbe>(std::move(probe))
-                        : std::shared_ptr<const LaunchProbe>();
-    std::lock_guard<std::mutex> lock(mutex_);
-    launchProbe_ = std::move(shared);
-  }
-
   void reset() {
     std::lock_guard<std::mutex> lock(mutex_);
     launches_ = 0;
@@ -164,14 +154,8 @@ class Profiler {
   }
 
  private:
-  std::shared_ptr<const LaunchProbe> launchProbe() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return launchProbe_;
-  }
-
   DeviceSpec device_;
   HostSpec host_;
-  std::shared_ptr<const LaunchProbe> launchProbe_;  ///< guarded by mutex_
   mutable std::mutex mutex_;
   std::int64_t launches_ = 0;
   std::int64_t bytes_ = 0;

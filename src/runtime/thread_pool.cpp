@@ -1,5 +1,9 @@
 #include "src/runtime/thread_pool.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <exception>
@@ -7,6 +11,25 @@
 #include "src/obs/trace.h"
 
 namespace tssa::runtime {
+
+namespace {
+
+/// Pins glibc's mmap threshold at its default, 128 KiB, once, before the
+/// first worker thread starts. Left dynamic, glibc raises the threshold to
+/// the size of every mmap'd block freed, so later blocks of that size come
+/// from the allocating thread's malloc arena and stay resident there after
+/// they are freed. Tensor buffers are allocated and freed on whichever
+/// threads the scheduler picks, so the process's resident set would depend
+/// on thread timing; pinned, every large buffer is mapped on allocation and
+/// unmapped on free, whatever thread touches it.
+void pinMmapThreshold() {
+#if defined(__GLIBC__)
+  static const int pinned = mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  (void)pinned;
+#endif
+}
+
+}  // namespace
 
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool;
@@ -33,6 +56,7 @@ int ThreadPool::workerCount() {
 }
 
 void ThreadPool::ensureWorkers(int count) {
+  pinMmapThreshold();
   std::lock_guard<std::mutex> lock(mutex_);
   while (static_cast<int>(workers_.size()) < count)
     workers_.emplace_back([this] { workerLoop(); });

@@ -14,7 +14,7 @@
 //                    (fallback compiles are deliberately NOT routed through
 //                    the injector: the recovery path must stay recoverable);
 //   * runs/launches — every pipeline execution the engine performs, with a
-//                    per-run kernel-launch counter (Profiler launch probe);
+//                    per-run kernel-launch counter (Pipeline launch probe);
 //   * batch seals  — every batch the MicroBatcher hands to dispatch.
 //
 // Determinism contract: compile and seal indices are engine-global and
@@ -77,8 +77,9 @@ class FaultInjector {
   /// Called before every pipeline execution; establishes the current run
   /// index for onKernelLaunch and returns it (1-based).
   std::uint64_t beginRun();
-  /// Called from the Profiler launch probe on every kernel launch of an
-  /// engine-run pipeline; throws if (currentRun, launchInRun) is armed.
+  /// Called from the Pipeline launch probe once per modelled kernel launch
+  /// of an engine-run pipeline; throws if (currentRun, launchInRun) is
+  /// armed.
   void onKernelLaunch();
   /// Called by the MicroBatcher on every seal; returns the armed virtual
   /// delay for this seal (0 normally).

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <type_traits>
 
@@ -147,13 +148,20 @@ inline void forRow2(std::int64_t n, std::int64_t s0, std::int64_t s1,
 /// The element a tensor of C++ element type `T` stores for `v`. Bool
 /// (uint8_t) stores `v != 0` — a cast would truncate 0.5 to false and is
 /// undefined for values outside [0, 256) — matching what comparisons and
-/// the JIT produce; the other types convert. Every store into a Bool tensor
-/// goes through this rule, so Bool elements are always 0 or 1 and kernels
-/// read any element as `static_cast<double>`.
+/// the JIT produce. Int64 truncates toward zero; NaN, ±inf and values
+/// outside the Int64 range store INT64_MIN, what x86's cvttsd2si (and so
+/// PyTorch on x86) produces, where a plain cast is undefined. Every store
+/// into a Bool tensor goes through this rule, so Bool elements are always 0
+/// or 1 and kernels read any element as `static_cast<double>`.
 template <typename T>
 inline T storedAs(double v) {
   if constexpr (std::is_same_v<T, std::uint8_t>) {
     return static_cast<std::uint8_t>(v != 0.0);
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    // [-2^63, 2^63): false for NaN.
+    return v >= -0x1p63 && v < 0x1p63
+               ? static_cast<std::int64_t>(v)
+               : std::numeric_limits<std::int64_t>::min();
   } else {
     return static_cast<T>(v);
   }

@@ -335,7 +335,7 @@ std::string finishExpr(DType dtype, const std::string& expr) {
     case DType::Float32:
       return "(double)(float)(" + expr + ")";
     case DType::Int64:
-      return "(double)(long long)(" + expr + ")";
+      return "to_i64(" + expr + ")";
     case DType::Bool:
       return "(((" + expr + ") != 0.0) ? 1.0 : 0.0)";
   }
@@ -364,6 +364,11 @@ class Emitter {
            "#include <cstdint>\n"
            "#include <limits>\n\n"
            "using i64 = long long;\n\n"
+           "// detail::storedAs<int64_t>: truncation, INT64_MIN for NaN, inf\n"
+           "// and out-of-range values (x86 cvttsd2si).\n"
+           "static inline double to_i64(double v) {\n"
+           "  return v >= -0x1p63 && v < 0x1p63 ? (double)(i64)v : -0x1p63;\n"
+           "}\n\n"
            "extern \"C\" {\n"
            "struct TssaJitBuffer {\n"
            "  void* data;\n"

@@ -177,17 +177,13 @@ std::shared_ptr<jit::CompiledKernel> Kernel::compiled(
 }
 
 std::optional<std::vector<RtValue>> Kernel::run(
-    std::span<const RtValue> inputs, RunStats* stats, int threads) const {
+    std::span<const RtValue> inputs, int threads) const {
   TSSA_CHECK(inputs.size() == body_.numParams(),
              "texpr kernel expects " << body_.numParams() << " inputs");
   std::vector<analysis::Operand> params;
   params.reserve(inputs.size());
   for (const RtValue& in : inputs) params.push_back(analysis::operandOf(in));
   const BodyMeta meta = infer(body_, params);
-  if (stats != nullptr) {
-    stats->flops += meta.stats.flops;
-    stats->savedBytes += meta.stats.savedBytes;
-  }
 
   std::vector<codegen::InputSig> sig(body_.numParams());
   for (std::size_t i = 0; i < body_.numParams(); ++i) {

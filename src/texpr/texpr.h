@@ -80,16 +80,14 @@ class Kernel {
   /// dynamic view operands (select indices, slice bounds). Returns
   /// std::nullopt when the launch declines — a codegen or toolchain decline
   /// (counted in jit::KernelCache), or a select index the generated code
-  /// cannot range-check — and the caller runs the body itself. `stats` is
-  /// filled from `infer` either way.
+  /// cannot range-check — and the caller runs the body itself.
   ///
   /// With `threads > 1` the element range of each output is split into
   /// static chunks on the shared runtime thread pool (every element is
   /// computed independently from read-only state, so the result is bitwise
   /// identical to the serial run at any thread count).
   std::optional<std::vector<runtime::RtValue>> run(
-      std::span<const runtime::RtValue> inputs, RunStats* stats = nullptr,
-      int threads = 1) const;
+      std::span<const runtime::RtValue> inputs, int threads = 1) const;
 
  private:
   /// The compiled kernel for signature `sig`, or null when the launch

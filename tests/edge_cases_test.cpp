@@ -438,5 +438,26 @@ TEST(EdgeCaseTest, SameDtypeCopyKeepsLargeInt64Exact) {
   EXPECT_EQ(t.data<std::int64_t>()[2], -big);
 }
 
+// Float32 -> Int64 of NaN, ±inf and values outside the Int64 range stores
+// INT64_MIN (x86 cvttsd2si, so PyTorch on x86); in-range values truncate
+// toward zero. Both `to` and a converting `copy_` go through this rule.
+TEST(EdgeCaseTest, NonFiniteFloatToInt64IsInt64Min) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor a = Tensor::fromData(
+      {std::numeric_limits<float>::quiet_NaN(), inf, -inf, 1e30f, -1e30f,
+       0x1p63f, -0x1p63f, 2.75f, -2.75f, -0.0f},
+      {10});
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::vector<std::int64_t> want = {lo, lo, lo, lo, lo,
+                                          lo, lo, 2,  -2, 0};
+  Tensor copied = Tensor::zeros({10}, DType::Int64);
+  copied.copy_(a);
+  for (const Tensor& got : {a.to(DType::Int64), copied}) {
+    ASSERT_EQ(got.dtype(), DType::Int64);
+    const std::int64_t* p = got.data<std::int64_t>();
+    EXPECT_EQ(std::vector<std::int64_t>(p, p + 10), want);
+  }
+}
+
 }  // namespace
 }  // namespace tssa

@@ -1,7 +1,9 @@
 // Tests for the reference interpreter: eager aliasing semantics, control
-// flow, TensorSSA op semantics, fusion constructs, and profiling.
+// flow, TensorSSA op semantics, and fusion constructs — executed by the
+// interpreter and priced by the cost walk (src/analysis/cost.h).
 #include <gtest/gtest.h>
 
+#include "src/analysis/cost.h"
 #include "src/ir/builder.h"
 #include "src/ir/verifier.h"
 #include "src/runtime/interpreter.h"
@@ -17,10 +19,20 @@ using ir::OpKind;
 using ir::Type;
 using ir::Value;
 
-std::vector<RtValue> runGraph(const Graph& g, std::vector<RtValue> inputs,
-                              Profiler* prof = nullptr) {
-  Interpreter interp(prof);
+std::vector<RtValue> runGraph(const Graph& g, std::vector<RtValue> inputs) {
+  Interpreter interp;
   return interp.run(g, inputs);
+}
+
+/// What a run of `g` on `inputs` costs on `device` under `host`.
+analysis::CostReport priceGraph(const Graph& g,
+                                const std::vector<RtValue>& inputs,
+                                DeviceSpec device = DeviceSpec::dataCenter(),
+                                HostSpec host = HostSpec::torchscriptVm()) {
+  analysis::CostOptions options;
+  options.device = std::move(device);
+  options.host = std::move(host);
+  return analysis::estimateCost(g, analysis::costInputs(inputs), options);
 }
 
 TEST(InterpreterTest, PureDataflow) {
@@ -226,12 +238,11 @@ TEST(InterpreterTest, FusionGroupExecutesAndCountsOneKernel) {
   g.addOutput(group->output());
   ir::verify(g);
 
-  Profiler prof(DeviceSpec::dataCenter(), HostSpec::torchscriptVm());
   Tensor t = Tensor::fromData({-1, 2}, {2});
-  auto out = runGraph(g, {RtValue(t)}, &prof);
+  auto out = runGraph(g, {RtValue(t)});
   EXPECT_EQ(out[0].tensor().scalarAtLinear(0), 0.0);
   EXPECT_EQ(out[0].tensor().scalarAtLinear(1), 4.0);
-  EXPECT_EQ(prof.kernelLaunches(), 1);
+  EXPECT_EQ(priceGraph(g, {RtValue(t)}).launches, 1);
 }
 
 TEST(InterpreterTest, ParallelMapMatchesLoopResult) {
@@ -272,19 +283,20 @@ TEST(InterpreterTest, ParallelMapMatchesLoopResult) {
   build(gPar, OpKind::ParallelMap);
   Tensor b = Tensor::fromData({1, 2, 3}, {3});
 
-  Profiler profLoop(DeviceSpec::dataCenter(), HostSpec::torchscriptVm());
-  Profiler profPar(DeviceSpec::dataCenter(), HostSpec::torchscriptVm());
+  const std::vector<RtValue> inputs = {RtValue(b), RtValue(std::int64_t{3})};
   auto outLoop =
-      runGraph(gLoop, {RtValue(b.clone()), RtValue(std::int64_t{3})}, &profLoop);
+      runGraph(gLoop, {RtValue(b.clone()), RtValue(std::int64_t{3})});
   auto outPar =
-      runGraph(gPar, {RtValue(b.clone()), RtValue(std::int64_t{3})}, &profPar);
+      runGraph(gPar, {RtValue(b.clone()), RtValue(std::int64_t{3})});
   EXPECT_TRUE(allClose(outLoop[0].tensor(), outPar[0].tensor()));
   EXPECT_EQ(outPar[0].tensor().scalarAtLinear(2), 9.0);
   // Horizontal parallelization: each per-iteration kernel position becomes
   // one batched launch (here: mul + assign = 2), independent of trip count.
-  EXPECT_EQ(profPar.kernelLaunches(), 2);
-  EXPECT_GT(profLoop.kernelLaunches(), profPar.kernelLaunches());
-  EXPECT_LT(profPar.simTimeUs(), profLoop.simTimeUs());
+  const analysis::CostReport loop = priceGraph(gLoop, inputs);
+  const analysis::CostReport par = priceGraph(gPar, inputs);
+  EXPECT_EQ(par.launches, 2);
+  EXPECT_GT(loop.launches, par.launches);
+  EXPECT_LT(par.simUs, loop.simUs);
 }
 
 TEST(InterpreterTest, ProfilerCountsEagerKernels) {
@@ -295,13 +307,13 @@ TEST(InterpreterTest, ProfilerCountsEagerKernels) {
   Value* y = builder.sigmoid(x);   // kernel
   Value* v = builder.select(y, 0, builder.constInt(0));  // view: no kernel
   g.addOutput(v);
-  Profiler prof(DeviceSpec::consumer(), HostSpec::eagerPython());
-  runGraph(g, {RtValue(Tensor::zeros({4, 4}))}, &prof);
-  EXPECT_EQ(prof.kernelLaunches(), 2);
-  EXPECT_GT(prof.simTimeUs(), 0.0);
-  EXPECT_GT(prof.hostTimeUs(), 0.0);
-  prof.reset();
-  EXPECT_EQ(prof.kernelLaunches(), 0);
+  const std::vector<RtValue> inputs = {RtValue(Tensor::zeros({4, 4}))};
+  runGraph(g, inputs);
+  const analysis::CostReport cost = priceGraph(
+      g, inputs, DeviceSpec::consumer(), HostSpec::eagerPython());
+  EXPECT_EQ(cost.launches, 2);
+  EXPECT_GT(cost.simUs, 0.0);
+  EXPECT_GT(cost.hostUs, 0.0);
 }
 
 TEST(InterpreterTest, CatStackGatherFactories) {

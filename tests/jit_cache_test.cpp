@@ -161,7 +161,7 @@ TEST(JitCacheTest, HonorsTmpdirForScratchFiles) {
   std::vector<RtValue> inputs{RtValue(rng.uniform({4, 4}, -1, 1)),
                               RtValue(rng.uniform({4, 4}, -1, 1))};
   texpr::Kernel jitted(*body);
-  const auto got = jitted.run(inputs, nullptr, 1);
+  const auto got = jitted.run(inputs, 1);
 
   // The kernel engaged: one successful native compile, no fallback — with
   // every scratch file created under TMPDIR and cleaned up afterwards.
@@ -222,17 +222,17 @@ TEST(JitCacheTest, EvictedKernelStaysUsableWhileReferenced) {
   texpr::Kernel k1(*body1);
   texpr::Kernel k2(*body2);
 
-  const auto first = k1.run(inputs1, nullptr, 1);
+  const auto first = k1.run(inputs1, 1);
   ASSERT_TRUE(first.has_value());
   ASSERT_EQ(cache.stats().size, 1u);
-  ASSERT_TRUE(k2.run(inputs2, nullptr, 1).has_value());
+  ASSERT_TRUE(k2.run(inputs2, 1).has_value());
   // Capacity 1: compiling body2's kernel evicted body1's cache entry.
   EXPECT_EQ(cache.stats().size, 1u);
 
   // k1 still runs natively through its memoized kernel (counted as a hit)
   // and still matches both its earlier result and the interpreted body.
   const auto before = cache.stats();
-  const auto again = k1.run(inputs1, nullptr, 1);
+  const auto again = k1.run(inputs1, 1);
   const auto after = cache.stats();
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(after.hits, before.hits + 1);

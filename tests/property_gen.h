@@ -224,9 +224,9 @@ class ProgramGenerator {
 ///
 /// Value-safety invariant: the generator tracks a conservative magnitude
 /// bound and a may-be-NaN flag per value, and only emits Cast-to-Int64 when
-/// the operand is provably NaN-free and small — the double→int64 conversion
-/// is undefined otherwise (in the interpreter's roundTo just as much as in
-/// the generated code), and the fuzz suite runs under sanitizers.
+/// the operand is provably NaN-free and small — NaN and ±inf cast to
+/// INT64_MIN, and Int64 arithmetic downstream must stay far from signed
+/// overflow, which is undefined; the fuzz suite runs under sanitizers.
 class FusedRegionGenerator {
  public:
   FusedRegionGenerator(Graph& graph, Rng& structRng, Rng& dataRng)
@@ -684,8 +684,8 @@ class FusedRegionGenerator {
           !broadcastable(cand.shape, viewShape) ||
           broadcast(cand.shape, viewShape) != viewShape)
         continue;
-      // Written elements round to the base dtype: a NaN or huge source
-      // into an Int64 base would be UB in that conversion.
+      // Written elements round to the base dtype: keep NaN and huge
+      // sources out of Int64 bases, like the Cast rule above.
       if (base.dtype == DType::Int64 && (cand.mayNaN || cand.bound > 1e14))
         continue;
       src = &cand;
@@ -751,8 +751,8 @@ struct ViewRecipe {
 /// with extents 0 and 1 among them, reached through random chains of
 /// permute/transpose, select, slice and expand views of a fresh base, in
 /// Float32, Int64 or Bool. Float32 values include NaN, ±inf and -0.0 unless
-/// `finite` is set (casts into Int64 need finite values); Int64 values are
-/// small, so every conversion through double is exact.
+/// `finite` is set; Int64 values are small, so every conversion through
+/// double is exact.
 class ViewedTensorGenerator {
  public:
   explicit ViewedTensorGenerator(Rng& rng) : rng_(rng) {}

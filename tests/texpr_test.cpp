@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
 #include <tuple>
 
 #include "src/core/fusion.h"
@@ -208,16 +209,29 @@ TEST(TexprTest, RunStatsReportFlopsAndDonation) {
   EXPECT_EQ(stats.flops, 64 + 64);  // assign + relu, one per element
   // Donation saves 2*(64-8)*4 bytes of round-trip traffic.
   EXPECT_EQ(stats.savedBytes, 2 * (64 - 8) * 4);
-  if (!texpr::jit::jitEnabled()) return;
-  texpr::Kernel kernel(body);
-  texpr::Kernel::RunStats ran;
-  // Filled whether or not native code ran.
-  const auto out = kernel.run(in, &ran);
-  if (out) {
-    EXPECT_EQ(out->size(), 1u);
-  }
-  EXPECT_EQ(ran.flops, stats.flops);
-  EXPECT_EQ(ran.savedBytes, stats.savedBytes);
+}
+
+// A fused Cast to Int64 follows the tensor library's rule for NaN, ±inf and
+// out-of-range values (INT64_MIN), natively and interpreted.
+TEST(TexprTest, NonFiniteCastToInt64MatchesInterpreter) {
+  auto g = groupGraph(1, [](IRBuilder& b, Block* body) {
+    body->addReturn(b.cast(b.mul(body->param(0), body->param(0)),
+                           DType::Int64));
+  });
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<RtValue> inputs = {RtValue(Tensor::fromData(
+      {std::numeric_limits<float>::quiet_NaN(), inf, -inf, 1e30f, 2.5f,
+       -3.5f},
+      {6}))};
+  expectTexprMatchesInterpreter(*g, inputs);
+  const Tensor out =
+      Interpreter(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true)
+          .run(*g, inputs)[0]
+          .tensor();
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t* p = out.data<std::int64_t>();
+  EXPECT_EQ(std::vector<std::int64_t>(p, p + 6),
+            (std::vector<std::int64_t>{lo, lo, lo, lo, 6, 12}));
 }
 
 /// Dtype, shape and every element's bits must agree.
