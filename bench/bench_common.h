@@ -141,13 +141,14 @@ inline bool outputsBitwiseEqual(const std::vector<runtime::RtValue>& a,
 ///                      (consumed by scripts/check_bench.py in CI)
 ///   --trace=PATH       enable obs::Tracer and write a Chrome trace_event
 ///                      JSON of the whole run (open in Perfetto)
-///   --texpr-jit=0/1    force the texpr JIT off/on for the whole process
-///                      (sets TSSA_TEXPR_JIT before any kernel runs; with 0
-///                      every fused region goes through the interpreter)
+///   --texpr-jit=0/1    the texpr JIT, off by default: sets `texprJit` (the
+///                      serve, decode and shard benches pass it to their
+///                      pipelines) and TSSA_TEXPR_JIT before any kernel
+///                      runs (0 also skips micro_ops' native legs)
 struct BenchFlags {
   int threads = 4;
   int reps = 3;
-  bool texprJit = true;        ///< --texpr-jit=0 disables native codegen
+  bool texprJit = false;       ///< --texpr-jit=1 enables native codegen
   std::string pipelineFilter;  ///< empty = all pipelines
   std::string jsonPath;        ///< empty = no JSON result file
   std::string tracePath;       ///< empty = tracing stays disabled
@@ -175,7 +176,7 @@ struct BenchFlags {
   static BenchFlags parse(int& argc, char** argv) {
     BenchFlags flags;
     int kept = 1;
-    int jit = 1;
+    int jit = 0;
     bool jitSeen = false;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];

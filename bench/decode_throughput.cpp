@@ -19,7 +19,7 @@
 // pages for the same traffic. extra.kv_leaked (pages still in use after
 // drain) is likewise gated at 0.
 //
-// Usage: decode_throughput [--reps=N] [--texpr-jit=0] [--json=PATH]
+// Usage: decode_throughput [--reps=N] [--texpr-jit=1] [--json=PATH]
 #include <chrono>
 #include <cstdio>
 #include <future>

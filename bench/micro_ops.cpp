@@ -1,9 +1,11 @@
 // Micro-benchmarks: tensor-library primitives, interpreter dispatch, the
 // analytic device model's per-op pricing (sanity anchors for the figures),
 // per-op kernels at the shapes paper_nlp runs them (each checked bitwise
-// against its per-element reference first), and fused-region execution —
-// texpr JIT native code vs the interpreted body (tensor/ops.h, one op at a
-// time) on identical regions (records feed the CI perf gate).
+// against its per-element reference first), and fused-region execution on
+// identical regions — the whole body (tensor/ops.h, one op at a time on
+// whole tensors), the tiled body (the default executor) and texpr JIT native
+// code — each checked bitwise against the whole body (records feed the CI
+// perf gate).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -17,6 +19,7 @@
 #include "src/tensor/random.h"
 #include "src/texpr/jit.h"
 #include "src/texpr/texpr.h"
+#include "tests/fusion_inline.h"
 #include "tests/ops_reference.h"
 
 namespace {
@@ -152,7 +155,7 @@ void BM_InterpreterDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterDispatch);
 
-// ---- Fused-region: texpr JIT vs interpreter --------------------------------
+// ---- Fused-region: whole body vs tiled body vs texpr JIT ---------------------
 
 /// `sigmoid(p0 * p1 + p2) * relu(p0 - p2)` — a pure elementwise chain; all
 /// inputs contiguous and shape-equal, so the JIT's linear fast loop runs.
@@ -219,6 +222,7 @@ double bestNsPerIter(Fn&& runOnce, int iters, int reps) {
 
 void runFusedRegionBench(const bench::BenchFlags& flags,
                          bench::BenchReport& report) {
+  namespace ref = testing_support::reference;
   struct Case {
     const char* name;
     ir::Block* (*build)(ir::Graph&);
@@ -227,59 +231,64 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
   const Case cases[] = {{"ewise", buildEwiseBody, 3},
                         {"views", buildViewBody, 2}};
   std::printf(
-      "\n=== Fused-region ns/iter: texpr JIT vs interpreted body ===\n");
-  if (!texpr::jit::jitEnabled()) {
-    std::printf("  skipped: texpr JIT disabled\n");
-    return;
-  }
+      "\n=== Fused-region ns/iter: whole body vs tiled body vs texpr JIT "
+      "===\n");
+  const bool jitOn = texpr::jit::jitEnabled();
+  auto fail = [](const char* name, const char* what) {
+    std::fprintf(stderr, "fused_region/%s: %s\n", name, what);
+    std::exit(1);
+  };
+  // `wholeNs` is 0 for the whole-body leg itself: it is tracked for the
+  // ratios, not gated.
+  auto record = [&](const char* name, const char* leg, const char* pipeline,
+                    double ns, double wholeNs) {
+    bench::BenchRecord r;
+    r.name = std::string("fused_region/") + name + "/" + leg;
+    r.workload = "micro";
+    r.pipeline = pipeline;
+    r.nsPerIter = ns;
+    r.timeGated = wholeNs > 0;
+    if (r.timeGated) r.extra.emplace_back("speedup_vs_interp", wholeNs / ns);
+    report.add(std::move(r));
+  };
   for (const Case& c : cases) {
     ir::Graph g;
     ir::Block* body = c.build(g);
+    const std::unique_ptr<ir::Graph> whole =
+        testing_support::inlineFusionGroups(g);
     Rng rng(42);
     std::vector<runtime::RtValue> inputs;
     for (std::size_t i = 0; i < c.numInputs; ++i)
       inputs.emplace_back(rng.uniform({256, 256}, -1, 1));
 
+    // 256 KiB regions: the tiled leg runs four tiles, serially.
+    runtime::Interpreter interp;
+    auto runWhole = [&] { return interp.run(*whole, inputs); };
+    auto runTiled = [&] { return interp.run(g, inputs); };
+    const Tensor want = runWhole()[0].tensor();
+    if (!ref::sameBits(runTiled()[0].tensor(), want))
+      fail(c.name, "tiled and whole body disagree");
+    const double wholeNs = bestNsPerIter(runWhole, 3, flags.reps);
+    const double tiledNs = bestNsPerIter(runTiled, 3, flags.reps);
+    std::printf("  %-8s interp=%12.0f ns  tiled=%12.0f ns  speedup=%6.2fx",
+                c.name, wholeNs, tiledNs, wholeNs / tiledNs);
+    record(c.name, "interp", "texpr_interp", wholeNs, 0);
+    record(c.name, "tiled", "texpr_tiled", tiledNs, wholeNs);
+
+    if (!jitOn) {
+      std::printf("  jit skipped: texpr JIT disabled\n");
+      continue;
+    }
+    // The first JIT run pays the external compile; the JIT must accept the
+    // region and agree bitwise, or the comparison is meaningless.
     texpr::Kernel jit(*body);
-    runtime::Interpreter interp(nullptr, /*useTexpr=*/true, 1,
-                                /*texprJit=*/false);
     auto runJit = [&] { return *jit.run(inputs, 1); };
-    auto runInterp = [&] { return interp.run(g, inputs); };
-    // Warm up: first JIT run pays the external compile; the JIT must accept
-    // the region and agree bitwise, or the comparison is meaningless.
-    if (!jit.run(inputs, 1).has_value()) {
-      std::fprintf(stderr, "fused_region/%s: JIT declined\n", c.name);
-      std::exit(1);
-    }
-    if (!bench::outputsBitwiseEqual(runJit(), runInterp())) {
-      std::fprintf(stderr,
-                   "fused_region/%s: JIT and interpreted body disagree\n",
-                   c.name);
-      std::exit(1);
-    }
-
+    if (!jit.run(inputs, 1).has_value()) fail(c.name, "JIT declined");
+    if (!ref::sameBits(runJit()[0].tensor(), want))
+      fail(c.name, "JIT and whole body disagree");
     const double jitNs = bestNsPerIter(runJit, 40, flags.reps);
-    const double interpNs = bestNsPerIter(runInterp, 3, flags.reps);
-    const double speedup = interpNs / jitNs;
-    std::printf("  %-8s jit=%10.0f ns  interp=%12.0f ns  speedup=%6.1fx\n",
-                c.name, jitNs, interpNs, speedup);
-
-    bench::BenchRecord jitRecord;
-    jitRecord.name = std::string("fused_region/") + c.name + "/jit";
-    jitRecord.workload = "micro";
-    jitRecord.pipeline = "texpr_jit";
-    jitRecord.nsPerIter = jitNs;
-    jitRecord.timeGated = true;
-    jitRecord.extra.emplace_back("speedup_vs_interp", speedup);
-    report.add(std::move(jitRecord));
-
-    bench::BenchRecord interpRecord;
-    interpRecord.name = std::string("fused_region/") + c.name + "/interp";
-    interpRecord.workload = "micro";
-    interpRecord.pipeline = "texpr_interp";
-    interpRecord.nsPerIter = interpNs;
-    interpRecord.timeGated = false;  // tracked for the ratio, not gated
-    report.add(std::move(interpRecord));
+    std::printf("  jit=%10.0f ns  speedup=%6.1fx\n", jitNs, wholeNs / jitNs);
+    record(c.name, "jit", "texpr_jit", jitNs, wholeNs);
   }
 }
 

@@ -31,7 +31,7 @@
 //     fresh, traffic returns. Deterministic compile arithmetic, zero
 //     errors.
 //
-// Usage: shard_scaling [--reps=N] [--texpr-jit=0] [--json=PATH]
+// Usage: shard_scaling [--reps=N] [--texpr-jit=1] [--json=PATH]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

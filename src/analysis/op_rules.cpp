@@ -7,8 +7,10 @@
 
 namespace tssa::analysis {
 
+using ir::Block;
 using ir::Node;
 using ir::OpKind;
+using ir::Value;
 
 // ---- Values and operands ----------------------------------------------------
 
@@ -520,6 +522,7 @@ void inferOutputs(const Node& node, std::span<const Operand> in,
       return;
     }
     case OpKind::Argsort:
+      TSSA_CHECK(tensor(0).rank() >= 1, "argsort needs rank >= 1");
       bind(TensorMeta{tensor(0).meta().sizes, DType::Int64});
       return;
     case OpKind::Clone:
@@ -562,6 +565,204 @@ void inferOutputs(const Node& node, std::span<const Operand> in,
 
     default:
       TSSA_THROW("no output rule for " << opName(kind));
+  }
+}
+
+Operand BodyValues::operandOf(const Value* v) const {
+  if (auto t = tensors.find(v); t != tensors.end())
+    return Operand::tensor(t->second);
+  if (auto s = scalars.find(v); s != scalars.end())
+    return Operand::scalar(s->second);
+  return Operand();  // defined outside the body: a rule rejects it
+}
+
+BodyValues inferBody(const Block& body, std::span<const Operand> params) {
+  TSSA_CHECK(params.size() == body.numParams(),
+             "fused body expects " << body.numParams() << " params");
+  BodyValues m;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (params[i].isTensor()) {
+      m.tensors[body.param(i)] = params[i].meta();
+    } else if (params[i].isScalar()) {
+      m.scalars[body.param(i)] = params[i].scalar();
+    }
+  }
+  std::vector<Operand> in;
+  for (const Node* node : body) {
+    TSSA_CHECK(node->numBlocks() == 0 && node->numOutputs() == 1,
+               "fused body: " << opName(node->kind())
+                              << " is not a one-result leaf op");
+    in.clear();
+    for (const Value* v : node->inputs()) in.push_back(m.operandOf(v));
+    CostValue out;
+    inferOutputs(*node, in, std::span(&out, 1));
+    m.tensors[node->output(0)] = out.tensorMeta();
+  }
+  return m;
+}
+
+// ---- Tiling -----------------------------------------------------------------
+
+namespace {
+
+/// The dim of `view` (view rule `rule` applied to `base`) that carries dim
+/// `t` of `base`, or std::nullopt when the rule selects, slices or merges
+/// it. `t` has extent > 1.
+std::optional<int> viewedDim(OpKind rule, const Node& node,
+                             const Operand& base, int t, const Operand& view) {
+  const auto& attrs = node.attrs();
+  const std::int64_t rank = base.rank();
+  const auto dim = [&](const char* name) {
+    return normalizeDim(attrs.i(name), rank);
+  };
+  switch (rule) {
+    case OpKind::Identity:
+      return t;
+    case OpKind::Select: {
+      const std::int64_t s = dim("dim");
+      if (s == t) return std::nullopt;
+      return s < t ? t - 1 : t;
+    }
+    case OpKind::Slice:
+      if (dim("dim") == t) return std::nullopt;
+      return t;
+    case OpKind::Transpose: {
+      const std::int64_t d0 = dim("dim0");
+      const std::int64_t d1 = dim("dim1");
+      return static_cast<int>(t == d0 ? d1 : t == d1 ? d0 : t);
+    }
+    case OpKind::Permute: {
+      const std::vector<std::int64_t>& dims = attrs.ints("dims");
+      for (std::size_t p = 0; p < dims.size(); ++p)
+        if (normalizeDim(dims[p], rank) == t) return static_cast<int>(p);
+      return std::nullopt;
+    }
+    case OpKind::Squeeze:  // the squeezed dim has extent 1: never `t`
+      return dim("dim") < t ? t - 1 : t;
+    case OpKind::Unsqueeze: {
+      std::int64_t s = attrs.i("dim");
+      if (s < 0) s += rank + 1;
+      return s <= t ? t + 1 : t;
+    }
+    case OpKind::Flatten: {
+      const std::int64_t s = dim("start_dim");
+      const std::int64_t e = dim("end_dim");
+      if (t < s) return t;
+      if (t > e) return static_cast<int>(t - (e - s));
+      // Merging `t` with other dims of extent > 1 interleaves tiles.
+      for (std::int64_t d = s; d <= e; ++d)
+        if (d != t && base.sizes()[static_cast<std::size_t>(d)] != 1)
+          return std::nullopt;
+      return static_cast<int>(s);
+    }
+    case OpKind::Reshape: {
+      // Row-major order keeps `t` where the result repeats both its extent
+      // and the product of the extents before it.
+      std::int64_t prefix = 1;
+      for (int d = 0; d < t; ++d)
+        prefix *= base.sizes()[static_cast<std::size_t>(d)];
+      const std::int64_t e = base.sizes()[static_cast<std::size_t>(t)];
+      std::int64_t p = 1;
+      for (std::size_t j = 0; j < view.sizes().size() && p <= prefix; ++j) {
+        if (p == prefix && view.sizes()[j] == e) return static_cast<int>(j);
+        p *= view.sizes()[j];
+      }
+      return std::nullopt;
+    }
+    case OpKind::Expand:  // trailing-aligned; an extent > 1 stays put
+      return static_cast<int>(t + (view.rank() - rank));
+    default:
+      return std::nullopt;
+  }
+}
+
+/// True when `x`, read whole by every tile, broadcasts along dim `d` of a
+/// rank-`rank` result: it lacks that dim or has extent 1 there.
+bool broadcastsAlong(const Operand& x, int d, std::int64_t rank) {
+  const std::int64_t j = d - (rank - x.rank());
+  return j < 0 || x.sizes()[static_cast<std::size_t>(j)] == 1;
+}
+
+}  // namespace
+
+std::optional<TiledDims> tiledDims(const Node& node,
+                                   std::span<const Operand> in,
+                                   std::span<const int> dims,
+                                   const Operand& out) {
+  const OpKind kind = node.kind();
+  switch (ir::opCategory(kind)) {
+    case ir::OpCategory::EwiseUnary:
+    case ir::OpCategory::EwiseBinary:
+    case ir::OpCategory::EwiseTernary: {
+      const std::int64_t rank = out.rank();
+      int d = -1;
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        if (dims[i] < 0) continue;
+        const auto j = static_cast<int>(dims[i] + (rank - in[i].rank()));
+        if (d >= 0 && j != d) return std::nullopt;
+        d = j;
+      }
+      if (d < 0) return TiledDims{};
+      for (std::size_t i = 0; i < in.size(); ++i)
+        if (dims[i] < 0 && in[i].isTensor() && !broadcastsAlong(in[i], d, rank))
+          return std::nullopt;
+      return TiledDims{d, -1};
+    }
+    case ir::OpCategory::Immut: {
+      if (node.attrs().has("dyn")) return std::nullopt;
+      const auto rule = static_cast<OpKind>(node.attrs().i("view"));
+      if (kind == OpKind::Access) {
+        if (dims[0] < 0) return TiledDims{};
+        const std::optional<int> v = viewedDim(rule, node, in[0], dims[0], out);
+        if (!v) return std::nullopt;
+        return TiledDims{*v, *v};
+      }
+      if (kind != OpKind::Assign || rule == OpKind::Expand) return std::nullopt;
+      if (dims[0] < 0) {
+        if (dims[1] >= 0) return std::nullopt;
+        return TiledDims{};
+      }
+      // An in-place write reaches its base through a view of the base's
+      // tile. A reshape or flatten copies a tile that is not contiguous,
+      // which a dim of extent > 1 before the tiled one makes it.
+      if (node.attrs().bOr("inplace", false) &&
+          (rule == OpKind::Reshape || rule == OpKind::Flatten)) {
+        for (int d = 0; d < dims[0]; ++d)
+          if (in[0].sizes()[static_cast<std::size_t>(d)] != 1)
+            return std::nullopt;
+      }
+      const TensorMeta region = viewMeta(rule, node, in[0], in, 2);
+      const Operand view = Operand::tensor(region);
+      const std::optional<int> v = viewedDim(rule, node, in[0], dims[0], view);
+      if (!v) return std::nullopt;
+      const bool srcFits =
+          dims[1] >= 0 ? dims[1] + (view.rank() - in[1].rank()) == *v
+                       : broadcastsAlong(in[1], *v, view.rank());
+      if (!srcFits) return std::nullopt;
+      return TiledDims{dims[0], *v};
+    }
+    case ir::OpCategory::Reduction: {
+      switch (kind) {
+        case OpKind::Softmax:
+        case OpKind::SumDim:
+        case OpKind::Mean:
+        case OpKind::MaxDim:
+        case OpKind::MinDim:
+        case OpKind::Argmax:
+          break;
+        default:
+          return std::nullopt;
+      }
+      const int t = dims[0];
+      if (t < 0) return TiledDims{};
+      const std::int64_t k = normalizeDim(node.attrs().i("dim"), in[0].rank());
+      if (k == t) return std::nullopt;
+      const bool kept =
+          kind == OpKind::Softmax || node.attrs().bOr("keepdim", false);
+      return TiledDims{kept || k > t ? t : t - 1, -1};
+    }
+    default:
+      return std::nullopt;
   }
 }
 

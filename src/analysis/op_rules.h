@@ -11,19 +11,24 @@
 //     infers each op's outputs with inferOutputs() and charges them with
 //     chargeOf(). runtime::Pipeline prices every run through it, so it is
 //     the one walk that produces Profiler numbers;
-//   * the texpr backend (src/texpr/texpr.h) binds the shape/dtype of every
-//     fused body value with inferOutputs() and derives its RunStats from it.
+//   * the texpr backend (src/texpr/texpr.h) and the tile planner
+//     (src/analysis/tile_plan.h) bind the shape/dtype of every fused body
+//     value with inferBody(), which applies inferOutputs() node by node.
 //
 // inferOutputs() owns every output-metadata rule (broadcasting, dtype
 // promotion, reductions, every view rule, the "dyn" size binding) and
-// validates operands with a typed tssa::Error. chargeOf() is the per-op
-// charge, shaped like chainer-compiler's CalculateFlops(node): launches (0, 1,
-// or 4 for the multi-pass sorts), bytes and flops per launch, host syncs and
-// host dispatch.
+// validates operands with a typed tssa::Error. tiledDims() says whether an
+// op maps tiles of its operands to tiles of its result, the rule the tile
+// planner of fused bodies is built from (src/analysis/tile_plan.h).
+// chargeOf() is the per-op charge, shaped like chainer-compiler's
+// CalculateFlops(node): launches (0, 1, or 4 for the multi-pass sorts),
+// bytes and flops per launch, host syncs and host dispatch.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -174,6 +179,24 @@ Operand operandOf(const runtime::RtValue& v);
 void inferOutputs(const ir::Node& node, std::span<const Operand> in,
                   std::span<CostValue> out);
 
+/// Metadata of every value of a fused body: tensor metadata by value, and
+/// the scalar params.
+struct BodyValues {
+  std::unordered_map<const ir::Value*, TensorMeta> tensors;
+  std::unordered_map<const ir::Value*, Scalar> scalars;
+
+  /// The rules' view of `v`; unknown for values defined outside the body.
+  /// Valid while *this is.
+  Operand operandOf(const ir::Value* v) const;
+};
+
+/// Binds `params` (one per param of straight-line `body`) and infers each
+/// node's one tensor result with inferOutputs, in body order. The one walk
+/// over a fused body's metadata: the texpr backend prices bodies with it
+/// and the tile planner cuts them by it. Throws tssa::Error when a node is
+/// not a one-result tensor op or a rule rejects its operands.
+BodyValues inferBody(const ir::Block& body, std::span<const Operand> params);
+
 /// The value of a scalar op (scalar arithmetic/comparison, aten::size).
 Scalar scalarResult(const ir::Node& node, std::span<const Operand> in);
 
@@ -195,6 +218,36 @@ TensorMeta viewMeta(ir::OpKind viewKind, const ir::Node& node,
 /// infer meaning).
 Shape resolvedSizes(const ir::Node& node, std::span<const Operand> in,
                     std::size_t operandStart);
+
+// ---- Tiling -----------------------------------------------------------------
+
+/// Where a leaf op puts the tiled dim of its operands (see tiledDims).
+struct TiledDims {
+  /// Dim of the result that carries the operands' tiled dim; -1 when no
+  /// operand is tiled and every tile shares the whole result.
+  int out = -1;
+  /// Access/Assign only: the tiled dim of the view's result (-1 if none).
+  /// A tile rewrites a reshape's or expand's "sizes" entry at this dim to
+  /// the tile's extent.
+  int view = -1;
+};
+
+/// The tiling rule of leaf op `node`: `dims` holds, per operand, the dim it
+/// is tiled along (-1 for operands every tile reads whole, and for
+/// non-tensors); `in` and `out` are the metadata of the whole operands and
+/// result. A tiled dim has extent > 1. Returns where the result is tiled
+/// when running the op on each tile of its operands yields exactly the
+/// matching tile of its whole result — elementwise ops with broadcasting,
+/// Access/Assign views that do not select, slice or merge the tiled dim,
+/// and softmax and dim reductions over another dim — and std::nullopt for
+/// every other op or operand layout: "dyn" views, Assign through expand,
+/// in-place Assign through reshape or flatten below the outermost dim of
+/// extent > 1 (its tile would be a copy, not the base), whole-tensor
+/// reductions, matmul, cat, sort, gather, control flow.
+std::optional<TiledDims> tiledDims(const ir::Node& node,
+                                   std::span<const Operand> in,
+                                   std::span<const int> dims,
+                                   const Operand& out);
 
 // ---- Charges ----------------------------------------------------------------
 

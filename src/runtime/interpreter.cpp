@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <utility>
 
 #include "src/ir/printer.h"
 #include "src/obs/trace.h"
@@ -170,8 +171,15 @@ const RtValue& Interpreter::get(const ir::Value* v, const Env& env) const {
 Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
                               const Tensor& base,
                               std::span<const analysis::Operand> in,
-                              std::size_t operandStart) const {
+                              std::size_t operandStart,
+                              SizesPatch patch) const {
   const auto& attrs = node.attrs();
+  auto sizesOf = [&] {
+    Shape sizes = analysis::resolvedSizes(node, in, operandStart);
+    const auto d = static_cast<std::size_t>(patch.dim);
+    if (patch.dim >= 0 && sizes[d] != -1) sizes[d] = patch.extent;
+    return sizes;
+  };
   auto index = [&](std::size_t i) {
     TSSA_CHECK(operandStart + i < in.size(), "view: missing dynamic operand");
     return in[operandStart + i].scalar().toInt();
@@ -184,7 +192,7 @@ Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
     case OpKind::Slice:
       return base.slice(attrs.i("dim"), index(0), index(1), attrs.i("step"));
     case OpKind::Reshape: {
-      Shape sizes = analysis::resolvedSizes(node, in, operandStart);
+      Shape sizes = sizesOf();
       return base.isContiguous() ? base.view(std::move(sizes))
                                  : base.reshape(std::move(sizes));
     }
@@ -193,7 +201,7 @@ Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
     case OpKind::Transpose:
       return base.transpose(attrs.i("dim0"), attrs.i("dim1"));
     case OpKind::Expand:
-      return base.expand(analysis::resolvedSizes(node, in, operandStart));
+      return base.expand(sizesOf());
     case OpKind::Squeeze:
       return base.squeeze(attrs.i("dim"));
     case OpKind::Unsqueeze:
@@ -220,6 +228,166 @@ const texpr::Kernel* Interpreter::fusedKernelFor(const Node& node,
   return it->second.get();
 }
 
+// ---- Tiled fused bodies -------------------------------------------------------------------
+
+namespace {
+
+/// Tiles run across the pool when the widest tiled value is at least this
+/// big: below it, a launch's pool round trip outweighs its tiles' work.
+constexpr std::int64_t kParallelGrainBytes = 4 * analysis::kTileBytes;
+
+}  // namespace
+
+std::shared_ptr<const analysis::TilePlan> Interpreter::tilePlanFor(
+    const Node& node, std::span<const RtValue> in) {
+  // Bodies whose params all fit one tile run whole without planning: the
+  // small loop-body cells, whose select indices change every iteration and
+  // so would miss the per-signature cache.
+  std::int64_t widest = 0;
+  for (const RtValue& v : in) {
+    if (!v.isTensor()) continue;
+    const Tensor& t = v.tensor();
+    widest = std::max<std::int64_t>(
+        widest, t.numel() * static_cast<std::int64_t>(dtypeSize(t.dtype())));
+  }
+  if (widest <= analysis::kTileBytes) return nullptr;
+
+  std::vector<std::int64_t> sig = signatureOf(in);
+  auto cached = [&]() -> const std::shared_ptr<const analysis::TilePlan>* {
+    for (const auto& [key, plan] : tilePlans_[&node].entries)
+      if (key == sig) return &plan;
+    return nullptr;
+  };
+  {
+    std::lock_guard<std::mutex> lock(fusedMutex_);
+    if (const auto* plan = cached()) return *plan;
+  }
+  std::vector<analysis::Operand> params;
+  params.reserve(in.size());
+  for (const RtValue& v : in) params.push_back(analysis::operandOf(v));
+  std::shared_ptr<const analysis::TilePlan> plan;
+  if (auto p = analysis::planTiles(*node.block(0), params))
+    plan = std::make_shared<const analysis::TilePlan>(std::move(*p));
+
+  std::lock_guard<std::mutex> lock(fusedMutex_);
+  if (const auto* other = cached()) return *other;  // planned concurrently
+  TilePlans& plans = tilePlans_[&node];
+  if (plans.entries.size() < kTilePlansPerNode) {
+    plans.entries.emplace_back(std::move(sig), plan);
+  } else {
+    plans.entries[plans.next] = {std::move(sig), plan};
+    plans.next = (plans.next + 1) % kTilePlansPerNode;
+  }
+  return plan;
+}
+
+int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
+                          std::span<const RtValue> in, ExecContext& ctx,
+                          std::vector<RtValue>& rets) {
+  // A tile writes in-place Assigns through to its rows of a param. That is
+  // the whole body's effect only when no two rows of the param share memory
+  // and no other param reads it through another view.
+  for (const std::size_t p : plan.writtenParams) {
+    const Tensor& t = in[p].tensor();
+    if (!t.isContiguous()) return 0;
+    for (std::size_t q = 0; q < in.size(); ++q)
+      if (q != p && in[q].isTensor() && in[q].tensor().sharesStorageWith(t))
+        return 0;
+  }
+  const ir::Block& body = *node.block(0);
+
+  // What every tile reads whole: the params, and the nodes that read only
+  // whole values, run once up front. They are pure (an in-place Assign
+  // never runs whole), so running them early changes nothing.
+  Env shared;
+  for (std::size_t i = 0; i < in.size(); ++i) shared[body.param(i)] = in[i];
+  std::size_t k = 0;
+  for (const Node* n : body)
+    if (!plan.nodes[k++].tiled) execNode(*n, shared, ctx);
+
+  // Whole returns, allocated once per launch; each tile fills its rows.
+  rets.assign(plan.returns.size(), RtValue());
+  for (std::size_t r = 0; r < rets.size(); ++r) {
+    const analysis::TilePlan::Result& result = plan.returns[r];
+    if (result.param >= 0) {
+      rets[r] = in[static_cast<std::size_t>(result.param)];
+    } else if (result.cut.dim < 0) {
+      rets[r] = get(body.returns()[r], shared);
+    } else {
+      rets[r] = Tensor::empty(result.meta.sizes, result.meta.dtype);
+    }
+  }
+
+  const int workers =
+      threads_ > 1 && !ctx.onWorker && plan.widestBytes >= kParallelGrainBytes
+          ? static_cast<int>(std::min<std::int64_t>(threads_, plan.tiles))
+          : 1;
+  if (workers == 1) {
+    Env env;
+    for (std::int64_t t = 0; t < plan.tiles; ++t)
+      runTile(body, plan, t, in, shared, rets, env, ctx);
+    recycleEnv(env, ctx);
+    return workers;
+  }
+  std::vector<Arena::Stats> workerArenaDeltas(static_cast<std::size_t>(workers));
+  ThreadPool::shared().parallelFor(
+      plan.tiles, workers,
+      [&](std::int64_t begin, std::int64_t end, int chunk) {
+        ExecContext wctx;
+        std::optional<Arena::Scope> scope;
+        Arena::Stats before;
+        enterWorker(wctx, scope, before);
+        Env env;
+        for (std::int64_t t = begin; t < end; ++t)
+          runTile(body, plan, t, in, shared, rets, env, wctx);
+        recycleEnv(env, wctx);
+        if (wctx.arena != nullptr)
+          workerArenaDeltas[static_cast<std::size_t>(chunk)] +=
+              wctx.arena->stats() - before;
+      });
+  recordWorkerArenas(workerArenaDeltas);
+  return workers;
+}
+
+void Interpreter::runTile(const ir::Block& body,
+                          const analysis::TilePlan& plan, std::int64_t tile,
+                          std::span<const RtValue> in, const Env& shared,
+                          std::span<RtValue> rets, Env& env,
+                          ExecContext& ctx) {
+  // Rebinding drops the previous tile's values, so their buffers are back
+  // in the arena before this tile allocates.
+  env = shared;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const analysis::TilePlan::Cut& cut = plan.params[i];
+    if (cut.dim < 0) continue;
+    const auto [begin, end] = plan.rows(cut.extent, tile);
+    env[body.param(i)] = in[i].tensor().narrow(cut.dim, begin, end - begin);
+  }
+  std::size_t k = 0;
+  for (const Node* node : body) {
+    const analysis::TilePlan::NodeStep& step = plan.nodes[k++];
+    if (!step.tiled) continue;
+    SizesPatch patch = kNoPatch;
+    if (step.view.dim >= 0) {
+      const auto [begin, end] = plan.rows(step.view.extent, tile);
+      patch = {step.view.dim, end - begin};
+    }
+    RtValue out;
+    execLeaf(*node, Operands(*node, env, *this), std::span(&out, 1), patch);
+    env[node->output(0)] = std::move(out);
+    if (plan_ != nullptr) releaseDead(*node, env, ctx);
+  }
+  for (std::size_t r = 0; r < rets.size(); ++r) {
+    const analysis::TilePlan::Result& result = plan.returns[r];
+    if (result.cut.dim < 0 || result.param >= 0) continue;
+    const auto [begin, end] = plan.rows(result.cut.extent, tile);
+    std::as_const(rets[r])
+        .tensor()
+        .narrow(result.cut.dim, begin, end - begin)
+        .copy_(get(body.returns()[r], env).tensor());
+  }
+}
+
 // ---- Loops ----------------------------------------------------------------------------------
 
 void Interpreter::runIterations(const ir::Block& body, std::int64_t trip,
@@ -243,6 +411,34 @@ void Interpreter::runIterations(const ir::Block& body, std::int64_t trip,
     carried = blockReturns(body, env);
     if (ctx.arena != nullptr) dropReturnBindings(body, env);
   }
+}
+
+// ---- Pool workers --------------------------------------------------------------------------
+
+void Interpreter::enterWorker(ExecContext& wctx,
+                              std::optional<Arena::Scope>& scope,
+                              Arena::Stats& before) {
+  wctx.onWorker = true;
+  // Planned runs give each worker its own thread-local arena (no
+  // contention); the Scope nests over whatever arena the calling thread had
+  // published, which matters when the helping barrier runs a chunk on the
+  // root thread.
+  if (plan_ != nullptr) {
+    wctx.arena = &Arena::threadLocal();
+    before = wctx.arena->stats();
+    scope.emplace(wctx.arena);
+  }
+}
+
+void Interpreter::recordWorkerArenas(std::span<const Arena::Stats> deltas) {
+  if (profiler_ == nullptr || plan_ == nullptr) return;
+  // Worker-arena traffic, merged at the barrier (a single-threaded point).
+  // The fresh/reuse split legitimately varies with the thread count — each
+  // worker warms its own pool.
+  Arena::Stats total;
+  for (const Arena::Stats& d : deltas) total += d;
+  profiler_->memory(total.freshAllocs, total.reusedAllocs, total.freshBytes,
+                    total.reusedBytes, total.recycled, total.recycleMisses);
 }
 
 // ---- Threaded ParallelMap ----------------------------------------------------------------
@@ -297,18 +493,9 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
         // touches only its own slice.
         Env wenv = env;
         ExecContext wctx;
-        wctx.onWorker = true;
-        // Planned runs give each worker its own thread-local arena (no
-        // contention); the Scope nests over whatever arena the calling
-        // thread had published, which matters when the helping barrier runs
-        // a chunk on the root thread.
         std::optional<Arena::Scope> warenaScope;
         Arena::Stats wbefore;
-        if (plan_ != nullptr) {
-          wctx.arena = &Arena::threadLocal();
-          wbefore = wctx.arena->stats();
-          warenaScope.emplace(wctx.arena);
-        }
+        enterWorker(wctx, warenaScope, wbefore);
         for (std::int64_t it = begin; it < end; ++it) {
           wenv[body.param(0)] = Scalar(it);
           for (std::size_t k = 0; k < carried.size(); ++k)
@@ -333,15 +520,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
               wctx.arena->stats() - wbefore;
       });
 
-  if (profiler_ != nullptr && plan_ != nullptr) {
-    // Worker-arena traffic, merged at the barrier (a single-threaded
-    // point). The fresh/reuse split legitimately varies with the thread
-    // count — each worker warms its own pool.
-    Arena::Stats total;
-    for (const Arena::Stats& d : workerArenaDeltas) total += d;
-    profiler_->memory(total.freshAllocs, total.reusedAllocs, total.freshBytes,
-                      total.reusedBytes, total.recycled, total.recycleMisses);
-  }
+  recordWorkerArenas(workerArenaDeltas);
   for (std::size_t k = 0; k < outs.size(); ++k)
     env[node.output(k)] = std::move(outs[k]);
   return true;
@@ -398,8 +577,9 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       return;
     }
     case OpKind::FusionGroup: {
-      // One modelled kernel: native code when the JIT accepts the body,
-      // node by node otherwise.
+      // One modelled kernel. It runs as native code when the JIT is on and
+      // accepts the body, else in tiles when the body tiles, else whole,
+      // node by node.
       obs::TraceSpan span("exec", "FusionGroup");
       const ir::Block& body = *node.block(0);
       std::vector<RtValue> groupInputs;
@@ -407,27 +587,38 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       for (std::size_t i = 0; i < node.numInputs(); ++i)
         groupInputs.push_back(get(node.input(i), env));
 
-      const texpr::Kernel* kernel = jit_ ? fusedKernelFor(node, body) : nullptr;
-      std::optional<std::vector<RtValue>> native;
-      if (kernel != nullptr) {
+      std::optional<std::vector<RtValue>> rets;
+      if (const texpr::Kernel* kernel =
+              jit_ ? fusedKernelFor(node, body) : nullptr) {
         // Pool workers must not recurse into the pool: a ParallelMap body's
         // fused kernels run single-threaded inside their iteration.
-        native = kernel->run(groupInputs, ctx.onWorker ? 1 : threads_);
+        rets = kernel->run(groupInputs, ctx.onWorker ? 1 : threads_);
+        if (rets) span.arg("backend", "jit");
       }
-      span.arg("backend", native ? "jit" : "interp");
-
-      std::vector<RtValue> rets;
-      if (native) {
-        rets = std::move(*native);
-      } else {
+      if (!rets) {
+        if (const auto plan = tilePlanFor(node, groupInputs)) {
+          std::vector<RtValue> tiled;
+          if (const int workers =
+                  runTiled(node, *plan, groupInputs, ctx, tiled)) {
+            span.arg("backend", "tiled");
+            span.arg("tiles", plan->tiles);
+            span.arg("workers", static_cast<std::int64_t>(workers));
+            rets = std::move(tiled);
+          }
+        }
+      }
+      if (!rets) {
+        span.arg("backend", "interp");
+        span.arg("tiles", std::int64_t{1});
+        span.arg("workers", std::int64_t{1});
         for (std::size_t i = 0; i < node.numInputs(); ++i)
           env[body.param(i)] = groupInputs[i];
         runBlockBody(body, env, ctx);
         rets = blockReturns(body, env);
         if (ctx.arena != nullptr) dropReturnBindings(body, env);
       }
-      for (std::size_t i = 0; i < rets.size(); ++i)
-        bindOut(i, std::move(rets[i]));
+      for (std::size_t i = 0; i < rets->size(); ++i)
+        bindOut(i, std::move((*rets)[i]));
       return;
     }
     default:
@@ -447,7 +638,7 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
 }
 
 void Interpreter::execLeaf(const Node& node, const Operands& in,
-                          std::span<RtValue> out) const {
+                          std::span<RtValue> out, SizesPatch patch) const {
   const OpKind kind = node.kind();
   const auto& attrs = node.attrs();
   const ir::OpCategory category = ir::opCategory(kind);
@@ -630,7 +821,7 @@ void Interpreter::execLeaf(const Node& node, const Operands& in,
     // ---- TensorSSA (pure semantics of Definitions 3.3/3.4) ------------------
     case OpKind::Access:
       out[0] = applyView(static_cast<OpKind>(attrs.i("view")), node, a,
-                         in.meta(), 1)
+                         in.meta(), 1, patch)
                    .clone();
       return;
     case OpKind::Assign: {
@@ -638,7 +829,7 @@ void Interpreter::execLeaf(const Node& node, const Operands& in,
       // the new version reuses the dead old version's storage.
       Tensor result = attrs.bOr("inplace", false) ? a : a.clone();
       applyView(static_cast<OpKind>(attrs.i("view")), node, result, in.meta(),
-                2)
+                2, patch)
           .copy_(in.tensor(1));
       out[0] = std::move(result);
       return;

@@ -14,24 +14,32 @@
 // (src/analysis/cost.h) before executing it. An attached Profiler receives
 // only the memory planner's arena counters.
 //
+// Fused bodies (see DESIGN.md §6, §8): a FusionGroup body that tiles
+// (src/analysis/tile_plan.h) runs one tile at a time — every node on one
+// tile before the next — so its intermediates are tile-sized arena buffers;
+// every other body runs whole, node by node.
+//
 // Threading (see DESIGN.md "Threading model"): with `threads > 1`, a
 // tssa::ParallelMap whose converting pass attached `par_dims` metadata runs
 // its iterations concurrently on the shared runtime ThreadPool — each worker
 // executes whole iterations against a private environment clone and an
 // ExecContext of its own, and writes its iterations' slices into
 // pre-allocated output buffers (slices are disjoint by the pass's proof, so
-// no locks are needed). Fused element-kernels likewise split their index
-// space across the pool. `threads == 1` reproduces the serial executor
-// bit-for-bit, and any thread count yields bitwise-identical tensors.
+// no locks are needed). The tiles of a large fused body likewise run across
+// the pool, each worker with its own environment and arena. `threads == 1`
+// reproduces the serial executor bit-for-bit, and any thread count yields
+// bitwise-identical tensors.
 #pragma once
 
 #include <unordered_map>
 
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "src/analysis/liveness.h"
 #include "src/analysis/op_rules.h"
+#include "src/analysis/tile_plan.h"
 #include "src/ir/ir.h"
 #include "src/runtime/profiler.h"
 #include "src/runtime/rt_value.h"
@@ -43,21 +51,21 @@ namespace tssa::runtime {
 class Interpreter {
  public:
   /// `profiler`, when set, receives the arena counters of planned runs; it
-  /// may be null. With `useTexpr` and `texprJit` (the defaults) and
-  /// TSSA_TEXPR_JIT not 0, FusionGroup bodies the texpr backend supports run
-  /// as native code when the JIT accepts them (src/texpr/texpr.h). Every
-  /// other body, and every declined launch, is interpreted node by node —
-  /// the tensor/ops.h semantics the generated code is fuzzed against.
+  /// may be null. Fused bodies run tiled or whole through the tensor/ops.h
+  /// kernels. The texpr JIT is opt-in: only with `useTexpr` and `texprJit`
+  /// both set (and TSSA_TEXPR_JIT not 0) do the bodies the texpr backend
+  /// supports run as native code when the JIT accepts them
+  /// (src/texpr/texpr.h); a declined launch runs as if the JIT were off.
   /// `threads` caps the worker count for parallel constructs: 1 (default)
   /// executes fully serially, 0 means ThreadPool::hardwareThreads().
   explicit Interpreter(Profiler* profiler = nullptr, bool useTexpr = true,
-                       int threads = 1, bool texprJit = true)
+                       int threads = 1, bool texprJit = false)
       : profiler_(profiler), jit_(useTexpr && texprJit) {
     setThreads(threads);
   }
 
-  /// Worker-count cap for ParallelMap iteration batches and fused element
-  /// kernels; 0 resolves to the hardware concurrency.
+  /// Worker-count cap for ParallelMap iteration batches and fused-body
+  /// tiles; 0 resolves to the hardware concurrency.
   void setThreads(int threads);
   int threads() const { return threads_; }
 
@@ -124,6 +132,15 @@ class Interpreter {
                      std::vector<RtValue>& carried, Env& env,
                      ExecContext& ctx);
 
+  /// Prepares `wctx` for a pool worker: publishes the worker's
+  /// thread-local arena through `scope` (planned runs only) and records its
+  /// counters in `before`.
+  void enterWorker(ExecContext& wctx, std::optional<Arena::Scope>& scope,
+                   Arena::Stats& before);
+  /// Reports the workers' arena traffic (one delta per worker) to the
+  /// profiler, after the barrier.
+  void recordWorkerArenas(std::span<const Arena::Stats> deltas);
+
   /// The threaded ParallelMap path; returns false when the node lacks the
   /// pass metadata or a runtime precondition fails (caller then runs the
   /// serial path).
@@ -132,24 +149,55 @@ class Interpreter {
 
   const RtValue& get(const ir::Value* v, const Env& env) const;
 
+  /// A tile's extent for a view's "sizes" entry: a reshape or expand
+  /// inside a tiled body writes `extent` at `dim` (no-op when dim < 0).
+  struct SizesPatch {
+    int dim;
+    std::int64_t extent;
+  };
+  static constexpr SizesPatch kNoPatch{-1, 0};
+
   /// Executes leaf op `node` (anything but control flow and fusion groups)
   /// into `out`, one value per node output.
   void execLeaf(const ir::Node& node, const Operands& in,
-                std::span<RtValue> out) const;
+                std::span<RtValue> out, SizesPatch patch = kNoPatch) const;
 
   /// Applies the view rule of `viewKind` to `base`; dynamic view operands
   /// (select index, slice bounds, "dyn" extents) start at `in[operandStart]`.
   Tensor applyView(ir::OpKind viewKind, const ir::Node& node,
                    const Tensor& base, std::span<const analysis::Operand> in,
-                   std::size_t operandStart) const;
+                   std::size_t operandStart,
+                   SizesPatch patch = kNoPatch) const;
 
   /// The native-code host of FusionGroup `node`, decided once and cached
-  /// across runs and threads; null when its body runs node by node.
+  /// across runs and threads; null when its body does not run natively.
   const texpr::Kernel* fusedKernelFor(const ir::Node& node,
                                       const ir::Block& body);
 
+  /// The tile plan of FusionGroup `node` for the params `in`, decided once
+  /// per input signature and cached across runs and threads; null when the
+  /// body runs whole.
+  std::shared_ptr<const analysis::TilePlan> tilePlanFor(
+      const ir::Node& node, std::span<const RtValue> in);
+
+  /// Runs the body of FusionGroup `node` on `in` by `plan` into `rets`
+  /// (one per body return). Returns the number of workers the tiles ran
+  /// on, or 0 without running anything when `in` breaks a precondition of
+  /// in-place writes (the caller then runs the body whole).
+  int runTiled(const ir::Node& node, const analysis::TilePlan& plan,
+               std::span<const RtValue> in, ExecContext& ctx,
+               std::vector<RtValue>& rets);
+
+  /// One tile of runTiled: binds the tile's params over `shared` (values
+  /// every tile reads whole) into `env`, runs the tiled nodes, and copies
+  /// the tile's returns into its rows of `rets`.
+  void runTile(const ir::Block& body, const analysis::TilePlan& plan,
+               std::int64_t tile, std::span<const RtValue> in,
+               const Env& shared, std::span<RtValue> rets, Env& env,
+               ExecContext& ctx);
+
   Profiler* profiler_;
-  bool jit_ = true;  ///< useTexpr && texprJit
+  bool jit_ = false;  ///< useTexpr && texprJit
   int threads_ = 1;
   const analysis::MemoryPlan* plan_ = nullptr;
   /// Root-context buffer pool, created lazily on the first planned run and
@@ -159,6 +207,28 @@ class Interpreter {
   /// ParallelMap workers may compile concurrently. Entries are never erased,
   /// so returned pointers stay valid.
   std::unordered_map<const ir::Node*, std::unique_ptr<texpr::Kernel>> fused_;
+  /// Per FusionGroup node, the plans of its most recent input signatures
+  /// (at most kTilePlansPerNode, replaced round-robin; a null plan records
+  /// a body that runs whole). Guarded by `fusedMutex_`. Like `fused_`, it
+  /// is keyed by node, so the graphs an interpreter runs must outlive it.
+  ///
+  /// Planning is not free next to a launch: 7-130 us per plan on a 4-vCPU
+  /// Xeon (fcos's 75-node box body is the 130), about 2.5% of perfbench's
+  /// paper_cv run_ms if every launch planned. Signatures per node above
+  /// the one-tile gate, measured over perfbench paper_cv and serve_mix:
+  /// every body that tiles sees 1 to 3 (one per coalesced batch size);
+  /// yolact's crop cell sees 16, one per detection index, cycled every run
+  /// (2208 launches in 10 s of paper_cv), hence 16 entries. RNN cells see a
+  /// new loop index on every launch, which no size would serve; they plan
+  /// each launch (under 30 us) and run whole.
+  static constexpr std::size_t kTilePlansPerNode = 16;
+  struct TilePlans {
+    std::vector<std::pair<std::vector<std::int64_t>,
+                          std::shared_ptr<const analysis::TilePlan>>>
+        entries;
+    std::size_t next = 0;
+  };
+  std::unordered_map<const ir::Node*, TilePlans> tilePlans_;
   std::mutex fusedMutex_;
 };
 

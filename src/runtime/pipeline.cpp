@@ -84,34 +84,6 @@ GraphCounts countGraph(const ir::Graph& g) {
   return c;
 }
 
-/// What a run's price depends on, flattened for comparison: per input its
-/// kind, then tensor dtype and sizes, the scalar's bits, or the list's item
-/// metas.
-std::vector<std::int64_t> signatureOf(std::span<const RtValue> inputs) {
-  std::vector<std::int64_t> sig;
-  auto addTensor = [&sig](const Tensor& t) {
-    sig.push_back(static_cast<std::int64_t>(t.dtype()));
-    sig.push_back(t.dim());
-    sig.insert(sig.end(), t.sizes().begin(), t.sizes().end());
-  };
-  for (const RtValue& v : inputs) {
-    if (v.isTensor()) {
-      sig.push_back(0);
-      addTensor(v.tensor());
-    } else if (v.isScalar()) {
-      const Scalar s = v.scalar();
-      sig.push_back(s.isFloat() ? 1 : s.isInt() ? 2 : 3);
-      sig.push_back(s.isFloat() ? std::bit_cast<std::int64_t>(s.toDouble())
-                                : s.toInt());
-    } else {
-      sig.push_back(4);
-      sig.push_back(static_cast<std::int64_t>(v.list().size()));
-      for (const Tensor& t : v.list()) addTensor(t);
-    }
-  }
-  return sig;
-}
-
 /// Runs one compilation pass under a "pipeline" span. Graph statistics are
 /// only computed when the tracer is live, so the disabled path pays exactly
 /// one atomic load per pass.

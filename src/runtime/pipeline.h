@@ -41,7 +41,7 @@ const std::vector<PipelineKind>& allPipelines();
 std::string_view pipelineName(PipelineKind kind);
 
 /// Knobs shared by every pipeline. `threads` caps the runtime worker count
-/// used for ParallelMap iteration batches and fused element kernels:
+/// used for ParallelMap iteration batches and fused-body tiles:
 /// 1 executes fully serially (bit-for-bit the historical behaviour), 0 means
 /// ThreadPool::hardwareThreads(). Results and profiler numbers are identical
 /// at any thread count — only wall-clock time changes.
@@ -50,9 +50,10 @@ struct PipelineOptions {
   int threads = 1;
   /// Fused element regions as texpr kernels (src/texpr/texpr.h): each
   /// FusionGroup body the backend supports is priced as one kernel from its
-  /// structure (texpr::Kernel::infer) and may run as native code (see
-  /// `texprJit`); off, every fused body is interpreted node by node and
-  /// pays what its kernels count. Serve program keys include it.
+  /// structure (texpr::Kernel::infer); off, every fused body pays what its
+  /// kernels count. Either way fused bodies execute tiled or whole (see
+  /// src/analysis/tile_plan.h), or as native code with `texprJit`. Serve
+  /// program keys include it.
   bool useTexpr = true;
   /// Liveness-driven memory planning (src/analysis/liveness.h): intermediates
   /// are released at their last use and their buffers recycled through
@@ -60,13 +61,15 @@ struct PipelineOptions {
   /// or off — the differential suite cross-checks both modes — so this stays
   /// on by default; the toggle exists for that cross-check and for debugging.
   bool memoryPlan = true;
-  /// Native codegen for fused element regions (src/texpr/jit.h): texpr
-  /// kernels compile to shared objects at runtime and dispatch through a C
-  /// ABI; unsupported patterns and toolchain failures decline back to the
-  /// interpreted body. Results and charges are identical either way (the
-  /// differential fuzz suite enforces the results), so it defaults on; the
-  /// toggle exists for that cross-check and for toolchain-less deployments.
-  bool texprJit = true;
+  /// Native codegen for fused element regions (src/texpr/jit.h), opt-in:
+  /// texpr kernels compile to shared objects at runtime and dispatch
+  /// through a C ABI; unsupported patterns and toolchain failures decline
+  /// back to the tiled or whole body. Results and charges are identical
+  /// either way (the differential fuzz suite enforces the results). It is
+  /// off by default because tiled bodies run as fast without paying the
+  /// toolchain at set-up; it stays for its tests and bench legs until the
+  /// JIT is retired.
+  bool texprJit = false;
   /// Cap on ops per fusion group (FusionPolicy::maxKernelOps): 0 keeps the
   /// unlimited heuristic; the autotuner sets small caps when the device
   /// model favours splitting long chains. Only affects pipelines that fuse.

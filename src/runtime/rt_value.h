@@ -1,6 +1,9 @@
 // Runtime values flowing through the interpreter.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -60,5 +63,34 @@ class RtValue {
  private:
   std::variant<Tensor, Scalar, std::vector<Tensor>> value_;
 };
+
+/// What a value tuple's metadata-only consumers (a run's price, a fused
+/// body's tile plan) depend on, flattened for comparison: per value its
+/// kind, then tensor dtype and sizes, the scalar's bits, or the list's item
+/// metas.
+inline std::vector<std::int64_t> signatureOf(std::span<const RtValue> inputs) {
+  std::vector<std::int64_t> sig;
+  auto addTensor = [&sig](const Tensor& t) {
+    sig.push_back(static_cast<std::int64_t>(t.dtype()));
+    sig.push_back(t.dim());
+    sig.insert(sig.end(), t.sizes().begin(), t.sizes().end());
+  };
+  for (const RtValue& v : inputs) {
+    if (v.isTensor()) {
+      sig.push_back(0);
+      addTensor(v.tensor());
+    } else if (v.isScalar()) {
+      const Scalar s = v.scalar();
+      sig.push_back(s.isFloat() ? 1 : s.isInt() ? 2 : 3);
+      sig.push_back(s.isFloat() ? std::bit_cast<std::int64_t>(s.toDouble())
+                                : s.toInt());
+    } else {
+      sig.push_back(4);
+      sig.push_back(static_cast<std::int64_t>(v.list().size()));
+      for (const Tensor& t : v.list()) addTensor(t);
+    }
+  }
+  return sig;
+}
 
 }  // namespace tssa::runtime

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "src/tensor/strided_loop.h"
 
@@ -595,20 +597,59 @@ Tensor gather(const Tensor& a, std::int64_t dim, const Tensor& index) {
                                       << " in dim " << i);
   }
   const std::int64_t extent = a.size(d);
-  const std::int64_t* pi = index.storage()->as<std::int64_t>();
+  const std::int64_t step = a.strides()[static_cast<std::size_t>(d)];
   Tensor out = Tensor::empty(index.sizes(), a.dtype());
-  for (IndexIterator it(index.sizes()); it.valid(); it.next()) {
-    const std::int64_t j =
-        pi[index.storageOffset() + offsetOf(it.index(), index.strides())];
-    TSSA_CHECK(j >= 0 && j < extent, "gather index " << j
-                                         << " out of range for dim " << d
-                                         << " of extent " << extent);
-    Shape srcIndex(it.index().begin(), it.index().end());
-    srcIndex[static_cast<std::size_t>(d)] = j;
-    out.setScalarAt(it.index(), a.scalarAt(srcIndex));
-  }
+  // `a` held at element 0 of dim d: the loop walks the other dims of the
+  // index block, and each element adds its own index along d.
+  const Tensor base = extent > 0 ? a.narrow(d, 0, 1) : a;
+  StridedLoop<3> loop(index.sizes(), {&out, &index, &base});
+  const std::int64_t n = loop.rowLength();
+  const std::int64_t si = loop.rowStride(1);
+  const std::int64_t sa = loop.rowStride(2);
+  const std::int64_t* pi = index.storage()->as<std::int64_t>();
+  dispatchDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    const T* pa = a.storage()->as<T>();
+    T* po = out.storage()->as<T>();
+    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+      const std::int64_t* x = pi + loop.offset(1);
+      const T* src = pa + loop.offset(2);
+      T* o = po + loop.offset(0);  // out is contiguous: row stride 1
+      for (std::int64_t l = 0; l < n; ++l) {
+        const std::int64_t j = x[l * si];
+        TSSA_CHECK(j >= 0 && j < extent, "gather index "
+                                             << j << " out of range for dim "
+                                             << d << " of extent " << extent);
+        o[l] = storedAs<T>(static_cast<double>(src[l * sa + j * step]));
+      }
+    }
+  });
   return out;
 }
+
+namespace {
+
+/// Calls `fn(line, off)` for every line of `t` along dim `d`, in row-major
+/// order of the other dims: `line` counts the lines and `off` is the
+/// storage offset of the line's first element.
+template <typename Fn>
+void forEachLine(const Tensor& t, std::int64_t d, Fn&& fn) {
+  Shape outer = t.sizes();
+  outer[static_cast<std::size_t>(d)] = 1;
+  StridedLoop<1> loop(outer, {&t});
+  const std::int64_t n = loop.rowLength();
+  const std::int64_t s = loop.rowStride(0);
+  std::int64_t line = 0;
+  for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow())
+    for (std::int64_t l = 0; l < n; ++l) fn(line++, loop.offset(0) + l * s);
+}
+
+}  // namespace
+
+// topk and argsort read each row once into a double buffer and sort it
+// with std::stable_sort under the same double comparisons a per-element
+// reader makes, so ties keep their index order and NaN rows order exactly
+// as they always have.
 
 std::pair<Tensor, Tensor> topk(const Tensor& a, std::int64_t k) {
   TSSA_CHECK(a.dim() >= 1, "topk needs rank >= 1");
@@ -619,72 +660,88 @@ std::pair<Tensor, Tensor> topk(const Tensor& a, std::int64_t k) {
   outShape[static_cast<std::size_t>(last)] = k;
   Tensor values = Tensor::empty(outShape, a.dtype());
   Tensor indices = Tensor::empty(outShape, DType::Int64);
-  Shape rowShape(a.sizes().begin(), a.sizes().end() - 1);
-  for (IndexIterator it(rowShape); it.valid(); it.next()) {
-    std::vector<std::pair<double, std::int64_t>> row;
-    row.reserve(static_cast<std::size_t>(extent));
-    Shape idx(it.index().begin(), it.index().end());
-    idx.push_back(0);
-    for (std::int64_t j = 0; j < extent; ++j) {
-      idx.back() = j;
-      row.emplace_back(a.scalarAt(idx), j);
-    }
-    std::stable_sort(row.begin(), row.end(), [](const auto& x, const auto& y) {
-      return x.first > y.first;
+  const std::int64_t step = a.strides()[static_cast<std::size_t>(last)];
+  std::int64_t* pi = indices.data<std::int64_t>();
+  std::vector<std::pair<double, std::int64_t>> row(
+      static_cast<std::size_t>(extent));
+  dispatchDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    const T* pa = a.storage()->as<T>();
+    T* pv = values.data<T>();
+    forEachLine(a, last, [&](std::int64_t line, std::int64_t off) {
+      for (std::int64_t j = 0; j < extent; ++j)
+        row[static_cast<std::size_t>(j)] = {
+            static_cast<double>(pa[off + j * step]), j};
+      std::stable_sort(row.begin(), row.end(),
+                       [](const auto& x, const auto& y) {
+                         return x.first > y.first;
+                       });
+      for (std::int64_t j = 0; j < k; ++j) {
+        const auto& [value, at] = row[static_cast<std::size_t>(j)];
+        pv[line * k + j] = storedAs<T>(value);
+        pi[line * k + j] = at;
+      }
     });
-    for (std::int64_t j = 0; j < k; ++j) {
-      idx.back() = j;
-      values.setScalarAt(idx, row[static_cast<std::size_t>(j)].first);
-      indices.setScalarAt(
-          idx, static_cast<double>(row[static_cast<std::size_t>(j)].second));
-    }
-  }
+  });
   return {values, indices};
 }
 
 Tensor argsort(const Tensor& a, bool descending) {
+  TSSA_CHECK(a.dim() >= 1, "argsort needs rank >= 1");
   const std::int64_t last = a.dim() - 1;
   const std::int64_t extent = a.size(last);
   Tensor out = Tensor::empty(a.sizes(), DType::Int64);
-  Shape rowShape(a.sizes().begin(), a.sizes().end() - 1);
-  for (IndexIterator it(rowShape); it.valid(); it.next()) {
-    std::vector<std::int64_t> order(static_cast<std::size_t>(extent));
-    std::iota(order.begin(), order.end(), 0);
-    Shape idx(it.index().begin(), it.index().end());
-    idx.push_back(0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::int64_t x, std::int64_t y) {
-                       Shape ix = idx, iy = idx;
-                       ix.back() = x;
-                       iy.back() = y;
-                       const double vx = a.scalarAt(ix);
-                       const double vy = a.scalarAt(iy);
-                       return descending ? vx > vy : vx < vy;
-                     });
-    for (std::int64_t j = 0; j < extent; ++j) {
-      idx.back() = j;
-      out.setScalarAt(idx,
-                      static_cast<double>(order[static_cast<std::size_t>(j)]));
-    }
-  }
+  const std::int64_t step = a.strides()[static_cast<std::size_t>(last)];
+  std::int64_t* po = out.data<std::int64_t>();
+  std::vector<double> row(static_cast<std::size_t>(extent));
+  dispatchDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    const T* pa = a.storage()->as<T>();
+    forEachLine(a, last, [&](std::int64_t line, std::int64_t off) {
+      for (std::int64_t j = 0; j < extent; ++j)
+        row[static_cast<std::size_t>(j)] = static_cast<double>(pa[off + j * step]);
+      std::int64_t* order = po + line * extent;
+      std::iota(order, order + extent, std::int64_t{0});
+      std::stable_sort(order, order + extent,
+                       [&](std::int64_t x, std::int64_t y) {
+                         const double vx = row[static_cast<std::size_t>(x)];
+                         const double vy = row[static_cast<std::size_t>(y)];
+                         return descending ? vx > vy : vx < vy;
+                       });
+    });
+  });
   return out;
 }
 
 Tensor cumsum(const Tensor& a, std::int64_t dim) {
   const std::int64_t d = normalizeDim(dim, a.dim());
-  Tensor out = a.clone();
   const std::int64_t extent = a.size(d);
+  Tensor out = Tensor::empty(a.sizes(), a.dtype());
+  const std::int64_t step = a.strides()[static_cast<std::size_t>(d)];
+  const std::int64_t outStep = out.strides()[static_cast<std::size_t>(d)];
   Shape outer = a.sizes();
   outer[static_cast<std::size_t>(d)] = 1;
-  for (IndexIterator it(outer); it.valid(); it.next()) {
-    Shape idx(it.index().begin(), it.index().end());
-    double acc = 0;
-    for (std::int64_t j = 0; j < extent; ++j) {
-      idx[static_cast<std::size_t>(d)] = j;
-      acc += a.scalarAt(idx);
-      out.setScalarAt(idx, acc);
+  StridedLoop<2> loop(outer, {&out, &a});
+  const std::int64_t n = loop.rowLength();
+  const std::int64_t so = loop.rowStride(0);
+  const std::int64_t sa = loop.rowStride(1);
+  dispatchDType(a.dtype(), [&](auto tag) {
+    using T = decltype(tag);
+    const T* pa = a.storage()->as<T>();
+    T* po = out.storage()->as<T>();
+    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
+      for (std::int64_t l = 0; l < n; ++l) {
+        const T* x = pa + loop.offset(1) + l * sa;
+        T* o = po + loop.offset(0) + l * so;
+        // The running sum stays a double; each step is stored through T.
+        double acc = 0;
+        for (std::int64_t j = 0; j < extent; ++j) {
+          acc += static_cast<double>(x[j * step]);
+          o[j * outStep] = storedAs<T>(acc);
+        }
+      }
     }
-  }
+  });
   return out;
 }
 

@@ -85,32 +85,13 @@ Kernel::~Kernel() = default;
 
 Kernel::BodyMeta Kernel::infer(const Block& body,
                                std::span<const analysis::Operand> params) {
-  TSSA_CHECK(params.size() == body.numParams(),
-             "texpr body expects " << body.numParams() << " params");
   BodyMeta m;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (params[i].isTensor()) {
-      m.tensors[body.param(i)] = params[i].meta();
-    } else if (params[i].isScalar()) {
-      m.scalars[body.param(i)] = params[i].scalar();
-    }
-  }
+  static_cast<analysis::BodyValues&>(m) = analysis::inferBody(body, params);
   std::vector<analysis::Operand> in;
   for (const Node* node : body) {
     in.clear();
-    for (const Value* v : node->inputs()) {
-      if (auto t = m.tensors.find(v); t != m.tensors.end()) {
-        in.push_back(analysis::Operand::tensor(t->second));
-      } else if (auto s = m.scalars.find(v); s != m.scalars.end()) {
-        in.push_back(analysis::Operand::scalar(s->second));
-      } else {
-        in.emplace_back();  // defined outside the body: the rule rejects it
-      }
-    }
-    analysis::CostValue out;
-    analysis::inferOutputs(*node, in, std::span(&out, 1));
-    const analysis::TensorMeta& meta =
-        m.tensors[node->output(0)] = out.tensorMeta();
+    for (const Value* v : node->inputs()) in.push_back(m.operandOf(v));
+    const analysis::TensorMeta& meta = m.tensors.at(node->output(0));
     // One flop per produced element per op; donated assigns save traffic.
     m.stats.flops += meta.numel();
     const analysis::Operand result = analysis::Operand::tensor(meta);

@@ -8,11 +8,13 @@
 // index transforms — no intermediate tensor is ever materialized, which is
 // precisely the memory behaviour of a fused kernel.
 //
+// The JIT is opt-in (PipelineOptions::texprJit): by default fused bodies
+// run tiled or whole through tensor/ops.h (src/analysis/tile_plan.h).
 // A Kernel is only the JIT host. It has no element semantics of its own:
 // when a launch declines, the caller (runtime::Interpreter) runs the body
-// node by node through tensor/ops.h, the reference the generated code is
-// fuzzed against (DESIGN.md §11). Pricing does not depend on which path
-// ran: `infer` derives a supported body's RunStats from its structure.
+// itself through tensor/ops.h, the reference the generated code is fuzzed
+// against (DESIGN.md §11). Pricing does not depend on which path ran:
+// `infer` derives a supported body's RunStats from its structure.
 #pragma once
 
 #include <memory>
@@ -61,13 +63,11 @@ class Kernel {
 
   /// What a run over given inputs binds before dispatching: the shape/dtype
   /// of every tensor value of the body (params and node outputs), the scalar
-  /// params, and the body's RunStats. Derived from the params' metadata
-  /// alone through the shared op rules (src/analysis/op_rules.h); the
-  /// interpreter and the cost model price supported FusionGroups with
-  /// exactly this, whether or not native code ran.
-  struct BodyMeta {
-    std::unordered_map<const ir::Value*, analysis::TensorMeta> tensors;
-    std::unordered_map<const ir::Value*, Scalar> scalars;
+  /// params (analysis::inferBody), and the body's RunStats. Derived from the
+  /// params' metadata alone through the shared op rules
+  /// (src/analysis/op_rules.h); the cost model prices supported
+  /// FusionGroups with exactly this, whether or not native code runs.
+  struct BodyMeta : analysis::BodyValues {
     RunStats stats;
   };
   /// One operand per body param. Throws tssa::Error when a rule rejects its

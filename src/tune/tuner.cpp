@@ -204,14 +204,11 @@ TuneResult Autotuner::tune(const std::string& workload,
     // Wall-clock-only explorers. The analytic clock models a hypothetical
     // accelerator, so it is structurally blind to (or inverted on) host-side
     // effects: texpr dispatch vs. plain kernels under a fusion cap, the
-    // ParallelMap merge machinery on a low-core box, arena bookkeeping, JIT
-    // codegen. These candidates can only be justified by measuring; each one
+    // ParallelMap merge machinery on a low-core box, arena bookkeeping.
+    // These candidates can only be justified by measuring; each one
     // displaces the default only by beating it for real.
     {
       TunedConfig t = defaults;
-      t.texprJit = false;
-      shortlist.push_back(t);
-      t = defaults;
       t.memoryPlan = false;
       shortlist.push_back(t);
       t = defaults;

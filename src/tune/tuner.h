@@ -17,9 +17,9 @@
 //    so threads/memoryPlan/texprJit are NOT differentiated analytically.
 //  * Measured shortlist: the analytic winner and the default, crossed with
 //    hardware threads, plus wall-clock-only explorers the analytic clock is
-//    structurally blind to (texpr JIT off, memory planner off,
-//    parallelization off, small fusion caps — host-side effects a modelled
-//    accelerator cannot see), are executed for real and the best measured
+//    structurally blind to (memory planner off, parallelization off, small
+//    fusion caps — host-side effects a modelled accelerator cannot see),
+//    are executed for real and the best measured
 //    ns/iter wins. The default is always in the shortlist and measured
 //    first, so the installed config is never worse than the default on the
 //    machine that tuned it. A measurement failure (including an injected
@@ -66,7 +66,7 @@ struct TunedConfig {
   std::uint64_t parallelizeMask = ~std::uint64_t{0};
   int threads = 1;
   bool memoryPlan = true;
-  bool texprJit = true;
+  bool texprJit = false;
   int maxBatch = 0;             ///< micro-batch cap; 0 = engine default
   std::int64_t maxWaitUs = -1;  ///< micro-batch window; < 0 = engine default
 

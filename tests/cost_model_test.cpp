@@ -171,6 +171,21 @@ TEST(CostModelTest, TopkChargesFourPassesAndSyncs) {
   EXPECT_EQ(r.bytes, 4 * (8 + 3) * 4);
 }
 
+TEST(CostModelTest, SortsOfRankZeroAreUnknownOps) {
+  // The rules reject what execution rejects: neither op can price a
+  // scalar-shaped input, so the walk reports a lower bound.
+  for (const bool argsort : {false, true}) {
+    Graph g;
+    IRBuilder b(g);
+    Value* a = g.addInput(ir::Type::tensor(DType::Float32), "a");
+    g.addOutput(argsort ? b.argsort(a, /*descending=*/true)
+                        : b.topk(a, /*k=*/0)->output(0));
+    const CostReport r = estimateCost(g, std::vector<CostValue>{f32({})});
+    EXPECT_FALSE(r.exact()) << (argsort ? "argsort" : "topk");
+    EXPECT_EQ(r.unknownOps, 1) << (argsort ? "argsort" : "topk");
+  }
+}
+
 TEST(CostModelTest, ViewsAreFree) {
   Graph g;
   IRBuilder b(g);

@@ -6,10 +6,14 @@
 // byte for byte (sameBits).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "src/tensor/tensor.h"
 
@@ -161,6 +165,108 @@ inline Tensor refMatmul(const Tensor& a, const Tensor& b) {
     for (std::int64_t kk = 0; kk < k; ++kk)
       for (std::int64_t j = 0; j < n; ++j)
         po[i * n + j] += pa[i * k + kk] * pb[kk * n + j];
+  return out;
+}
+
+/// Gather along `dim`: every index element read as stored, range-checked in
+/// row-major index order, its source element copied through a double.
+inline Tensor refGather(const Tensor& a, std::int64_t dim,
+                        const Tensor& index) {
+  const std::int64_t d = normalizeDim(dim, a.dim());
+  const std::int64_t extent = a.size(d);
+  const std::int64_t* pi = index.storage()->as<std::int64_t>();
+  Tensor out = Tensor::empty(index.sizes(), a.dtype());
+  for (IndexIterator it(index.sizes()); it.valid(); it.next()) {
+    const std::int64_t j =
+        pi[index.storageOffset() + offsetOf(it.index(), index.strides())];
+    TSSA_CHECK(j >= 0 && j < extent, "gather index " << j
+                                         << " out of range for dim " << d
+                                         << " of extent " << extent);
+    Shape srcIndex(it.index().begin(), it.index().end());
+    srcIndex[static_cast<std::size_t>(d)] = j;
+    out.setScalarAt(it.index(), a.scalarAt(srcIndex));
+  }
+  return out;
+}
+
+/// Top-k along the last dim: each row's (value, index) pairs, read as
+/// doubles, stable-sorted by descending value.
+inline std::pair<Tensor, Tensor> refTopk(const Tensor& a, std::int64_t k) {
+  const std::int64_t last = a.dim() - 1;
+  const std::int64_t extent = a.size(last);
+  Shape outShape = a.sizes();
+  outShape[static_cast<std::size_t>(last)] = k;
+  Tensor values = Tensor::empty(outShape, a.dtype());
+  Tensor indices = Tensor::empty(outShape, DType::Int64);
+  Shape rowShape(a.sizes().begin(), a.sizes().end() - 1);
+  for (IndexIterator it(rowShape); it.valid(); it.next()) {
+    std::vector<std::pair<double, std::int64_t>> row;
+    Shape idx(it.index().begin(), it.index().end());
+    idx.push_back(0);
+    for (std::int64_t j = 0; j < extent; ++j) {
+      idx.back() = j;
+      row.emplace_back(a.scalarAt(idx), j);
+    }
+    std::stable_sort(row.begin(), row.end(), [](const auto& x, const auto& y) {
+      return x.first > y.first;
+    });
+    for (std::int64_t j = 0; j < k; ++j) {
+      idx.back() = j;
+      values.setScalarAt(idx, row[static_cast<std::size_t>(j)].first);
+      indices.setScalarAt(
+          idx, static_cast<double>(row[static_cast<std::size_t>(j)].second));
+    }
+  }
+  return {values, indices};
+}
+
+/// Argsort along the last dim: a stable sort of each row's indices whose
+/// comparator reads both elements through scalarAt.
+inline Tensor refArgsort(const Tensor& a, bool descending) {
+  const std::int64_t last = a.dim() - 1;
+  const std::int64_t extent = a.size(last);
+  Tensor out = Tensor::empty(a.sizes(), DType::Int64);
+  Shape rowShape(a.sizes().begin(), a.sizes().end() - 1);
+  for (IndexIterator it(rowShape); it.valid(); it.next()) {
+    std::vector<std::int64_t> order(static_cast<std::size_t>(extent));
+    std::iota(order.begin(), order.end(), 0);
+    Shape idx(it.index().begin(), it.index().end());
+    idx.push_back(0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::int64_t x, std::int64_t y) {
+                       Shape ix = idx, iy = idx;
+                       ix.back() = x;
+                       iy.back() = y;
+                       const double vx = a.scalarAt(ix);
+                       const double vy = a.scalarAt(iy);
+                       return descending ? vx > vy : vx < vy;
+                     });
+    for (std::int64_t j = 0; j < extent; ++j) {
+      idx.back() = j;
+      out.setScalarAt(idx,
+                      static_cast<double>(order[static_cast<std::size_t>(j)]));
+    }
+  }
+  return out;
+}
+
+/// Cumulative sum along `dim`: a double accumulator per line, stored
+/// through the input dtype after every step.
+inline Tensor refCumsum(const Tensor& a, std::int64_t dim) {
+  const std::int64_t d = normalizeDim(dim, a.dim());
+  Tensor out = a.clone();
+  const std::int64_t extent = a.size(d);
+  Shape outer = a.sizes();
+  outer[static_cast<std::size_t>(d)] = 1;
+  for (IndexIterator it(outer); it.valid(); it.next()) {
+    Shape idx(it.index().begin(), it.index().end());
+    double acc = 0;
+    for (std::int64_t j = 0; j < extent; ++j) {
+      idx[static_cast<std::size_t>(d)] = j;
+      acc += a.scalarAt(idx);
+      out.setScalarAt(idx, acc);
+    }
+  }
   return out;
 }
 

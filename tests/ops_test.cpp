@@ -407,5 +407,104 @@ TEST(OpsOracleTest, ElementwiseGeneralPathsMatchPerElementReference) {
   }
 }
 
+/// Rank >= 1 with a last dim that is sometimes long enough for
+/// std::stable_sort's merge passes (it insertion-sorts short runs).
+Shape sortShape(Rng& rng, ViewedTensorGenerator& gen) {
+  Shape s = gen.shape(3);
+  s.push_back(rng.nextBool(0.5) ? rng.nextInt(0, 5) : rng.nextInt(16, 48));
+  return s;
+}
+
+/// `t`'s values with the last two dims stored transposed, when there are
+/// two: same logical content, strided layout.
+Tensor maybeTransposedLayout(Rng& rng, const Tensor& t) {
+  if (t.dim() < 2 || !rng.nextBool(0.5)) return t;
+  const std::int64_t r = t.dim();
+  return t.transpose(r - 2, r - 1).contiguous().transpose(r - 2, r - 1);
+}
+
+TEST(OpsOracleTest, SortsMatchPerElementReference) {
+  Rng rng(107);
+  ViewedTensorGenerator gen(rng);
+  for (int rep = 0; rep < kOracleReps; ++rep) {
+    // Integral values and Bool/Int64 dtypes give ties; non-finite draws
+    // give NaN and ±inf.
+    const Tensor a = gen.viewOf(sortShape(rng, gen), gen.dtype(),
+                                rng.nextBool(0.3))
+                         .view();
+    SCOPED_TRACE(a.toString(256));
+    for (const bool descending : {false, true})
+      EXPECT_TRUE(bitwiseEqual(ops::argsort(a, descending),
+                               refArgsort(a, descending)))
+          << "descending=" << descending;
+    const std::int64_t extent = a.size(-1);
+    for (const std::int64_t k : {std::int64_t{0}, rng.nextInt(0, extent),
+                                 extent}) {
+      const auto [values, indices] = ops::topk(a, k);
+      const auto [refValues, refIndices] = refTopk(a, k);
+      EXPECT_TRUE(bitwiseEqual(values, refValues)) << "k=" << k;
+      EXPECT_TRUE(bitwiseEqual(indices, refIndices)) << "k=" << k;
+    }
+  }
+  EXPECT_THROW(ops::argsort(Tensor::scalar(Scalar(1.0)), false), Error);
+  EXPECT_THROW(ops::topk(Tensor::scalar(Scalar(1.0)), 0), Error);
+}
+
+TEST(OpsOracleTest, GatherAndCumsumMatchPerElementReference) {
+  Rng rng(108);
+  ViewedTensorGenerator gen(rng);
+  for (int rep = 0; rep < kOracleReps; ++rep) {
+    Shape shape = gen.shape();
+    if (shape.empty()) shape.push_back(rng.nextInt(0, 5));
+    const Tensor a =
+        gen.viewOf(shape, gen.dtype(), rng.nextBool(0.3)).view();
+    SCOPED_TRACE(a.toString());
+    for (std::int64_t d = -a.dim(); d < a.dim(); ++d) {
+      SCOPED_TRACE("dim " + std::to_string(d));
+      EXPECT_TRUE(bitwiseEqual(ops::cumsum(a, d), refCumsum(a, d)));
+
+      // An index block no wider than `a` off dim d, any length along it.
+      const std::int64_t nd = d < 0 ? d + a.dim() : d;
+      const std::int64_t extent = a.size(nd);
+      Shape indexShape = a.sizes();
+      for (std::int64_t i = 0; i < a.dim(); ++i) {
+        auto& e = indexShape[static_cast<std::size_t>(i)];
+        e = i == nd ? rng.nextInt(0, 5) : rng.nextInt(0, e);
+      }
+      Tensor index = Tensor::empty(indexShape, DType::Int64);
+      std::int64_t* pi = index.data<std::int64_t>();
+      for (std::int64_t i = 0; i < index.numel(); ++i)
+        pi[i] = extent > 0 ? rng.nextInt(0, extent - 1) : 0;
+      // Sometimes one index out of range: both forms raise the same error.
+      if (index.numel() > 0 && rng.nextBool(0.2))
+        pi[rng.nextInt(0, index.numel() - 1)] =
+            rng.nextBool() ? extent : -1;
+      index = maybeTransposedLayout(rng, index);
+      // Messages compare without their source location.
+      auto message = [](const Error& e) {
+        const std::string what = e.what();
+        return what.substr(0, what.find(" (at "));
+      };
+      std::string want;
+      Tensor ref;
+      try {
+        ref = refGather(a, d, index);
+      } catch (const Error& e) {
+        want = message(e);
+      }
+      if (want.empty()) {
+        EXPECT_TRUE(bitwiseEqual(ops::gather(a, d, index), ref));
+      } else {
+        try {
+          ops::gather(a, d, index);
+          ADD_FAILURE() << "gather accepted an out-of-range index: " << want;
+        } catch (const Error& e) {
+          EXPECT_EQ(message(e), want);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tssa

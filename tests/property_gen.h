@@ -229,8 +229,17 @@ class ProgramGenerator {
 /// overflow, which is undefined; the fuzz suite runs under sanitizers.
 class FusedRegionGenerator {
  public:
-  FusedRegionGenerator(Graph& graph, Rng& structRng, Rng& dataRng)
-      : graph_(graph), structRng_(structRng), dataRng_(dataRng) {}
+  /// Region extents. kTileable regions are big enough that their widest
+  /// values span several tiles of the fused-body tiler
+  /// (src/analysis/tile_plan.h).
+  enum class Extents { kSmall, kTileable };
+
+  FusedRegionGenerator(Graph& graph, Rng& structRng, Rng& dataRng,
+                       Extents extents = Extents::kSmall)
+      : graph_(graph),
+        structRng_(structRng),
+        dataRng_(dataRng),
+        extents_(extents) {}
 
   struct Built {
     std::vector<RtValue> inputs;  ///< one per body param
@@ -248,15 +257,28 @@ class FusedRegionGenerator {
     // dims independently collapsed to 1, so any two values broadcast. A
     // slice of structures uses large extents to push outputs past the
     // parallel-dispatch threshold (exercises the threaded JIT path).
-    const bool large = structRng_.nextBool(0.15);
-    const int regionRank = static_cast<int>(structRng_.nextInt(1, 3));
     Shape base;
-    for (int d = 0; d < regionRank; ++d)
-      base.push_back(large && regionRank == 3 ? structRng_.nextInt(11, 12)
-                                              : structRng_.nextInt(2, 4));
+    if (extents_ == Extents::kTileable) {
+      // 216-512 KiB of Float32 at full extent: four to eight 64 KiB tiles.
+      if (structRng_.nextBool()) {
+        base = {structRng_.nextInt(6, 8), structRng_.nextInt(96, 128),
+                structRng_.nextInt(96, 128)};
+      } else {
+        base = {structRng_.nextInt(192, 256), structRng_.nextInt(288, 512)};
+      }
+    } else {
+      const bool large = structRng_.nextBool(0.15);
+      const int regionRank = static_cast<int>(structRng_.nextInt(1, 3));
+      for (int d = 0; d < regionRank; ++d)
+        base.push_back(large && regionRank == 3 ? structRng_.nextInt(11, 12)
+                                                : structRng_.nextInt(2, 4));
+    }
 
     const int numTensors = static_cast<int>(structRng_.nextInt(2, 3));
-    for (int i = 0; i < numTensors; ++i) addTensorParam(built, base);
+    // A tileable region has one Float32 param of the whole base, so its
+    // widest values span several tiles.
+    for (int i = 0; i < numTensors; ++i)
+      addTensorParam(built, base, i == 0 && extents_ == Extents::kTileable);
 
     IRBuilder b(graph_);
     b.setInsertionPointToEnd(body_);
@@ -295,15 +317,19 @@ class FusedRegionGenerator {
     return group;
   }
 
-  void addTensorParam(Built& built, const Shape& base) {
+  /// A tensor param of `base`'s trailing dims, some collapsed to 1; with
+  /// `full`, a Float32 param of exactly `base`.
+  void addTensorParam(Built& built, const Shape& base, bool full = false) {
     Val val;
-    const int rank = static_cast<int>(
-        structRng_.nextInt(0, static_cast<std::int64_t>(base.size())));
+    const int rank =
+        full ? static_cast<int>(base.size())
+             : static_cast<int>(structRng_.nextInt(
+                   0, static_cast<std::int64_t>(base.size())));
     for (std::size_t d = base.size() - static_cast<std::size_t>(rank);
          d < base.size(); ++d) {
-      val.shape.push_back(structRng_.nextBool(0.25) ? 1 : base[d]);
+      val.shape.push_back(!full && structRng_.nextBool(0.25) ? 1 : base[d]);
     }
-    const std::int64_t dt = structRng_.nextInt(0, 9);
+    const std::int64_t dt = full ? 0 : structRng_.nextInt(0, 9);
     // Non-contiguous inputs are a distinct cache-key class: pick from the
     // structure stream.
     const bool transposed = rank >= 2 && structRng_.nextBool(0.25);
@@ -715,6 +741,7 @@ class FusedRegionGenerator {
   Graph& graph_;
   Rng& structRng_;
   Rng& dataRng_;
+  Extents extents_;
   Node* group_ = nullptr;
   Block* body_ = nullptr;
   Node* lastNode_ = nullptr;

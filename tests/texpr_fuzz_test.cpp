@@ -1,8 +1,8 @@
-// Differential fuzz harness for the texpr JIT: randomized fused regions
-// must produce bitwise-identical results as native code and as the
-// interpreted body (the tensor/ops.h reference), serial and threaded, and
-// every decline reason must fall back to the interpreted body cleanly (same
-// results, counter incremented).
+// Differential fuzz harness for fused regions: randomized fused regions
+// must produce bitwise-identical results as native code, as tiled bodies and
+// as the whole body (the graph with its FusionGroup inlined, run node by node
+// through tensor/ops.h), serial and threaded, and every JIT decline reason
+// must fall back cleanly (same results, counter incremented).
 //
 // Case count defaults to 1000 and is overridable via TSSA_FUZZ_REPS (CI's
 // sanitizer legs run a reduced sweep). Structures repeat every
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "src/analysis/tile_plan.h"
 #include "src/ir/builder.h"
 #include "src/ir/verifier.h"
 #include "src/runtime/interpreter.h"
@@ -21,6 +22,7 @@
 #include "src/texpr/codegen.h"
 #include "src/texpr/jit.h"
 #include "src/texpr/texpr.h"
+#include "tests/fusion_inline.h"
 #include "tests/property_gen.h"
 
 namespace tssa {
@@ -65,11 +67,11 @@ Interpreter jitInterpreter(int threads = 1) {
   return Interpreter(nullptr, /*useTexpr=*/true, threads, /*texprJit=*/true);
 }
 
-/// The reference: every fused body interpreted node by node.
+/// The reference: the graph with every FusionGroup inlined, so each body
+/// node runs once on whole tensors.
 std::vector<RtValue> interpretedBody(const Graph& g,
                                      std::span<const RtValue> inputs) {
-  return Interpreter(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/false)
-      .run(g, inputs);
+  return Interpreter().run(*testing_support::inlineFusionGroups(g), inputs);
 }
 
 TEST(TexprFuzzTest, JitMatchesInterpreterBitwise) {
@@ -110,6 +112,44 @@ TEST(TexprFuzzTest, JitMatchesInterpreterBitwise) {
                        "jit(threads=" + std::to_string(hw) +
                            ") vs interpreted body");
   }
+}
+
+TEST(TexprFuzzTest, TiledMatchesWholeBodyBitwise) {
+  // Regions big enough to tile, run with the JIT off (the default): tiled
+  // bodies, serial and across the pool, against the whole body.
+  const int reps = fuzzReps();
+  const int hw = std::max(2, runtime::ThreadPool::hardwareThreads());
+  int tiledCases = 0;
+  for (int i = 0; i < reps; ++i) {
+    const std::uint64_t structSeed = 9001 + static_cast<std::uint64_t>(i);
+    const std::uint64_t dataSeed = 17000 + static_cast<std::uint64_t>(i);
+    Graph g;
+    Rng structRng(structSeed);
+    Rng dataRng(dataSeed);
+    FusedRegionGenerator gen(g, structRng, dataRng,
+                             FusedRegionGenerator::Extents::kTileable);
+    auto built = gen.build();
+    SCOPED_TRACE("case " + std::to_string(i) + " structSeed " +
+                 std::to_string(structSeed) + " dataSeed " +
+                 std::to_string(dataSeed));
+    ir::verify(g);
+    std::vector<analysis::Operand> params;
+    for (const RtValue& v : built.inputs)
+      params.push_back(analysis::operandOf(v));
+    const auto plan = analysis::planTiles(*built.body, params);
+    if (plan && plan->tiles >= 3) ++tiledCases;
+
+    const auto reference = interpretedBody(g, built.inputs);
+    for (const int threads : {1, hw}) {
+      expectBitwiseEqual(Interpreter(nullptr, true, threads).run(g, built.inputs),
+                         reference,
+                         "tiled(threads=" + std::to_string(threads) +
+                             ") vs whole body");
+    }
+  }
+  // Most regions span at least three tiles; the rest hold a reshape that
+  // merges every candidate dim, or a view that selects or slices it.
+  EXPECT_GE(tiledCases, reps * 3 / 4);
 }
 
 /// Builds `relu(maskedFill(p0, p1 > p0, fill))` with `fill` a scalar param —
@@ -230,7 +270,7 @@ TEST(TexprFuzzTest, JitOffInterpreterNeverTouchesKernelCache) {
   auto built = gen.build();
   auto& cache = texpr::jit::KernelCache::instance();
   const auto before = cache.stats();
-  (void)interpretedBody(g, built.inputs);
+  (void)Interpreter().run(g, built.inputs);  // the JIT is off by default
   const auto after = cache.stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
