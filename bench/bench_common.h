@@ -141,14 +141,9 @@ inline bool outputsBitwiseEqual(const std::vector<runtime::RtValue>& a,
 ///                      (consumed by scripts/check_bench.py in CI)
 ///   --trace=PATH       enable obs::Tracer and write a Chrome trace_event
 ///                      JSON of the whole run (open in Perfetto)
-///   --texpr-jit=0/1    the texpr JIT, off by default: sets `texprJit` (the
-///                      serve, decode and shard benches pass it to their
-///                      pipelines) and TSSA_TEXPR_JIT before any kernel
-///                      runs (0 also skips micro_ops' native legs)
 struct BenchFlags {
   int threads = 4;
   int reps = 3;
-  bool texprJit = false;       ///< --texpr-jit=1 enables native codegen
   std::string pipelineFilter;  ///< empty = all pipelines
   std::string jsonPath;        ///< empty = no JSON result file
   std::string tracePath;       ///< empty = tracing stays disabled
@@ -176,14 +171,8 @@ struct BenchFlags {
   static BenchFlags parse(int& argc, char** argv) {
     BenchFlags flags;
     int kept = 1;
-    int jit = 0;
-    bool jitSeen = false;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (consume(arg, "--texpr-jit=", jit)) {
-        jitSeen = true;
-        continue;
-      }
       if (!consume(arg, "--threads=", flags.threads) &&
           !consume(arg, "--reps=", flags.reps) &&
           !consumeStr(arg, "--pipeline=", flags.pipelineFilter) &&
@@ -195,13 +184,6 @@ struct BenchFlags {
     argc = kept;
     flags.threads = std::max(flags.threads, 1);
     flags.reps = std::max(flags.reps, 1);
-    if (jitSeen) {
-      // texpr::jit::jitEnabled() latches TSSA_TEXPR_JIT on first use; parse()
-      // runs at the top of main, well before the first kernel, so the flag
-      // wins over an inherited environment either way.
-      flags.texprJit = jit != 0;
-      ::setenv("TSSA_TEXPR_JIT", flags.texprJit ? "1" : "0", 1);
-    }
     return flags;
   }
 

@@ -19,7 +19,7 @@
 // pages for the same traffic. extra.kv_leaked (pages still in use after
 // drain) is likewise gated at 0.
 //
-// Usage: decode_throughput [--reps=N] [--texpr-jit=1] [--json=PATH]
+// Usage: decode_throughput [--reps=N] [--json=PATH]
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -92,9 +92,8 @@ RunResult runTrace(const DecodeOptions& options,
   return out;
 }
 
-DecodeOptions traceOptions(const bench::BenchFlags& flags, bool continuous) {
+DecodeOptions traceOptions(bool continuous) {
   DecodeOptions o;
-  o.pipeline.texprJit = flags.texprJit;
   o.maxStepBatch = 4;
   o.maxActiveSessions = 4;
   o.ctxBuckets = {8, 16, 32};
@@ -122,7 +121,7 @@ void printComparison(const bench::BenchFlags& flags,
   double r2cRate = 0;
   for (bool continuous : {false, true}) {
     const RunResult run =
-        runTrace(traceOptions(flags, continuous), specs, /*arrivalGapUs=*/500);
+        runTrace(traceOptions(continuous), specs, /*arrivalGapUs=*/500);
     const DecodeMetricsSnapshot& m = run.decode;
     std::printf("%-14s %9llu %10.1f %10.2f %10.2f %10llu %10llu\n",
                 continuous ? "continuous" : "run-to-compl",
@@ -155,8 +154,7 @@ void printComparison(const bench::BenchFlags& flags,
                 static_cast<long long>(totalSteps));
 }
 
-void printKvFootprint(const bench::BenchFlags& flags,
-                      bench::BenchReport& report) {
+void printKvFootprint(bench::BenchReport& report) {
   // N identical sessions admitted together: every session appends exactly
   // promptLen + generate - 1 = 28 tokens, so with 16-token pages the cache
   // must peak at exactly N x 2 pages — deterministically, independent of
@@ -167,7 +165,6 @@ void printKvFootprint(const bench::BenchFlags& flags,
   constexpr std::int64_t kGenerate = 25;
 
   DecodeOptions options;
-  options.pipeline.texprJit = flags.texprJit;
   options.maxStepBatch = kSessions;
   options.maxActiveSessions = kSessions;
   options.ctxBuckets = {32};
@@ -208,7 +205,7 @@ int main(int argc, char** argv) {
   tssa::bench::BenchFlags flags = tssa::bench::BenchFlags::parse(argc, argv);
   tssa::bench::BenchReport report("decode_throughput", flags);
   printComparison(flags, report);
-  printKvFootprint(flags, report);
+  printKvFootprint(report);
   report.finish();
   return 0;
 }

@@ -3,9 +3,8 @@
 // per-op kernels at the shapes paper_nlp runs them (each checked bitwise
 // against its per-element reference first), and fused-region execution on
 // identical regions — the whole body (tensor/ops.h, one op at a time on
-// whole tensors), the tiled body (the default executor) and texpr JIT native
-// code — each checked bitwise against the whole body (records feed the CI
-// perf gate).
+// whole tensors) and the tiled body (the executor), checked bitwise against
+// each other (records feed the CI perf gate).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -17,8 +16,6 @@
 #include "src/runtime/interpreter.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/random.h"
-#include "src/texpr/jit.h"
-#include "src/texpr/texpr.h"
 #include "tests/fusion_inline.h"
 #include "tests/ops_reference.h"
 
@@ -155,10 +152,10 @@ void BM_InterpreterDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterDispatch);
 
-// ---- Fused-region: whole body vs tiled body vs texpr JIT ---------------------
+// ---- Fused-region: whole body vs tiled body ----------------------------------
 
 /// `sigmoid(p0 * p1 + p2) * relu(p0 - p2)` — a pure elementwise chain; all
-/// inputs contiguous and shape-equal, so the JIT's linear fast loop runs.
+/// inputs contiguous and shape-equal.
 ir::Block* buildEwiseBody(ir::Graph& g) {
   ir::Value* in0 = g.addInput(ir::Type::tensor());
   ir::Value* in1 = g.addInput(ir::Type::tensor());
@@ -178,8 +175,8 @@ ir::Block* buildEwiseBody(ir::Graph& g) {
   return body;
 }
 
-/// `relu(transpose(p0) + p1) * p1` with an Access view — exercises the
-/// generic coordinate-walking loop of the generated code.
+/// `relu(transpose(p0) + p1) * p1` with an Access view: the tiles read a
+/// strided view of p0.
 ir::Block* buildViewBody(ir::Graph& g) {
   ir::Value* in0 = g.addInput(ir::Type::tensor());
   ir::Value* in1 = g.addInput(ir::Type::tensor());
@@ -231,9 +228,7 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
   const Case cases[] = {{"ewise", buildEwiseBody, 3},
                         {"views", buildViewBody, 2}};
   std::printf(
-      "\n=== Fused-region ns/iter: whole body vs tiled body vs texpr JIT "
-      "===\n");
-  const bool jitOn = texpr::jit::jitEnabled();
+      "\n=== Fused-region ns/iter: whole body vs tiled body ===\n");
   auto fail = [](const char* name, const char* what) {
     std::fprintf(stderr, "fused_region/%s: %s\n", name, what);
     std::exit(1);
@@ -253,7 +248,7 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
   };
   for (const Case& c : cases) {
     ir::Graph g;
-    ir::Block* body = c.build(g);
+    c.build(g);
     const std::unique_ptr<ir::Graph> whole =
         testing_support::inlineFusionGroups(g);
     Rng rng(42);
@@ -270,25 +265,10 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
       fail(c.name, "tiled and whole body disagree");
     const double wholeNs = bestNsPerIter(runWhole, 3, flags.reps);
     const double tiledNs = bestNsPerIter(runTiled, 3, flags.reps);
-    std::printf("  %-8s interp=%12.0f ns  tiled=%12.0f ns  speedup=%6.2fx",
+    std::printf("  %-8s interp=%12.0f ns  tiled=%12.0f ns  speedup=%6.2fx\n",
                 c.name, wholeNs, tiledNs, wholeNs / tiledNs);
     record(c.name, "interp", "texpr_interp", wholeNs, 0);
     record(c.name, "tiled", "texpr_tiled", tiledNs, wholeNs);
-
-    if (!jitOn) {
-      std::printf("  jit skipped: texpr JIT disabled\n");
-      continue;
-    }
-    // The first JIT run pays the external compile; the JIT must accept the
-    // region and agree bitwise, or the comparison is meaningless.
-    texpr::Kernel jit(*body);
-    auto runJit = [&] { return *jit.run(inputs, 1); };
-    if (!jit.run(inputs, 1).has_value()) fail(c.name, "JIT declined");
-    if (!ref::sameBits(runJit()[0].tensor(), want))
-      fail(c.name, "JIT and whole body disagree");
-    const double jitNs = bestNsPerIter(runJit, 40, flags.reps);
-    std::printf("  jit=%10.0f ns  speedup=%6.1fx\n", jitNs, wholeNs / jitNs);
-    record(c.name, "jit", "texpr_jit", jitNs, wholeNs);
   }
 }
 

@@ -31,7 +31,7 @@
 //     fresh, traffic returns. Deterministic compile arithmetic, zero
 //     errors.
 //
-// Usage: shard_scaling [--reps=N] [--texpr-jit=1] [--json=PATH]
+// Usage: shard_scaling [--reps=N] [--json=PATH]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -149,9 +149,8 @@ TraceRun playTrace(Router& router, const std::vector<bench::TraceRequest>& trace
 /// Shard-tier engine options shared by every section: one worker per
 /// shard (scaling must come from shard count, not intra-shard
 /// parallelism), a cache big enough that no key is ever evicted.
-serve::EngineOptions shardEngineOptions(const bench::BenchFlags& flags) {
+serve::EngineOptions shardEngineOptions() {
   serve::EngineOptions o;
-  o.pipeline.texprJit = flags.texprJit;
   o.pipeline.threads = 1;
   o.executeConcurrency = 1;
   o.maxBatch = 4;
@@ -196,7 +195,7 @@ bool printScaling(const bench::BenchFlags& flags, bench::BenchReport& report) {
     // Retries trade a duplicate compile for availability; the queues here
     // are unbounded, so zero hops keeps the compile count exact.
     ro.maxRetryHops = 0;
-    ro.engine = shardEngineOptions(flags);
+    ro.engine = shardEngineOptions();
     // One request per executed batch: coalescing depends on arrival races,
     // and a batched run's sim time differs from the sum of its members'
     // solo runs — maxBatch=1 makes each shard's sim busy time a pure
@@ -294,9 +293,8 @@ void printDecodeMix(const bench::BenchFlags& flags,
   RouterOptions ro;
   ro.shards = 2;
   ro.maxRetryHops = 0;
-  ro.engine = shardEngineOptions(flags);
+  ro.engine = shardEngineOptions();
   ro.enableDecode = true;
-  ro.decode.pipeline.texprJit = flags.texprJit;
   ro.decode.maxStepBatch = 4;
   ro.decode.maxActiveSessions = 4;
   ro.decode.ctxBuckets = {16, 32};
@@ -407,7 +405,7 @@ void printShedBurst(const bench::BenchFlags& flags,
   RouterOptions ro;
   ro.shards = 2;
   ro.maxRetryHops = 1;
-  ro.engine = shardEngineOptions(flags);
+  ro.engine = shardEngineOptions();
   ro.engine.maxQueueDepth = 2;
   ro.engine.maxBatch = 2;
   // A long window parks admitted requests in the open batch, so the burst
@@ -470,12 +468,11 @@ void printShedBurst(const bench::BenchFlags& flags,
 
 // ---- Section 4: rolling restart -------------------------------------------
 
-void printDrainRoll(const bench::BenchFlags& flags,
-                    bench::BenchReport& report) {
+void printDrainRoll(bench::BenchReport& report) {
   RouterOptions ro;
   ro.shards = 2;
   ro.maxRetryHops = 0;
-  ro.engine = shardEngineOptions(flags);
+  ro.engine = shardEngineOptions();
   ro.engine.maxWaitUs = 0;  // serial walkthrough: no batching window
   Router router(ro);
 
@@ -521,7 +518,6 @@ void printDrainRoll(const bench::BenchFlags& flags,
               static_cast<unsigned long long>(stats.restarts),
               static_cast<unsigned long long>(stats.drainSkips),
               static_cast<unsigned long long>(compiles));
-  (void)flags;
 
   bench::BenchRecord rec;
   rec.name = "shard/drain_roll_s2";
@@ -548,7 +544,7 @@ int main(int argc, char** argv) {
   const bool scalingOk = printScaling(flags, report);
   printDecodeMix(flags, report);
   printShedBurst(flags, report);
-  printDrainRoll(flags, report);
+  printDrainRoll(report);
   report.finish();
   // Self-gating: CI runs this binary, so the 2.5x simulated-scaling floor
   // is enforced by the exit code (check_bench.py gates the counters).

@@ -6,7 +6,6 @@
 
 #include "src/runtime/profiler.h"
 #include "src/support/error.h"
-#include "src/texpr/texpr.h"
 
 namespace tssa::analysis {
 
@@ -340,12 +339,10 @@ class CostWalker {
     std::int64_t flops = 0;
     std::int64_t savedBytes = 0;
     std::vector<CostValue> rets;
-    if (opts_.useTexpr && texpr::Kernel::supports(body)) {
-      // Priced exactly as the interpreter charges a supported body, native
-      // or interpreted.
-      const texpr::Kernel::BodyMeta meta = texpr::Kernel::infer(body, in);
-      flops = meta.stats.flops;
-      savedBytes = meta.stats.savedBytes;
+    if (opts_.useTexpr && pricesAsOneKernel(body)) {
+      const FusedBody meta = inferFusedBody(body, in);
+      flops = meta.flops;
+      savedBytes = meta.savedBytes;
       for (const ir::Value* r : body.returns()) {
         auto it = meta.tensors.find(r);
         TSSA_CHECK(it != meta.tensors.end(), "fusion group return unknown");

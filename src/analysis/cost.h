@@ -9,9 +9,9 @@
 // analysis::chargeOf (src/analysis/op_rules.h). It charges them into a
 // runtime::Profiler configured with the DeviceSpec/HostSpec under study,
 // merging the kernels of ParallelMap iterations into batched launches and
-// pricing FusionGroups as one kernel each. FusionGroups the texpr backend
-// supports are priced by texpr::Kernel::infer; other bodies count what
-// their suppressed kernels would.
+// pricing FusionGroups as one kernel each. FusionGroups whose body
+// analysis::pricesAsOneKernel accepts are priced by inferFusedBody; other
+// bodies count what their suppressed kernels would.
 //
 // No op in the IR turns tensor data into a scalar, so input shapes and
 // scalar values fix every branch, trip count and shape, and the walk is
@@ -62,8 +62,8 @@ std::vector<CostValue> bindSymbolic(
 struct CostOptions {
   runtime::DeviceSpec device = runtime::DeviceSpec::dataCenter();
   runtime::HostSpec host = runtime::HostSpec::torchscriptVm();
-  /// Price FusionGroups whose body the texpr backend supports by the texpr
-  /// RunStats rules (PipelineOptions::useTexpr); otherwise every group is
+  /// Price FusionGroups whose body pricesAsOneKernel accepts by
+  /// inferFusedBody (PipelineOptions::useTexpr); otherwise every group is
   /// priced by the interpreted-body rules.
   bool useTexpr = true;
   /// Loops beyond this trip count are not unrolled by the walk; they count

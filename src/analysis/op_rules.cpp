@@ -909,4 +909,65 @@ Charge fusionGroupCharge(std::span<const Operand> in,
   return kernelCharge(std::max<std::int64_t>(0, bytes - savedBytes), flops);
 }
 
+namespace {
+
+bool staticViewPricesInKernel(const Node& node) {
+  // A "dyn" view binds its sizes from scalar operands at run time.
+  if (node.attrs().has("dyn")) return false;
+  switch (static_cast<OpKind>(node.attrs().i("view"))) {
+    case OpKind::Identity:
+    case OpKind::Select:
+    case OpKind::Slice:
+    case OpKind::Transpose:
+    case OpKind::Permute:
+    case OpKind::Squeeze:
+    case OpKind::Unsqueeze:
+    case OpKind::Reshape:
+    case OpKind::Flatten:
+      return true;
+    case OpKind::Expand:
+      // Assign-through-expand writes one element from several sources.
+      return node.kind() == OpKind::Access;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+bool pricesAsOneKernel(const Block& body) {
+  for (const Node* node : body) {
+    if (node->numBlocks() != 0) return false;
+    switch (ir::opCategory(node->kind())) {
+      case ir::OpCategory::EwiseUnary:
+      case ir::OpCategory::EwiseBinary:
+      case ir::OpCategory::EwiseTernary:
+        break;
+      case ir::OpCategory::Immut:
+        if (node->kind() != OpKind::Access && node->kind() != OpKind::Assign)
+          return false;
+        if (!staticViewPricesInKernel(*node)) return false;
+        break;
+      default:
+        return false;
+    }
+  }
+  return true;
+}
+
+FusedBody inferFusedBody(const Block& body, std::span<const Operand> params) {
+  FusedBody m;
+  static_cast<BodyValues&>(m) = inferBody(body, params);
+  std::vector<Operand> in;
+  for (const Node* node : body) {
+    in.clear();
+    for (const Value* v : node->inputs()) in.push_back(m.operandOf(v));
+    const TensorMeta& meta = m.tensors.at(node->output(0));
+    m.flops += meta.numel();
+    const Operand result = Operand::tensor(meta);
+    m.savedBytes += chargeOf(*node, in, std::span(&result, 1)).savedBytes;
+  }
+  return m;
+}
+
 }  // namespace tssa::analysis

@@ -11,7 +11,7 @@
 //     infers each op's outputs with inferOutputs() and charges them with
 //     chargeOf(). runtime::Pipeline prices every run through it, so it is
 //     the one walk that produces Profiler numbers;
-//   * the texpr backend (src/texpr/texpr.h) and the tile planner
+//   * the fused-body pricing rule (inferFusedBody) and the tile planner
 //     (src/analysis/tile_plan.h) bind the shape/dtype of every fused body
 //     value with inferBody(), which applies inferOutputs() node by node.
 //
@@ -104,7 +104,7 @@ class CostValue {
 
 /// One node operand (or result) as the rules read it. Non-owning: tensor
 /// sizes and list items point into the caller's value — a Tensor, a
-/// CostValue, a texpr binding — so building one never allocates.
+/// CostValue, a BodyValues entry — so building one never allocates.
 class Operand {
  public:
   Operand() = default;  ///< unknown: data-dependent or not modelled
@@ -192,8 +192,8 @@ struct BodyValues {
 
 /// Binds `params` (one per param of straight-line `body`) and infers each
 /// node's one tensor result with inferOutputs, in body order. The one walk
-/// over a fused body's metadata: the texpr backend prices bodies with it
-/// and the tile planner cuts them by it. Throws tssa::Error when a node is
+/// over a fused body's metadata: inferFusedBody prices bodies with it and
+/// the tile planner cuts them by it. Throws tssa::Error when a node is
 /// not a one-result tensor op or a rule rejects its operands.
 BodyValues inferBody(const ir::Block& body, std::span<const Operand> params);
 
@@ -274,5 +274,25 @@ Charge chargeOf(const ir::Node& node, std::span<const Operand> in,
 Charge fusionGroupCharge(std::span<const Operand> in,
                          std::span<const Operand> out, std::int64_t flops,
                          std::int64_t savedBytes);
+
+/// True when `body` is priced as one kernel from its structure
+/// (inferFusedBody): every node is elementwise compute or an Access/Assign
+/// through a static view rule other than Assign-through-expand. Bodies with
+/// reductions, matmul, cat, sorts, gathers, control flow, "dyn" views or
+/// Assign-through-expand are priced from their interior kernels instead
+/// (CostOptions::useTexpr). This set is the one the gated Fig. 5–8 sim_us
+/// numbers were recorded with: widening or narrowing it moves them.
+bool pricesAsOneKernel(const ir::Block& body);
+
+/// The metadata of every value of a body pricesAsOneKernel accepts, plus
+/// its flops (one per produced element per node) and the traffic its
+/// donated Assigns save. Throws tssa::Error when a rule rejects the
+/// operands.
+struct FusedBody : BodyValues {
+  std::int64_t flops = 0;
+  std::int64_t savedBytes = 0;
+};
+FusedBody inferFusedBody(const ir::Block& body,
+                         std::span<const Operand> params);
 
 }  // namespace tssa::analysis

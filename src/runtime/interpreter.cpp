@@ -9,7 +9,6 @@
 #include "src/obs/trace.h"
 #include "src/runtime/thread_pool.h"
 #include "src/tensor/ops.h"
-#include "src/texpr/jit.h"
 
 namespace tssa::runtime {
 
@@ -213,21 +212,6 @@ Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
   }
 }
 
-// ---- Fused-kernel cache -------------------------------------------------------------------
-
-const texpr::Kernel* Interpreter::fusedKernelFor(const Node& node,
-                                                 const ir::Block& body) {
-  std::lock_guard<std::mutex> lock(fusedMutex_);
-  auto it = fused_.find(&node);
-  if (it == fused_.end()) {
-    std::unique_ptr<texpr::Kernel> kernel;
-    if (texpr::jit::jitEnabled() && texpr::Kernel::supports(body))
-      kernel = std::make_unique<texpr::Kernel>(body);
-    it = fused_.emplace(&node, std::move(kernel)).first;
-  }
-  return it->second.get();
-}
-
 // ---- Tiled fused bodies -------------------------------------------------------------------
 
 namespace {
@@ -259,7 +243,7 @@ std::shared_ptr<const analysis::TilePlan> Interpreter::tilePlanFor(
     return nullptr;
   };
   {
-    std::lock_guard<std::mutex> lock(fusedMutex_);
+    std::lock_guard<std::mutex> lock(tilePlansMutex_);
     if (const auto* plan = cached()) return *plan;
   }
   std::vector<analysis::Operand> params;
@@ -269,7 +253,7 @@ std::shared_ptr<const analysis::TilePlan> Interpreter::tilePlanFor(
   if (auto p = analysis::planTiles(*node.block(0), params))
     plan = std::make_shared<const analysis::TilePlan>(std::move(*p));
 
-  std::lock_guard<std::mutex> lock(fusedMutex_);
+  std::lock_guard<std::mutex> lock(tilePlansMutex_);
   if (const auto* other = cached()) return *other;  // planned concurrently
   TilePlans& plans = tilePlans_[&node];
   if (plans.entries.size() < kTilePlansPerNode) {
@@ -577,9 +561,8 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       return;
     }
     case OpKind::FusionGroup: {
-      // One modelled kernel. It runs as native code when the JIT is on and
-      // accepts the body, else in tiles when the body tiles, else whole,
-      // node by node.
+      // One modelled kernel. It runs in tiles when the body tiles, else
+      // whole, node by node.
       obs::TraceSpan span("exec", "FusionGroup");
       const ir::Block& body = *node.block(0);
       std::vector<RtValue> groupInputs;
@@ -587,27 +570,14 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       for (std::size_t i = 0; i < node.numInputs(); ++i)
         groupInputs.push_back(get(node.input(i), env));
 
-      std::optional<std::vector<RtValue>> rets;
-      if (const texpr::Kernel* kernel =
-              jit_ ? fusedKernelFor(node, body) : nullptr) {
-        // Pool workers must not recurse into the pool: a ParallelMap body's
-        // fused kernels run single-threaded inside their iteration.
-        rets = kernel->run(groupInputs, ctx.onWorker ? 1 : threads_);
-        if (rets) span.arg("backend", "jit");
-      }
-      if (!rets) {
-        if (const auto plan = tilePlanFor(node, groupInputs)) {
-          std::vector<RtValue> tiled;
-          if (const int workers =
-                  runTiled(node, *plan, groupInputs, ctx, tiled)) {
-            span.arg("backend", "tiled");
-            span.arg("tiles", plan->tiles);
-            span.arg("workers", static_cast<std::int64_t>(workers));
-            rets = std::move(tiled);
-          }
-        }
-      }
-      if (!rets) {
+      std::vector<RtValue> rets;
+      const auto plan = tilePlanFor(node, groupInputs);
+      if (const int workers =
+              plan ? runTiled(node, *plan, groupInputs, ctx, rets) : 0) {
+        span.arg("backend", "tiled");
+        span.arg("tiles", plan->tiles);
+        span.arg("workers", static_cast<std::int64_t>(workers));
+      } else {
         span.arg("backend", "interp");
         span.arg("tiles", std::int64_t{1});
         span.arg("workers", std::int64_t{1});
@@ -617,8 +587,8 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
         rets = blockReturns(body, env);
         if (ctx.arena != nullptr) dropReturnBindings(body, env);
       }
-      for (std::size_t i = 0; i < rets->size(); ++i)
-        bindOut(i, std::move((*rets)[i]));
+      for (std::size_t i = 0; i < rets.size(); ++i)
+        bindOut(i, std::move(rets[i]));
       return;
     }
     default:

@@ -44,7 +44,6 @@
 #include "src/runtime/profiler.h"
 #include "src/runtime/rt_value.h"
 #include "src/tensor/arena.h"
-#include "src/texpr/texpr.h"
 
 namespace tssa::runtime {
 
@@ -52,15 +51,11 @@ class Interpreter {
  public:
   /// `profiler`, when set, receives the arena counters of planned runs; it
   /// may be null. Fused bodies run tiled or whole through the tensor/ops.h
-  /// kernels. The texpr JIT is opt-in: only with `useTexpr` and `texprJit`
-  /// both set (and TSSA_TEXPR_JIT not 0) do the bodies the texpr backend
-  /// supports run as native code when the JIT accepts them
-  /// (src/texpr/texpr.h); a declined launch runs as if the JIT were off.
-  /// `threads` caps the worker count for parallel constructs: 1 (default)
-  /// executes fully serially, 0 means ThreadPool::hardwareThreads().
-  explicit Interpreter(Profiler* profiler = nullptr, bool useTexpr = true,
-                       int threads = 1, bool texprJit = false)
-      : profiler_(profiler), jit_(useTexpr && texprJit) {
+  /// kernels. `threads` caps the worker count for parallel constructs: 1
+  /// (default) executes fully serially, 0 means
+  /// ThreadPool::hardwareThreads().
+  explicit Interpreter(Profiler* profiler = nullptr, int threads = 1)
+      : profiler_(profiler) {
     setThreads(threads);
   }
 
@@ -169,11 +164,6 @@ class Interpreter {
                    std::size_t operandStart,
                    SizesPatch patch = kNoPatch) const;
 
-  /// The native-code host of FusionGroup `node`, decided once and cached
-  /// across runs and threads; null when its body does not run natively.
-  const texpr::Kernel* fusedKernelFor(const ir::Node& node,
-                                      const ir::Block& body);
-
   /// The tile plan of FusionGroup `node` for the params `in`, decided once
   /// per input signature and cached across runs and threads; null when the
   /// body runs whole.
@@ -197,20 +187,16 @@ class Interpreter {
                ExecContext& ctx);
 
   Profiler* profiler_;
-  bool jit_ = false;  ///< useTexpr && texprJit
   int threads_ = 1;
   const analysis::MemoryPlan* plan_ = nullptr;
   /// Root-context buffer pool, created lazily on the first planned run and
   /// kept across runs so steady-state executions reuse prior buffers.
   std::unique_ptr<Arena> arena_;
-  /// Per FusionGroup node, kept across runs. Guarded by `fusedMutex_`:
-  /// ParallelMap workers may compile concurrently. Entries are never erased,
-  /// so returned pointers stay valid.
-  std::unordered_map<const ir::Node*, std::unique_ptr<texpr::Kernel>> fused_;
   /// Per FusionGroup node, the plans of its most recent input signatures
   /// (at most kTilePlansPerNode, replaced round-robin; a null plan records
-  /// a body that runs whole). Guarded by `fusedMutex_`. Like `fused_`, it
-  /// is keyed by node, so the graphs an interpreter runs must outlive it.
+  /// a body that runs whole). Guarded by `tilePlansMutex_`: ParallelMap
+  /// workers may plan concurrently. It is keyed by node, so the graphs an
+  /// interpreter runs must outlive it.
   ///
   /// Planning is not free next to a launch: 7-130 us per plan on a 4-vCPU
   /// Xeon (fcos's 75-node box body is the 130), about 2.5% of perfbench's
@@ -229,7 +215,7 @@ class Interpreter {
     std::size_t next = 0;
   };
   std::unordered_map<const ir::Node*, TilePlans> tilePlans_;
-  std::mutex fusedMutex_;
+  std::mutex tilePlansMutex_;
 };
 
 }  // namespace tssa::runtime

@@ -200,7 +200,6 @@ std::size_t hashValue(const PipelineOptions& options) {
   mix(std::hash<int>{}(options.threads));
   mix(std::hash<bool>{}(options.useTexpr));
   mix(std::hash<bool>{}(options.memoryPlan));
-  mix(std::hash<bool>{}(options.texprJit));
   mix(std::hash<std::size_t>{}(options.fusionMaxOps));
   mix(std::hash<std::uint64_t>{}(options.parallelizeMask));
   return h;
@@ -211,8 +210,7 @@ Pipeline::Pipeline(PipelineKind kind, const ir::Graph& source,
     : kind_(kind),
       graph_(ir::cloneGraph(source)),
       profiler_(options.device, hostSpecFor(kind)),
-      interpreter_(&profiler_, options.useTexpr, options.threads,
-                   options.texprJit) {
+      interpreter_(&profiler_, options.threads) {
   compileGraph(kind, *graph_, options);
   pricing_.device = options.device;
   pricing_.host = hostSpecFor(kind);

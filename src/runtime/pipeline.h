@@ -48,12 +48,11 @@ std::string_view pipelineName(PipelineKind kind);
 struct PipelineOptions {
   DeviceSpec device = DeviceSpec::dataCenter();
   int threads = 1;
-  /// Fused element regions as texpr kernels (src/texpr/texpr.h): each
-  /// FusionGroup body the backend supports is priced as one kernel from its
-  /// structure (texpr::Kernel::infer); off, every fused body pays what its
-  /// kernels count. Either way fused bodies execute tiled or whole (see
-  /// src/analysis/tile_plan.h), or as native code with `texprJit`. Serve
-  /// program keys include it.
+  /// Fused element regions priced as one kernel from their structure: each
+  /// FusionGroup body analysis::pricesAsOneKernel accepts is charged by
+  /// analysis::inferFusedBody; off, every fused body pays what its kernels
+  /// count. Either way fused bodies execute tiled or whole (see
+  /// src/analysis/tile_plan.h). Serve program keys include it.
   bool useTexpr = true;
   /// Liveness-driven memory planning (src/analysis/liveness.h): intermediates
   /// are released at their last use and their buffers recycled through
@@ -61,15 +60,6 @@ struct PipelineOptions {
   /// or off — the differential suite cross-checks both modes — so this stays
   /// on by default; the toggle exists for that cross-check and for debugging.
   bool memoryPlan = true;
-  /// Native codegen for fused element regions (src/texpr/jit.h), opt-in:
-  /// texpr kernels compile to shared objects at runtime and dispatch
-  /// through a C ABI; unsupported patterns and toolchain failures decline
-  /// back to the tiled or whole body. Results and charges are identical
-  /// either way (the differential fuzz suite enforces the results). It is
-  /// off by default because tiled bodies run as fast without paying the
-  /// toolchain at set-up; it stays for its tests and bench legs until the
-  /// JIT is retired.
-  bool texprJit = false;
   /// Cap on ops per fusion group (FusionPolicy::maxKernelOps): 0 keeps the
   /// unlimited heuristic; the autotuner sets small caps when the device
   /// model favours splitting long chains. Only affects pipelines that fuse.

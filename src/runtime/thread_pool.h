@@ -1,7 +1,7 @@
 // Reusable worker pool for data-parallel execution.
 //
 // The runtime's parallel constructs — tssa::ParallelMap iteration batches and
-// the element loops of fused texpr kernels — share one process-wide pool so
+// the tiles of fused bodies — share one process-wide pool so
 // thread creation is paid once, not per kernel. Work is distributed by
 // *static chunking*: `parallelFor(n, w, fn)` splits [0, n) into at most `w`
 // contiguous chunks, runs chunk 0 on the calling thread (which keeps the hot

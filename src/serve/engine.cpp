@@ -10,7 +10,6 @@
 #include "src/runtime/thread_pool.h"
 #include "src/support/error.h"
 #include "src/tensor/ops.h"
-#include "src/texpr/jit.h"
 #include "src/tune/tuner.h"
 
 namespace tssa::serve {
@@ -699,11 +698,6 @@ void Engine::exportMetrics(obs::MetricsRegistry& registry,
                            std::string_view labels) const {
   exportSnapshot(metrics(), registry, labels);
   metrics_.exportTo(registry, labels);
-  // Compiled texpr kernels are shared process-wide (one KernelCache across
-  // every shard and cached program), so their counters are NOT shard-scoped:
-  // they export only on an unlabeled (whole-process) export — a labeled
-  // per-shard export would attribute global state to one shard.
-  if (labels.empty()) texpr::jit::KernelCache::instance().exportTo(registry);
 }
 
 MetricsSnapshot Engine::metrics() const {

@@ -66,8 +66,8 @@ namespace tssa::serve {
 
 struct EngineOptions {
   runtime::PipelineKind kind = runtime::PipelineKind::TensorSsa;
-  /// Device model, per-program interpreter thread cap, texpr backend — part
-  /// of the program cache key.
+  /// Device model, per-program interpreter thread cap, fused-body pricing —
+  /// part of the program cache key.
   runtime::PipelineOptions pipeline{};
   std::size_t cacheCapacity = 32;      ///< compiled programs kept (LRU)
   /// Key programs on the workload's symbolic shape pattern when the

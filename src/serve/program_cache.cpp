@@ -20,7 +20,6 @@ std::string ProgramKey::toString() const {
   os << workload << "/" << runtime::pipelineName(kind) << "/" << signature
      << "/" << options.device.name << "/threads=" << options.threads
      << "/texpr=" << (options.useTexpr ? 1 : 0);
-  if (options.texprJit) os << "/jit=1";
   if (!options.memoryPlan) os << "/mem=0";
   if (options.fusionMaxOps != 0) os << "/fuse=" << options.fusionMaxOps;
   if (options.parallelizeMask != ~std::uint64_t{0})

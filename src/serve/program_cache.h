@@ -2,7 +2,7 @@
 //
 // Serving traffic re-runs the same few programs with the same few shapes, so
 // compilation must be paid once per (workload, pipeline kind, shape
-// signature, device, texpr flag) — the same unit of specialization that
+// signature, device, pricing flag) — the same unit of specialization that
 // TorchDynamo guards on and TensorIR serves as compiled artifacts. The cache
 // is an LRU map from ProgramKey to a ready-to-run Pipeline; concurrent
 // requests for a key being compiled block on that entry (single-flight: one

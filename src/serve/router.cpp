@@ -452,8 +452,7 @@ void Router::exportMetrics(obs::MetricsRegistry& registry) const {
   // shard's samples unlabeled (observeMany appends, so shards accumulate
   // instead of overwriting); those calls also write transiently wrong
   // unlabeled scalars, which exportSnapshot(merged) below overwrites with
-  // the true sums. KernelCache counters are process-global and idempotent,
-  // so repeating them is harmless.
+  // the true sums.
   for (int s = 0; s < shards(); ++s) engineOf(s)->exportMetrics(registry);
   exportSnapshot(mergedMetrics(), registry);
 }

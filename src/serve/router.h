@@ -177,8 +177,7 @@ class Router {
 
   /// Exports the whole tier into `registry`: every shard's engine (and
   /// decode scheduler) under `shard="i"` labels, plus the unlabeled merged
-  /// serve aggregate. The process-wide texpr KernelCache counters are
-  /// exported once, unlabeled.
+  /// serve aggregate.
   void exportMetrics(obs::MetricsRegistry& registry) const;
 
   /// Direct shard access for tests and benches (engine lifetime is only

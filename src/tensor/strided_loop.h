@@ -147,8 +147,8 @@ inline void forRow2(std::int64_t n, std::int64_t s0, std::int64_t s1,
 
 /// The element a tensor of C++ element type `T` stores for `v`. Bool
 /// (uint8_t) stores `v != 0` — a cast would truncate 0.5 to false and is
-/// undefined for values outside [0, 256) — matching what comparisons and
-/// the JIT produce. Int64 truncates toward zero; NaN, ±inf and values
+/// undefined for values outside [0, 256) — matching what comparisons
+/// produce. Int64 truncates toward zero; NaN, ±inf and values
 /// outside the Int64 range store INT64_MIN, what x86's cvttsd2si (and so
 /// PyTorch on x86) produces, where a plain cast is undefined. Every store
 /// into a Bool tensor goes through this rule, so Bool elements are always 0

@@ -66,7 +66,6 @@ TunedConfig TunedConfig::defaults(const runtime::PipelineOptions& base) {
   c.parallelizeMask = base.parallelizeMask;
   c.threads = base.threads;
   c.memoryPlan = base.memoryPlan;
-  c.texprJit = base.texprJit;
   return c;
 }
 
@@ -76,7 +75,6 @@ runtime::PipelineOptions TunedConfig::applyTo(
   base.parallelizeMask = parallelizeMask;
   base.threads = threads;
   base.memoryPlan = memoryPlan;
-  base.texprJit = texprJit;
   return base;
 }
 
@@ -84,7 +82,7 @@ std::string TunedConfig::toString() const {
   std::ostringstream os;
   os << "fuse=" << fusionMaxOps << "|mask=" << std::hex << parallelizeMask
      << std::dec << "|threads=" << threads << "|mem=" << memoryPlan
-     << "|jit=" << texprJit << "|mb=" << maxBatch << "|wait=" << maxWaitUs;
+     << "|mb=" << maxBatch << "|wait=" << maxWaitUs;
   return os.str();
 }
 
@@ -203,7 +201,7 @@ TuneResult Autotuner::tune(const std::string& workload,
     }
     // Wall-clock-only explorers. The analytic clock models a hypothetical
     // accelerator, so it is structurally blind to (or inverted on) host-side
-    // effects: texpr dispatch vs. plain kernels under a fusion cap, the
+    // effects: fused bodies vs. plain kernels under a fusion cap, the
     // ParallelMap merge machinery on a low-core box, arena bookkeeping.
     // These candidates can only be justified by measuring; each one
     // displaces the default only by beating it for real.

@@ -4,7 +4,7 @@
 // The pass pipeline and the serving engine expose knobs that have always run
 // on fixed heuristics: fusion group size (unlimited), per-loop
 // parallelization (always on), interpreter thread count, the memory planner,
-// the texpr JIT, and the micro-batcher's window. The Autotuner searches that
+// and the micro-batcher's window. The Autotuner searches that
 // config space per (workload × pipeline kind), in two phases:
 //
 //  * Offline, analytic: candidate configs are compiled with
@@ -14,7 +14,7 @@
 //    group size, drop one loop from parallelization), greedy-with-jitter,
 //    deterministic under TunerOptions::seed. Only knobs the simulated clock
 //    can see are searched here: simUs is thread-count invariant by design,
-//    so threads/memoryPlan/texprJit are NOT differentiated analytically.
+//    so threads/memoryPlan are NOT differentiated analytically.
 //  * Measured shortlist: the analytic winner and the default, crossed with
 //    hardware threads, plus wall-clock-only explorers the analytic clock is
 //    structurally blind to (memory planner off, parallelization off, small
@@ -66,7 +66,6 @@ struct TunedConfig {
   std::uint64_t parallelizeMask = ~std::uint64_t{0};
   int threads = 1;
   bool memoryPlan = true;
-  bool texprJit = false;
   int maxBatch = 0;             ///< micro-batch cap; 0 = engine default
   std::int64_t maxWaitUs = -1;  ///< micro-batch window; < 0 = engine default
 

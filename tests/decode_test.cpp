@@ -1,8 +1,7 @@
 // Decode serving subsystem: the paged KV cache, the iteration-level
 // continuous-batching scheduler, and the differential contract that a
 // session's output is bitwise-identical however it is scheduled —
-// coalesced with strangers, padded to any bucket, at any thread count,
-// with or without the texpr JIT.
+// coalesced with strangers, padded to any bucket, at any thread count.
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -371,12 +370,8 @@ TEST(DecodeSchedulerTest, ExportsCanonicalMetricNames) {
 
 // ---- Differential: batched == solo, bitwise --------------------------------
 
-struct DiffParam {
-  int threads;      // 1 or 0 (= hardware concurrency)
-  bool texprJit;
-};
-
-class DecodeDifferentialTest : public ::testing::TestWithParam<DiffParam> {};
+/// The pipeline thread count: 1 or 0 (= hardware concurrency).
+class DecodeDifferentialTest : public ::testing::TestWithParam<int> {};
 
 /// Sessions chosen so generation crosses every configured bucket (4, 8, 16):
 /// the longest runs through all three specializations, the shortest stays in
@@ -398,25 +393,24 @@ const std::vector<SessionSpec>& diffSessions() {
   return specs;
 }
 
-DecodeOptions diffOptions(const DiffParam& param) {
+DecodeOptions diffOptions(int threads) {
   DecodeOptions o;
   o.ctxBuckets = {4, 8, 16};
   o.kvPageTokens = 4;
   o.maxStepBatch = 8;
   o.maxActiveSessions = 8;
-  o.pipeline.threads = param.threads;
-  o.pipeline.texprJit = param.texprJit;
+  o.pipeline.threads = threads;
   return o;
 }
 
 TEST_P(DecodeDifferentialTest, BatchedSessionMatchesSoloBitwise) {
-  const DiffParam param = GetParam();
+  const int threads = GetParam();
 
   // Batched: every session in flight together, joining and leaving freely.
   std::vector<Tensor> batched;
   std::int64_t batchedSteps = 0;
   {
-    DecodeScheduler sched(diffOptions(param));
+    DecodeScheduler sched(diffOptions(threads));
     std::vector<std::future<DecodeResult>> futures;
     for (const SessionSpec& spec : diffSessions()) {
       DecodeRequest req;
@@ -438,7 +432,7 @@ TEST_P(DecodeDifferentialTest, BatchedSessionMatchesSoloBitwise) {
   // buckets, same weights (same seed).
   for (std::size_t i = 0; i < diffSessions().size(); ++i) {
     const SessionSpec& spec = diffSessions()[i];
-    DecodeScheduler solo(diffOptions(param));
+    DecodeScheduler solo(diffOptions(threads));
     DecodeRequest req;
     req.prompt = DecodeScheduler::randomPrompt(spec.promptLen, spec.seed);
     req.generate = spec.generate;
@@ -449,19 +443,14 @@ TEST_P(DecodeDifferentialTest, BatchedSessionMatchesSoloBitwise) {
                           sizeof(float) *
                               static_cast<std::size_t>(r.generated.numel())),
               0)
-        << "session " << i << " diverged (threads=" << param.threads
-        << " texprJit=" << param.texprJit << ")";
+        << "session " << i << " diverged (threads=" << threads << ")";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndJit, DecodeDifferentialTest,
-    ::testing::Values(DiffParam{1, false}, DiffParam{1, true},
-                      DiffParam{0, false}, DiffParam{0, true}),
-    [](const ::testing::TestParamInfo<DiffParam>& info) {
-      return std::string("threads_") +
-             (info.param.threads == 0 ? "hw" : "1") +
-             (info.param.texprJit ? "_jit" : "_nojit");
+    Threads, DecodeDifferentialTest, ::testing::Values(1, 0),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string("threads_") + (info.param == 0 ? "hw" : "1");
     });
 
 }  // namespace

@@ -31,7 +31,6 @@
 #include "src/runtime/thread_pool.h"
 #include "src/serve/engine.h"
 #include "src/tensor/random.h"
-#include "src/texpr/jit.h"
 #include "src/workloads/workload.h"
 
 namespace tssa {
@@ -362,9 +361,9 @@ TEST_F(ObsTracerTest, TracedThreadedWorkloadShowsAllLayers) {
   expectProperNesting(doc.at("traceEvents").array);
 }
 
-/// Two fused regions over inputs (x, y, fill): `relu(x + y)`, which the JIT
-/// compiles, and `masked_fill(x, y > x, fill)`, which it declines.
-std::unique_ptr<ir::Graph> jitAndDeclinedRegions() {
+/// Two fused regions over inputs (x, y, fill): `relu(x + y)` and
+/// `masked_fill(x, y > x, fill)`.
+std::unique_ptr<ir::Graph> twoFusedRegions() {
   auto g = std::make_unique<ir::Graph>();
   ir::Value* x = g->addInput(ir::Type::tensor());
   ir::Value* y = g->addInput(ir::Type::tensor());
@@ -391,33 +390,34 @@ std::unique_ptr<ir::Graph> jitAndDeclinedRegions() {
 }
 
 TEST_F(ObsTracerTest, FusionGroupSpanNamesTheBackendThatRan) {
-  auto g = jitAndDeclinedRegions();
+  auto g = twoFusedRegions();
   Rng rng(5);
-  const std::vector<runtime::RtValue> inputs = {
-      runtime::RtValue(rng.uniform({3, 4}, -1, 1)),
-      runtime::RtValue(rng.uniform({3, 4}, -1, 1)),
-      runtime::RtValue(Scalar(0.5))};
-  auto backends = [&](bool jit) {
+  // Each body fits one tile and runs whole at [3, 4]; at [512, 256] (512
+  // KiB per param) both run in tiles.
+  auto backends = [&](const Shape& shape) {
+    const std::vector<runtime::RtValue> inputs = {
+        runtime::RtValue(rng.uniform(shape, -1, 1)),
+        runtime::RtValue(rng.uniform(shape, -1, 1)),
+        runtime::RtValue(Scalar(0.5))};
     Tracer& tracer = Tracer::instance();
     tracer.clear();
     tracer.enable();
-    runtime::Interpreter(nullptr, /*useTexpr=*/true, 1, jit).run(*g, inputs);
+    runtime::Interpreter().run(*g, inputs);
     tracer.disable();
     std::vector<std::string> out;
     const JsonValue doc = JsonParser(tracer.chromeTraceJson()).parse();
-    for (const JsonValue& e : doc.at("traceEvents").array)
-      if (e.at("name").str == "FusionGroup")
-        out.push_back(e.at("args").at("backend").str);
+    for (const JsonValue& e : doc.at("traceEvents").array) {
+      if (e.at("name").str != "FusionGroup") continue;
+      const JsonValue& args = e.at("args");
+      out.push_back(args.at("backend").str);
+      EXPECT_EQ(args.at("tiles").number > 1, out.back() == "tiled");
+    }
     std::sort(out.begin(), out.end());
     return out;
   };
-  const std::vector<std::string> bothInterp = {"interp", "interp"};
-  if (texpr::jit::jitEnabled()) {
-    EXPECT_EQ(backends(true), (std::vector<std::string>{"interp", "jit"}));
-  } else {
-    EXPECT_EQ(backends(true), bothInterp);
-  }
-  EXPECT_EQ(backends(false), bothInterp);
+  EXPECT_EQ(backends({3, 4}), (std::vector<std::string>{"interp", "interp"}));
+  EXPECT_EQ(backends({512, 256}),
+            (std::vector<std::string>{"tiled", "tiled"}));
 }
 
 TEST_F(ObsTracerTest, ChromeJsonSurvivesHostileArgStrings) {

@@ -209,18 +209,16 @@ class ProgramGenerator {
   std::vector<Entry> live_;
 };
 
-/// Random fused-element-region generator for the JIT differential fuzz
-/// harness (texpr_fuzz_test.cpp). Builds a FusionGroup body of elementwise
-/// compute plus Access/Assign view nodes over mixed dtypes, ranks, and
-/// broadcasts, together with matching runtime inputs.
+/// Random fused-element-region generator for the fused-body differential
+/// fuzz harness (texpr_fuzz_test.cpp). Builds a FusionGroup body of
+/// elementwise compute plus Access/Assign view nodes over mixed dtypes,
+/// ranks, and broadcasts, together with matching runtime inputs.
 ///
-/// Decisions are split across two Rngs so the fuzz suite can bound JIT
-/// compile count: everything that lands in the kernel-cache key (ops, attrs,
-/// dtypes, ranks, contiguity — and shapes, which pin attrs like Reshape
-/// sizes) comes from `structRng`; runtime-only values (tensor contents,
-/// dynamic select indices / slice bounds) come from `dataRng`. Replaying a
-/// structure seed with many data seeds exercises one compiled kernel against
-/// many input values.
+/// Decisions are split across two Rngs: the structure (ops, attrs, dtypes,
+/// ranks, contiguity — and shapes, which pin attrs like Reshape sizes) comes
+/// from `structRng`; runtime-only values (tensor contents, dynamic select
+/// indices / slice bounds) come from `dataRng`. Replaying a structure seed
+/// with many data seeds exercises one body against many input values.
 ///
 /// Value-safety invariant: the generator tracks a conservative magnitude
 /// bound and a may-be-NaN flag per value, and only emits Cast-to-Int64 when
@@ -255,8 +253,7 @@ class FusedRegionGenerator {
 
     // Region base shape: every tensor param is a trailing suffix of it with
     // dims independently collapsed to 1, so any two values broadcast. A
-    // slice of structures uses large extents to push outputs past the
-    // parallel-dispatch threshold (exercises the threaded JIT path).
+    // slice of structures uses larger extents (up to 12^3 elements).
     Shape base;
     if (extents_ == Extents::kTileable) {
       // 216-512 KiB of Float32 at full extent: four to eight 64 KiB tiles.

@@ -4,8 +4,8 @@
 // The acceptance differential here is the contract the serving engine's
 // polymorphic cache keys rely on: a graph built with
 // WorkloadConfig::symbolicDims produces *bitwise identical* outputs to the
-// shape-specialized graph, for all 9 workloads, across thread counts and
-// with the texpr JIT on or off, at several distinct shapes — so swapping the
+// shape-specialized graph, for all 9 workloads, across thread counts, at
+// several distinct shapes — so swapping the
 // exact-shape signature for a pattern guard can never change what a request
 // computes.
 #include <gtest/gtest.h>
@@ -252,29 +252,25 @@ TEST_P(SymbolicDifferentialTest, PolymorphicMatchesSpecializedBitwise) {
   };
   const Case cases[] = {{1, 16}, {2, 12}, {3, 7}};
 
-  for (bool jit : {true, false}) {
-    for (int threads : {1, 0}) {
-      PipelineOptions options;
-      options.threads = threads;
-      options.texprJit = jit;
-      Pipeline poly(PipelineKind::TensorSsa, *sym.graph, options);
-      for (const Case& c : cases) {
-        WorkloadConfig config;
-        config.batch = c.batch;
-        config.seqLen = c.seqLen;
-        Workload w = buildWorkload(name, config);
-        Pipeline specialized(PipelineKind::TensorSsa, *w.graph, options);
+  for (int threads : {1, 0}) {
+    PipelineOptions options;
+    options.threads = threads;
+    Pipeline poly(PipelineKind::TensorSsa, *sym.graph, options);
+    for (const Case& c : cases) {
+      WorkloadConfig config;
+      config.batch = c.batch;
+      config.seqLen = c.seqLen;
+      Workload w = buildWorkload(name, config);
+      Pipeline specialized(PipelineKind::TensorSsa, *w.graph, options);
 
-        auto expected = specialized.run(w.inputs);
-        auto got = poly.run(w.inputs);
-        ASSERT_EQ(expected.size(), got.size()) << name;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          if (!expected[i].isTensor()) continue;
-          EXPECT_TRUE(bitwiseEqual(expected[i].tensor(), got[i].tensor()))
-              << name << " output " << i << " differs at b=" << c.batch
-              << " t=" << c.seqLen << " threads=" << threads
-              << " jit=" << jit;
-        }
+      auto expected = specialized.run(w.inputs);
+      auto got = poly.run(w.inputs);
+      ASSERT_EQ(expected.size(), got.size()) << name;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (!expected[i].isTensor()) continue;
+        EXPECT_TRUE(bitwiseEqual(expected[i].tensor(), got[i].tensor()))
+            << name << " output " << i << " differs at b=" << c.batch
+            << " t=" << c.seqLen << " threads=" << threads;
       }
     }
   }

@@ -191,7 +191,7 @@ TEST(TensorTest, DTypeCast) {
 }
 
 TEST(TensorTest, FloatToBoolStoresNonZero) {
-  // A Bool element stores `v != 0`, like comparisons and the texpr JIT: a
+  // A Bool element stores `v != 0`, like comparisons: a
   // narrowing cast would store 0.5 as false and -1.5 as 255 (undefined).
   const Tensor src = Tensor::fromData({0.5f, -1.5f, 0.0f, 2.0f}, {4});
   const double want[] = {1, 1, 0, 1};

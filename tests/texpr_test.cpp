@@ -1,21 +1,25 @@
-// Tests for the tensor-expression backend: fused bodies run as native code
-// (or declined back to the interpreter) must agree exactly with node-by-node
-// interpretation.
+// Tests for fused element regions: a FusionGroup the interpreter runs
+// (tiled or whole, serial or across the pool) must agree bit for bit with
+// its body inlined and run node by node on whole tensors, and the one-kernel
+// pricing rule (analysis::pricesAsOneKernel / inferFusedBody) must accept
+// and price exactly the bodies it names.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
-#include <tuple>
 
+#include "src/analysis/op_rules.h"
+#include "src/analysis/tile_plan.h"
 #include "src/core/fusion.h"
 #include "src/core/lower_inplace.h"
 #include "src/core/tensor_ssa.h"
 #include "src/ir/builder.h"
 #include "src/ir/verifier.h"
 #include "src/runtime/interpreter.h"
+#include "src/runtime/thread_pool.h"
 #include "src/tensor/random.h"
-#include "src/texpr/jit.h"
-#include "src/texpr/texpr.h"
+#include "tests/fusion_inline.h"
 #include "tests/property_gen.h"
 
 namespace tssa {
@@ -53,21 +57,53 @@ std::unique_ptr<Graph> groupGraph(std::size_t numInputs, Fn&& makeBody) {
   return g;
 }
 
-/// Runs a graph twice — supported fused bodies as native code where the JIT
-/// accepts them, and every body interpreted — and expects identical results.
-void expectTexprMatchesInterpreter(const Graph& g,
-                                   std::vector<RtValue> inputs) {
-  Interpreter withTexpr(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true);
-  Interpreter withoutTexpr(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/false);
-  auto a = withTexpr.run(g, inputs);
-  auto b = withoutTexpr.run(g, inputs);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(allClose(a[i].tensor(), b[i].tensor(), 0.0))
-        << "output " << i << " texpr vs interpreter:\n"
-        << a[i].tensor().toString() << "\nvs\n"
-        << b[i].tensor().toString();
+/// Dtype, shape and every element's bits must agree.
+void expectSameDtypeAndBits(const Tensor& a, const Tensor& b,
+                            const std::string& label) {
+  ASSERT_EQ(a.dtype(), b.dtype()) << label;
+  ASSERT_EQ(a.sizes(), b.sizes()) << label;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.scalarAtLinear(i)),
+              std::bit_cast<std::uint64_t>(b.scalarAtLinear(i)))
+        << label << " element " << i;
   }
+}
+
+int hwThreads() { return std::max(2, runtime::ThreadPool::hardwareThreads()); }
+
+/// The reference: the graph with every FusionGroup inlined, so each body
+/// node runs once on whole tensors.
+std::vector<RtValue> wholeBodyRun(const Graph& g,
+                                  std::span<const RtValue> inputs) {
+  return Interpreter().run(*testing_support::inlineFusionGroups(g), inputs);
+}
+
+/// Runs `g` with its fused bodies at threads 1 and hw (tiled where they
+/// tile) and expects each run to equal the inlined whole body bitwise.
+/// Returns the serial run's outputs.
+std::vector<RtValue> expectTexprMatchesInterpreter(
+    const Graph& g, const std::vector<RtValue>& inputs) {
+  const std::vector<RtValue> whole = wholeBodyRun(g, inputs);
+  std::vector<RtValue> serial;
+  for (const int threads : {1, hwThreads()}) {
+    std::vector<RtValue> fused = Interpreter(nullptr, threads).run(g, inputs);
+    EXPECT_EQ(fused.size(), whole.size());
+    for (std::size_t i = 0; i < std::min(fused.size(), whole.size()); ++i) {
+      expectSameDtypeAndBits(fused[i].tensor(), whole[i].tensor(),
+                             "output " + std::to_string(i) + " threads=" +
+                                 std::to_string(threads));
+    }
+    if (threads == 1) serial = std::move(fused);
+  }
+  return serial;
+}
+
+/// The tile plan of the one FusionGroup at the top of `g` for `inputs`.
+std::optional<analysis::TilePlan> topGroupPlan(
+    const Graph& g, const std::vector<RtValue>& inputs) {
+  std::vector<analysis::Operand> params;
+  for (const RtValue& v : inputs) params.push_back(analysis::operandOf(v));
+  return analysis::planTiles(*(*g.topBlock()->begin())->block(0), params);
 }
 
 TEST(TexprTest, ElementwiseChain) {
@@ -78,6 +114,13 @@ TEST(TexprTest, ElementwiseChain) {
   Rng rng(1);
   expectTexprMatchesInterpreter(
       *g, {RtValue(rng.uniform({3, 4}, -2, 2)), RtValue(rng.uniform({3, 4}))});
+  // 512 KiB per param: the body runs in tiles, across the pool at hw.
+  const std::vector<RtValue> big = {RtValue(rng.uniform({512, 256}, -2, 2)),
+                                    RtValue(rng.uniform({512, 256}))};
+  const auto plan = topGroupPlan(*g, big);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_GE(plan->tiles, 4);
+  expectTexprMatchesInterpreter(*g, big);
 }
 
 TEST(TexprTest, BroadcastAndDTypePromotion) {
@@ -90,6 +133,11 @@ TEST(TexprTest, BroadcastAndDTypePromotion) {
   expectTexprMatchesInterpreter(
       *g, {RtValue(rng.uniform({2, 3, 4}, -1, 1)),
            RtValue(rng.uniform({4}, -1, 1))});
+  // Large enough to tile along the broadcast operand's missing dims.
+  const std::vector<RtValue> big = {RtValue(rng.uniform({64, 32, 64}, -1, 1)),
+                                    RtValue(rng.uniform({64}, -1, 1))};
+  ASSERT_TRUE(topGroupPlan(*g, big).has_value());
+  expectTexprMatchesInterpreter(*g, big);
 }
 
 TEST(TexprTest, AccessRules) {
@@ -149,9 +197,7 @@ TEST(TexprTest, AssignSelectAndSliceRegions) {
 }
 
 TEST(TexprTest, AssignThroughReshapeAndFlatten) {
-  // Whole-buffer writes through a reshaped / flattened view of the base. The
-  // JIT declines them (reason "op"): the fallback must equal the interpreted
-  // body.
+  // Whole-buffer writes through a reshaped / flattened view of the base.
   auto g = groupGraph(3, [&](IRBuilder& b, Block* body) {
     Node* rs = b.emitNode(OpKind::Assign, {body->param(0), body->param(1)}, 1);
     rs->attrs().set("view",
@@ -181,9 +227,34 @@ TEST(TexprTest, SupportsGate) {
   });
   const Node* red = (*gRed->topBlock()->begin());
   const Node* ew = (*gEw->topBlock()->begin());
-  EXPECT_FALSE(texpr::Kernel::supports(*red->block(0)));
-  EXPECT_TRUE(texpr::Kernel::supports(*ew->block(0)));
-  // Unsupported bodies still execute correctly via the interpreter path.
+  EXPECT_FALSE(analysis::pricesAsOneKernel(*red->block(0)));
+  EXPECT_TRUE(analysis::pricesAsOneKernel(*ew->block(0)));
+  // Views: every static rule is accepted except Assign-through-expand, and
+  // no "dyn" view is.
+  auto accepts = [](OpKind kind, OpKind rule, bool dyn) {
+    auto g = groupGraph(2, [&](IRBuilder& b, Block* body) {
+      std::vector<Value*> ins{body->param(0)};
+      if (kind == OpKind::Assign) ins.push_back(body->param(1));
+      Node* n = b.emitNode(kind, ins, 1);
+      n->attrs().set("view", Scalar(static_cast<std::int64_t>(rule)));
+      if (dyn) n->attrs().set("dyn", Scalar(true));
+      body->addReturn(n->output());
+    });
+    return analysis::pricesAsOneKernel(*(*g->topBlock()->begin())->block(0));
+  };
+  for (const OpKind rule :
+       {OpKind::Identity, OpKind::Select, OpKind::Slice, OpKind::Transpose,
+        OpKind::Permute, OpKind::Squeeze, OpKind::Unsqueeze, OpKind::Reshape,
+        OpKind::Flatten, OpKind::Expand}) {
+    for (const OpKind kind : {OpKind::Access, OpKind::Assign}) {
+      const bool want = !(kind == OpKind::Assign && rule == OpKind::Expand);
+      EXPECT_EQ(accepts(kind, rule, /*dyn=*/false), want)
+          << opName(kind) << " through " << opName(rule);
+      EXPECT_FALSE(accepts(kind, rule, /*dyn=*/true))
+          << "dyn " << opName(kind) << " through " << opName(rule);
+    }
+  }
+  // Either way the body executes like its inlined nodes.
   Rng rng(5);
   expectTexprMatchesInterpreter(*gRed, {RtValue(rng.uniform({4}))});
 }
@@ -203,47 +274,41 @@ TEST(TexprTest, RunStatsReportFlopsAndDonation) {
                           RtValue(rng.uniform({8}))};
   std::vector<analysis::Operand> params;
   for (const RtValue& v : in) params.push_back(analysis::operandOf(v));
-  // The stats derive from shapes alone, so both paths are priced alike.
-  const texpr::Kernel::RunStats stats =
-      texpr::Kernel::infer(body, params).stats;
-  EXPECT_EQ(stats.flops, 64 + 64);  // assign + relu, one per element
+  // The flops and savings derive from shapes alone.
+  ASSERT_TRUE(analysis::pricesAsOneKernel(body));
+  const analysis::FusedBody priced = analysis::inferFusedBody(body, params);
+  EXPECT_EQ(priced.flops, 64 + 64);  // assign + relu, one per element
   // Donation saves 2*(64-8)*4 bytes of round-trip traffic.
-  EXPECT_EQ(stats.savedBytes, 2 * (64 - 8) * 4);
+  EXPECT_EQ(priced.savedBytes, 2 * (64 - 8) * 4);
 }
 
 // A fused Cast to Int64 follows the tensor library's rule for NaN, ±inf and
-// out-of-range values (INT64_MIN), natively and interpreted.
+// out-of-range values (INT64_MIN, detail::storedAs), tiled and whole.
 TEST(TexprTest, NonFiniteCastToInt64MatchesInterpreter) {
   auto g = groupGraph(1, [](IRBuilder& b, Block* body) {
     body->addReturn(b.cast(b.mul(body->param(0), body->param(0)),
                            DType::Int64));
   });
   const float inf = std::numeric_limits<float>::infinity();
-  const std::vector<RtValue> inputs = {RtValue(Tensor::fromData(
-      {std::numeric_limits<float>::quiet_NaN(), inf, -inf, 1e30f, 2.5f,
-       -3.5f},
-      {6}))};
-  expectTexprMatchesInterpreter(*g, inputs);
-  const Tensor out =
-      Interpreter(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true)
-          .run(*g, inputs)[0]
-          .tensor();
+  const std::vector<float> values = {std::numeric_limits<float>::quiet_NaN(),
+                                     inf, -inf, 1e30f, 2.5f, -3.5f};
+  const std::vector<RtValue> inputs = {RtValue(Tensor::fromData(values, {6}))};
+  const Tensor out = expectTexprMatchesInterpreter(*g, inputs)[0].tensor();
   const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
   const std::int64_t* p = out.data<std::int64_t>();
   EXPECT_EQ(std::vector<std::int64_t>(p, p + 6),
             (std::vector<std::int64_t>{lo, lo, lo, lo, 6, 12}));
-}
 
-/// Dtype, shape and every element's bits must agree.
-void expectSameDtypeAndBits(const Tensor& a, const Tensor& b,
-                            const std::string& label) {
-  ASSERT_EQ(a.dtype(), b.dtype()) << label;
-  ASSERT_EQ(a.sizes(), b.sizes()) << label;
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.scalarAtLinear(i)),
-              std::bit_cast<std::uint64_t>(b.scalarAtLinear(i)))
-        << label << " element " << i;
-  }
+  // The same values repeated past one tile: every tile casts alike.
+  std::vector<float> wide;
+  for (int i = 0; i < 8192 * 6; ++i) wide.push_back(values[i % 6]);
+  const std::vector<RtValue> big = {
+      RtValue(Tensor::fromData(wide, {8192, 6}))};
+  ASSERT_TRUE(topGroupPlan(*g, big).has_value());
+  const Tensor bigOut = expectTexprMatchesInterpreter(*g, big)[0].tensor();
+  const std::int64_t* q = bigOut.data<std::int64_t>();
+  for (std::int64_t i = 0; i < bigOut.numel(); ++i)
+    ASSERT_EQ(q[i], p[i % 6]) << "element " << i;
 }
 
 /// FusionGroup `masked_fill(a, mask, fill)` with a scalar fill param.
@@ -265,18 +330,18 @@ TEST(TexprTest, MaskedFillKeepsBaseDtype) {
     const std::vector<RtValue> inputs = {
         RtValue(Tensor::full({4}, Scalar(0), dtype)), RtValue(mask),
         RtValue(Scalar(2.5))};
-    Interpreter withTexpr(nullptr, /*useTexpr=*/true);
-    Interpreter withoutTexpr(nullptr, /*useTexpr=*/false);
-    const Tensor a = withTexpr.run(*g, inputs)[0].tensor();
-    const Tensor b = withoutTexpr.run(*g, inputs)[0].tensor();
-    EXPECT_EQ(b.dtype(), dtype);
-    expectSameDtypeAndBits(a, b, std::string(dtypeName(dtype)));
+    const Tensor a = expectTexprMatchesInterpreter(*g, inputs)[0].tensor();
+    EXPECT_EQ(a.dtype(), dtype);
+    EXPECT_EQ(a.scalarAtLinear(0), dtype == DType::Float32 ? 2.5
+                                   : dtype == DType::Int64 ? 2.0
+                                                           : 1.0)
+        << dtypeName(dtype);
   }
 }
 
-TEST(TexprTest, FloatToBoolAssignMatchesJit) {
-  // immut::assign of a Float32 source into a Bool base: the interpreted body
-  // (copy_ into the base's dtype) and the generated code both store v != 0.
+TEST(TexprTest, FloatToBoolAssignStoresNonZero) {
+  // immut::assign of a Float32 source into a Bool base stores v != 0
+  // (copy_ into the base's dtype), fused and inlined alike.
   auto g = groupGraph(2, [](IRBuilder& b, Block* body) {
     Node* assign = b.emitNode(OpKind::Assign,
                               {body->param(0), body->param(1)}, 1);
@@ -287,18 +352,8 @@ TEST(TexprTest, FloatToBoolAssignMatchesJit) {
   const std::vector<RtValue> inputs = {
       RtValue(Tensor::zeros({2, 4}, DType::Bool)),
       RtValue(Tensor::fromData({0.5f, -1.5f, 0.0f, 2.0f}, {4}))};
-  auto& cache = texpr::jit::KernelCache::instance();
-  const auto before = cache.stats();
-  Interpreter jit(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true);
-  const Tensor a = jit.run(*g, inputs)[0].tensor();
-  const auto after = cache.stats();
-  if (texpr::jit::jitEnabled()) {
-    EXPECT_EQ(after.declines, before.declines);
-    EXPECT_EQ(after.hits + after.misses, before.hits + before.misses + 1);
-  }
-  Interpreter interpreted(nullptr, /*useTexpr=*/false);
-  const Tensor b = interpreted.run(*g, inputs)[0].tensor();
-  expectSameDtypeAndBits(a, b, "float->bool assign");
+  const Tensor b = expectTexprMatchesInterpreter(*g, inputs)[0].tensor();
+  EXPECT_EQ(b.dtype(), DType::Bool);
   for (std::int64_t i = 0; i < 8; ++i)
     EXPECT_EQ(b.scalarAtLinear(i), i % 4 == 2 ? 0.0 : 1.0) << "element " << i;
 }
@@ -318,12 +373,10 @@ TEST(TexprTest, AccessPermuteNormalizesNegativeDims) {
   auto g = permuteAccessGroup({-1, 0});
   Rng rng(7);
   const std::vector<RtValue> inputs = {RtValue(rng.uniform({2, 3}))};
-  Interpreter withTexpr(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/true);
-  Interpreter withoutTexpr(nullptr, /*useTexpr=*/true, 1, /*texprJit=*/false);
-  const Tensor a = withTexpr.run(*g, inputs)[0].tensor();
-  const Tensor b = withoutTexpr.run(*g, inputs)[0].tensor();
+  const Tensor a = expectTexprMatchesInterpreter(*g, inputs)[0].tensor();
   EXPECT_EQ(a.sizes(), (Shape{3, 2}));
-  expectSameDtypeAndBits(a, b, "permute[-1,0]");
+  EXPECT_EQ(a.scalarAt(std::vector<std::int64_t>{2, 1}),
+            inputs[0].tensor().scalarAt(std::vector<std::int64_t>{1, 2}));
 }
 
 TEST(TexprTest, InvalidAccessViewRaisesTypedError) {
@@ -333,20 +386,24 @@ TEST(TexprTest, InvalidAccessViewRaisesTypedError) {
        {std::vector<std::int64_t>{2, 0}, std::vector<std::int64_t>{0, 0},
         std::vector<std::int64_t>{0}}) {
     auto g = permuteAccessGroup(dims);
-    // Native code, the interpreted body priced as a texpr kernel, and the
-    // interpreted body alone (Tensor::permute's own checks).
-    for (const auto& [useTexpr, jit, label] :
-         {std::tuple{true, true, "jit"}, std::tuple{true, false, "interp"},
-          std::tuple{false, false, "no-texpr"}}) {
-      Interpreter interp(nullptr, useTexpr, 1, jit);
-      EXPECT_THROW(interp.run(*g, inputs), Error)
-          << "dims " << dims.size() << " " << label;
+    // The fused body, the inlined body (Tensor::permute's own checks) and
+    // the one-kernel pricing rule (analysis::viewMeta's checks).
+    for (const int threads : {1, hwThreads()}) {
+      EXPECT_THROW(Interpreter(nullptr, threads).run(*g, inputs), Error)
+          << "dims " << dims.size() << " threads=" << threads;
     }
+    EXPECT_THROW(wholeBodyRun(*g, inputs), Error) << "dims " << dims.size();
+    const analysis::Operand param = analysis::operandOf(inputs[0]);
+    EXPECT_THROW(analysis::inferFusedBody(*(*g->topBlock()->begin())->block(0),
+                                          std::span(&param, 1)),
+                 Error)
+        << "dims " << dims.size();
   }
 }
 
-// Randomized: full pipelines already cross-check texpr numerics; this adds a
-// focused texpr-on/off sweep over random programs compiled with TensorSSA.
+// Randomized: full pipelines already cross-check fused numerics; this adds a
+// focused fused-vs-inlined sweep over random programs compiled with
+// TensorSSA.
 class TexprRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TexprRandomTest, TexprMatchesInterpretedFusion) {

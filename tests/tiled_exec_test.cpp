@@ -84,7 +84,7 @@ std::vector<RtValue> wholeRun(const Graph& g, std::span<const RtValue> in) {
 
 std::vector<RtValue> tiledRun(const Graph& g, std::span<const RtValue> in,
                               int threads, bool planned) {
-  Interpreter interp(nullptr, /*useTexpr=*/true, threads);
+  Interpreter interp(nullptr, threads);
   std::optional<analysis::MemoryPlan> plan;
   if (planned) {
     plan = analysis::planMemory(g);

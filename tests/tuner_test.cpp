@@ -7,7 +7,7 @@
 //     never above the default's, because the default seeds the search;
 //   * semantic neutrality — a tuned config changes scheduling only, so
 //     tuned and default programs are bitwise identical on every workload,
-//     across thread counts and texpr-JIT modes;
+//     across thread counts;
 //   * safe failure — an online rejection (recorded fault or sustained
 //     regression) falls the entry back to the default heuristics instead
 //     of sticking with a bad config.
@@ -99,12 +99,9 @@ TEST(TuneTest, TunedAndDefaultAreBitwiseIdenticalOnAllWorkloads) {
         tuner.pipelineFor(name, PipelineKind::TensorSsa, base);
     std::vector<PipelineOptions> variants = {tuned};
     for (const int threads : {1, hw}) {
-      for (const bool jit : {false, true}) {
-        PipelineOptions v = tuned;
-        v.threads = threads;
-        v.texprJit = jit;
-        variants.push_back(v);
-      }
+      PipelineOptions v = tuned;
+      v.threads = threads;
+      variants.push_back(v);
     }
     for (const std::size_t cap : {std::size_t{2}, std::size_t{4}}) {
       PipelineOptions v = tuned;
@@ -123,7 +120,7 @@ TEST(TuneTest, TunedAndDefaultAreBitwiseIdenticalOnAllWorkloads) {
       runtime::Pipeline pipeline(PipelineKind::TensorSsa, *w.graph, v);
       const auto got = pipeline.run(w.inputs);
       EXPECT_TRUE(bench::outputsBitwiseEqual(expected, got))
-          << name << " threads=" << v.threads << " jit=" << v.texprJit;
+          << name << " threads=" << v.threads;
     }
   }
 }
