@@ -339,7 +339,7 @@ class CostWalker {
     std::int64_t flops = 0;
     std::int64_t savedBytes = 0;
     std::vector<CostValue> rets;
-    if (opts_.useTexpr && pricesAsOneKernel(body)) {
+    if (pricesAsOneKernel(body)) {
       const FusedBody meta = inferFusedBody(body, in);
       flops = meta.flops;
       savedBytes = meta.savedBytes;

@@ -11,7 +11,8 @@
 // merging the kernels of ParallelMap iterations into batched launches and
 // pricing FusionGroups as one kernel each. FusionGroups whose body
 // analysis::pricesAsOneKernel accepts are priced by inferFusedBody; other
-// bodies count what their suppressed kernels would.
+// bodies count what their suppressed kernels would. Metadata comes from the
+// kernels' own shape rules (src/tensor), so it is what execution produces.
 //
 // No op in the IR turns tensor data into a scalar, so input shapes and
 // scalar values fix every branch, trip count and shape, and the walk is
@@ -62,10 +63,6 @@ std::vector<CostValue> bindSymbolic(
 struct CostOptions {
   runtime::DeviceSpec device = runtime::DeviceSpec::dataCenter();
   runtime::HostSpec host = runtime::HostSpec::torchscriptVm();
-  /// Price FusionGroups whose body pricesAsOneKernel accepts by
-  /// inferFusedBody (PipelineOptions::useTexpr); otherwise every group is
-  /// priced by the interpreted-body rules.
-  bool useTexpr = true;
   /// Loops beyond this trip count are not unrolled by the walk; they count
   /// as one unknown op instead (guards pathological generated programs).
   std::int64_t maxLoopTrip = 1 << 20;

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "src/support/error.h"
+#include "src/tensor/ops.h"
 
 namespace tssa::analysis {
 
@@ -74,86 +75,12 @@ Operand operandOf(const runtime::RtValue& v) {
 
 namespace {
 
-std::int64_t ceilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
-
 /// Extent `i` of a tensor operand, range-checked.
 std::int64_t extent(const Operand& t, std::size_t i) {
   const auto sizes = t.sizes();
   TSSA_CHECK(i < sizes.size(), "dimension " << i << " out of range for rank "
                                             << sizes.size());
   return sizes[i];
-}
-
-/// Tensor::view's -1 inference on metadata.
-Shape inferView(std::int64_t numel, Shape sizes) {
-  std::int64_t inferDim = -1;
-  std::int64_t known = 1;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (sizes[i] == -1) {
-      TSSA_CHECK(inferDim == -1, "at most one -1 dimension in view");
-      inferDim = static_cast<std::int64_t>(i);
-    } else {
-      known *= sizes[i];
-    }
-  }
-  if (inferDim >= 0) {
-    TSSA_CHECK(known != 0 && numel % known == 0,
-               "cannot infer view dimension");
-    sizes[static_cast<std::size_t>(inferDim)] = numel / known;
-  }
-  TSSA_CHECK(numelOf(sizes) == numel, "view shape has wrong element count");
-  return sizes;
-}
-
-/// A reduction over `dim` of `a`: that extent drops (or becomes 1).
-Shape reducedSizes(const Operand& a, std::int64_t dim, bool keep) {
-  Shape sizes(a.sizes().begin(), a.sizes().end());
-  const auto d = static_cast<std::size_t>(normalizeDim(dim, a.rank()));
-  if (keep) {
-    sizes[d] = 1;
-  } else {
-    sizes.erase(sizes.begin() + static_cast<std::ptrdiff_t>(d));
-  }
-  return sizes;
-}
-
-TensorMeta catMeta(const Node& node, std::span<const TensorMeta> list) {
-  TSSA_CHECK(!list.empty(), "cat/stack of zero tensors");
-  std::vector<TensorMeta> items(list.begin(), list.end());
-  std::int64_t d = node.attrs().i("dim");
-  if (node.kind() == OpKind::Stack) {
-    const auto rank = static_cast<std::int64_t>(items[0].sizes.size());
-    if (d < 0) d += rank + 1;
-    TSSA_CHECK(d >= 0 && d <= rank, "stack dim out of range");
-    for (TensorMeta& m : items) m.sizes.insert(m.sizes.begin() + d, 1);
-  } else {
-    d = normalizeDim(d, static_cast<std::int64_t>(items[0].sizes.size()));
-  }
-  TensorMeta out = items[0];
-  std::int64_t total = 0;
-  for (const TensorMeta& m : items) {
-    TSSA_CHECK(m.sizes.size() == out.sizes.size(), "cat rank mismatch");
-    for (std::size_t i = 0; i < m.sizes.size(); ++i) {
-      if (static_cast<std::int64_t>(i) != d)
-        TSSA_CHECK(m.sizes[i] == out.sizes[i], "cat shape mismatch");
-    }
-    total += m.sizes[static_cast<std::size_t>(d)];
-    out.dtype = promoteTypes(out.dtype, m.dtype);
-  }
-  out.sizes[static_cast<std::size_t>(d)] = total;
-  return out;
-}
-
-TensorMeta matmulMeta(const Operand& a, const Operand& b) {
-  if (a.rank() == 3 && b.rank() == 3) {
-    TSSA_CHECK(extent(a, 0) == extent(b, 0) && extent(a, 2) == extent(b, 1),
-               "bmm dims disagree");
-    return TensorMeta{{extent(a, 0), extent(a, 1), extent(b, 2)},
-                      DType::Float32};
-  }
-  TSSA_CHECK(a.rank() == 2 && b.rank() == 2 && extent(a, 1) == extent(b, 0),
-             "matmul dims disagree");
-  return TensorMeta{{extent(a, 0), extent(b, 1)}, DType::Float32};
 }
 
 }  // namespace
@@ -174,94 +101,51 @@ Shape resolvedSizes(const Node& node, std::span<const Operand> in,
   return sizes;
 }
 
-TensorMeta viewMeta(OpKind viewKind, const Node& node, const Operand& base,
-                    std::span<const Operand> in, std::size_t operandStart) {
+Tensor applyView(OpKind viewKind, const Node& node, const Tensor& base,
+                 std::span<const Operand> in, std::size_t operandStart,
+                 SizesPatch patch) {
   const auto& attrs = node.attrs();
-  const std::int64_t rank = base.rank();
-  TensorMeta out = base.meta();
-  Shape& sizes = out.sizes;
-  auto operand = [&](std::size_t i) -> const Operand& {
+  auto sizesOf = [&] {
+    Shape sizes = resolvedSizes(node, in, operandStart);
+    const auto d = static_cast<std::size_t>(patch.dim);
+    if (patch.dim >= 0 && sizes[d] != -1) sizes[d] = patch.extent;
+    return sizes;
+  };
+  auto index = [&](std::size_t i) {
     TSSA_CHECK(operandStart + i < in.size(), "view: missing dynamic operand");
-    return in[operandStart + i];
+    return in[operandStart + i].scalar().toInt();
   };
   switch (viewKind) {
     case OpKind::Identity:
-      return out;
-    case OpKind::Select: {
-      const std::int64_t d = normalizeDim(attrs.i("dim"), rank);
-      normalizeIndex(operand(0).scalar().toInt(),
-                     sizes[static_cast<std::size_t>(d)]);
-      sizes.erase(sizes.begin() + d);
-      return out;
-    }
-    case OpKind::Slice: {
-      const std::int64_t d = normalizeDim(attrs.i("dim"), rank);
-      const std::int64_t step = attrs.i("step");
-      TSSA_CHECK(step > 0, "slice step must be positive");
-      std::int64_t start = operand(0).scalar().toInt();
-      std::int64_t end = operand(1).scalar().toInt();
-      normalizeSliceBounds(sizes[static_cast<std::size_t>(d)], start, end);
-      sizes[static_cast<std::size_t>(d)] = ceilDiv(end - start, step);
-      return out;
-    }
+      return base;
+    case OpKind::Select:
+      return base.select(attrs.i("dim"), index(0));
+    case OpKind::Slice:
+      return base.slice(attrs.i("dim"), index(0), index(1), attrs.i("step"));
     case OpKind::Reshape:
-      sizes = inferView(base.numel(), resolvedSizes(node, in, operandStart));
-      return out;
-    case OpKind::Permute: {
-      const std::vector<std::int64_t>& dims = attrs.ints("dims");
-      TSSA_CHECK(static_cast<std::int64_t>(dims.size()) == rank,
-                 "permute needs one entry per dimension");
-      std::vector<bool> seen(dims.size(), false);
-      for (std::size_t i = 0; i < dims.size(); ++i) {
-        const auto d = static_cast<std::size_t>(normalizeDim(dims[i], rank));
-        TSSA_CHECK(!seen[d], "duplicate dimension in permute");
-        seen[d] = true;
-        sizes[i] = base.sizes()[d];
-      }
-      return out;
-    }
-    case OpKind::Transpose: {
-      const std::int64_t d0 = normalizeDim(attrs.i("dim0"), rank);
-      const std::int64_t d1 = normalizeDim(attrs.i("dim1"), rank);
-      std::swap(sizes[static_cast<std::size_t>(d0)],
-                sizes[static_cast<std::size_t>(d1)]);
-      return out;
-    }
-    case OpKind::Expand: {
-      Shape target = resolvedSizes(node, in, operandStart);
-      TSSA_CHECK(broadcastableTo(base.sizes(), target),
-                 "cannot expand to target shape");
-      sizes = std::move(target);
-      return out;
-    }
-    case OpKind::Squeeze: {
-      const std::int64_t d = normalizeDim(attrs.i("dim"), rank);
-      TSSA_CHECK(sizes[static_cast<std::size_t>(d)] == 1,
-                 "squeeze of non-unit dimension");
-      sizes.erase(sizes.begin() + d);
-      return out;
-    }
-    case OpKind::Unsqueeze: {
-      std::int64_t d = attrs.i("dim");
-      if (d < 0) d += rank + 1;
-      TSSA_CHECK(d >= 0 && d <= rank, "unsqueeze dim out of range");
-      sizes.insert(sizes.begin() + d, 1);
-      return out;
-    }
-    case OpKind::Flatten: {
-      const std::int64_t s = normalizeDim(attrs.i("start_dim"), rank);
-      const std::int64_t e = normalizeDim(attrs.i("end_dim"), rank);
-      TSSA_CHECK(s <= e, "flatten start after end");
-      std::int64_t merged = 1;
-      for (std::int64_t d = s; d <= e; ++d)
-        merged *= sizes[static_cast<std::size_t>(d)];
-      sizes.erase(sizes.begin() + s + 1, sizes.begin() + e + 1);
-      sizes[static_cast<std::size_t>(s)] = merged;
-      return out;
-    }
+      return base.reshape(sizesOf());
+    case OpKind::Permute:
+      return base.permute(attrs.ints("dims"));
+    case OpKind::Transpose:
+      return base.transpose(attrs.i("dim0"), attrs.i("dim1"));
+    case OpKind::Expand:
+      return base.expand(sizesOf());
+    case OpKind::Squeeze:
+      return base.squeeze(attrs.i("dim"));
+    case OpKind::Unsqueeze:
+      return base.unsqueeze(attrs.i("dim"));
+    case OpKind::Flatten:
+      return base.flatten(attrs.i("start_dim"), attrs.i("end_dim"));
     default:
       TSSA_THROW("not a view kind: " << opName(viewKind));
   }
+}
+
+TensorMeta viewMeta(OpKind viewKind, const Node& node, const Operand& base,
+                    std::span<const Operand> in, std::size_t operandStart) {
+  const Tensor view = applyView(viewKind, node, Tensor::meta(base.meta()), in,
+                                operandStart);
+  return TensorMeta{view.sizes(), view.dtype()};
 }
 
 DType elementwiseDType(const Node& node, std::span<const DType> in) {
@@ -297,14 +181,15 @@ DType elementwiseDType(const Node& node, std::span<const DType> in) {
     case OpKind::Cast:
       return node.attrs().dtype("dtype");
     case OpKind::Where:
-      return promoteTypes(operand(1), operand(2));
+      return ops::whereDType(operand(0), operand(1), operand(2));
+    // ops::maskedFill = where(mask, full-scalar, a): the rank-0 fill is
+    // created in a's dtype (or Float32 for float a), so a's dtype survives.
+    case OpKind::MaskedFill:
+      return ops::whereDType(operand(1), operand(0), operand(0));
     case OpKind::Neg:
     case OpKind::Abs:
     case OpKind::Relu:
     case OpKind::Clamp:
-    // ops::maskedFill = where(mask, full-scalar, a): the rank-0 fill is
-    // created in a's dtype (or Float32 for float a), so a's dtype survives.
-    case OpKind::MaskedFill:
       return operand(0);
     default:
       TSSA_THROW("not an elementwise op: " << opName(node.kind()));
@@ -376,6 +261,13 @@ void inferOutputs(const Node& node, std::span<const Operand> in,
     return in[i];
   };
   auto bind = [&](TensorMeta m) { out[0] = CostValue::tensor(std::move(m)); };
+  // copy_'s rule: a written source broadcasts to its destination.
+  auto broadcastsTo = [&](const Operand& src,
+                          std::span<const std::int64_t> dst) {
+    TSSA_CHECK(broadcastableTo(src.sizes(), dst),
+               opName(kind) << ": source " << bracketed(src.sizes())
+                            << " does not broadcast to " << bracketed(dst));
+  };
 
   switch (ir::opCategory(kind)) {
     case ir::OpCategory::Scalar:
@@ -412,13 +304,15 @@ void inferOutputs(const Node& node, std::span<const Operand> in,
         case OpKind::Sub_:
         case OpKind::Mul_:
         case OpKind::Div_:
-          (void)tensor(1);
+          broadcastsTo(tensor(1), tensor(0).sizes());
           break;
         case OpKind::Fill_:
           (void)arg(1).scalar();
           break;
-        case OpKind::MaskedFill_:
-          (void)tensor(1);
+        case OpKind::MaskedFill_:  // where(mask, fill, target), written back
+          (void)ops::whereDType(tensor(1).dtype(), tensor(0).dtype(),
+                                in[0].dtype());
+          broadcastsTo(in[1], in[0].sizes());
           (void)arg(2).scalar();
           break;
         default:
@@ -458,72 +352,72 @@ void inferOutputs(const Node& node, std::span<const Operand> in,
 
     // ---- reductions ----
     case OpKind::Sum:
-      bind(TensorMeta{Shape{}, tensor(0).dtype() == DType::Bool
-                                   ? DType::Int64
-                                   : in[0].dtype()});
+      bind(TensorMeta{
+          Shape{}, ops::reducedDType(ops::Reduction::Sum, tensor(0).dtype())});
       return;
     case OpKind::SumDim:
     case OpKind::Mean:
     case OpKind::MaxDim:
     case OpKind::MinDim:
     case OpKind::Argmax: {
-      const Operand& a = tensor(0);
-      DType dtype = a.dtype();  // Max/MinDim keep a's dtype
-      if (kind == OpKind::SumDim && dtype == DType::Bool) dtype = DType::Int64;
-      if (kind == OpKind::Mean) dtype = DType::Float32;
-      if (kind == OpKind::Argmax) dtype = DType::Int64;
-      const bool keep = attrs.bOr("keepdim", false);
-      bind(TensorMeta{reducedSizes(a, attrs.i("dim"), keep), dtype});
+      using ops::Reduction;
+      const Reduction op = kind == OpKind::SumDim   ? Reduction::Sum
+                           : kind == OpKind::Mean   ? Reduction::Mean
+                           : kind == OpKind::MaxDim ? Reduction::Max
+                           : kind == OpKind::MinDim ? Reduction::Min
+                                                    : Reduction::Argmax;
+      bind(ops::reducedMeta(op, tensor(0).sizes(), in[0].dtype(),
+                            attrs.i("dim"), attrs.bOr("keepdim", false)));
       return;
     }
     case OpKind::Softmax:
-    case OpKind::Cumsum: {
-      const Operand& a = tensor(0);
-      normalizeDim(attrs.i("dim"), a.rank());
-      TensorMeta m = a.meta();
-      if (kind == OpKind::Softmax) m.dtype = DType::Float32;
-      bind(std::move(m));
+      // ops::softmax subtracts the max along dim first: max's rule applies.
+      (void)ops::reducedMeta(ops::Reduction::Max, tensor(0).sizes(),
+                             in[0].dtype(), attrs.i("dim"), true);
+      bind(TensorMeta{in[0].meta().sizes, DType::Float32});
       return;
-    }
+    case OpKind::Cumsum:
+      normalizeDim(attrs.i("dim"), tensor(0).rank());
+      bind(in[0].meta());
+      return;
 
     // ---- linear algebra ----
     case OpKind::Matmul:
-      bind(matmulMeta(tensor(0), tensor(1)));
+      bind(TensorMeta{ops::matmulSizes(tensor(0).sizes(), tensor(1).sizes()),
+                      DType::Float32});
       return;
     case OpKind::Bmm:
-      TSSA_CHECK(tensor(0).rank() == 3 && tensor(1).rank() == 3,
-                 "bmm dims disagree");
-      bind(matmulMeta(in[0], in[1]));
+      bind(TensorMeta{ops::bmmSizes(tensor(0).sizes(), tensor(1).sizes()),
+                      DType::Float32});
       return;
 
     // ---- shape / data movement ----
     case OpKind::Cat:
-    case OpKind::Stack:
-      bind(catMeta(node, arg(0).list()));
-      return;
-    case OpKind::IndexSelect: {
-      TensorMeta m = tensor(0).meta();
-      const std::int64_t d = normalizeDim(attrs.i("dim"), in[0].rank());
-      m.sizes[static_cast<std::size_t>(d)] = tensor(1).numel();
-      bind(std::move(m));
+    case OpKind::Stack: {
+      ops::CatRule rule(attrs.i("dim"), kind == OpKind::Stack);
+      for (const TensorMeta& m : arg(0).list()) rule.add(m.sizes, m.dtype);
+      bind(std::move(rule).result());
       return;
     }
+    case OpKind::IndexSelect:
+      bind(TensorMeta{ops::indexSelectSizes(tensor(0).sizes(), attrs.i("dim"),
+                                            tensor(1).sizes(), in[1].dtype()),
+                      in[0].dtype()});
+      return;
     case OpKind::Gather:
-      bind(TensorMeta{tensor(1).meta().sizes, tensor(0).dtype()});
+      bind(TensorMeta{ops::gatherSizes(tensor(0).sizes(), attrs.i("dim"),
+                                       tensor(1).sizes(), in[1].dtype()),
+                      in[0].dtype()});
       return;
     case OpKind::Topk: {
-      TensorMeta values = tensor(0).meta();
-      TSSA_CHECK(!values.sizes.empty(), "topk needs rank >= 1");
-      const std::int64_t k = attrs.i("k");
-      TSSA_CHECK(k >= 0 && k <= values.sizes.back(), "topk k out of range");
-      values.sizes.back() = k;
-      out[1] = CostValue::tensor(values.sizes, DType::Int64);
-      bind(std::move(values));
+      Shape sizes = ops::sortedSizes(tensor(0).sizes(), attrs.i("k"));
+      out[1] = CostValue::tensor(sizes, DType::Int64);
+      bind(TensorMeta{std::move(sizes), in[0].dtype()});
       return;
     }
     case OpKind::Argsort:
-      TSSA_CHECK(tensor(0).rank() >= 1, "argsort needs rank >= 1");
-      bind(TensorMeta{tensor(0).meta().sizes, DType::Int64});
+      bind(TensorMeta{ops::sortedSizes(tensor(0).sizes(), std::nullopt),
+                      DType::Int64});
       return;
     case OpKind::Clone:
     case OpKind::Contiguous:
@@ -539,17 +433,12 @@ void inferOutputs(const Node& node, std::span<const Operand> in,
       (void)arg(0).scalar();
       bind(TensorMeta{resolvedSizes(node, in, 1), attrs.dtype("dtype")});
       return;
-    case OpKind::Arange: {
-      const std::int64_t start = arg(0).scalar().toInt();
-      const std::int64_t end = arg(1).scalar().toInt();
-      const std::int64_t step = arg(2).scalar().toInt();
-      TSSA_CHECK(step != 0, "arange step must be nonzero");
-      std::int64_t n = 0;
-      if (step > 0 && end > start) n = ceilDiv(end - start, step);
-      if (step < 0 && end < start) n = ceilDiv(start - end, -step);
-      bind(TensorMeta{{n}, DType::Int64});
+    case OpKind::Arange:
+      bind(TensorMeta{Shape{arangeLength(arg(0).scalar().toInt(),
+                                         arg(1).scalar().toInt(),
+                                         arg(2).scalar().toInt())},
+                      DType::Int64});
       return;
-    }
 
     // ---- TensorSSA ----
     case OpKind::Access:
@@ -557,9 +446,9 @@ void inferOutputs(const Node& node, std::span<const Operand> in,
                     1));
       return;
     case OpKind::Assign:
-      (void)tensor(1);
-      (void)viewMeta(static_cast<OpKind>(attrs.i("view")), node, tensor(0), in,
-                     2);
+      broadcastsTo(tensor(1), viewMeta(static_cast<OpKind>(attrs.i("view")),
+                                       node, tensor(0), in, 2)
+                                  .sizes);
       bind(in[0].meta());
       return;
 

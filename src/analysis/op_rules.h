@@ -1,4 +1,4 @@
-// Per-op rules: the one owner of what every leaf op produces and costs.
+// Per-op rules: what every leaf op produces and costs.
 //
 // The paper's metrics — kernel launches (Fig. 6) and modelled latency
 // (Figs. 5/7/8) — come from charging every op a run executes. Three
@@ -15,9 +15,11 @@
 //     (src/analysis/tile_plan.h) bind the shape/dtype of every fused body
 //     value with inferBody(), which applies inferOutputs() node by node.
 //
-// inferOutputs() owns every output-metadata rule (broadcasting, dtype
-// promotion, reductions, every view rule, the "dyn" size binding) and
-// validates operands with a typed tssa::Error. tiledDims() says whether an
+// inferOutputs() validates operands with a typed tssa::Error. It composes
+// the rules src/tensor owns, which the kernels check too: Tensor's view
+// methods (via applyView), shape.h, and the output-metadata rules of
+// tensor/ops.h. It owns the elementwise dtype table, the scalar ops and the
+// "dyn" size binding. tiledDims() says whether an
 // op maps tiles of its operands to tiles of its result, the rule the tile
 // planner of fused bodies is built from (src/analysis/tile_plan.h).
 // chargeOf() is the per-op charge, shaped like chainer-compiler's
@@ -38,20 +40,9 @@
 #include "src/tensor/dtype.h"
 #include "src/tensor/scalar.h"
 #include "src/tensor/shape.h"
+#include "src/tensor/tensor.h"
 
 namespace tssa::analysis {
-
-/// Shape/dtype of one tensor, without storage.
-struct TensorMeta {
-  Shape sizes;
-  DType dtype = DType::Float32;
-
-  std::int64_t numel() const { return numelOf(sizes); }
-  std::int64_t bytes() const {
-    return numel() * static_cast<std::int64_t>(dtypeSize(dtype));
-  }
-  friend bool operator==(const TensorMeta&, const TensorMeta&) = default;
-};
 
 class Operand;
 
@@ -204,10 +195,22 @@ Scalar scalarResult(const ir::Node& node, std::span<const Operand> in);
 /// per node input; trailing scalar operands may be omitted).
 DType elementwiseDType(const ir::Node& node, std::span<const DType> in);
 
-/// Applies view rule `viewKind` (the node's own kind for view ops, its
-/// "view" attr for Access/Assign) to `base`; dynamic operands (select index,
-/// slice bounds, "dyn" extents) start at `in[operandStart]`. Validates like
-/// the tensor library does.
+/// A tile's extent for a reshape's or expand's "sizes" entry `dim` (none
+/// when dim < 0).
+struct SizesPatch {
+  int dim = -1;
+  std::int64_t extent = 0;
+};
+
+/// The one dispatcher from view rule `viewKind` (the node's own kind for
+/// view ops, its "view" attr for Access/Assign) to Tensor's view methods;
+/// dynamic operands (select index, slice bounds, "dyn" extents) start at
+/// `in[operandStart]`.
+Tensor applyView(ir::OpKind viewKind, const ir::Node& node, const Tensor& base,
+                 std::span<const Operand> in, std::size_t operandStart,
+                 SizesPatch patch = {});
+
+/// applyView on a storage-less Tensor::meta of `base`.
 TensorMeta viewMeta(ir::OpKind viewKind, const ir::Node& node,
                     const Operand& base, std::span<const Operand> in,
                     std::size_t operandStart);
@@ -279,9 +282,9 @@ Charge fusionGroupCharge(std::span<const Operand> in,
 /// (inferFusedBody): every node is elementwise compute or an Access/Assign
 /// through a static view rule other than Assign-through-expand. Bodies with
 /// reductions, matmul, cat, sorts, gathers, control flow, "dyn" views or
-/// Assign-through-expand are priced from their interior kernels instead
-/// (CostOptions::useTexpr). This set is the one the gated Fig. 5–8 sim_us
-/// numbers were recorded with: widening or narrowing it moves them.
+/// Assign-through-expand are priced from their interior kernels instead.
+/// This set is the one the gated Fig. 5–8 sim_us numbers were recorded
+/// with: widening or narrowing it moves them.
 bool pricesAsOneKernel(const ir::Block& body);
 
 /// The metadata of every value of a body pricesAsOneKernel accepts, plus

@@ -98,10 +98,11 @@ std::vector<RtValue> Interpreter::run(const ir::Graph& graph,
   runBlockBody(*graph.topBlock(), env, ctx);
   std::vector<RtValue> outs = blockReturns(*graph.topBlock(), env);
   // Sweep what is still bound (escaped-to-return values, stale branch
-  // bindings) into the pool so the next run of this program starts warm;
-  // `outs`, the caller's inputs, and constants keep their storage alive and
-  // are refused by the refcount guard.
-  recycleEnv(env, ctx);
+  // bindings) into the pool so the next run of this program starts warm:
+  // dropping a binding donates a solely-owned buffer to the scope-current
+  // arena (via ~Storage). `outs`, the caller's inputs, and constants keep
+  // their storage alive and are refused by the refcount guard.
+  env.clear();
   if (plan_ != nullptr && profiler_ != nullptr) {
     const Arena::Stats delta = arena_->stats() - before;
     profiler_->memory(delta.freshAllocs, delta.reusedAllocs, delta.freshBytes,
@@ -114,12 +115,11 @@ void Interpreter::runBlockBody(const ir::Block& block, Env& env,
                                ExecContext& ctx) {
   for (const Node* node : block) {
     execNode(*node, env, ctx);
-    if (plan_ != nullptr) releaseDead(*node, env, ctx);
+    if (plan_ != nullptr) releaseDead(*node, env);
   }
 }
 
-void Interpreter::releaseDead(const Node& node, Env& env, ExecContext& ctx) {
-  (void)ctx;
+void Interpreter::releaseDead(const Node& node, Env& env) {
   const std::vector<const ir::Value*>* dead = plan_->deathsFor(&node);
   if (dead == nullptr) return;
   for (const ir::Value* v : *dead) {
@@ -142,15 +142,6 @@ void Interpreter::dropReturnBindings(const ir::Block& block, Env& env) {
   }
 }
 
-void Interpreter::recycleEnv(Env& env, ExecContext& ctx) {
-  (void)ctx;
-  // Dropping the bindings donates every solely-owned buffer to the
-  // scope-current arena (via ~Storage); without an active scope this is a
-  // plain clear. Values still referenced from outside — the returned
-  // outputs, the caller's inputs, constants — survive untouched.
-  env.clear();
-}
-
 std::vector<RtValue> Interpreter::blockReturns(const ir::Block& block,
                                                const Env& env) {
   std::vector<RtValue> out;
@@ -163,53 +154,6 @@ const RtValue& Interpreter::get(const ir::Value* v, const Env& env) const {
   auto it = env.find(v);
   TSSA_CHECK(it != env.end(), "value %" << v->id() << " not bound");
   return it->second;
-}
-
-// ---- View application --------------------------------------------------------------------
-
-Tensor Interpreter::applyView(OpKind viewKind, const Node& node,
-                              const Tensor& base,
-                              std::span<const analysis::Operand> in,
-                              std::size_t operandStart,
-                              SizesPatch patch) const {
-  const auto& attrs = node.attrs();
-  auto sizesOf = [&] {
-    Shape sizes = analysis::resolvedSizes(node, in, operandStart);
-    const auto d = static_cast<std::size_t>(patch.dim);
-    if (patch.dim >= 0 && sizes[d] != -1) sizes[d] = patch.extent;
-    return sizes;
-  };
-  auto index = [&](std::size_t i) {
-    TSSA_CHECK(operandStart + i < in.size(), "view: missing dynamic operand");
-    return in[operandStart + i].scalar().toInt();
-  };
-  switch (viewKind) {
-    case OpKind::Identity:
-      return base;
-    case OpKind::Select:
-      return base.select(attrs.i("dim"), index(0));
-    case OpKind::Slice:
-      return base.slice(attrs.i("dim"), index(0), index(1), attrs.i("step"));
-    case OpKind::Reshape: {
-      Shape sizes = sizesOf();
-      return base.isContiguous() ? base.view(std::move(sizes))
-                                 : base.reshape(std::move(sizes));
-    }
-    case OpKind::Permute:
-      return base.permute(attrs.ints("dims"));
-    case OpKind::Transpose:
-      return base.transpose(attrs.i("dim0"), attrs.i("dim1"));
-    case OpKind::Expand:
-      return base.expand(sizesOf());
-    case OpKind::Squeeze:
-      return base.squeeze(attrs.i("dim"));
-    case OpKind::Unsqueeze:
-      return base.unsqueeze(attrs.i("dim"));
-    case OpKind::Flatten:
-      return base.flatten(attrs.i("start_dim"), attrs.i("end_dim"));
-    default:
-      TSSA_THROW("not a view kind: " << opName(viewKind));
-  }
 }
 
 // ---- Tiled fused bodies -------------------------------------------------------------------
@@ -309,8 +253,8 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
   if (workers == 1) {
     Env env;
     for (std::int64_t t = 0; t < plan.tiles; ++t)
-      runTile(body, plan, t, in, shared, rets, env, ctx);
-    recycleEnv(env, ctx);
+      runTile(body, plan, t, in, shared, rets, env);
+    env.clear();
     return workers;
   }
   std::vector<Arena::Stats> workerArenaDeltas(static_cast<std::size_t>(workers));
@@ -323,8 +267,8 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
         enterWorker(wctx, scope, before);
         Env env;
         for (std::int64_t t = begin; t < end; ++t)
-          runTile(body, plan, t, in, shared, rets, env, wctx);
-        recycleEnv(env, wctx);
+          runTile(body, plan, t, in, shared, rets, env);
+        env.clear();
         if (wctx.arena != nullptr)
           workerArenaDeltas[static_cast<std::size_t>(chunk)] +=
               wctx.arena->stats() - before;
@@ -336,8 +280,7 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
 void Interpreter::runTile(const ir::Block& body,
                           const analysis::TilePlan& plan, std::int64_t tile,
                           std::span<const RtValue> in, const Env& shared,
-                          std::span<RtValue> rets, Env& env,
-                          ExecContext& ctx) {
+                          std::span<RtValue> rets, Env& env) {
   // Rebinding drops the previous tile's values, so their buffers are back
   // in the arena before this tile allocates.
   env = shared;
@@ -351,7 +294,7 @@ void Interpreter::runTile(const ir::Block& body,
   for (const Node* node : body) {
     const analysis::TilePlan::NodeStep& step = plan.nodes[k++];
     if (!step.tiled) continue;
-    SizesPatch patch = kNoPatch;
+    analysis::SizesPatch patch;
     if (step.view.dim >= 0) {
       const auto [begin, end] = plan.rows(step.view.extent, tile);
       patch = {step.view.dim, end - begin};
@@ -359,7 +302,7 @@ void Interpreter::runTile(const ir::Block& body,
     RtValue out;
     execLeaf(*node, Operands(*node, env, *this), std::span(&out, 1), patch);
     env[node->output(0)] = std::move(out);
-    if (plan_ != nullptr) releaseDead(*node, env, ctx);
+    if (plan_ != nullptr) releaseDead(*node, env);
   }
   for (std::size_t r = 0; r < rets.size(); ++r) {
     const analysis::TilePlan::Result& result = plan.returns[r];
@@ -498,7 +441,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
           // worker's pool for the next iteration (pass-through carried
           // values stay shared with the caller and are not donated).
         }
-        recycleEnv(wenv, wctx);
+        wenv.clear();
         if (wctx.arena != nullptr)
           workerArenaDeltas[static_cast<std::size_t>(chunk)] +=
               wctx.arena->stats() - wbefore;
@@ -608,7 +551,8 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
 }
 
 void Interpreter::execLeaf(const Node& node, const Operands& in,
-                          std::span<RtValue> out, SizesPatch patch) const {
+                          std::span<RtValue> out,
+                          analysis::SizesPatch patch) const {
   const OpKind kind = node.kind();
   const auto& attrs = node.attrs();
   const ir::OpCategory category = ir::opCategory(kind);
@@ -618,7 +562,7 @@ void Interpreter::execLeaf(const Node& node, const Operands& in,
     return;
   }
   if (category == ir::OpCategory::ViewOp) {
-    out[0] = applyView(kind, node, in.tensor(0), in.meta(), 1);
+    out[0] = analysis::applyView(kind, node, in.tensor(0), in.meta(), 1);
     return;
   }
   switch (kind) {
@@ -790,16 +734,16 @@ void Interpreter::execLeaf(const Node& node, const Operands& in,
 
     // ---- TensorSSA (pure semantics of Definitions 3.3/3.4) ------------------
     case OpKind::Access:
-      out[0] = applyView(static_cast<OpKind>(attrs.i("view")), node, a,
-                         in.meta(), 1, patch)
+      out[0] = analysis::applyView(static_cast<OpKind>(attrs.i("view")), node,
+                                   a, in.meta(), 1, patch)
                    .clone();
       return;
     case OpKind::Assign: {
       // Donated buffers (marked by markInplaceAssigns) are written in place:
       // the new version reuses the dead old version's storage.
       Tensor result = attrs.bOr("inplace", false) ? a : a.clone();
-      applyView(static_cast<OpKind>(attrs.i("view")), node, result, in.meta(),
-                2, patch)
+      analysis::applyView(static_cast<OpKind>(attrs.i("view")), node, result,
+                          in.meta(), 2, patch)
           .copy_(in.tensor(1));
       out[0] = std::move(result);
       return;

@@ -12,7 +12,8 @@
 // (kernel launches, modelled latency) depend only on the program and its
 // input metadata, so runtime::Pipeline prices each run with the cost walk
 // (src/analysis/cost.h) before executing it. An attached Profiler receives
-// only the memory planner's arena counters.
+// only the memory planner's arena counters. Views and shape rules are the
+// ones metadata inference runs (analysis::applyView, src/tensor/ops.h).
 //
 // Fused bodies (see DESIGN.md §6, §8): a FusionGroup body that tiles
 // (src/analysis/tile_plan.h) runs one tile at a time — every node on one
@@ -104,7 +105,7 @@ class Interpreter {
   /// Drops the bindings of every value whose last use was `node` and offers
   /// their storage to the context's arena (the arena re-verifies sole
   /// ownership before pooling anything).
-  void releaseDead(const ir::Node& node, Env& env, ExecContext& ctx);
+  void releaseDead(const ir::Node& node, Env& env);
 
   /// Erases the env bindings of `block`-defined return values right after
   /// blockReturns copied them out: the copy becomes the canonical owner, so
@@ -113,12 +114,6 @@ class Interpreter {
   /// this the stale binding pins the refcount above 1 until the block next
   /// executes.
   void dropReturnBindings(const ir::Block& block, Env& env);
-
-  /// Recycles every remaining binding of a finished environment into
-  /// ctx.arena. Inputs, outputs, and constants all survive: something
-  /// outside the env still holds their storage, so the Arena's refcount
-  /// guard refuses them.
-  void recycleEnv(Env& env, ExecContext& ctx);
 
   /// Runs `body` `trip` times: param 0 is the induction variable, the rest
   /// carry `carried` from one iteration's returns to the next. A Loop, and a
@@ -144,25 +139,12 @@ class Interpreter {
 
   const RtValue& get(const ir::Value* v, const Env& env) const;
 
-  /// A tile's extent for a view's "sizes" entry: a reshape or expand
-  /// inside a tiled body writes `extent` at `dim` (no-op when dim < 0).
-  struct SizesPatch {
-    int dim;
-    std::int64_t extent;
-  };
-  static constexpr SizesPatch kNoPatch{-1, 0};
-
   /// Executes leaf op `node` (anything but control flow and fusion groups)
-  /// into `out`, one value per node output.
+  /// into `out`, one value per node output; `patch` is a tile's extent for
+  /// an Access/Assign view's "sizes".
   void execLeaf(const ir::Node& node, const Operands& in,
-                std::span<RtValue> out, SizesPatch patch = kNoPatch) const;
-
-  /// Applies the view rule of `viewKind` to `base`; dynamic view operands
-  /// (select index, slice bounds, "dyn" extents) start at `in[operandStart]`.
-  Tensor applyView(ir::OpKind viewKind, const ir::Node& node,
-                   const Tensor& base, std::span<const analysis::Operand> in,
-                   std::size_t operandStart,
-                   SizesPatch patch = kNoPatch) const;
+                std::span<RtValue> out,
+                analysis::SizesPatch patch = {}) const;
 
   /// The tile plan of FusionGroup `node` for the params `in`, decided once
   /// per input signature and cached across runs and threads; null when the
@@ -183,8 +165,7 @@ class Interpreter {
   /// the tile's returns into its rows of `rets`.
   void runTile(const ir::Block& body, const analysis::TilePlan& plan,
                std::int64_t tile, std::span<const RtValue> in,
-               const Env& shared, std::span<RtValue> rets, Env& env,
-               ExecContext& ctx);
+               const Env& shared, std::span<RtValue> rets, Env& env);
 
   Profiler* profiler_;
   int threads_ = 1;

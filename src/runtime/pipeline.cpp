@@ -198,7 +198,6 @@ std::size_t hashValue(const PipelineOptions& options) {
   mix(std::hash<double>{}(options.device.computeGFlops));
   mix(std::hash<double>{}(options.device.syncLatencyUs));
   mix(std::hash<int>{}(options.threads));
-  mix(std::hash<bool>{}(options.useTexpr));
   mix(std::hash<bool>{}(options.memoryPlan));
   mix(std::hash<std::size_t>{}(options.fusionMaxOps));
   mix(std::hash<std::uint64_t>{}(options.parallelizeMask));
@@ -214,7 +213,6 @@ Pipeline::Pipeline(PipelineKind kind, const ir::Graph& source,
   compileGraph(kind, *graph_, options);
   pricing_.device = options.device;
   pricing_.host = hostSpecFor(kind);
-  pricing_.useTexpr = options.useTexpr;
   // A pipeline must price every run it executes: no trip budget.
   pricing_.maxLoopTrip = std::numeric_limits<std::int64_t>::max();
   // The plan is built once per compiled program; in the serving engine it

@@ -48,12 +48,6 @@ std::string_view pipelineName(PipelineKind kind);
 struct PipelineOptions {
   DeviceSpec device = DeviceSpec::dataCenter();
   int threads = 1;
-  /// Fused element regions priced as one kernel from their structure: each
-  /// FusionGroup body analysis::pricesAsOneKernel accepts is charged by
-  /// analysis::inferFusedBody; off, every fused body pays what its kernels
-  /// count. Either way fused bodies execute tiled or whole (see
-  /// src/analysis/tile_plan.h). Serve program keys include it.
-  bool useTexpr = true;
   /// Liveness-driven memory planning (src/analysis/liveness.h): intermediates
   /// are released at their last use and their buffers recycled through
   /// per-context arenas. Outputs are bitwise identical with the planner on

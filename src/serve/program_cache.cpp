@@ -18,8 +18,7 @@ std::string ProgramKey::toString() const {
   // never re-shuffles untuned traffic across the Router's hash ring.
   std::ostringstream os;
   os << workload << "/" << runtime::pipelineName(kind) << "/" << signature
-     << "/" << options.device.name << "/threads=" << options.threads
-     << "/texpr=" << (options.useTexpr ? 1 : 0);
+     << "/" << options.device.name << "/threads=" << options.threads;
   if (!options.memoryPlan) os << "/mem=0";
   if (options.fusionMaxOps != 0) os << "/fuse=" << options.fusionMaxOps;
   if (options.parallelizeMask != ~std::uint64_t{0})

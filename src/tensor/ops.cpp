@@ -139,13 +139,12 @@ double roundedTo(double v) {
 
 /// Reduces dim `d` of `a` (element type T) into `out` (element type U, dim d
 /// of extent 1). Each output element accumulates its `extent` inputs in
-/// ascending order along d; see reduceDim for `seedFromFirst`/`init`/`fn`/
-/// `finish`. A chunk of one output row accumulates together, one step of d
-/// at a time, so the chunk's dependency chains run side by side.
+/// ascending order along d; see reduceDim for `seedFromFirst`/`fn`/`finish`.
+/// A chunk of one output row accumulates together, one step of d at a time,
+/// so the chunk's dependency chains run side by side.
 template <typename T, typename U, typename Fn, typename Finish>
 void reduceRows(const Tensor& a, std::int64_t d, Tensor& out,
-                bool seedFromFirst, double init, const Fn& fn,
-                const Finish& finish) {
+                bool seedFromFirst, const Fn& fn, const Finish& finish) {
   const auto du = static_cast<std::size_t>(d);
   const std::int64_t extent = a.sizes()[du];
   const std::int64_t step = a.strides()[du];
@@ -158,7 +157,7 @@ void reduceRows(const Tensor& a, std::int64_t d, Tensor& out,
   const std::int64_t sa = loop.rowStride(1);
   const std::int64_t first = seedFromFirst ? 1 : 0;
   auto seed = [&](const T* p) {
-    return seedFromFirst ? roundedTo<U>(static_cast<double>(p[0])) : init;
+    return seedFromFirst ? roundedTo<U>(static_cast<double>(p[0])) : 0.0;
   };
   // When d has the smaller stride, each output reads its own run of a:
   // eight runs side by side hide the chain latency without thrashing the
@@ -183,25 +182,21 @@ void reduceRows(const Tensor& a, std::int64_t d, Tensor& out,
   }
 }
 
-/// Shared driver for dim reductions: reduces `dim` of `a` with `fn`. The
-/// accumulator starts at `init`, or — when `seedFromFirst` is set — at the
-/// first element along the reduced dim (for reductions like max/min that
-/// have no dtype-safe identity). Each accumulated value is post-processed
-/// with `finish`.
+/// Shared driver for dim reductions: reduces `dim` of `a` with `fn` into
+/// reducedMeta's result for `op`. The accumulator starts at 0, or for max
+/// and min, which have no dtype-safe identity, at the first element along
+/// the reduced dim. Each accumulated value is post-processed with `finish`.
 template <typename Fn, typename Finish>
 Tensor reduceDim(const Tensor& a, std::int64_t dim, bool keepDim,
-                 DType outDType, bool seedFromFirst, double init, Fn&& fn,
-                 Finish&& finish) {
+                 Reduction op, Fn&& fn, Finish&& finish) {
+  TensorMeta meta = reducedMeta(op, a.sizes(), a.dtype(), dim, true);
   const std::int64_t d = normalizeDim(dim, a.dim());
-  TSSA_CHECK(!seedFromFirst || a.size(d) > 0,
-             "reduction over an empty dimension has no identity");
-  Shape outShape = a.sizes();
-  outShape[static_cast<std::size_t>(d)] = 1;
-  Tensor out = Tensor::empty(outShape, outDType);
+  const bool seedFromFirst = op == Reduction::Max || op == Reduction::Min;
+  Tensor out = Tensor::empty(std::move(meta.sizes), meta.dtype);
   dispatchDType(a.dtype(), [&](auto inTag) {
-    dispatchDType(outDType, [&](auto outTag) {
+    dispatchDType(out.dtype(), [&](auto outTag) {
       reduceRows<decltype(inTag), decltype(outTag)>(a, d, out, seedFromFirst,
-                                                    init, fn, finish);
+                                                    fn, finish);
     });
   });
   return keepDim ? out : out.squeeze(d);
@@ -357,10 +352,10 @@ Tensor clamp(const Tensor& a, Scalar lo, Scalar hi) {
 // ---- Selection -----------------------------------------------------------------------
 
 Tensor where(const Tensor& cond, const Tensor& a, const Tensor& b) {
-  TSSA_CHECK(cond.dtype() == DType::Bool, "where condition must be Bool");
+  const DType dtype = whereDType(cond.dtype(), a.dtype(), b.dtype());
   Shape shape = broadcastShapes(cond.sizes(), a.sizes());
   shape = broadcastShapes(shape, b.sizes());
-  Tensor out = Tensor::empty(shape, promoteTypes(a.dtype(), b.dtype()));
+  Tensor out = Tensor::empty(shape, dtype);
   StridedLoop<4> loop(shape, {&out, &cond, &a, &b});
   if (a.dtype() == DType::Float32 && b.dtype() == DType::Float32) {
     const std::uint8_t* pc = cond.storage()->as<std::uint8_t>();
@@ -409,14 +404,12 @@ Tensor sum(const Tensor& a) {
       for (std::int64_t j = 0; j < n; ++j) acc += static_cast<double>(x[j * s]);
     }
   });
-  const DType dt = a.dtype() == DType::Bool ? DType::Int64 : a.dtype();
-  return Tensor::scalar(Scalar(acc), dt);
+  return Tensor::scalar(Scalar(acc), reducedDType(Reduction::Sum, a.dtype()));
 }
 
 Tensor sum(const Tensor& a, std::int64_t dim, bool keepDim) {
-  const DType dt = a.dtype() == DType::Bool ? DType::Int64 : a.dtype();
   return reduceDim(
-      a, dim, keepDim, dt, /*seedFromFirst=*/false, 0.0,
+      a, dim, keepDim, Reduction::Sum,
       [](double acc, double v) { return acc + v; },
       [](double v) { return v; });
 }
@@ -425,7 +418,7 @@ Tensor mean(const Tensor& a, std::int64_t dim, bool keepDim) {
   const std::int64_t d = normalizeDim(dim, a.dim());
   const double count = static_cast<double>(a.size(d));
   return reduceDim(
-      a, dim, keepDim, DType::Float32, /*seedFromFirst=*/false, 0.0,
+      a, dim, keepDim, Reduction::Mean,
       [](double acc, double v) { return acc + v; },
       [=](double v) { return v / count; });
 }
@@ -437,7 +430,7 @@ Tensor mean(const Tensor& a, std::int64_t dim, bool keepDim) {
 
 Tensor maxReduce(const Tensor& a, std::int64_t dim, bool keepDim) {
   return reduceDim(
-      a, dim, keepDim, a.dtype(), /*seedFromFirst=*/true, 0.0,
+      a, dim, keepDim, Reduction::Max,
       [](double acc, double v) {
         return (std::isnan(v) || v > acc) ? v : acc;
       },
@@ -446,7 +439,7 @@ Tensor maxReduce(const Tensor& a, std::int64_t dim, bool keepDim) {
 
 Tensor minReduce(const Tensor& a, std::int64_t dim, bool keepDim) {
   return reduceDim(
-      a, dim, keepDim, a.dtype(), /*seedFromFirst=*/true, 0.0,
+      a, dim, keepDim, Reduction::Min,
       [](double acc, double v) {
         return (std::isnan(v) || v < acc) ? v : acc;
       },
@@ -454,15 +447,13 @@ Tensor minReduce(const Tensor& a, std::int64_t dim, bool keepDim) {
 }
 
 Tensor argmax(const Tensor& a, std::int64_t dim, bool keepDim) {
+  TensorMeta meta =
+      reducedMeta(Reduction::Argmax, a.sizes(), a.dtype(), dim, true);
   const std::int64_t d = normalizeDim(dim, a.dim());
-  const auto du = static_cast<std::size_t>(d);
   const std::int64_t extent = a.size(d);
-  TSSA_CHECK(extent > 0, "argmax over an empty dimension");
-  const std::int64_t step = a.strides()[du];
-  Shape outShape = a.sizes();
-  outShape[du] = 1;
-  Tensor out = Tensor::empty(outShape, DType::Int64);
-  StridedLoop<2> loop(outShape, {&out, &a});
+  const std::int64_t step = a.strides()[static_cast<std::size_t>(d)];
+  Tensor out = Tensor::empty(std::move(meta.sizes), meta.dtype);
+  StridedLoop<2> loop(out.sizes(), {&out, &a});
   const std::int64_t n = loop.rowLength();
   const std::int64_t sa = loop.rowStride(1);
   std::int64_t* po = out.storage()->as<std::int64_t>();
@@ -502,29 +493,22 @@ Tensor softmax(const Tensor& a, std::int64_t dim) {
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   if (a.dim() == 3 && b.dim() == 3) return bmm(a, b);
-  TSSA_CHECK(a.dim() == 2 && b.dim() == 2,
-             "matmul expects 2-D operands, got " << a.dim() << " and "
-                                                 << b.dim());
-  TSSA_CHECK(a.size(1) == b.size(0), "matmul inner dimensions disagree: "
-                                         << a.size(1) << " vs " << b.size(0));
+  Shape outShape = matmulSizes(a.sizes(), b.sizes());
   const std::int64_t m = a.size(0), k = a.size(1), n = b.size(1);
   const Tensor ac = contiguousFloat(a);
   const Tensor bc = contiguousFloat(b);
-  Tensor out = Tensor::empty({m, n}, DType::Float32);
+  Tensor out = Tensor::empty(std::move(outShape), DType::Float32);
   matmulInto(ac.data<float>(), bc.data<float>(), out.data<float>(), m, k, n);
   return out;
 }
 
 Tensor bmm(const Tensor& a, const Tensor& b) {
-  TSSA_CHECK(a.dim() == 3 && b.dim() == 3, "bmm expects 3-D operands");
-  TSSA_CHECK(a.size(0) == b.size(0), "bmm batch dims disagree");
-  TSSA_CHECK(a.size(2) == b.size(1), "bmm inner dimensions disagree: "
-                                         << a.size(2) << " vs " << b.size(1));
+  Shape outShape = bmmSizes(a.sizes(), b.sizes());
   const std::int64_t batch = a.size(0);
   const std::int64_t m = a.size(1), k = a.size(2), n = b.size(2);
   const Tensor ac = contiguousFloat(a);
   const Tensor bc = contiguousFloat(b);
-  Tensor out = Tensor::empty({batch, m, n}, DType::Float32);
+  Tensor out = Tensor::empty(std::move(outShape), DType::Float32);
   for (std::int64_t i = 0; i < batch; ++i)
     matmulInto(ac.data<float>() + i * m * k, bc.data<float>() + i * k * n,
                out.data<float>() + i * m * n, m, k, n);
@@ -533,25 +517,24 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
 
 // ---- Shape combinators -----------------------------------------------------------------------
 
+namespace {
+
+/// cat's and stack's output, allocated by CatRule; `d` gets the
+/// concatenation dim.
+Tensor catOutput(std::span<const Tensor> tensors, std::int64_t dim,
+                 bool stack, std::int64_t& d) {
+  CatRule rule(dim, stack);
+  for (const Tensor& t : tensors) rule.add(t.sizes(), t.dtype());
+  d = rule.dim();
+  TensorMeta meta = std::move(rule).result();
+  return Tensor::empty(std::move(meta.sizes), meta.dtype);
+}
+
+}  // namespace
+
 Tensor cat(std::span<const Tensor> tensors, std::int64_t dim) {
-  TSSA_CHECK(!tensors.empty(), "cat of zero tensors");
-  const std::int64_t d = normalizeDim(dim, tensors.front().dim());
-  Shape outShape = tensors.front().sizes();
-  std::int64_t total = 0;
-  DType dt = tensors.front().dtype();
-  for (const Tensor& t : tensors) {
-    TSSA_CHECK(t.dim() == tensors.front().dim(), "cat rank mismatch");
-    for (std::int64_t i = 0; i < t.dim(); ++i) {
-      if (i != d) {
-        TSSA_CHECK(t.size(i) == outShape[static_cast<std::size_t>(i)],
-                   "cat shape mismatch on dim " << i);
-      }
-    }
-    total += t.size(d);
-    dt = promoteTypes(dt, t.dtype());
-  }
-  outShape[static_cast<std::size_t>(d)] = total;
-  Tensor out = Tensor::empty(outShape, dt);
+  std::int64_t d = 0;
+  Tensor out = catOutput(tensors, dim, /*stack=*/false, d);
   std::int64_t at = 0;
   for (const Tensor& t : tensors) {
     out.narrow(d, at, t.size(d)).copy_(t);
@@ -561,44 +544,34 @@ Tensor cat(std::span<const Tensor> tensors, std::int64_t dim) {
 }
 
 Tensor stack(std::span<const Tensor> tensors, std::int64_t dim) {
-  TSSA_CHECK(!tensors.empty(), "stack of zero tensors");
-  std::vector<Tensor> expanded;
-  expanded.reserve(tensors.size());
-  const std::int64_t rank = tensors.front().dim();
-  const std::int64_t d = dim < 0 ? dim + rank + 1 : dim;
-  for (const Tensor& t : tensors) expanded.push_back(t.unsqueeze(d));
-  return cat(expanded, d);
+  std::int64_t d = 0;
+  Tensor out = catOutput(tensors, dim, /*stack=*/true, d);
+  for (std::size_t i = 0; i < tensors.size(); ++i)
+    out.select(d, static_cast<std::int64_t>(i)).copy_(tensors[i]);
+  return out;
 }
 
 // ---- Indexing -----------------------------------------------------------------------
 
 Tensor indexSelect(const Tensor& a, std::int64_t dim, const Tensor& index) {
-  TSSA_CHECK(index.dtype() == DType::Int64 && index.dim() == 1,
-             "indexSelect needs a 1-D Int64 index");
+  Tensor out = Tensor::empty(
+      indexSelectSizes(a.sizes(), dim, index.sizes(), index.dtype()),
+      a.dtype());
   const std::int64_t d = normalizeDim(dim, a.dim());
-  std::vector<Tensor> rows;
   const std::int64_t n = index.numel();
-  rows.reserve(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     const auto idx = static_cast<std::int64_t>(index.scalarAtLinear(i));
-    rows.push_back(a.select(d, idx).unsqueeze(d));
+    out.select(d, i).copy_(a.select(d, idx));
   }
-  return cat(rows, d);
+  return out;
 }
 
 Tensor gather(const Tensor& a, std::int64_t dim, const Tensor& index) {
-  TSSA_CHECK(index.dtype() == DType::Int64, "gather needs Int64 indices");
-  TSSA_CHECK(index.dim() == a.dim(), "gather index rank must match input");
+  Tensor out = Tensor::empty(
+      gatherSizes(a.sizes(), dim, index.sizes(), index.dtype()), a.dtype());
   const std::int64_t d = normalizeDim(dim, a.dim());
-  for (std::int64_t i = 0; i < a.dim(); ++i) {
-    TSSA_CHECK(i == d || index.size(i) <= a.size(i),
-               "gather index extent " << index.size(i)
-                                      << " exceeds input extent " << a.size(i)
-                                      << " in dim " << i);
-  }
   const std::int64_t extent = a.size(d);
   const std::int64_t step = a.strides()[static_cast<std::size_t>(d)];
-  Tensor out = Tensor::empty(index.sizes(), a.dtype());
   // `a` held at element 0 of dim d: the loop walks the other dims of the
   // index block, and each element adds its own index along d.
   const Tensor base = extent > 0 ? a.narrow(d, 0, 1) : a;
@@ -652,14 +625,11 @@ void forEachLine(const Tensor& t, std::int64_t d, Fn&& fn) {
 // as they always have.
 
 std::pair<Tensor, Tensor> topk(const Tensor& a, std::int64_t k) {
-  TSSA_CHECK(a.dim() >= 1, "topk needs rank >= 1");
+  Shape outShape = sortedSizes(a.sizes(), k);
   const std::int64_t last = a.dim() - 1;
   const std::int64_t extent = a.size(last);
-  TSSA_CHECK(k >= 0 && k <= extent, "topk k out of range");
-  Shape outShape = a.sizes();
-  outShape[static_cast<std::size_t>(last)] = k;
   Tensor values = Tensor::empty(outShape, a.dtype());
-  Tensor indices = Tensor::empty(outShape, DType::Int64);
+  Tensor indices = Tensor::empty(std::move(outShape), DType::Int64);
   const std::int64_t step = a.strides()[static_cast<std::size_t>(last)];
   std::int64_t* pi = indices.data<std::int64_t>();
   std::vector<std::pair<double, std::int64_t>> row(
@@ -687,10 +657,10 @@ std::pair<Tensor, Tensor> topk(const Tensor& a, std::int64_t k) {
 }
 
 Tensor argsort(const Tensor& a, bool descending) {
-  TSSA_CHECK(a.dim() >= 1, "argsort needs rank >= 1");
+  Tensor out =
+      Tensor::empty(sortedSizes(a.sizes(), std::nullopt), DType::Int64);
   const std::int64_t last = a.dim() - 1;
   const std::int64_t extent = a.size(last);
-  Tensor out = Tensor::empty(a.sizes(), DType::Int64);
   const std::int64_t step = a.strides()[static_cast<std::size_t>(last)];
   std::int64_t* po = out.data<std::int64_t>();
   std::vector<double> row(static_cast<std::size_t>(extent));
@@ -742,6 +712,132 @@ Tensor cumsum(const Tensor& a, std::int64_t dim) {
       }
     }
   });
+  return out;
+}
+
+// ---- Output metadata ---------------------------------------------------------------------
+
+DType whereDType(DType cond, DType a, DType b) {
+  TSSA_CHECK(cond == DType::Bool, "where condition must be Bool");
+  return promoteTypes(a, b);
+}
+
+DType reducedDType(Reduction op, DType in) {
+  switch (op) {
+    case Reduction::Sum:
+      return in == DType::Bool ? DType::Int64 : in;
+    case Reduction::Mean:
+      return DType::Float32;
+    case Reduction::Argmax:
+      return DType::Int64;
+    case Reduction::Max:
+    case Reduction::Min:
+      return in;
+  }
+  TSSA_THROW("unknown reduction");
+}
+
+TensorMeta reducedMeta(Reduction op, std::span<const std::int64_t> sizes,
+                       DType dtype, std::int64_t dim, bool keepDim) {
+  const auto d = static_cast<std::size_t>(
+      normalizeDim(dim, static_cast<std::int64_t>(sizes.size())));
+  TSSA_CHECK(op == Reduction::Sum || op == Reduction::Mean || sizes[d] > 0,
+             "reduction over an empty dimension has no identity");
+  TensorMeta out{Shape(sizes.begin(), sizes.end()), reducedDType(op, dtype)};
+  if (keepDim) {
+    out.sizes[d] = 1;
+  } else {
+    out.sizes.erase(out.sizes.begin() + static_cast<std::ptrdiff_t>(d));
+  }
+  return out;
+}
+
+Shape bmmSizes(std::span<const std::int64_t> a,
+               std::span<const std::int64_t> b) {
+  TSSA_CHECK(a.size() == 3 && b.size() == 3, "bmm expects 3-D operands");
+  TSSA_CHECK(a[0] == b[0], "bmm batch dims disagree");
+  TSSA_CHECK(a[2] == b[1],
+             "bmm inner dimensions disagree: " << a[2] << " vs " << b[1]);
+  return {a[0], a[1], b[2]};
+}
+
+Shape matmulSizes(std::span<const std::int64_t> a,
+                  std::span<const std::int64_t> b) {
+  if (a.size() == 3 && b.size() == 3) return bmmSizes(a, b);
+  TSSA_CHECK(a.size() == 2 && b.size() == 2,
+             "matmul expects 2-D operands, got " << a.size() << " and "
+                                                 << b.size());
+  TSSA_CHECK(a[1] == b[0],
+             "matmul inner dimensions disagree: " << a[1] << " vs " << b[0]);
+  return {a[0], b[1]};
+}
+
+void CatRule::add(std::span<const std::int64_t> sizes, DType dtype) {
+  const auto rank = static_cast<std::int64_t>(sizes.size());
+  if (empty_) {
+    empty_ = false;
+    out_.sizes.assign(sizes.begin(), sizes.end());
+    out_.dtype = dtype;
+    if (stack_) {
+      if (dim_ < 0) dim_ += rank + 1;
+      TSSA_CHECK(dim_ >= 0 && dim_ <= rank, "stack dim out of range");
+      out_.sizes.insert(out_.sizes.begin() + dim_, 0);
+    } else {
+      dim_ = normalizeDim(dim_, rank);
+      out_.sizes[static_cast<std::size_t>(dim_)] = 0;
+    }
+  }
+  TSSA_CHECK(rank + (stack_ ? 1 : 0) ==
+                 static_cast<std::int64_t>(out_.sizes.size()),
+             "cat rank mismatch");
+  // Operand dim i is result dim o; stack's operands skip the new dim.
+  for (std::int64_t i = 0; i < rank; ++i) {
+    const std::int64_t o = stack_ && i >= dim_ ? i + 1 : i;
+    TSSA_CHECK(o == dim_ || sizes[static_cast<std::size_t>(i)] ==
+                                out_.sizes[static_cast<std::size_t>(o)],
+               "cat shape mismatch on dim " << o);
+  }
+  out_.sizes[static_cast<std::size_t>(dim_)] +=
+      stack_ ? 1 : sizes[static_cast<std::size_t>(dim_)];
+  out_.dtype = promoteTypes(out_.dtype, dtype);
+}
+
+TensorMeta CatRule::result() && {
+  TSSA_CHECK(!empty_, (stack_ ? "stack" : "cat") << " of zero tensors");
+  return std::move(out_);
+}
+
+Shape indexSelectSizes(std::span<const std::int64_t> a, std::int64_t dim,
+                       std::span<const std::int64_t> index, DType indexDType) {
+  TSSA_CHECK(indexDType == DType::Int64 && index.size() == 1,
+             "indexSelect needs a 1-D Int64 index");
+  Shape out(a.begin(), a.end());
+  out[static_cast<std::size_t>(
+      normalizeDim(dim, static_cast<std::int64_t>(a.size())))] = index[0];
+  return out;
+}
+
+Shape gatherSizes(std::span<const std::int64_t> a, std::int64_t dim,
+                  std::span<const std::int64_t> index, DType indexDType) {
+  TSSA_CHECK(indexDType == DType::Int64, "gather needs Int64 indices");
+  TSSA_CHECK(index.size() == a.size(), "gather index rank must match input");
+  const std::int64_t d = normalizeDim(dim, static_cast<std::int64_t>(a.size()));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    TSSA_CHECK(static_cast<std::int64_t>(i) == d || index[i] <= a[i],
+               "gather index extent " << index[i] << " exceeds input extent "
+                                      << a[i] << " in dim " << i);
+  }
+  return Shape(index.begin(), index.end());
+}
+
+Shape sortedSizes(std::span<const std::int64_t> sizes,
+                  std::optional<std::int64_t> k) {
+  TSSA_CHECK(!sizes.empty(), (k ? "topk" : "argsort") << " needs rank >= 1");
+  Shape out(sizes.begin(), sizes.end());
+  if (k) {
+    TSSA_CHECK(*k >= 0 && *k <= out.back(), "topk k out of range");
+    out.back() = *k;
+  }
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -100,5 +101,65 @@ std::pair<Tensor, Tensor> topk(const Tensor& a, std::int64_t k);
 Tensor argsort(const Tensor& a, bool descending);
 /// Cumulative sum along `dim`.
 Tensor cumsum(const Tensor& a, std::int64_t dim);
+
+// ---- Output metadata ---------------------------------------------------------------------
+// The kernels' shape and dtype rules, on metadata alone: each kernel checks
+// its operands through its rule and analysis::inferOutputs applies the same
+// one. Checks on index values stay in the kernels.
+
+/// Result dtype of where(cond, a, b); `cond` must be Bool.
+DType whereDType(DType cond, DType a, DType b);
+
+enum class Reduction : std::uint8_t { Sum, Mean, Max, Min, Argmax };
+
+/// Result dtype of reducing an `in` tensor with `op`: sums widen Bool to
+/// Int64, mean is Float32, argmax Int64, max and min keep `in`.
+DType reducedDType(Reduction op, DType in);
+
+/// Result of reducing dim `dim` of a (`sizes`, `dtype`) tensor with `op`:
+/// the dim drops, or stays with extent 1 under `keepDim`. Max, min and
+/// argmax reject an empty dim, which has no identity.
+TensorMeta reducedMeta(Reduction op, std::span<const std::int64_t> sizes,
+                       DType dtype, std::int64_t dim, bool keepDim);
+
+/// Result sizes of matmul: [m,k] x [k,n] -> [m,n], or bmm's rule when both
+/// operands are 3-D.
+Shape matmulSizes(std::span<const std::int64_t> a,
+                  std::span<const std::int64_t> b);
+/// Result sizes of bmm: [b,m,k] x [b,k,n] -> [b,m,n].
+Shape bmmSizes(std::span<const std::int64_t> a,
+               std::span<const std::int64_t> b);
+
+/// Result of cat (or stack) at `dim`, fed one operand at a time.
+class CatRule {
+ public:
+  CatRule(std::int64_t dim, bool stack) : dim_(dim), stack_(stack) {}
+  /// Adds the next operand; throws when it disagrees with the first.
+  void add(std::span<const std::int64_t> sizes, DType dtype);
+  /// The result's concatenation dim, normalized; valid after the first add.
+  std::int64_t dim() const { return dim_; }
+  /// The result; throws when no operand was added.
+  TensorMeta result() &&;
+
+ private:
+  std::int64_t dim_;
+  bool stack_;
+  bool empty_ = true;
+  TensorMeta out_;
+};
+
+/// Result sizes of index_select along `dim` by a 1-D Int64 index.
+Shape indexSelectSizes(std::span<const std::int64_t> a, std::int64_t dim,
+                       std::span<const std::int64_t> index, DType indexDType);
+
+/// Result sizes of gather along `dim`: the index's. The Int64 index has a's
+/// rank and fits inside a on every other dim.
+Shape gatherSizes(std::span<const std::int64_t> a, std::int64_t dim,
+                  std::span<const std::int64_t> index, DType indexDType);
+
+/// Result sizes of topk (`k` set: k of the last dim) and argsort (`k`
+/// unset: the whole last dim). Both need rank >= 1.
+Shape sortedSizes(std::span<const std::int64_t> sizes,
+                  std::optional<std::int64_t> k);
 
 }  // namespace tssa::ops

@@ -84,6 +84,14 @@ void normalizeSliceBounds(std::int64_t extent, std::int64_t& start,
   end = std::clamp<std::int64_t>(end, start, extent);
 }
 
+std::int64_t arangeLength(std::int64_t start, std::int64_t end,
+                          std::int64_t step) {
+  TSSA_CHECK(step != 0, "arange step must be nonzero");
+  if (step > 0 && end > start) return (end - start + step - 1) / step;
+  if (step < 0 && end < start) return (start - end - step - 1) / -step;
+  return 0;
+}
+
 std::int64_t broadcastOffset(std::span<const std::int64_t> resultIndex,
                              std::span<const std::int64_t> sizes,
                              std::span<const std::int64_t> strides) {

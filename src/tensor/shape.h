@@ -46,6 +46,10 @@ std::int64_t normalizeIndex(std::int64_t index, std::int64_t extent);
 void normalizeSliceBounds(std::int64_t extent, std::int64_t& start,
                           std::int64_t& end);
 
+/// Number of elements of arange(start, end, step); throws on a zero step.
+std::int64_t arangeLength(std::int64_t start, std::int64_t end,
+                          std::int64_t step);
+
 /// Iterates over all coordinates of a shape in row-major order.
 ///
 ///   for (IndexIterator it(sizes); it.valid(); it.next()) use(it.index());

@@ -82,10 +82,7 @@ Tensor Tensor::arange(std::int64_t end) { return arange(0, end, 1); }
 
 Tensor Tensor::arange(std::int64_t start, std::int64_t end,
                       std::int64_t step) {
-  TSSA_CHECK(step != 0, "arange step must be nonzero");
-  std::int64_t n = 0;
-  if (step > 0 && end > start) n = (end - start + step - 1) / step;
-  if (step < 0 && end < start) n = (start - end + (-step) - 1) / (-step);
+  const std::int64_t n = arangeLength(start, end, step);
   Tensor t = empty({n}, DType::Int64);
   std::int64_t v = start;
   for (std::int64_t i = 0; i < n; ++i, v += step) t.data<std::int64_t>()[i] = v;
@@ -96,6 +93,12 @@ Tensor Tensor::scalar(Scalar value, DType dtype) {
   Tensor t = empty({}, dtype);
   t.fill_(value);
   return t;
+}
+
+Tensor Tensor::meta(TensorMeta meta) {
+  Strides strides = contiguousStrides(meta.sizes);
+  return Tensor(nullptr, 0, std::move(meta.sizes), std::move(strides),
+                meta.dtype);
 }
 
 Tensor Tensor::fromData(std::span<const float> values, Shape sizes) {

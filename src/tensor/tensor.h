@@ -22,6 +22,18 @@
 
 namespace tssa {
 
+/// Shape/dtype of one tensor, without storage.
+struct TensorMeta {
+  Shape sizes;
+  DType dtype = DType::Float32;
+
+  std::int64_t numel() const { return numelOf(sizes); }
+  std::int64_t bytes() const {
+    return numel() * static_cast<std::int64_t>(dtypeSize(dtype));
+  }
+  friend bool operator==(const TensorMeta&, const TensorMeta&) = default;
+};
+
 class Tensor {
  public:
   /// An undefined tensor (no storage). `defined()` is false.
@@ -40,6 +52,11 @@ class Tensor {
                        std::int64_t step = 1);
   /// Rank-0 scalar tensor.
   static Tensor scalar(Scalar value, DType dtype = DType::Float32);
+  /// A storage-less tensor of `meta`'s shape and dtype with contiguous
+  /// strides; `defined()` is false. The view methods apply to it, since they
+  /// only compute layouts: that is how metadata inference runs the view
+  /// rules. Nothing may read or write its elements.
+  static Tensor meta(TensorMeta meta);
 
   /// Builds a tensor from a flat row-major buffer.
   static Tensor fromData(std::span<const float> values, Shape sizes);

@@ -109,7 +109,6 @@ TuneResult Autotuner::tune(const std::string& workload,
   analysis::CostOptions costOpts;
   costOpts.device = base.device;
   costOpts.host = runtime::hostSpecFor(kind);
-  costOpts.useTexpr = base.useTexpr;
 
   // Analytic oracle: compile the candidate pipeline, price it on metadata.
   // Memoized per config — the Markov walk revisits points freely.

@@ -9,7 +9,8 @@
 //
 //  * Offline, analytic: candidate configs are compiled with
 //    runtime::compileGraph and priced by the analytic device model over the
-//    cost pass's flops/bytes (analysis::estimateCost) — no execution. The
+//    cost pass's flops/bytes (analysis::estimateCost) — no execution, but
+//    on the kernels' own shape rules (src/tensor). The
 //    search is Gensor-style Markov moves over single knobs (cap the fusion
 //    group size, drop one loop from parallelization), greedy-with-jitter,
 //    deterministic under TunerOptions::seed. Only knobs the simulated clock
@@ -72,7 +73,7 @@ struct TunedConfig {
   /// The config equivalent to `base`'s heuristics (what an untuned engine
   /// runs).
   static TunedConfig defaults(const runtime::PipelineOptions& base);
-  /// `base` with this config's pipeline knobs applied (device, useTexpr and
+  /// `base` with this config's pipeline knobs applied (the device and
   /// everything else non-tunable stay `base`'s).
   runtime::PipelineOptions applyTo(runtime::PipelineOptions base) const;
 

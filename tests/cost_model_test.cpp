@@ -227,20 +227,18 @@ TEST(CostModelTest, DataDependentControlFlowCountsUnknownOps) {
 
 TEST(CostModelPropertyTest, FusionConservesFlopsAndNeverAddsTraffic) {
   const int reps = fuzzReps();
-  CostOptions opts;
-  opts.useTexpr = false;  // compare interpreted-body pricing only
   for (int seed = 1; seed <= reps; ++seed) {
     Graph g;
     Rng rng(static_cast<std::uint64_t>(seed) * 7919);
     ProgramGenerator gen(g, rng);
     const std::vector<RtValue> inputs = gen.generate(10);
     const std::vector<CostValue> in = costInputs(inputs);
-    const CostReport pre = estimateCost(g, in, opts);
+    const CostReport pre = estimateCost(g, in);
     ASSERT_TRUE(pre.exact()) << "seed " << seed;
 
     auto fused = ir::cloneGraph(g);
     core::fuseKernels(*fused, core::FusionPolicy::nnc());
-    const CostReport post = estimateCost(*fused, in, opts);
+    const CostReport post = estimateCost(*fused, in);
     ASSERT_TRUE(post.exact()) << "seed " << seed;
 
     // The fused program's cost is the sum of its pre-fusion node costs:
@@ -283,7 +281,6 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnAllWorkloadsAndPipelines) {
       CostOptions opts;
       opts.device = po.device;
       opts.host = runtime::hostSpecFor(kind);
-      opts.useTexpr = po.useTexpr;
       const CostReport r = estimateCost(*compiled, costInputs(w.inputs), opts);
       // The report is thread-invariant: it must equal the serial run's
       // Profiler and the threaded one's (per-worker ParallelMap slots merged
@@ -301,55 +298,27 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnAllWorkloadsAndPipelines) {
   }
 }
 
-TEST(CostModelDifferentialTest, MatchesProfilerWithTexprOff) {
-  workloads::WorkloadConfig config;
-  config.batch = 2;
-  config.seqLen = 16;
-  for (const std::string& name : workloads::workloadNames()) {
-    const workloads::Workload w = workloads::buildWorkload(name, config);
-    PipelineOptions po;
-    po.threads = 1;
-    po.useTexpr = false;
-    runtime::Pipeline pipeline(PipelineKind::TensorSsa, *w.graph, po);
-    pipeline.run(w.inputs);
-
-    auto compiled = ir::cloneGraph(*w.graph);
-    runtime::compileGraph(PipelineKind::TensorSsa, *compiled, po);
-    CostOptions opts;
-    opts.host = runtime::hostSpecFor(PipelineKind::TensorSsa);
-    opts.useTexpr = false;
-    const CostReport r = estimateCost(*compiled, costInputs(w.inputs), opts);
-    expectMatchesProfiler(*compiled, pipeline.profiler(), r,
-                          name + "/texpr-off");
-  }
-}
-
 TEST(CostModelDifferentialTest, MatchesProfilerOnRandomFusedRegions) {
   const int reps = fuzzReps();
   for (int seed = 1; seed <= reps; ++seed) {
-    for (const bool useTexpr : {false, true}) {
-      Graph g;
-      Rng structRng(static_cast<std::uint64_t>(seed) * 31 + 1);
-      Rng dataRng(static_cast<std::uint64_t>(seed) * 131 + 7);
-      FusedRegionGenerator gen(g, structRng, dataRng);
-      const FusedRegionGenerator::Built built = gen.build();
+    Graph g;
+    Rng structRng(static_cast<std::uint64_t>(seed) * 31 + 1);
+    Rng dataRng(static_cast<std::uint64_t>(seed) * 131 + 7);
+    FusedRegionGenerator gen(g, structRng, dataRng);
+    const FusedRegionGenerator::Built built = gen.build();
 
-      // Eager applies no passes, so the pipeline executes this exact graph.
-      PipelineOptions po;
-      po.threads = 1;
-      po.useTexpr = useTexpr;
-      po.memoryPlan = false;
-      runtime::Pipeline pipeline(PipelineKind::Eager, g, po);
-      pipeline.run(built.inputs);
+    // Eager applies no passes, so the pipeline executes this exact graph.
+    PipelineOptions po;
+    po.threads = 1;
+    po.memoryPlan = false;
+    runtime::Pipeline pipeline(PipelineKind::Eager, g, po);
+    pipeline.run(built.inputs);
 
-      CostOptions opts;
-      opts.host = runtime::hostSpecFor(PipelineKind::Eager);
-      opts.useTexpr = useTexpr;
-      const CostReport r = estimateCost(g, costInputs(built.inputs), opts);
-      expectMatchesProfiler(g, pipeline.profiler(), r,
-                            "seed " + std::to_string(seed) +
-                                (useTexpr ? "/texpr" : "/interp"));
-    }
+    CostOptions opts;
+    opts.host = runtime::hostSpecFor(PipelineKind::Eager);
+    const CostReport r = estimateCost(g, costInputs(built.inputs), opts);
+    expectMatchesProfiler(g, pipeline.profiler(), r,
+                          "seed " + std::to_string(seed));
   }
 }
 
@@ -402,23 +371,18 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnMaskedFillAndPermuteGroups) {
   Rng rng(11);
   cases.push_back({permute.get(), {RtValue(rng.uniform({2, 3}))}});
   for (const auto& [graph, inputs] : cases) {
-    for (const bool useTexpr : {false, true}) {
-      PipelineOptions po;
-      po.threads = 1;
-      po.useTexpr = useTexpr;
-      po.memoryPlan = false;
-      runtime::Pipeline pipeline(PipelineKind::Eager, *graph, po);
-      pipeline.run(inputs);
-      CostOptions opts;
-      opts.host = runtime::hostSpecFor(PipelineKind::Eager);
-      opts.useTexpr = useTexpr;
-      const CostReport r = estimateCost(*graph, costInputs(inputs), opts);
-      expectMatchesProfiler(
-          *graph, pipeline.profiler(), r,
-          std::string(graph == permute.get() ? "permute" : "masked_fill") +
-              "/" + dtypeName(inputs[0].tensor().dtype()) +
-              (useTexpr ? "/texpr" : "/interp"));
-    }
+    PipelineOptions po;
+    po.threads = 1;
+    po.memoryPlan = false;
+    runtime::Pipeline pipeline(PipelineKind::Eager, *graph, po);
+    pipeline.run(inputs);
+    CostOptions opts;
+    opts.host = runtime::hostSpecFor(PipelineKind::Eager);
+    const CostReport r = estimateCost(*graph, costInputs(inputs), opts);
+    expectMatchesProfiler(
+        *graph, pipeline.profiler(), r,
+        std::string(graph == permute.get() ? "permute" : "masked_fill") +
+            "/" + dtypeName(inputs[0].tensor().dtype()));
   }
 }
 

@@ -610,9 +610,6 @@ TEST(ServePipelineOptionsTest, EqualityAndHashFollowMembers) {
   b.threads = 4;
   EXPECT_NE(a, b);
   b = a;
-  b.useTexpr = false;
-  EXPECT_NE(a, b);
-  b = a;
   b.device = runtime::DeviceSpec::consumer();
   EXPECT_NE(a, b);
   EXPECT_NE(runtime::hashValue(a), runtime::hashValue(b));
