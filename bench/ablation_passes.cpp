@@ -28,16 +28,6 @@ enum class Variant {
   Horizontal,
 };
 
-const char* variantName(Variant v) {
-  switch (v) {
-    case Variant::BaselineFusion: return "baseline-fusion";
-    case Variant::Functionalize: return "+functionalize";
-    case Variant::Vertical: return "+vertical";
-    case Variant::Horizontal: return "+horizontal";
-  }
-  return "?";
-}
-
 std::unique_ptr<ir::Graph> compileVariant(const ir::Graph& source,
                                           Variant variant) {
   auto graph = ir::cloneGraph(source);

@@ -12,6 +12,7 @@
 #include <functional>
 
 #include "bench/bench_common.h"
+#include "src/analysis/liveness.h"
 #include "src/ir/builder.h"
 #include "src/runtime/interpreter.h"
 #include "src/tensor/ops.h"
@@ -199,6 +200,49 @@ ir::Block* buildViewBody(ir::Graph& g) {
   return body;
 }
 
+/// seq2seq's per-step log-softmax: `out[:, i] = log(softmax(x, 1) * 0.98 +
+/// 1e-9)`, functionalized into an Access and in-place Assigns through
+/// `select` of the [B, T, V] `out` param. Inputs: out, i, x.
+ir::Block* buildLogSoftmaxRowsBody(ir::Graph& g) {
+  ir::Value* out = g.addInput(ir::Type::tensor());
+  ir::Value* index = g.addInput(ir::Type::integer());
+  ir::Value* x = g.addInput(ir::Type::tensor());
+  ir::IRBuilder b(g);
+  ir::Value* penalty = b.constTensor(Tensor::full({}, Scalar(0.98)));
+  ir::Value* eps = b.constTensor(Tensor::full({}, Scalar(1e-9)));
+  ir::Node* group =
+      b.emitNode(ir::OpKind::FusionGroup, {out, index, x, penalty, eps}, 0);
+  ir::Block* body = group->addBlock();
+  ir::Value* pOut = body->addParam(out->type());
+  ir::Value* pIndex = body->addParam(index->type());
+  ir::Value* pX = body->addParam(x->type());
+  ir::Value* pPenalty = body->addParam(penalty->type());
+  ir::Value* pEps = body->addParam(eps->type());
+  ir::IRBuilder inner(g);
+  inner.setInsertionPointToEnd(body);
+  auto immut = [&](ir::OpKind kind, ir::OpKind rule,
+                   std::vector<ir::Value*> inputs) {
+    ir::Node* n = inner.emitNode(kind, std::move(inputs), 1);
+    n->attrs().set("view", Scalar(static_cast<std::int64_t>(rule)));
+    return n;
+  };
+  ir::Node* row = immut(ir::OpKind::Access, ir::OpKind::Select, {pOut, pIndex});
+  row->attrs().set("dim", Scalar(1));
+  ir::Value* logp = inner.log(
+      inner.add(inner.mul(inner.softmax(pX, 1), pPenalty), pEps));
+  ir::Node* fill =
+      immut(ir::OpKind::Assign, ir::OpKind::Identity, {row->output(), logp});
+  fill->attrs().set("inplace", Scalar(true));
+  ir::Node* write = immut(ir::OpKind::Assign, ir::OpKind::Select,
+                          {pOut, fill->output(), pIndex});
+  write->attrs().set("dim", Scalar(1));
+  write->attrs().set("inplace", Scalar(true));
+  body->addReturn(write->output());
+  group->addOutput(ir::Type::tensor());
+  g.addOutput(group->output(0));
+  return body;
+}
+
 /// Best-of-`reps` mean ns per `runOnce()` over `iters` runs.
 template <typename Fn>
 double bestNsPerIter(Fn&& runOnce, int iters, int reps) {
@@ -269,6 +313,45 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
                 c.name, wholeNs, tiledNs, wholeNs / tiledNs);
     record(c.name, "interp", "texpr_interp", wholeNs, 0);
     record(c.name, "tiled", "texpr_tiled", tiledNs, wholeNs);
+  }
+
+  // seq2seq's log-softmax step on [8, 12288] rows written through select
+  // into [8, 64, 12288], with a memory plan as pipelines run it: the tiled
+  // body cuts the batch dim into 8 one-row tiles, across the pool at
+  // threads 4.
+  ir::Graph g;
+  buildLogSoftmaxRowsBody(g);
+  const std::unique_ptr<ir::Graph> whole =
+      testing_support::inlineFusionGroups(g);
+  Rng rng(42);
+  const std::vector<runtime::RtValue> inputs{
+      runtime::RtValue(Tensor::zeros({8, 64, 12288})),
+      runtime::RtValue(std::int64_t{5}),
+      runtime::RtValue(rng.normal({8, 12288}, 0.0, 2.0))};
+  const analysis::MemoryPlan wholePlan = analysis::planMemory(*whole);
+  const analysis::MemoryPlan tiledPlan = analysis::planMemory(g);
+  Tensor want;
+  for (const int threads : {1, 4}) {
+    runtime::Interpreter wholeInterp(nullptr, threads);
+    runtime::Interpreter tiledInterp(nullptr, threads);
+    wholeInterp.setMemoryPlan(&wholePlan);
+    tiledInterp.setMemoryPlan(&tiledPlan);
+    auto runWhole = [&] { return wholeInterp.run(*whole, inputs); };
+    auto runTiled = [&] { return tiledInterp.run(g, inputs); };
+    if (!want.defined()) want = runWhole()[0].tensor().clone();
+    if (!ref::sameBits(runTiled()[0].tensor(), want))
+      fail("logsoftmax_rows", "tiled and whole body disagree");
+    const double wholeNs = bestNsPerIter(runWhole, 10, flags.reps);
+    const double tiledNs = bestNsPerIter(runTiled, 10, flags.reps);
+    const std::string t = "_t" + std::to_string(threads);
+    std::printf("  %-8s interp=%12.0f ns  tiled=%12.0f ns  speedup=%6.2fx "
+                "(threads=%d)\n",
+                "logsoftmax_rows", wholeNs, tiledNs, wholeNs / tiledNs,
+                threads);
+    record("logsoftmax_rows", ("interp" + t).c_str(), "texpr_interp", wholeNs,
+           0);
+    record("logsoftmax_rows", ("tiled" + t).c_str(), "texpr_tiled", tiledNs,
+           wholeNs);
   }
 }
 

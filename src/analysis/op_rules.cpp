@@ -565,12 +565,119 @@ std::optional<int> viewedDim(OpKind rule, const Node& node,
   }
 }
 
-/// True when `x`, read whole by every tile, broadcasts along dim `d` of a
-/// rank-`rank` result: it lacks that dim or has extent 1 there.
-bool broadcastsAlong(const Operand& x, int d, std::int64_t rank) {
-  const std::int64_t j = d - (rank - x.rank());
-  return j < 0 || x.sizes()[static_cast<std::size_t>(j)] == 1;
-}
+/// A leaf op's tiling rule on fixed operands: which result dim each operand
+/// dim carries when the op runs tile by tile. tiledDims checks one
+/// assignment of operand dims against it, and dimLinks lists it whole for
+/// the tile planner's dim classes.
+class TileRule {
+ public:
+  TileRule(const Node& node, std::span<const Operand> in, const Operand& out)
+      : node_(node), in_(in), out_(out) {
+    const OpKind kind = node.kind();
+    switch (ir::opCategory(kind)) {
+      case ir::OpCategory::EwiseUnary:
+      case ir::OpCategory::EwiseBinary:
+      case ir::OpCategory::EwiseTernary:
+        tiles_ = true;
+        return;
+      case ir::OpCategory::Immut:
+        if (node.attrs().has("dyn")) return;
+        rule_ = static_cast<OpKind>(node.attrs().i("view"));
+        if (kind == OpKind::Access) {
+          tiles_ = true;
+        } else if (kind == OpKind::Assign && rule_ != OpKind::Expand) {
+          region_ = viewMeta(rule_, node, in[0], in, 2);
+          tiles_ = true;
+        }
+        return;
+      case ir::OpCategory::Reduction:
+        switch (kind) {
+          case OpKind::Softmax:
+          case OpKind::SumDim:
+          case OpKind::Mean:
+          case OpKind::MaxDim:
+          case OpKind::MinDim:
+          case OpKind::Argmax:
+            tiles_ = true;
+            reduced_ = normalizeDim(node.attrs().i("dim"), in[0].rank());
+            kept_ = kind == OpKind::Softmax || node.attrs().bOr("keepdim", false);
+            return;
+          default:
+            return;
+        }
+      default:
+        return;
+    }
+  }
+
+  /// False for ops that never run per tile, whatever their operands.
+  bool tiles() const { return tiles_; }
+
+  /// The result dim that dim `d` (extent > 1) of operand `i` carries, or
+  /// std::nullopt when the op selects, slices, merges or reduces over it.
+  std::optional<int> carried(std::size_t i, int d) const {
+    switch (ir::opCategory(node_.kind())) {
+      case ir::OpCategory::EwiseUnary:
+      case ir::OpCategory::EwiseBinary:
+      case ir::OpCategory::EwiseTernary:
+        return static_cast<int>(d + (out_.rank() - in_[i].rank()));
+      case ir::OpCategory::Immut:
+        if (node_.kind() == OpKind::Access) {
+          if (i != 0) return std::nullopt;
+          return viewedDim(rule_, node_, in_[0], d, out_);
+        }
+        if (i == 0) return regionDim(d) ? std::optional<int>(d) : std::nullopt;
+        if (i == 1) {
+          // The source fills the region: trailing-aligned with it.
+          const std::int64_t e =
+              d + (static_cast<std::int64_t>(region_.sizes.size()) -
+                   in_[1].rank());
+          for (int t = 0; t < in_[0].rank(); ++t)
+            if (in_[0].sizes()[static_cast<std::size_t>(t)] > 1 &&
+                regionDim(t) == e)
+              return t;
+        }
+        return std::nullopt;
+      case ir::OpCategory::Reduction:
+        if (i != 0 || d == reduced_) return std::nullopt;
+        return kept_ || reduced_ > d ? d : d - 1;
+      default:
+        return std::nullopt;
+    }
+  }
+
+  /// Access/Assign: the dim of the view's result that carries the result
+  /// dim `o`; -1 for every other op.
+  int viewDim(int o) const {
+    if (node_.kind() == OpKind::Access) return o;
+    if (node_.kind() == OpKind::Assign) return regionDim(o).value_or(-1);
+    return -1;
+  }
+
+ private:
+  /// Assign: the dim of the written region that carries base dim `t`.
+  std::optional<int> regionDim(int t) const {
+    // An in-place write reaches its base through a view of the base's
+    // tile. A reshape or flatten copies a tile that is not contiguous,
+    // which a dim of extent > 1 before the tiled one makes it.
+    if (node_.attrs().bOr("inplace", false) &&
+        (rule_ == OpKind::Reshape || rule_ == OpKind::Flatten)) {
+      for (int d = 0; d < t; ++d)
+        if (in_[0].sizes()[static_cast<std::size_t>(d)] != 1)
+          return std::nullopt;
+    }
+    return viewedDim(rule_, node_, in_[0], t, Operand::tensor(region_));
+  }
+
+  const Node& node_;
+  std::span<const Operand> in_;
+  const Operand& out_;
+  bool tiles_ = false;
+  OpKind rule_ = OpKind::Identity;
+  TensorMeta region_;  ///< Assign: the region its source writes
+  std::int64_t reduced_ = -1;
+  bool kept_ = false;
+};
 
 }  // namespace
 
@@ -578,81 +685,42 @@ std::optional<TiledDims> tiledDims(const Node& node,
                                    std::span<const Operand> in,
                                    std::span<const int> dims,
                                    const Operand& out) {
-  const OpKind kind = node.kind();
-  switch (ir::opCategory(kind)) {
-    case ir::OpCategory::EwiseUnary:
-    case ir::OpCategory::EwiseBinary:
-    case ir::OpCategory::EwiseTernary: {
-      const std::int64_t rank = out.rank();
-      int d = -1;
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        if (dims[i] < 0) continue;
-        const auto j = static_cast<int>(dims[i] + (rank - in[i].rank()));
-        if (d >= 0 && j != d) return std::nullopt;
-        d = j;
-      }
-      if (d < 0) return TiledDims{};
-      for (std::size_t i = 0; i < in.size(); ++i)
-        if (dims[i] < 0 && in[i].isTensor() && !broadcastsAlong(in[i], d, rank))
-          return std::nullopt;
-      return TiledDims{d, -1};
-    }
-    case ir::OpCategory::Immut: {
-      if (node.attrs().has("dyn")) return std::nullopt;
-      const auto rule = static_cast<OpKind>(node.attrs().i("view"));
-      if (kind == OpKind::Access) {
-        if (dims[0] < 0) return TiledDims{};
-        const std::optional<int> v = viewedDim(rule, node, in[0], dims[0], out);
-        if (!v) return std::nullopt;
-        return TiledDims{*v, *v};
-      }
-      if (kind != OpKind::Assign || rule == OpKind::Expand) return std::nullopt;
-      if (dims[0] < 0) {
-        if (dims[1] >= 0) return std::nullopt;
-        return TiledDims{};
-      }
-      // An in-place write reaches its base through a view of the base's
-      // tile. A reshape or flatten copies a tile that is not contiguous,
-      // which a dim of extent > 1 before the tiled one makes it.
-      if (node.attrs().bOr("inplace", false) &&
-          (rule == OpKind::Reshape || rule == OpKind::Flatten)) {
-        for (int d = 0; d < dims[0]; ++d)
-          if (in[0].sizes()[static_cast<std::size_t>(d)] != 1)
-            return std::nullopt;
-      }
-      const TensorMeta region = viewMeta(rule, node, in[0], in, 2);
-      const Operand view = Operand::tensor(region);
-      const std::optional<int> v = viewedDim(rule, node, in[0], dims[0], view);
-      if (!v) return std::nullopt;
-      const bool srcFits =
-          dims[1] >= 0 ? dims[1] + (view.rank() - in[1].rank()) == *v
-                       : broadcastsAlong(in[1], *v, view.rank());
-      if (!srcFits) return std::nullopt;
-      return TiledDims{dims[0], *v};
-    }
-    case ir::OpCategory::Reduction: {
-      switch (kind) {
-        case OpKind::Softmax:
-        case OpKind::SumDim:
-        case OpKind::Mean:
-        case OpKind::MaxDim:
-        case OpKind::MinDim:
-        case OpKind::Argmax:
-          break;
-        default:
-          return std::nullopt;
-      }
-      const int t = dims[0];
-      if (t < 0) return TiledDims{};
-      const std::int64_t k = normalizeDim(node.attrs().i("dim"), in[0].rank());
-      if (k == t) return std::nullopt;
-      const bool kept =
-          kind == OpKind::Softmax || node.attrs().bOr("keepdim", false);
-      return TiledDims{kept || k > t ? t : t - 1, -1};
-    }
-    default:
-      return std::nullopt;
+  const TileRule rule(node, in, out);
+  if (!rule.tiles()) return std::nullopt;
+  int o = -1;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (dims[i] < 0) continue;
+    const std::optional<int> c = rule.carried(i, dims[i]);
+    if (!c || (o >= 0 && *c != o)) return std::nullopt;
+    o = *c;
   }
+  if (o < 0) return TiledDims{};
+  // Every tile reads the other tensor operands whole: none of their dims
+  // of extent > 1 may carry `o` (broadcast operands have extent 1 there).
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (dims[i] >= 0 || !in[i].isTensor()) continue;
+    for (int e = 0; e < in[i].rank(); ++e)
+      if (in[i].sizes()[static_cast<std::size_t>(e)] > 1 &&
+          rule.carried(i, e) == o)
+        return std::nullopt;
+  }
+  return TiledDims{o, rule.viewDim(o)};
+}
+
+std::vector<DimLink> dimLinks(const Node& node, std::span<const Operand> in,
+                              const Operand& out) {
+  std::vector<DimLink> links;
+  const TileRule rule(node, in, out);
+  if (!rule.tiles()) return links;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (!in[i].isTensor()) continue;
+    for (int d = 0; d < in[i].rank(); ++d) {
+      if (in[i].sizes()[static_cast<std::size_t>(d)] <= 1) continue;
+      if (const std::optional<int> o = rule.carried(i, d))
+        links.push_back(DimLink{i, d, *o});
+    }
+  }
+  return links;
 }
 
 // ---- Charges ----------------------------------------------------------------

@@ -20,8 +20,9 @@
 // methods (via applyView), shape.h, and the output-metadata rules of
 // tensor/ops.h. It owns the elementwise dtype table, the scalar ops and the
 // "dyn" size binding. tiledDims() says whether an
-// op maps tiles of its operands to tiles of its result, the rule the tile
-// planner of fused bodies is built from (src/analysis/tile_plan.h).
+// op maps tiles of its operands to tiles of its result, and dimLinks() lists
+// which operand dim maps to which result dim: the rule the tile planner of
+// fused bodies is built from (src/analysis/tile_plan.h).
 // chargeOf() is the per-op charge, shaped like chainer-compiler's
 // CalculateFlops(node): launches (0, 1, or 4 for the multi-pass sorts),
 // bytes and flops per launch, host syncs and host dispatch.
@@ -251,6 +252,22 @@ std::optional<TiledDims> tiledDims(const ir::Node& node,
                                    std::span<const Operand> in,
                                    std::span<const int> dims,
                                    const Operand& out);
+
+/// One link of a leaf op's tiling rule: dim `dim` (extent > 1) of operand
+/// `operand` carries dim `result` of the node's result.
+struct DimLink {
+  std::size_t operand = 0;
+  int dim = -1;
+  int result = -1;
+};
+
+/// Every link of `node`'s tiling rule on these operands, the same rule
+/// tiledDims checks: elementwise operands trailing-aligned with the result,
+/// an Access base's dims the view keeps, an Assign's base dims the written
+/// region keeps and the source dims that fill them, and the dims a softmax
+/// or dim reduction does not reduce over. Empty for ops that never tile.
+std::vector<DimLink> dimLinks(const ir::Node& node,
+                              std::span<const Operand> in, const Operand& out);
 
 // ---- Charges ----------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -160,17 +161,41 @@ const RtValue& Interpreter::get(const ir::Value* v, const Env& env) const {
 
 namespace {
 
-/// Tiles run across the pool when the widest tiled value is at least this
-/// big: below it, a launch's pool round trip outweighs its tiles' work.
+/// Tiles run across the pool when the widest value a tile reads or writes
+/// is at least this big, whole: below it, a launch's pool round trip
+/// outweighs its tiles' work.
 constexpr std::int64_t kParallelGrainBytes = 4 * analysis::kTileBytes;
+
+/// The rows a reduction kernel accumulates side by side (ops::reduceDim):
+/// one row's sum is one dependency chain, in a fixed order.
+constexpr std::int64_t kReductionRows = 8;
+
+/// How many consecutive tiles one thread runs at once. Tiles keep a body's
+/// working set in cache, but a tile of a reduction beside the tiled dim
+/// feeds the kernel only its own rows: fewer than kReductionRows leave it
+/// waiting on one chain at a time, so that a serial run of such tiles is
+/// slower than the whole body. They join until they carry that many rows.
+std::int64_t joinedTiles(const ir::Block& body,
+                         const analysis::TilePlan& plan) {
+  bool reduces = false;
+  std::size_t k = 0;
+  for (const Node* n : body)
+    reduces |= plan.nodes[k++].tiled &&
+               ir::opCategory(n->kind()) == ir::OpCategory::Reduction;
+  if (!reduces) return 1;
+  std::int64_t extent = std::numeric_limits<std::int64_t>::max();
+  for (const analysis::TilePlan::Cut& cut : plan.params)
+    if (cut.dim >= 0) extent = std::min(extent, cut.extent);
+  return std::min(plan.tiles,
+                  (kReductionRows * plan.tiles + extent - 1) / extent);
+}
 
 }  // namespace
 
 std::shared_ptr<const analysis::TilePlan> Interpreter::tilePlanFor(
     const Node& node, std::span<const RtValue> in) {
   // Bodies whose params all fit one tile run whole without planning: the
-  // small loop-body cells, whose select indices change every iteration and
-  // so would miss the per-signature cache.
+  // small loop-body cells.
   std::int64_t widest = 0;
   for (const RtValue& v : in) {
     if (!v.isTensor()) continue;
@@ -180,26 +205,28 @@ std::shared_ptr<const analysis::TilePlan> Interpreter::tilePlanFor(
   }
   if (widest <= analysis::kTileBytes) return nullptr;
 
-  std::vector<std::int64_t> sig = signatureOf(in);
-  auto cached = [&]() -> const std::shared_ptr<const analysis::TilePlan>* {
-    for (const auto& [key, plan] : tilePlans_[&node].entries)
-      if (key == sig) return &plan;
-    return nullptr;
-  };
-  {
-    std::lock_guard<std::mutex> lock(tilePlansMutex_);
-    if (const auto* plan = cached()) return *plan;
-  }
-  std::vector<analysis::Operand> params;
-  params.reserve(in.size());
-  for (const RtValue& v : in) params.push_back(analysis::operandOf(v));
-  std::shared_ptr<const analysis::TilePlan> plan;
-  if (auto p = analysis::planTiles(*node.block(0), params))
-    plan = std::make_shared<const analysis::TilePlan>(std::move(*p));
-
+  // A select index changes no shape: keyed and planned as 0, every loop
+  // step that selects by the induction variable shares one plan.
+  const ir::Block& body = *node.block(0);
+  std::vector<RtValue> keyed(in.begin(), in.end());
+  for (std::size_t i = 0; i < keyed.size(); ++i)
+    if (analysis::isSelectIndex(*body.param(i)))
+      keyed[i] = Scalar(std::int64_t{0});
+  std::vector<std::int64_t> sig = signatureOf(keyed);
+  // Planning holds the lock: ParallelMap workers that launch the same body
+  // wait for its one plan rather than each computing it.
   std::lock_guard<std::mutex> lock(tilePlansMutex_);
-  if (const auto* other = cached()) return *other;  // planned concurrently
   TilePlans& plans = tilePlans_[&node];
+  for (const auto& [key, plan] : plans.entries)
+    if (key == sig) return plan;
+  obs::TraceSpan span("exec", "TilePlan");
+  std::vector<analysis::Operand> params;
+  params.reserve(keyed.size());
+  for (const RtValue& v : keyed) params.push_back(analysis::operandOf(v));
+  std::shared_ptr<const analysis::TilePlan> plan;
+  if (auto p = analysis::planTiles(body, params))
+    plan = std::make_shared<const analysis::TilePlan>(std::move(*p));
+  span.arg("tiles", plan ? plan->tiles : std::int64_t{1});
   if (plans.entries.size() < kTilePlansPerNode) {
     plans.entries.emplace_back(std::move(sig), plan);
   } else {
@@ -250,11 +277,16 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
       threads_ > 1 && !ctx.onWorker && plan.widestBytes >= kParallelGrainBytes
           ? static_cast<int>(std::min<std::int64_t>(threads_, plan.tiles))
           : 1;
-  if (workers == 1) {
+  // Tiles [begin, end) on one thread, consecutive ones joined by the span.
+  const std::int64_t span = joinedTiles(body, plan);
+  auto runTiles = [&](std::int64_t begin, std::int64_t end) {
     Env env;
-    for (std::int64_t t = 0; t < plan.tiles; ++t)
-      runTile(body, plan, t, in, shared, rets, env);
+    for (std::int64_t t = begin; t < end; t += span)
+      runTile(body, plan, t, std::min(t + span, end), in, shared, rets, env);
     env.clear();
+  };
+  if (workers == 1) {
+    runTiles(0, plan.tiles);
     return workers;
   }
   std::vector<Arena::Stats> workerArenaDeltas(static_cast<std::size_t>(workers));
@@ -265,10 +297,7 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
         std::optional<Arena::Scope> scope;
         Arena::Stats before;
         enterWorker(wctx, scope, before);
-        Env env;
-        for (std::int64_t t = begin; t < end; ++t)
-          runTile(body, plan, t, in, shared, rets, env);
-        env.clear();
+        runTiles(begin, end);
         if (wctx.arena != nullptr)
           workerArenaDeltas[static_cast<std::size_t>(chunk)] +=
               wctx.arena->stats() - before;
@@ -278,16 +307,17 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
 }
 
 void Interpreter::runTile(const ir::Block& body,
-                          const analysis::TilePlan& plan, std::int64_t tile,
-                          std::span<const RtValue> in, const Env& shared,
-                          std::span<RtValue> rets, Env& env) {
+                          const analysis::TilePlan& plan, std::int64_t first,
+                          std::int64_t last, std::span<const RtValue> in,
+                          const Env& shared, std::span<RtValue> rets,
+                          Env& env) {
   // Rebinding drops the previous tile's values, so their buffers are back
   // in the arena before this tile allocates.
   env = shared;
   for (std::size_t i = 0; i < in.size(); ++i) {
     const analysis::TilePlan::Cut& cut = plan.params[i];
     if (cut.dim < 0) continue;
-    const auto [begin, end] = plan.rows(cut.extent, tile);
+    const auto [begin, end] = plan.rows(cut.extent, first, last);
     env[body.param(i)] = in[i].tensor().narrow(cut.dim, begin, end - begin);
   }
   std::size_t k = 0;
@@ -296,7 +326,7 @@ void Interpreter::runTile(const ir::Block& body,
     if (!step.tiled) continue;
     analysis::SizesPatch patch;
     if (step.view.dim >= 0) {
-      const auto [begin, end] = plan.rows(step.view.extent, tile);
+      const auto [begin, end] = plan.rows(step.view.extent, first, last);
       patch = {step.view.dim, end - begin};
     }
     RtValue out;
@@ -307,7 +337,7 @@ void Interpreter::runTile(const ir::Block& body,
   for (std::size_t r = 0; r < rets.size(); ++r) {
     const analysis::TilePlan::Result& result = plan.returns[r];
     if (result.cut.dim < 0 || result.param >= 0) continue;
-    const auto [begin, end] = plan.rows(result.cut.extent, tile);
+    const auto [begin, end] = plan.rows(result.cut.extent, first, last);
     std::as_const(rets[r])
         .tensor()
         .narrow(result.cut.dim, begin, end - begin)

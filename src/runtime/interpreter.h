@@ -160,12 +160,13 @@ class Interpreter {
                std::span<const RtValue> in, ExecContext& ctx,
                std::vector<RtValue>& rets);
 
-  /// One tile of runTiled: binds the tile's params over `shared` (values
-  /// every tile reads whole) into `env`, runs the tiled nodes, and copies
-  /// the tile's returns into its rows of `rets`.
+  /// Tiles [first, last) of runTiled, as one: binds their params over
+  /// `shared` (values every tile reads whole) into `env`, runs the tiled
+  /// nodes, and copies their returns into their rows of `rets`.
   void runTile(const ir::Block& body, const analysis::TilePlan& plan,
-               std::int64_t tile, std::span<const RtValue> in,
-               const Env& shared, std::span<RtValue> rets, Env& env);
+               std::int64_t first, std::int64_t last,
+               std::span<const RtValue> in, const Env& shared,
+               std::span<RtValue> rets, Env& env);
 
   Profiler* profiler_;
   int threads_ = 1;
@@ -175,20 +176,21 @@ class Interpreter {
   std::unique_ptr<Arena> arena_;
   /// Per FusionGroup node, the plans of its most recent input signatures
   /// (at most kTilePlansPerNode, replaced round-robin; a null plan records
-  /// a body that runs whole). Guarded by `tilePlansMutex_`: ParallelMap
-  /// workers may plan concurrently. It is keyed by node, so the graphs an
-  /// interpreter runs must outlive it.
+  /// a body that runs whole). A select index is keyed as 0
+  /// (analysis::isSelectIndex), so every step of a loop that selects by its
+  /// index shares one entry. Guarded by `tilePlansMutex_`, held while
+  /// planning: ParallelMap workers that launch one body wait for its one
+  /// plan. It is keyed by node, so the graphs an interpreter runs must
+  /// outlive it.
   ///
   /// Planning is not free next to a launch: 7-130 us per plan on a 4-vCPU
-  /// Xeon (fcos's 75-node box body is the 130), about 2.5% of perfbench's
-  /// paper_cv run_ms if every launch planned. Signatures per node above
-  /// the one-tile gate, measured over perfbench paper_cv and serve_mix:
-  /// every body that tiles sees 1 to 3 (one per coalesced batch size);
-  /// yolact's crop cell sees 16, one per detection index, cycled every run
-  /// (2208 launches in 10 s of paper_cv), hence 16 entries. RNN cells see a
-  /// new loop index on every launch, which no size would serve; they plan
-  /// each launch (under 30 us) and run whole.
-  static constexpr std::size_t kTilePlansPerNode = 16;
+  /// Xeon (fcos's 75-node box body is the 130); keyed by the select index,
+  /// replanning every step cost about a fifth of nasrnn's and lstm's run
+  /// time. Signatures per node above the one-tile gate, measured with
+  /// perfbench: 1 on every node of paper_cv (yolact's crop cell included)
+  /// and paper_nlp; 1 to 4 on serve_mix in 20 s, one per coalesced batch
+  /// size, which the serve engine's default micro-batcher bounds at 8.
+  static constexpr std::size_t kTilePlansPerNode = 8;
   struct TilePlans {
     std::vector<std::pair<std::vector<std::int64_t>,
                           std::shared_ptr<const analysis::TilePlan>>>

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -156,14 +157,30 @@ void reduceRows(const Tensor& a, std::int64_t d, Tensor& out,
   const std::int64_t n = loop.rowLength();
   const std::int64_t sa = loop.rowStride(1);
   const std::int64_t first = seedFromFirst ? 1 : 0;
-  auto seed = [&](const T* p) {
-    return seedFromFirst ? roundedTo<U>(static_cast<double>(p[0])) : 0.0;
+  // Float32 in and out accumulates in float. That gives the bits of the
+  // double step rounded to float (double carries more than twice float's
+  // precision, so a sum of two floats rounded first to double rounds to the
+  // same float), on a dependency chain a third as long: what a reduction
+  // over few outputs, such as a tile of one row, waits on.
+  using Acc = std::conditional_t<
+      std::is_same_v<T, float> && std::is_same_v<U, float>, float, double>;
+  auto seed = [&](const T* p) -> Acc {
+    return seedFromFirst ? static_cast<Acc>(
+                               roundedTo<U>(static_cast<double>(p[0])))
+                         : Acc{0};
+  };
+  auto next = [&](Acc acc, T v) -> Acc {
+    if constexpr (std::is_same_v<Acc, float>) {
+      return fn(acc, v);
+    } else {
+      return roundedTo<U>(fn(acc, static_cast<double>(v)));
+    }
   };
   // When d has the smaller stride, each output reads its own run of a:
   // eight runs side by side hide the chain latency without thrashing the
   // cache. Otherwise a row of a feeds a whole chunk of outputs.
   const std::int64_t chunk = std::abs(step) <= std::abs(sa) ? 8 : kRowChunk;
-  double acc[kRowChunk];
+  Acc acc[kRowChunk];
   for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
     U* o = po + loop.offset(0);  // out is contiguous: row stride 1
     const T* x = pa + loop.offset(1);
@@ -173,8 +190,7 @@ void reduceRows(const Tensor& a, std::int64_t d, Tensor& out,
       for (std::int64_t l = 0; l < c; ++l) acc[l] = seed(base + l * sa);
       for (std::int64_t j = first; j < extent; ++j) {
         const T* p = base + j * step;
-        for (std::int64_t l = 0; l < c; ++l)
-          acc[l] = roundedTo<U>(fn(acc[l], static_cast<double>(p[l * sa])));
+        for (std::int64_t l = 0; l < c; ++l) acc[l] = next(acc[l], p[l * sa]);
       }
       for (std::int64_t l = 0; l < c; ++l)
         o[l0 + l] = storedAs<U>(finish(acc[l]));
@@ -410,7 +426,7 @@ Tensor sum(const Tensor& a) {
 Tensor sum(const Tensor& a, std::int64_t dim, bool keepDim) {
   return reduceDim(
       a, dim, keepDim, Reduction::Sum,
-      [](double acc, double v) { return acc + v; },
+      [](auto acc, auto v) { return acc + v; },
       [](double v) { return v; });
 }
 
@@ -419,7 +435,7 @@ Tensor mean(const Tensor& a, std::int64_t dim, bool keepDim) {
   const double count = static_cast<double>(a.size(d));
   return reduceDim(
       a, dim, keepDim, Reduction::Mean,
-      [](double acc, double v) { return acc + v; },
+      [](auto acc, auto v) { return acc + v; },
       [=](double v) { return v / count; });
 }
 
@@ -431,18 +447,14 @@ Tensor mean(const Tensor& a, std::int64_t dim, bool keepDim) {
 Tensor maxReduce(const Tensor& a, std::int64_t dim, bool keepDim) {
   return reduceDim(
       a, dim, keepDim, Reduction::Max,
-      [](double acc, double v) {
-        return (std::isnan(v) || v > acc) ? v : acc;
-      },
+      [](auto acc, auto v) { return (std::isnan(v) || v > acc) ? v : acc; },
       [](double v) { return v; });
 }
 
 Tensor minReduce(const Tensor& a, std::int64_t dim, bool keepDim) {
   return reduceDim(
       a, dim, keepDim, Reduction::Min,
-      [](double acc, double v) {
-        return (std::isnan(v) || v < acc) ? v : acc;
-      },
+      [](auto acc, auto v) { return (std::isnan(v) || v < acc) ? v : acc; },
       [](double v) { return v; });
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "src/ir/builder.h"
@@ -279,6 +280,9 @@ class FusedRegionGenerator {
 
     IRBuilder b(graph_);
     b.setInsertionPointToEnd(body_);
+    std::optional<Wide> wide;
+    if (extents_ == Extents::kTileable && structRng_.nextBool())
+      wide = addWideParam(b, built, base);
     const int numNodes = static_cast<int>(structRng_.nextInt(2, 5));
     for (int s = 0; s < numNodes; ++s) {
       const std::int64_t kind = structRng_.nextInt(0, 9);
@@ -290,6 +294,7 @@ class FusedRegionGenerator {
         emitAssign(b, built);
       }
     }
+    if (wide && structRng_.nextBool()) emitWideWrite(b, built, *wide);
     for (const Val& v : produced_) body_->addReturn(v.v);
     for (std::size_t i = 0; i < body_->numReturns(); ++i)
       group_->addOutput(Type::tensor());
@@ -306,6 +311,74 @@ class FusedRegionGenerator {
     double bound = 0;    ///< conservative |value| bound
     bool mayNaN = false; ///< value can be NaN at runtime
   };
+
+  /// A param one rank above the region base, and the select index it is
+  /// read by (null when it is read through a slice).
+  struct Wide {
+    Value* v = nullptr;
+    Shape shape;
+    std::int64_t dim = 0;  ///< the extra dim
+    Value* index = nullptr;
+  };
+
+  /// Tileable regions may read a Float32 param with an extra dim of 3-5
+  /// steps through a select or slice along it: a loop step's row of a
+  /// [B, T, V] buffer, whose dims meet the region's only through the view.
+  Wide addWideParam(IRBuilder& b, Built& built, const Shape& base) {
+    Wide w;
+    w.dim = structRng_.nextInt(0, static_cast<std::int64_t>(base.size()));
+    const std::int64_t steps = structRng_.nextInt(3, 5);
+    w.shape = base;
+    w.shape.insert(w.shape.begin() + w.dim, steps);
+    Value* in = graph_.addInput(Type::tensor());
+    w.v = body_->addParam(in->type());
+    group_->addInput(in);
+    built.inputs.emplace_back(dataRng_.uniform(w.shape, -2, 2));
+    Val val{nullptr, base, DType::Float32, 2.0, false};
+    if (structRng_.nextBool()) {
+      w.index = addScalarParam(built, dataRng_.nextInt(0, steps - 1));
+      val.v = makeAccess(b, w.v, OpKind::Select, {w.index});
+      lastNode_->attrs().set("dim", Scalar(w.dim));
+    } else {
+      const std::int64_t len = structRng_.nextInt(1, steps);
+      const std::int64_t start = dataRng_.nextInt(0, steps - len);
+      val.v = makeAccess(b, w.v, OpKind::Slice,
+                         {addScalarParam(built, start),
+                          addScalarParam(built, start + len)});
+      lastNode_->attrs().set("dim", Scalar(w.dim));
+      lastNode_->attrs().set("step", Scalar(std::int64_t{1}));
+      val.shape.insert(val.shape.begin() + w.dim, len);
+    }
+    push(val.v, val.shape, val.dtype, val.bound, val.mayNaN);
+    return w;
+  }
+
+  /// Writes a live value of the base's shape into a step of `w` in place,
+  /// by the index it was read with if any: the step's write-back. Callers
+  /// pass each run fresh inputs, since the write lands in `w`'s input.
+  void emitWideWrite(IRBuilder& b, Built& built, const Wide& w) {
+    Shape row = w.shape;
+    row.erase(row.begin() + w.dim);
+    const Val* src = nullptr;
+    for (const Val& cand : live_) {
+      if (cand.shape.size() <= row.size() && !cand.mayNaN &&
+          cand.bound <= 1e30 && broadcastable(cand.shape, row) &&
+          broadcast(cand.shape, row) == row)
+        src = &cand;
+    }
+    if (src == nullptr) return;
+    const std::int64_t steps = w.shape[static_cast<std::size_t>(w.dim)];
+    Value* index = w.index != nullptr
+                       ? w.index
+                       : addScalarParam(built, dataRng_.nextInt(0, steps - 1));
+    Node* n = b.emitNode(OpKind::Assign, {w.v, src->v, index}, 1);
+    n->attrs().set("view", Scalar(static_cast<std::int64_t>(OpKind::Select)));
+    n->attrs().set("dim", Scalar(w.dim));
+    n->attrs().set("inplace", Scalar(true));
+    lastNode_ = n;
+    push(n->output(), w.shape, DType::Float32, std::max(2.0, src->bound),
+         false);
+  }
 
   Node* makeGroup() {
     IRBuilder b(graph_);

@@ -4,9 +4,13 @@
 // inlined — bit for bit, serially and across the pool, with and without a
 // memory plan. The cases cover what a tile may not get wrong: writes through
 // to a param, params read whole by every tile, reductions beside the tiled
-// dim, reshape/expand sizes, errors, and nesting in a threaded ParallelMap.
+// dim, reshape/expand sizes, errors, and nesting in a threaded ParallelMap;
+// and what the planner must find: a dim class that meets a higher-rank param
+// only through select, tiles sized by what they touch, and one plan for
+// every step of a loop that selects by its index.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -36,6 +40,14 @@ using runtime::RtValue;
 using testing_support::inlineFusionGroups;
 using testing_support::reference::sameBits;
 
+/// An immut::access or immut::assign through view rule `rule`.
+Node* immutNode(IRBuilder& b, OpKind kind, OpKind rule,
+                std::vector<Value*> inputs) {
+  Node* n = b.emitNode(kind, std::move(inputs), 1);
+  n->attrs().set("view", Scalar(static_cast<std::int64_t>(rule)));
+  return n;
+}
+
 /// A graph holding one FusionGroup whose body the test builds through `b`.
 class FusedGraph {
  public:
@@ -56,11 +68,8 @@ class FusedGraph {
     body->addReturn(v);
     graph.addOutput(group->addOutput(Type::tensor()));
   }
-  /// An immut::access or immut::assign through view rule `rule`.
   Node* immut(OpKind kind, OpKind rule, std::vector<Value*> inputs) {
-    Node* n = b.emitNode(kind, std::move(inputs), 1);
-    n->attrs().set("view", Scalar(static_cast<std::int64_t>(rule)));
-    return n;
+    return immutNode(b, kind, rule, std::move(inputs));
   }
 
   Graph graph;
@@ -100,19 +109,26 @@ std::optional<analysis::TilePlan> planOf(const FusedGraph& f,
   return analysis::planTiles(*f.body, params);
 }
 
-/// The args of every FusionGroup span `run` records.
-std::vector<std::map<std::string, std::string>> fusionSpans(
-    const std::function<void()>& run) {
+/// Calls `visit` on every trace event `run` records.
+void tracedEvents(const std::function<void()>& run,
+                  const std::function<void(const obs::TraceEvent&)>& visit) {
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.clear();
   tracer.enable();
   run();
   tracer.disable();
+  for (const obs::TraceEvent& e : tracer.snapshot()) visit(e);
+  tracer.clear();
+}
+
+/// The args of every FusionGroup span `run` records.
+std::vector<std::map<std::string, std::string>> fusionSpans(
+    const std::function<void()>& run) {
   std::vector<std::map<std::string, std::string>> spans;
-  for (const obs::TraceEvent& e : tracer.snapshot())
+  tracedEvents(run, [&](const obs::TraceEvent& e) {
     if (e.name == "FusionGroup")
       spans.emplace_back(e.args.begin(), e.args.end());
-  tracer.clear();
+  });
   return spans;
 }
 
@@ -277,6 +293,28 @@ TEST(TiledExecTest, LowerRankAndUnitExtentParamsAreReadWhole) {
   expectTiledMatchesWhole(f.graph, inputs);
 }
 
+TEST(TiledExecTest, ChainsThatNeverMeetTileInLockstep) {
+  // p0 and p1 share no dim class (c broadcasts into both), but their dims
+  // align from the trailing end: one candidate cuts both.
+  FusedGraph f;
+  Value* p0 = f.param();  // [96, 1024]
+  Value* p1 = f.param();  // [48, 1024]
+  Value* c = f.param();   // [1024]
+  f.ret(f.b.add(p0, c));
+  f.ret(f.b.mul(f.b.exp(p1), c));
+  Rng rng(14);
+  const std::vector<RtValue> inputs{RtValue(rng.uniform({96, 1024}, -1, 1)),
+                                    RtValue(rng.uniform({48, 1024}, -1, 1)),
+                                    RtValue(rng.uniform({1024}, -1, 1))};
+  const auto plan = planOf(f, inputs);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_GE(plan->tiles, 3);
+  EXPECT_EQ(plan->params[0].dim, 0);
+  EXPECT_EQ(plan->params[1].dim, 0);
+  EXPECT_EQ(plan->params[2].dim, -1);
+  expectTiledMatchesWhole(f.graph, inputs);
+}
+
 TEST(TiledExecTest, SoftmaxAndDimReductionsBesideTheTiledDim) {
   FusedGraph f;
   Value* p0 = f.param();  // [2, 2048, 21]
@@ -349,26 +387,193 @@ TEST(TiledExecTest, OutOfRangeSelectIndexRaisesTheSameError) {
     const std::string what = e.what();
     return what.substr(0, what.find(" (at "));
   };
-  std::vector<RtValue> inputs{RtValue(rng.uniform({256, 8, 64}, -1, 1)),
+  // A tile reads only its rows of the selected [1024, 64] slice.
+  std::vector<RtValue> inputs{RtValue(rng.uniform({1024, 8, 64}, -1, 1)),
                               RtValue(std::int64_t{7})};
   expectTiledMatchesWhole(f.graph, inputs);  // in range: it tiles
   ASSERT_TRUE(planOf(f, inputs).has_value());
 
-  inputs[1] = RtValue(std::int64_t{9});
+  std::vector<RtValue> bad = inputs;
+  bad[1] = RtValue(std::int64_t{9});
   std::string want;
   try {
-    wholeRun(f.graph, inputs);
+    wholeRun(f.graph, bad);
   } catch (const Error& e) {
     want = message(e);
   }
   ASSERT_FALSE(want.empty()) << "the whole body accepted index 9";
-  for (const int threads : {1, hwThreads()}) {
+  auto expectSameError = [&](const std::function<void()>& run,
+                             const std::string& what) {
     try {
-      tiledRun(f.graph, inputs, threads, /*planned=*/true);
-      ADD_FAILURE() << "threads=" << threads << " accepted index 9";
+      run();
+      ADD_FAILURE() << what << " accepted index 9";
     } catch (const Error& e) {
-      EXPECT_EQ(message(e), want) << "threads=" << threads;
+      EXPECT_EQ(message(e), want) << what;
     }
+  };
+  for (const int threads : {1, hwThreads()}) {
+    const std::string at = "threads=" + std::to_string(threads);
+    expectSameError([&] { tiledRun(f.graph, bad, threads, true); }, at);
+    // The plan index 7 left behind serves index 9: a select index is not
+    // part of the plan's key, and each tile's select range-checks it.
+    Interpreter cached(nullptr, threads);
+    cached.run(f.graph, inputs);
+    std::size_t plans = 0;
+    tracedEvents(
+        [&] {
+          expectSameError([&] { cached.run(f.graph, bad); },
+                          at + " on a cached plan");
+        },
+        [&](const obs::TraceEvent& e) { plans += e.name == "TilePlan"; });
+    EXPECT_EQ(plans, 0u) << at;
+  }
+}
+
+/// seq2seq's per-step log-softmax, `out[:, i] = log(softmax(x, 1) * c + c)`:
+/// an Access and two in-place Assigns through select along the middle dim
+/// of the rank-3 `out`. Returns the written `out`.
+Value* logSoftmaxRows(IRBuilder& b, Value* out, Value* index, Value* x,
+                      Value* c) {
+  Node* row = immutNode(b, OpKind::Access, OpKind::Select, {out, index});
+  row->attrs().set("dim", Scalar(std::int64_t{1}));
+  Value* logp = b.log(b.add(b.mul(b.softmax(x, 1), c), c));
+  Node* fill =
+      immutNode(b, OpKind::Assign, OpKind::Identity, {row->output(), logp});
+  fill->attrs().set("inplace", Scalar(true));
+  Node* write = immutNode(b, OpKind::Assign, OpKind::Select,
+                          {out, fill->output(), index});
+  write->attrs().set("dim", Scalar(std::int64_t{1}));
+  write->attrs().set("inplace", Scalar(true));
+  return write->output();
+}
+
+TEST(TiledExecTest, RowWrittenThroughSelectOfRank3ParamTilesAlongBatch) {
+  // The batch dim of x meets dim 0 of out only through the select: from the
+  // trailing end they never align, but they share a dim class.
+  FusedGraph f;
+  Value* out = f.param();
+  Value* index = f.param(Type::integer());
+  Value* x = f.param();
+  f.ret(logSoftmaxRows(f.b, out, index, x, f.param()));
+  Rng rng(10);
+  const std::vector<RtValue> inputs{
+      RtValue(rng.uniform({8, 16, 12288}, -1, 1)), RtValue(std::int64_t{5}),
+      RtValue(rng.normal({8, 12288}, 0.0, 2.0)),
+      RtValue(Tensor::scalar(Scalar(0.5)))};
+  const auto plan = planOf(f, inputs);
+  ASSERT_TRUE(plan.has_value());
+  // 384 KiB a tile touches, whole: the [8, 12288] row, not all of out.
+  // Six tiles would mix one- and two-row tiles; every row is a tile.
+  EXPECT_EQ(plan->tiles, 8);
+  EXPECT_EQ(plan->widestBytes, 8 * 12288 * 4);
+  EXPECT_EQ(plan->params[0].dim, 0);
+  EXPECT_EQ(plan->params[2].dim, 0);
+  EXPECT_EQ(plan->writtenParams, std::vector<std::size_t>{0});
+  EXPECT_EQ(plan->returns[0].param, 0);
+  expectTiledMatchesWhole(f.graph, inputs);
+
+  std::vector<RtValue> in = cloned(inputs);
+  const auto spans = fusionSpans(
+      [&] { tiledRun(f.graph, in, hwThreads(), /*planned=*/true); });
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].at("backend"), "\"tiled\"");
+  EXPECT_EQ(spans[0].at("tiles"), "8");
+  EXPECT_EQ(spans[0].at("workers"), std::to_string(std::min(hwThreads(), 8)));
+}
+
+TEST(TiledExecTest, ReductionBesideTheClassDim) {
+  // q [64, 2048] meets dim 0 of p [64, 4, 2048] through a select along dim
+  // 1; the reductions over dim 1 run beside the class, per tile.
+  FusedGraph f;
+  Value* p = f.param();
+  Value* index = f.param(Type::integer());
+  Value* q = f.param();
+  Node* row = f.immut(OpKind::Access, OpKind::Select, {p, index});
+  row->attrs().set("dim", Scalar(std::int64_t{1}));
+  Value* s = f.b.add(row->output(), q);
+  f.ret(f.b.mul(s, f.b.sumDim(s, 1, /*keepDim=*/true)));
+  f.ret(f.b.maxDim(s, 1));
+  f.ret(f.b.mean(s, -1));
+  Rng rng(11);
+  const std::vector<RtValue> inputs{RtValue(rng.uniform({64, 4, 2048}, -1, 1)),
+                                    RtValue(std::int64_t{-2}),
+                                    RtValue(rng.uniform({64, 2048}, -1, 1))};
+  const auto plan = planOf(f, inputs);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_GE(plan->tiles, 3);
+  EXPECT_EQ(plan->params[0].dim, 0);
+  EXPECT_EQ(plan->params[2].dim, 0);
+  expectTiledMatchesWhole(f.graph, inputs);
+}
+
+TEST(TiledExecTest, ParamReachedOnlyThroughSelectStaysWhole) {
+  // lstm's cell: the [8, 64, 128] input is 256 KiB, but a step reads one
+  // [8, 128] row of it, so what a tile would touch fits one tile.
+  FusedGraph f;
+  Value* xw = f.param();
+  Value* index = f.param(Type::integer());
+  Value* h = f.param();
+  Node* row = f.immut(OpKind::Access, OpKind::Select, {xw, index});
+  row->attrs().set("dim", Scalar(std::int64_t{1}));
+  f.ret(f.b.sigmoid(f.b.add(row->output(), h)));
+  Rng rng(12);
+  const std::vector<RtValue> inputs{RtValue(rng.uniform({8, 64, 128}, -1, 1)),
+                                    RtValue(std::int64_t{3}),
+                                    RtValue(rng.uniform({8, 128}, -1, 1))};
+  EXPECT_FALSE(planOf(f, inputs).has_value());
+  expectTiledMatchesWhole(f.graph, inputs);
+  const auto spans =
+      fusionSpans([&] { tiledRun(f.graph, inputs, hwThreads(), true); });
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].at("backend"), "\"interp\"");
+}
+
+TEST(TiledExecTest, LoopSelectingByItsIndexPlansOnce) {
+  // A 16-step loop writes row i of its carried [8, 16, 8192] buffer
+  // through the log-softmax body: every step keys the same plan.
+  constexpr std::int64_t kSteps = 16;
+  Graph g;
+  Value* out = g.addInput(Type::tensor());
+  Value* x = g.addInput(Type::tensor());
+  Value* c = g.addInput(Type::tensor());
+  IRBuilder b(g);
+  Node* loop = b.makeLoop(b.constInt(kSteps), {out});
+  Block* lb = loop->block(0);
+  IRBuilder ib(g);
+  ib.setInsertionPointToEnd(lb);
+  Node* group = ib.emitNode(OpKind::FusionGroup,
+                            {lb->param(1), lb->param(0), x, c}, 0);
+  Block* body = group->addBlock();
+  IRBuilder fb(g);
+  fb.setInsertionPointToEnd(body);
+  Value* pOut = body->addParam(Type::tensor());
+  Value* pIndex = body->addParam(Type::integer());
+  Value* pX = body->addParam(Type::tensor());
+  body->addReturn(
+      logSoftmaxRows(fb, pOut, pIndex, pX, body->addParam(Type::tensor())));
+  lb->addReturn(group->addOutput(Type::tensor()));
+  g.addOutput(loop->output(0));
+
+  Rng rng(13);
+  const std::vector<RtValue> inputs{
+      RtValue(Tensor::zeros({8, kSteps, 8192})),
+      RtValue(rng.normal({8, 8192}, 0.0, 2.0)),
+      RtValue(Tensor::scalar(Scalar(0.5)))};
+  expectTiledMatchesWhole(g, inputs);
+  for (const int threads : {1, hwThreads()}) {
+    std::vector<RtValue> in = cloned(inputs);
+    std::size_t plans = 0;
+    std::size_t tiled = 0;
+    tracedEvents([&] { tiledRun(g, in, threads, /*planned=*/true); },
+                 [&](const obs::TraceEvent& e) {
+                   plans += e.name == "TilePlan";
+                   for (const auto& [key, value] : e.args)
+                     tiled += e.name == "FusionGroup" && key == "backend" &&
+                              value == "\"tiled\"";
+                 });
+    EXPECT_EQ(plans, 1u) << "threads=" << threads;
+    EXPECT_EQ(tiled, static_cast<std::size_t>(kSteps))
+        << "threads=" << threads;
   }
 }
 
