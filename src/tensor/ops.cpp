@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/tensor/fmath.h"
 #include "src/tensor/strided_loop.h"
 
 namespace tssa::ops {
@@ -337,23 +338,25 @@ Tensor neg(const Tensor& a) {
   return unaryOp(a, a.dtype(), [](double x) { return -x; });
 }
 Tensor exp(const Tensor& a) {
-  return unaryOp(a, DType::Float32, [](double x) { return std::exp(x); });
+  return unaryOp(a, DType::Float32, [](float x) { return fmath::exp(x); });
 }
 Tensor log(const Tensor& a) {
-  return unaryOp(a, DType::Float32, [](double x) { return std::log(x); });
+  return unaryOp(a, DType::Float32, [](float x) { return fmath::log(x); });
 }
 Tensor sqrt(const Tensor& a) {
-  return unaryOp(a, DType::Float32, [](double x) { return std::sqrt(x); });
+  // A Float32 operand takes the float sqrt, which has the bits of the double
+  // one rounded to float; staged operands keep the double one.
+  return unaryOp(a, DType::Float32, [](auto x) { return std::sqrt(x); });
 }
 Tensor abs(const Tensor& a) {
   return unaryOp(a, a.dtype(), [](double x) { return std::abs(x); });
 }
 Tensor sigmoid(const Tensor& a) {
   return unaryOp(a, DType::Float32,
-                 [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
+                 [](float x) { return fmath::sigmoid(x); });
 }
 Tensor tanh(const Tensor& a) {
-  return unaryOp(a, DType::Float32, [](double x) { return std::tanh(x); });
+  return unaryOp(a, DType::Float32, [](float x) { return fmath::tanh(x); });
 }
 Tensor relu(const Tensor& a) {
   return unaryOp(a, a.dtype(), [](double x) { return x > 0 ? x : 0.0; });

@@ -47,8 +47,14 @@ Tensor logicalNot(const Tensor& a);
 // ---- Elementwise unary -----------------------------------------------------------
 
 Tensor neg(const Tensor& a);
+/// exp, log, tanh and sigmoid return Float32: each element is the float32
+/// function of src/tensor/fmath.h applied to the operand as a float. An
+/// Int64 or Bool operand is read as a double, like every staged operand,
+/// rounded to float, and then takes the same function.
 Tensor exp(const Tensor& a);
 Tensor log(const Tensor& a);
+/// Float32 result: the correctly rounded square root of the operand, a
+/// Float32 one in float, an Int64 or Bool one (read as a double) in double.
 Tensor sqrt(const Tensor& a);
 Tensor abs(const Tensor& a);
 Tensor sigmoid(const Tensor& a);

@@ -15,9 +15,20 @@
 #include <utility>
 #include <vector>
 
+#include "src/tensor/fmath.h"
 #include "src/tensor/tensor.h"
 
 namespace tssa::testing_support::reference {
+
+/// The per-element forms of ops::exp/log/tanh/sigmoid: the value, read as a
+/// double like every operand here, rounded to float and passed to the
+/// library's float32 function.
+inline double refExp(double x) { return fmath::exp(static_cast<float>(x)); }
+inline double refLog(double x) { return fmath::log(static_cast<float>(x)); }
+inline double refTanh(double x) { return fmath::tanh(static_cast<float>(x)); }
+inline double refSigmoid(double x) {
+  return fmath::sigmoid(static_cast<float>(x));
+}
 
 /// Coordinate of a broadcast operand of shape `sizes` for result index `idx`.
 inline Shape broadcastIndex(std::span<const std::int64_t> idx,

@@ -372,9 +372,11 @@ TEST(OpsOracleTest, ElementwiseGeneralPathsMatchPerElementReference) {
   const UnaryCase unaries[] = {
       {"neg", ops::neg, [](double x) { return -x; }, true},
       {"relu", ops::relu, [](double x) { return x > 0 ? x : 0.0; }, true},
-      {"exp", ops::exp, [](double x) { return std::exp(x); }, false},
-      {"sigmoid", ops::sigmoid,
-       [](double x) { return 1.0 / (1.0 + std::exp(-x)); }, false},
+      {"exp", ops::exp, refExp, false},
+      {"log", ops::log, refLog, false},
+      {"tanh", ops::tanh, refTanh, false},
+      {"sigmoid", ops::sigmoid, refSigmoid, false},
+      {"sqrt", ops::sqrt, [](double x) { return std::sqrt(x); }, false},
   };
   Rng rng(107);
   ViewedTensorGenerator gen(rng);
