@@ -220,7 +220,6 @@ struct BenchRecord {
   double nsPerIter = -1;
   double simUs = -1;
   std::int64_t kernelLaunches = -1;
-  double arenaReuseRate = -1;
   bool timeGated = false;
   std::vector<std::pair<std::string, double>> extra;  ///< bench-specific scalars
 };
@@ -307,8 +306,6 @@ class BenchReport {
       if (r.simUs >= 0) out += ", \"sim_us\": " + obs::jsonNumber(r.simUs);
       if (r.kernelLaunches >= 0)
         out += ", \"kernel_launches\": " + obs::jsonNumber(r.kernelLaunches);
-      if (r.arenaReuseRate >= 0)
-        out += ", \"arena_reuse_rate\": " + obs::jsonNumber(r.arenaReuseRate);
       if (!r.extra.empty()) {
         out += ", \"extra\": {";
         bool firstExtra = true;

@@ -139,13 +139,10 @@ void printWallClock(const bench::BenchFlags& flags,
                 launchesEq ? "equal" : "DIFFER");
 
     // The CI-gated records: real wall-clock of the actual executor, plus
-    // deterministic launch counts and the arena-planner reuse rate. Launch
-    // counts come from the single verification run above (wallClockUs reps
-    // accumulate into the same profiler, but the count per run is constant,
-    // so normalize by runs).
+    // deterministic launch counts. Launch counts come from the single
+    // verification run above (wallClockUs reps accumulate into the same
+    // profiler, but the count per run is constant, so normalize by runs).
     const std::int64_t runsSerial = 1 + flags.reps;  // verify + reps
-    const auto mem = serial.profiler().memoryCounters();
-    const std::int64_t allocs = mem.freshAllocs + mem.reusedAllocs;
     for (int threaded01 = 0; threaded01 < 2; ++threaded01) {
       runtime::Pipeline& p = threaded01 ? threaded : serial;
       bench::BenchRecord rec;
@@ -155,9 +152,6 @@ void printWallClock(const bench::BenchFlags& flags,
       rec.nsPerIter = (threaded01 ? threadedUs : serialUs) * 1000.0;
       rec.kernelLaunches = p.profiler().kernelLaunches() / runsSerial;
       rec.timeGated = true;
-      if (!threaded01 && allocs > 0)
-        rec.arenaReuseRate =
-            static_cast<double>(mem.reusedAllocs) / static_cast<double>(allocs);
       rec.extra.emplace_back("outputs_equal", outputsEq ? 1 : 0);
       rec.extra.emplace_back("launches_equal", launchesEq ? 1 : 0);
       report.add(std::move(rec));

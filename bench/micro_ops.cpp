@@ -12,7 +12,6 @@
 #include <functional>
 
 #include "bench/bench_common.h"
-#include "src/analysis/liveness.h"
 #include "src/ir/builder.h"
 #include "src/runtime/interpreter.h"
 #include "src/tensor/ops.h"
@@ -316,9 +315,8 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
   }
 
   // seq2seq's log-softmax step on [8, 12288] rows written through select
-  // into [8, 64, 12288], with a memory plan as pipelines run it: the tiled
-  // body cuts the batch dim into 8 one-row tiles, across the pool at
-  // threads 4.
+  // into [8, 64, 12288]: the tiled body cuts the batch dim into 8 one-row
+  // tiles, across the pool at threads 4.
   ir::Graph g;
   buildLogSoftmaxRowsBody(g);
   const std::unique_ptr<ir::Graph> whole =
@@ -328,14 +326,10 @@ void runFusedRegionBench(const bench::BenchFlags& flags,
       runtime::RtValue(Tensor::zeros({8, 64, 12288})),
       runtime::RtValue(std::int64_t{5}),
       runtime::RtValue(rng.normal({8, 12288}, 0.0, 2.0))};
-  const analysis::MemoryPlan wholePlan = analysis::planMemory(*whole);
-  const analysis::MemoryPlan tiledPlan = analysis::planMemory(g);
   Tensor want;
   for (const int threads : {1, 4}) {
-    runtime::Interpreter wholeInterp(nullptr, threads);
-    runtime::Interpreter tiledInterp(nullptr, threads);
-    wholeInterp.setMemoryPlan(&wholePlan);
-    tiledInterp.setMemoryPlan(&tiledPlan);
+    runtime::Interpreter wholeInterp(threads);
+    runtime::Interpreter tiledInterp(threads);
     auto runWhole = [&] { return wholeInterp.run(*whole, inputs); };
     auto runTiled = [&] { return tiledInterp.run(g, inputs); };
     if (!want.defined()) want = runWhole()[0].tensor().clone();

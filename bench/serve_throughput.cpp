@@ -130,7 +130,6 @@ void printSweep(const bench::BenchFlags& flags, runtime::PipelineKind kind,
                "_b" + std::to_string(p.maxBatch);
     rec.workload = "mix4";
     rec.pipeline = std::string(runtime::pipelineName(kind));
-    rec.arenaReuseRate = m.arenaReuseRate();
     rec.extra.emplace_back("rps", m.throughputRps);
     rec.extra.emplace_back("p50_us", m.total.p50Us);
     rec.extra.emplace_back("p95_us", m.total.p95Us);

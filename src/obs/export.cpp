@@ -12,18 +12,6 @@ void exportProfiler(const runtime::Profiler& profiler,
   registry.gaugeSet("tssa_host_time_us", profiler.hostTimeUs());
   registry.gaugeSet("tssa_gpu_time_us", profiler.gpuTimeUs());
 
-  const runtime::Profiler::MemoryCounters mem = profiler.memoryCounters();
-  registry.counterSet("tssa_arena_allocs_total{kind=\"fresh\"}",
-                      mem.freshAllocs);
-  registry.counterSet("tssa_arena_allocs_total{kind=\"reused\"}",
-                      mem.reusedAllocs);
-  registry.counterSet("tssa_arena_bytes_total{kind=\"fresh\"}",
-                      mem.freshBytes);
-  registry.counterSet("tssa_arena_bytes_total{kind=\"reused\"}",
-                      mem.reusedBytes);
-  registry.counterSet("tssa_arena_recycled_total", mem.recycled);
-  registry.counterSet("tssa_arena_recycle_misses_total", mem.recycleMisses);
-
   for (const auto& [kernel, count] : profiler.kernelHistogram()) {
     registry.counterSet(
         "tssa_kernel_invocations_total{kernel=" + promLabelValue(kernel) +

@@ -16,9 +16,6 @@ namespace tssa::obs {
 ///   tssa_bytes_moved_total                bytesMoved()
 ///   tssa_flops_total                      flops()
 ///   tssa_sim_time_us / tssa_host_time_us / tssa_gpu_time_us   (gauges)
-///   tssa_arena_allocs_total{kind="fresh"|"reused"}
-///   tssa_arena_bytes_total{kind="fresh"|"reused"}
-///   tssa_arena_recycled_total / tssa_arena_recycle_misses_total
 ///
 /// Counter values are SET (not added): a Profiler is itself cumulative
 /// since its last reset, so re-exporting after more runs refreshes the

@@ -1,5 +1,5 @@
 // Unified metrics: one named-counter/gauge/histogram registry for everything
-// the stack measures — the runtime Profiler's launch/byte/arena counters,
+// the stack measures — the runtime Profiler's launch/byte counters,
 // the serving engine's request latencies and cache statistics — with a
 // consistent snapshot exportable as JSON and as Prometheus text exposition
 // format (version 0.0.4).
@@ -7,9 +7,9 @@
 // Naming convention (reconciles the historically divergent Profiler /
 // serve::MetricsSnapshot names — see DESIGN.md §9 for the full table):
 //   * counters end in `_total`; time is microseconds (`_us`), sizes bytes;
-//   * one logical metric keeps ONE name everywhere: arena traffic is
-//     `tssa_arena_allocs_total{kind="fresh"|"reused"}` whether it is read
-//     from a Pipeline's Profiler or aggregated across a serving Engine;
+//   * one logical metric keeps ONE name everywhere: rejections are
+//     `tssa_serve_rejected_total{reason=...}` whether they are read from
+//     one Engine or merged across a Router's shards;
 //   * a `{key="value"}` suffix on the registry key is emitted verbatim as a
 //     Prometheus label set (keys sharing a base name share one # TYPE line).
 #pragma once

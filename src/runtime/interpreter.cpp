@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "src/ir/printer.h"
@@ -83,64 +82,13 @@ std::vector<RtValue> Interpreter::run(const ir::Graph& graph,
   Env env;
   for (std::size_t i = 0; i < inputs.size(); ++i)
     env[graph.inputs()[i]] = inputs[i];
-  ExecContext ctx;
-  // With a plan attached, publish the root arena for the whole run:
-  // Tensor::empty then draws intermediates from the pool. Graph inputs and
-  // outputs are held by the caller (refcount > 1), so they are never pooled
-  // and nothing a caller sees ever aliases arena memory.
-  std::optional<Arena::Scope> arenaScope;
-  Arena::Stats before;
-  if (plan_ != nullptr) {
-    if (arena_ == nullptr) arena_ = std::make_unique<Arena>();
-    ctx.arena = arena_.get();
-    before = arena_->stats();
-    arenaScope.emplace(arena_.get());
-  }
-  runBlockBody(*graph.topBlock(), env, ctx);
-  std::vector<RtValue> outs = blockReturns(*graph.topBlock(), env);
-  // Sweep what is still bound (escaped-to-return values, stale branch
-  // bindings) into the pool so the next run of this program starts warm:
-  // dropping a binding donates a solely-owned buffer to the scope-current
-  // arena (via ~Storage). `outs`, the caller's inputs, and constants keep
-  // their storage alive and are refused by the refcount guard.
-  env.clear();
-  if (plan_ != nullptr && profiler_ != nullptr) {
-    const Arena::Stats delta = arena_->stats() - before;
-    profiler_->memory(delta.freshAllocs, delta.reusedAllocs, delta.freshBytes,
-                      delta.reusedBytes, delta.recycled, delta.recycleMisses);
-  }
-  return outs;
+  runBlockBody(*graph.topBlock(), env, /*onWorker=*/false);
+  return blockReturns(*graph.topBlock(), env);
 }
 
 void Interpreter::runBlockBody(const ir::Block& block, Env& env,
-                               ExecContext& ctx) {
-  for (const Node* node : block) {
-    execNode(*node, env, ctx);
-    if (plan_ != nullptr) releaseDead(*node, env);
-  }
-}
-
-void Interpreter::releaseDead(const Node& node, Env& env) {
-  const std::vector<const ir::Value*>* dead = plan_->deathsFor(&node);
-  if (dead == nullptr) return;
-  for (const ir::Value* v : *dead) {
-    auto it = env.find(v);
-    // Not bound: the value lives in a branch that was not taken, or the plan
-    // belongs to another graph. Either way there is nothing to drop.
-    if (it == env.end()) continue;
-    // Erasing the binding is the release: if it was the last owner, the
-    // Storage destructor donates the buffer to the scope-current arena.
-    env.erase(it);
-  }
-}
-
-void Interpreter::dropReturnBindings(const ir::Block& block, Env& env) {
-  for (const ir::Value* r : block.returns()) {
-    // Values from an outer scope stay bound — later nodes may read them.
-    if (r->definingBlock() != &block) continue;
-    auto it = env.find(r);
-    if (it != env.end()) env.erase(it);
-  }
+                               bool onWorker) {
+  for (const Node* node : block) execNode(*node, env, onWorker);
 }
 
 std::vector<RtValue> Interpreter::blockReturns(const ir::Block& block,
@@ -237,7 +185,7 @@ std::shared_ptr<const analysis::TilePlan> Interpreter::tilePlanFor(
 }
 
 int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
-                          std::span<const RtValue> in, ExecContext& ctx,
+                          std::span<const RtValue> in, bool onWorker,
                           std::vector<RtValue>& rets) {
   // A tile writes in-place Assigns through to its rows of a param. That is
   // the whole body's effect only when no two rows of the param share memory
@@ -258,7 +206,7 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
   for (std::size_t i = 0; i < in.size(); ++i) shared[body.param(i)] = in[i];
   std::size_t k = 0;
   for (const Node* n : body)
-    if (!plan.nodes[k++].tiled) execNode(*n, shared, ctx);
+    if (!plan.nodes[k++].tiled) execNode(*n, shared, onWorker);
 
   // Whole returns, allocated once per launch; each tile fills its rows.
   rets.assign(plan.returns.size(), RtValue());
@@ -274,7 +222,7 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
   }
 
   const int workers =
-      threads_ > 1 && !ctx.onWorker && plan.widestBytes >= kParallelGrainBytes
+      threads_ > 1 && !onWorker && plan.widestBytes >= kParallelGrainBytes
           ? static_cast<int>(std::min<std::int64_t>(threads_, plan.tiles))
           : 1;
   // Tiles [begin, end) on one thread, consecutive ones joined by the span.
@@ -283,26 +231,14 @@ int Interpreter::runTiled(const Node& node, const analysis::TilePlan& plan,
     Env env;
     for (std::int64_t t = begin; t < end; t += span)
       runTile(body, plan, t, std::min(t + span, end), in, shared, rets, env);
-    env.clear();
   };
   if (workers == 1) {
     runTiles(0, plan.tiles);
     return workers;
   }
-  std::vector<Arena::Stats> workerArenaDeltas(static_cast<std::size_t>(workers));
   ThreadPool::shared().parallelFor(
       plan.tiles, workers,
-      [&](std::int64_t begin, std::int64_t end, int chunk) {
-        ExecContext wctx;
-        std::optional<Arena::Scope> scope;
-        Arena::Stats before;
-        enterWorker(wctx, scope, before);
-        runTiles(begin, end);
-        if (wctx.arena != nullptr)
-          workerArenaDeltas[static_cast<std::size_t>(chunk)] +=
-              wctx.arena->stats() - before;
-      });
-  recordWorkerArenas(workerArenaDeltas);
+      [&](std::int64_t begin, std::int64_t end, int) { runTiles(begin, end); });
   return workers;
 }
 
@@ -311,8 +247,8 @@ void Interpreter::runTile(const ir::Block& body,
                           std::int64_t last, std::span<const RtValue> in,
                           const Env& shared, std::span<RtValue> rets,
                           Env& env) {
-  // Rebinding drops the previous tile's values, so their buffers are back
-  // in the arena before this tile allocates.
+  // Rebinding drops the previous tile's values, so their buffers are freed
+  // before this tile allocates.
   env = shared;
   for (std::size_t i = 0; i < in.size(); ++i) {
     const analysis::TilePlan::Cut& cut = plan.params[i];
@@ -332,7 +268,6 @@ void Interpreter::runTile(const ir::Block& body,
     RtValue out;
     execLeaf(*node, Operands(*node, env, *this), std::span(&out, 1), patch);
     env[node->output(0)] = std::move(out);
-    if (plan_ != nullptr) releaseDead(*node, env);
   }
   for (std::size_t r = 0; r < rets.size(); ++r) {
     const analysis::TilePlan::Result& result = plan.returns[r];
@@ -349,64 +284,27 @@ void Interpreter::runTile(const ir::Block& body,
 
 void Interpreter::runIterations(const ir::Block& body, std::int64_t trip,
                                 std::vector<RtValue>& carried, Env& env,
-                                ExecContext& ctx) {
+                                bool onWorker) {
+  // Each iteration's bindings replace the previous one's, which drops its
+  // values.
   for (std::int64_t it = 0; it < trip; ++it) {
     env[body.param(0)] = Scalar(it);
-    for (std::size_t i = 0; i < carried.size(); ++i) {
-      // The previous iteration's carried value dies at this rebind (its
-      // planned "death" is escape via the body Return, which the copy in
-      // `carried` satisfied). First iteration / shared buffers are safe:
-      // the initial values are still referenced from the outer env, so
-      // recycle refuses them.
-      // Move, don't copy: a copy left in `carried` would pin the
-      // refcount at 2 for the whole body, so the param's planned death
-      // could never free the buffer. The overwrite also drops any stale
-      // binding a param without a planned death still holds.
+    for (std::size_t i = 0; i < carried.size(); ++i)
       env[body.param(i + 1)] = std::move(carried[i]);
-    }
-    runBlockBody(body, env, ctx);
+    runBlockBody(body, env, onWorker);
     carried = blockReturns(body, env);
-    if (ctx.arena != nullptr) dropReturnBindings(body, env);
   }
-}
-
-// ---- Pool workers --------------------------------------------------------------------------
-
-void Interpreter::enterWorker(ExecContext& wctx,
-                              std::optional<Arena::Scope>& scope,
-                              Arena::Stats& before) {
-  wctx.onWorker = true;
-  // Planned runs give each worker its own thread-local arena (no
-  // contention); the Scope nests over whatever arena the calling thread had
-  // published, which matters when the helping barrier runs a chunk on the
-  // root thread.
-  if (plan_ != nullptr) {
-    wctx.arena = &Arena::threadLocal();
-    before = wctx.arena->stats();
-    scope.emplace(wctx.arena);
-  }
-}
-
-void Interpreter::recordWorkerArenas(std::span<const Arena::Stats> deltas) {
-  if (profiler_ == nullptr || plan_ == nullptr) return;
-  // Worker-arena traffic, merged at the barrier (a single-threaded point).
-  // The fresh/reuse split legitimately varies with the thread count — each
-  // worker warms its own pool.
-  Arena::Stats total;
-  for (const Arena::Stats& d : deltas) total += d;
-  profiler_->memory(total.freshAllocs, total.reusedAllocs, total.freshBytes,
-                    total.reusedBytes, total.recycled, total.recycleMisses);
 }
 
 // ---- Threaded ParallelMap ----------------------------------------------------------------
 
-bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
+bool Interpreter::tryParallelMap(const Node& node, Env& env, bool onWorker,
                                  std::int64_t trip,
                                  const std::vector<RtValue>& carried) {
   // Preconditions: a worker budget, top-level context (a ParallelMap cannot
   // nest inside another one's body, but be defensive), and the converting
   // pass's independence proof attached as metadata.
-  if (threads_ <= 1 || trip <= 1 || ctx.onWorker) return false;
+  if (threads_ <= 1 || trip <= 1 || onWorker) return false;
   if (!node.attrs().has("par_dims")) return false;
   const std::vector<std::int64_t>& dims = node.attrs().ints("par_dims");
   if (dims.size() != carried.size()) return false;
@@ -432,7 +330,6 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
 
   const int workers =
       static_cast<int>(std::min<std::int64_t>(threads_, trip));
-  std::vector<Arena::Stats> workerArenaDeltas(static_cast<std::size_t>(workers));
 
   ThreadPool::shared().parallelFor(
       trip, workers, [&](std::int64_t begin, std::int64_t end, int chunk) {
@@ -449,35 +346,21 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
         // the carried values — legal because the pass proved each iteration
         // touches only its own slice.
         Env wenv = env;
-        ExecContext wctx;
-        std::optional<Arena::Scope> warenaScope;
-        Arena::Stats wbefore;
-        enterWorker(wctx, warenaScope, wbefore);
         for (std::int64_t it = begin; it < end; ++it) {
           wenv[body.param(0)] = Scalar(it);
           for (std::size_t k = 0; k < carried.size(); ++k)
             wenv[body.param(k + 1)] = carried[k];
-          runBlockBody(body, wenv, wctx);
+          runBlockBody(body, wenv, /*onWorker=*/true);
           std::vector<RtValue> rets = blockReturns(body, wenv);
-          if (wctx.arena != nullptr) dropReturnBindings(body, wenv);
           for (std::size_t k = 0; k < carried.size(); ++k) {
             if (dims[k] < 0) continue;
             // This iteration owns slice `it` exclusively — lock-free write.
             Tensor dst = outs[k].tensor().select(dims[k], it);
             dst.copy_(rets[k].tensor().select(dims[k], it));
           }
-          // `rets` dies here: the per-iteration results were copied into the
-          // shared output slots above, so their buffers flow back into this
-          // worker's pool for the next iteration (pass-through carried
-          // values stay shared with the caller and are not donated).
         }
-        wenv.clear();
-        if (wctx.arena != nullptr)
-          workerArenaDeltas[static_cast<std::size_t>(chunk)] +=
-              wctx.arena->stats() - wbefore;
       });
 
-  recordWorkerArenas(workerArenaDeltas);
   for (std::size_t k = 0; k < outs.size(); ++k)
     env[node.output(k)] = std::move(outs[k]);
   return true;
@@ -485,7 +368,7 @@ bool Interpreter::tryParallelMap(const Node& node, Env& env, ExecContext& ctx,
 
 // ---- Node execution ----------------------------------------------------------------------
 
-void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
+void Interpreter::execNode(const Node& node, Env& env, bool onWorker) {
   auto bindOut = [&](std::size_t i, RtValue v) {
     env[node.output(i)] = std::move(v);
   };
@@ -494,12 +377,8 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
     case OpKind::If: {
       const bool cond = get(node.input(0), env).scalar().toBool();
       const ir::Block& block = *node.block(cond ? 0 : 1);
-      runBlockBody(block, env, ctx);
+      runBlockBody(block, env, onWorker);
       auto rets = blockReturns(block, env);
-      // Re-home the branch returns onto the If's outputs: keeping the
-      // branch-local binding too would pin the refcount when the output's
-      // planned death tries to recycle.
-      if (ctx.arena != nullptr) dropReturnBindings(block, env);
       for (std::size_t i = 0; i < rets.size(); ++i)
         bindOut(i, std::move(rets[i]));
       return;
@@ -511,7 +390,7 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       for (std::size_t i = 1; i < node.numInputs(); ++i)
         carried.push_back(get(node.input(i), env));
       if (node.kind() == OpKind::Loop) {
-        runIterations(*node.block(0), trip, carried, env, ctx);
+        runIterations(*node.block(0), trip, carried, env, onWorker);
       } else {
         // Semantics of Loop, modelled as one batched kernel per kernel
         // position: the horizontal parallelization result (§4.2.2).
@@ -520,14 +399,15 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
         // metadata or a worker budget they run as a Loop.
         obs::TraceSpan span("exec", "ParallelMap");
         span.arg("trip", trip);
-        const bool threaded = tryParallelMap(node, env, ctx, trip, carried);
+        const bool threaded =
+            tryParallelMap(node, env, onWorker, trip, carried);
         span.arg("threaded", std::int64_t{threaded ? 1 : 0});
         if (threaded) {
           span.arg("workers", static_cast<std::int64_t>(
                                   std::min<std::int64_t>(threads_, trip)));
           return;
         }
-        runIterations(*node.block(0), trip, carried, env, ctx);
+        runIterations(*node.block(0), trip, carried, env, onWorker);
       }
       for (std::size_t i = 0; i < carried.size(); ++i)
         bindOut(i, std::move(carried[i]));
@@ -546,7 +426,7 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
       std::vector<RtValue> rets;
       const auto plan = tilePlanFor(node, groupInputs);
       if (const int workers =
-              plan ? runTiled(node, *plan, groupInputs, ctx, rets) : 0) {
+              plan ? runTiled(node, *plan, groupInputs, onWorker, rets) : 0) {
         span.arg("backend", "tiled");
         span.arg("tiles", plan->tiles);
         span.arg("workers", static_cast<std::int64_t>(workers));
@@ -556,9 +436,8 @@ void Interpreter::execNode(const Node& node, Env& env, ExecContext& ctx) {
         span.arg("workers", std::int64_t{1});
         for (std::size_t i = 0; i < node.numInputs(); ++i)
           env[body.param(i)] = groupInputs[i];
-        runBlockBody(body, env, ctx);
+        runBlockBody(body, env, onWorker);
         rets = blockReturns(body, env);
-        if (ctx.arena != nullptr) dropReturnBindings(body, env);
       }
       for (std::size_t i = 0; i < rets.size(); ++i)
         bindOut(i, std::move(rets[i]));

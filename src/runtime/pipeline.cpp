@@ -198,7 +198,6 @@ std::size_t hashValue(const PipelineOptions& options) {
   mix(std::hash<double>{}(options.device.computeGFlops));
   mix(std::hash<double>{}(options.device.syncLatencyUs));
   mix(std::hash<int>{}(options.threads));
-  mix(std::hash<bool>{}(options.memoryPlan));
   mix(std::hash<std::size_t>{}(options.fusionMaxOps));
   mix(std::hash<std::uint64_t>{}(options.parallelizeMask));
   return h;
@@ -209,28 +208,12 @@ Pipeline::Pipeline(PipelineKind kind, const ir::Graph& source,
     : kind_(kind),
       graph_(ir::cloneGraph(source)),
       profiler_(options.device, hostSpecFor(kind)),
-      interpreter_(&profiler_, options.threads) {
+      interpreter_(options.threads) {
   compileGraph(kind, *graph_, options);
   pricing_.device = options.device;
   pricing_.host = hostSpecFor(kind);
   // A pipeline must price every run it executes: no trip budget.
   pricing_.maxLoopTrip = std::numeric_limits<std::int64_t>::max();
-  // The plan is built once per compiled program; in the serving engine it
-  // travels with the cached Pipeline, so every request hitting the same
-  // shape signature reuses both the compilation AND the buffer plan.
-  if (options.memoryPlan) {
-    obs::TraceSpan span("pipeline", "memory-plan");
-    span.arg("pipeline", pipelineName(kind));
-    plan_ = std::make_unique<analysis::MemoryPlan>(
-        analysis::planMemory(*graph_));
-    interpreter_.setMemoryPlan(plan_.get());
-    if (span.active()) {
-      span.arg("planned_deaths",
-               static_cast<std::int64_t>(plan_->plannedDeaths));
-      span.arg("slots", plan_->slotCount);
-      span.arg("values", static_cast<std::int64_t>(plan_->totalValues));
-    }
-  }
 }
 
 std::vector<RtValue> Pipeline::run(std::span<const RtValue> inputs) {

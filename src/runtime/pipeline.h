@@ -48,12 +48,6 @@ std::string_view pipelineName(PipelineKind kind);
 struct PipelineOptions {
   DeviceSpec device = DeviceSpec::dataCenter();
   int threads = 1;
-  /// Liveness-driven memory planning (src/analysis/liveness.h): intermediates
-  /// are released at their last use and their buffers recycled through
-  /// per-context arenas. Outputs are bitwise identical with the planner on
-  /// or off — the differential suite cross-checks both modes — so this stays
-  /// on by default; the toggle exists for that cross-check and for debugging.
-  bool memoryPlan = true;
   /// Cap on ops per fusion group (FusionPolicy::maxKernelOps): 0 keeps the
   /// unlimited heuristic; the autotuner sets small caps when the device
   /// model favours splitting long chains. Only affects pipelines that fuse.
@@ -137,9 +131,6 @@ class Pipeline {
   std::vector<PricedRun> priced_;
   std::size_t nextEvicted_ = 0;  ///< round-robin once priced_ is full
   LaunchProbe launchProbe_;
-  /// Liveness plan for the compiled graph (null when options.memoryPlan is
-  /// off). Owned here because its Node*/Value* keys reference `graph_`.
-  std::unique_ptr<analysis::MemoryPlan> plan_;
 };
 
 }  // namespace tssa::runtime

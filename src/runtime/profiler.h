@@ -15,7 +15,6 @@ namespace tssa::runtime {
 /// reports every framework action and kernel of a run; the profiler prices
 /// them with the device and host models and combines per-op as
 /// max(host, kernel). runtime::Pipeline adds each priced run with addRun.
-/// The interpreter reports only the memory planner's arena counters.
 ///
 /// Thread safety: every method takes an internal mutex, so a reader on
 /// another thread never sees a torn histogram.
@@ -69,24 +68,6 @@ class Profiler {
     for (const auto& [name, count] : perKernel) perKernel_[name] += count;
   }
 
-  /// Arena allocation accounting from the memory planner (src/tensor/arena.h):
-  /// pool misses ("fresh", heap allocations) vs. pool hits ("reused").
-  /// Reported by the interpreter at single-threaded points. NOTE: unlike
-  /// launches/bytes/flops these counters are NOT invariant across thread
-  /// counts — every worker warms its own arena — so they are kept out of the
-  /// kernel histogram and the determinism contracts built on it.
-  void memory(std::int64_t freshAllocs, std::int64_t reusedAllocs,
-              std::int64_t freshBytes, std::int64_t reusedBytes,
-              std::int64_t recycled = 0, std::int64_t recycleMisses = 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    memFresh_ += freshAllocs;
-    memReused_ += reusedAllocs;
-    memFreshBytes_ += freshBytes;
-    memReusedBytes_ += reusedBytes;
-    memRecycled_ += recycled;
-    memRecycleMisses_ += recycleMisses;
-  }
-
   // ---- Results ------------------------------------------------------------
 
   std::int64_t kernelLaunches() const {
@@ -124,20 +105,12 @@ class Profiler {
     return perKernel_;
   }
 
-  /// Snapshot of the memory-planner counters.
+  /// Always zero; kept only because perfbench/perfbench.cpp reads it.
   struct MemoryCounters {
     std::int64_t freshAllocs = 0;
     std::int64_t reusedAllocs = 0;
-    std::int64_t freshBytes = 0;
-    std::int64_t reusedBytes = 0;
-    std::int64_t recycled = 0;       ///< buffers returned to the pool
-    std::int64_t recycleMisses = 0;  ///< recycle refused (shared / tiny)
   };
-  MemoryCounters memoryCounters() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {memFresh_,        memReused_,    memFreshBytes_,
-            memReusedBytes_, memRecycled_,  memRecycleMisses_};
-  }
+  MemoryCounters memoryCounters() const { return {}; }
 
   const DeviceSpec& device() const { return device_; }
   const HostSpec& host() const { return host_; }
@@ -148,8 +121,6 @@ class Profiler {
     bytes_ = 0;
     flops_ = 0;
     gpuUs_ = hostUs_ = simUs_ = 0;
-    memFresh_ = memReused_ = memFreshBytes_ = memReusedBytes_ = 0;
-    memRecycled_ = memRecycleMisses_ = 0;
     perKernel_.clear();
   }
 
@@ -163,12 +134,6 @@ class Profiler {
   double gpuUs_ = 0;
   double hostUs_ = 0;
   double simUs_ = 0;
-  std::int64_t memFresh_ = 0;
-  std::int64_t memReused_ = 0;
-  std::int64_t memFreshBytes_ = 0;
-  std::int64_t memReusedBytes_ = 0;
-  std::int64_t memRecycled_ = 0;
-  std::int64_t memRecycleMisses_ = 0;
   std::map<std::string, std::int64_t> perKernel_;
 };
 

@@ -36,6 +36,33 @@ std::string configGuard(const workloads::WorkloadConfig& config) {
   return os.str();
 }
 
+/// The key of `workload`'s program with `signature` under `options`. The
+/// tuned config (when a tuner is installed and has an entry for this
+/// workload × kind) replaces the fixed heuristics *in the key*: programs are
+/// compiled with key.options, so a config change is a different key —
+/// distinct tuned configs can never collide in the cache, and routing on the
+/// rendered key stays cache-affine per config.
+ProgramKey programKey(const EngineOptions& options, const std::string& workload,
+                      std::string signature) {
+  ProgramKey key;
+  key.workload = workload;
+  key.kind = options.kind;
+  key.options = options.tuner != nullptr
+                    ? options.tuner->pipelineFor(workload, options.kind,
+                                                 options.pipeline)
+                    : options.pipeline;
+  key.signature = std::move(signature);
+  return key;
+}
+
+/// The shape-specialized key: `inputs`' signature plus the config guard.
+ProgramKey exactKey(const EngineOptions& options, const std::string& workload,
+                    std::span<const runtime::RtValue> inputs,
+                    const workloads::WorkloadConfig& config) {
+  return programKey(options, workload,
+                    workloads::inputSignature(inputs) + configGuard(config));
+}
+
 std::string describeError(const std::exception_ptr& error) {
   try {
     std::rethrow_exception(error);
@@ -96,18 +123,6 @@ Response Session::infer(Request request) {
 
 ProgramKey Engine::keyFor(const EngineOptions& options, const Request& request,
                           bool* polymorphic) {
-  ProgramKey key;
-  key.workload = request.workload;
-  key.kind = options.kind;
-  // The tuned config (when a tuner is installed and has an entry for this
-  // workload × kind) replaces the fixed heuristics *in the key*: programs
-  // are compiled with key.options, so a config change is a different key —
-  // distinct tuned configs can never collide in the cache, and routing on
-  // the rendered key stays cache-affine per config.
-  key.options = options.tuner != nullptr
-                    ? options.tuner->pipelineFor(request.workload,
-                                                 options.kind, options.pipeline)
-                    : options.pipeline;
   if (options.symbolicShapes) {
     const workloads::SymbolicPattern& pattern =
         workloads::workloadSymbolicPattern(request.workload);
@@ -122,16 +137,14 @@ ProgramKey Engine::keyFor(const EngineOptions& options, const Request& request,
       // seqLen are runtime extents of a polymorphic program — they no longer
       // split the key, so the compile count stays flat as shape diversity
       // grows.
-      key.signature =
-          pattern.signature + "|seed=" + std::to_string(request.config.seed);
       if (polymorphic != nullptr) *polymorphic = true;
-      return key;
+      return programKey(options, request.workload,
+                        pattern.signature + "|seed=" +
+                            std::to_string(request.config.seed));
     }
   }
-  key.signature =
-      workloads::inputSignature(request.inputs) + configGuard(request.config);
   if (polymorphic != nullptr) *polymorphic = false;
-  return key;
+  return exactKey(options, request.workload, request.inputs, request.config);
 }
 
 ProgramKey Engine::keyFor(const Request& request, bool* polymorphic) const {
@@ -407,22 +420,14 @@ void Engine::executeBatch(SealedBatch sealed) {
       compileConfig.symbolicDims = true;
     } else {
       compileConfig.batch = totalRows;
-      key.workload = first.request.workload;
-      key.kind = options_.kind;
-      key.signature =
-          workloads::inputSignature(inputs) + configGuard(compileConfig);
-      key.options =
-          options_.tuner != nullptr
-              ? options_.tuner->pipelineFor(key.workload, options_.kind,
-                                            options_.pipeline)
-              : options_.pipeline;
+      key = exactKey(options_, first.request.workload, inputs, compileConfig);
     }
 
     ProgramCache::Lookup lookup = cache_.getOrCompile(key, [&] {
       if (injector != nullptr) injector->onCompile(key.toString());
       // This span contains the whole compilation — the nested "pipeline"
-      // pass spans (functionalize, fusion, parallelize, memory-plan) land
-      // inside it on the same thread.
+      // pass spans (functionalize, fusion, parallelize, ...) land inside it
+      // on the same thread.
       obs::TraceSpan compileSpan("serve", "compile");
       compileSpan.arg("workload", key.workload);
       compileSpan.arg("signature", key.signature);
@@ -454,7 +459,6 @@ void Engine::executeBatch(SealedBatch sealed) {
     //    shapes / workloads) run concurrently on other pool workers.
     const auto runStart = Clock::now();
     std::vector<runtime::RtValue> outputs;
-    runtime::Profiler::MemoryCounters mem;
     double simUs = 0;
     std::exception_ptr runError;
     {
@@ -466,11 +470,9 @@ void Engine::executeBatch(SealedBatch sealed) {
       if (injector != nullptr) injector->beginRun();
       try {
         outputs = lookup.program->pipeline->run(inputs);
-        // Read the per-run memory counters and modelled device time while
-        // still holding the exec lock: run() resets the profiler, so a
-        // concurrent batch on this program could clobber them the moment
-        // the lock drops.
-        mem = lookup.program->pipeline->profiler().memoryCounters();
+        // Read the modelled device time while still holding the exec lock:
+        // run() resets the profiler, so a concurrent batch on this program
+        // could clobber it the moment the lock drops.
         simUs = lookup.program->pipeline->profiler().simTimeUs();
       } catch (...) {
         runError = std::current_exception();
@@ -496,7 +498,6 @@ void Engine::executeBatch(SealedBatch sealed) {
       for (auto& r : live) executeSolo(std::move(r), execStart);
       return;
     }
-    metrics_.recordMemory(mem.freshAllocs, mem.reusedAllocs);
     metrics_.recordSimBusy(simUs);
 
     // 4. De-interleave: the j-th (possibly ragged) row block of every
@@ -592,7 +593,6 @@ void Engine::executeSolo(std::unique_ptr<PendingRequest> request,
 
   const auto runStart = Clock::now();
   std::vector<runtime::RtValue> outputs;
-  runtime::Profiler::MemoryCounters mem;
   double simUs = 0;
   try {
     obs::TraceSpan execSpan("serve", "exec");
@@ -602,7 +602,6 @@ void Engine::executeSolo(std::unique_ptr<PendingRequest> request,
     std::lock_guard<std::mutex> execLock(lookup.program->execMutex);
     if (injector != nullptr) injector->beginRun();
     outputs = lookup.program->pipeline->run(request->request.inputs);
-    mem = lookup.program->pipeline->profiler().memoryCounters();
     simUs = lookup.program->pipeline->profiler().simTimeUs();
   } catch (...) {
     if (options_.tuner != nullptr && key.options != options_.pipeline)
@@ -610,7 +609,6 @@ void Engine::executeSolo(std::unique_ptr<PendingRequest> request,
     deliverError(std::move(request), std::current_exception());
     return;
   }
-  metrics_.recordMemory(mem.freshAllocs, mem.reusedAllocs);
   metrics_.recordSimBusy(simUs);
   if (options_.tuner != nullptr && key.options != options_.pipeline)
     options_.tuner->recordMeasurement(key.workload, options_.kind,

@@ -75,14 +75,6 @@ void MetricsCollector::recordDecoalesced() {
   ++decoalesced_;
 }
 
-void MetricsCollector::recordMemory(std::int64_t freshAllocs,
-                                    std::int64_t reusedAllocs) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (freshAllocs > 0) arenaFresh_ += static_cast<std::uint64_t>(freshAllocs);
-  if (reusedAllocs > 0)
-    arenaReused_ += static_cast<std::uint64_t>(reusedAllocs);
-}
-
 void MetricsCollector::recordSimBusy(double simUs) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (simUs > 0) simBusyUs_ += simUs;
@@ -103,8 +95,6 @@ void MetricsCollector::fill(MetricsSnapshot& out) const {
                     : static_cast<double>(batchedRequests_) /
                           static_cast<double>(batches_);
   out.sessionsOpened = sessions_;
-  out.arenaFreshAllocs = arenaFresh_;
-  out.arenaReusedAllocs = arenaReused_;
   out.simBusyUs = simBusyUs_;
   for (int r = 0; r < kNumRejectReasons; ++r) out.rejected[r] = rejected_[r];
   out.fallbackRequests = fallbacks_;
@@ -168,16 +158,6 @@ void exportSnapshot(const MetricsSnapshot& snapshot,
   }
   counter("tssa_serve_fallback_total", snapshot.fallbackRequests);
   counter("tssa_serve_decoalesced_total", snapshot.decoalescedBatches);
-  // Same canonical names the Profiler exporter uses: one logical metric,
-  // one name, whether it comes from a single pipeline or an engine-wide
-  // aggregate. (Don't export a Profiler and the Engine that aggregates it
-  // into the same registry — the values describe the same traffic.)
-  registry.counterSet(
-      obs::withLabels("tssa_arena_allocs_total{kind=\"fresh\"}", labels),
-      static_cast<std::int64_t>(snapshot.arenaFreshAllocs));
-  registry.counterSet(
-      obs::withLabels("tssa_arena_allocs_total{kind=\"reused\"}", labels),
-      static_cast<std::int64_t>(snapshot.arenaReusedAllocs));
 }
 
 std::string MetricsSnapshot::toString() const {
@@ -187,8 +167,7 @@ std::string MetricsSnapshot::toString() const {
       "requests=%llu errors=%llu rejected=%llu fallback=%llu rps=%.1f "
       "p50=%.0fus p95=%.0fus p99=%.0fus "
       "batches=%llu mean_batch=%.2f cache_hit_rate=%.1f%% (hits=%llu "
-      "misses=%llu evictions=%llu) compile_total=%.0fus "
-      "arena_reuse=%.1f%% (fresh=%llu reused=%llu)",
+      "misses=%llu evictions=%llu) compile_total=%.0fus",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(errors),
       static_cast<unsigned long long>(rejectedTotal()),
@@ -198,10 +177,7 @@ std::string MetricsSnapshot::toString() const {
       meanBatchSize, cacheHitRate() * 100.0,
       static_cast<unsigned long long>(cacheHits),
       static_cast<unsigned long long>(cacheMisses),
-      static_cast<unsigned long long>(cacheEvictions), compileUsTotal,
-      arenaReuseRate() * 100.0,
-      static_cast<unsigned long long>(arenaFreshAllocs),
-      static_cast<unsigned long long>(arenaReusedAllocs));
+      static_cast<unsigned long long>(cacheEvictions), compileUsTotal);
   return buf;
 }
 

@@ -113,26 +113,16 @@ struct MetricsSnapshot {
   // the device model's specialized path.
   double simBusyUs = 0;
 
-  // Memory-planner counters accumulated across executed batches (read from
-  // each program's Profiler after its run): arena allocations served fresh
-  // from the heap vs. recycled from the pool. A warm engine should show the
-  // reuse rate approaching 1 — cached programs keep their arenas across
-  // requests.
+  // Always zero; kept only because perfbench/perfbench.cpp reads them.
   std::uint64_t arenaFreshAllocs = 0;
   std::uint64_t arenaReusedAllocs = 0;
-  double arenaReuseRate() const {
-    const std::uint64_t n = arenaFreshAllocs + arenaReusedAllocs;
-    return n == 0 ? 0.0
-                  : static_cast<double>(arenaReusedAllocs) /
-                        static_cast<double>(n);
-  }
 
   /// One-line human-readable summary (used by bench/serve_throughput).
   std::string toString() const;
 };
 
 /// Exports the snapshot's scalar counters/gauges into `registry` under the
-/// canonical `tssa_serve_*` / `tssa_arena_*` names (DESIGN.md §9). The
+/// canonical `tssa_serve_*` names (DESIGN.md §9). The
 /// latency histograms need the raw samples and are exported by
 /// MetricsCollector::exportTo / Engine::exportMetrics.
 ///
@@ -163,12 +153,9 @@ class MetricsCollector {
   void recordFallback();
   /// Records one batch re-executed de-coalesced after its batched run threw.
   void recordDecoalesced();
-  /// Records one executed batch's arena traffic (fresh vs. reused
-  /// allocations, from the program profiler's memory counters).
-  void recordMemory(std::int64_t freshAllocs, std::int64_t reusedAllocs);
   /// Records one executed batch's simulated device time (the program
-  /// profiler's simTimeUs, read under the same exec lock as the memory
-  /// counters — run() resets the profiler).
+  /// profiler's simTimeUs, read under the program's exec lock — run()
+  /// resets the profiler).
   void recordSimBusy(double simUs);
 
   /// Fills the latency / throughput / batching part of `out` (the engine
@@ -192,8 +179,6 @@ class MetricsCollector {
   std::uint64_t batches_ = 0;
   std::uint64_t batchedRequests_ = 0;
   std::uint64_t sessions_ = 0;
-  std::uint64_t arenaFresh_ = 0;
-  std::uint64_t arenaReused_ = 0;
   double simBusyUs_ = 0;
   std::uint64_t rejected_[kNumRejectReasons] = {};
   std::uint64_t fallbacks_ = 0;

@@ -19,7 +19,6 @@ std::string ProgramKey::toString() const {
   std::ostringstream os;
   os << workload << "/" << runtime::pipelineName(kind) << "/" << signature
      << "/" << options.device.name << "/threads=" << options.threads;
-  if (!options.memoryPlan) os << "/mem=0";
   if (options.fusionMaxOps != 0) os << "/fuse=" << options.fusionMaxOps;
   if (options.parallelizeMask != ~std::uint64_t{0})
     os << "/par=" << std::hex << options.parallelizeMask << std::dec;

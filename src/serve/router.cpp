@@ -13,6 +13,10 @@ namespace tssa::serve {
 
 namespace {
 
+/// Ring points per shard: enough that each shard's share of the keys stays
+/// near 1/N.
+constexpr std::size_t kVnodesPerShard = 64;
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -37,8 +41,7 @@ std::uint64_t HashRing::hashKey(std::string_view key) {
   return splitmix64(h);
 }
 
-HashRing::HashRing(int shards, int vnodesPerShard)
-    : vnodesPerShard_(std::max(1, vnodesPerShard)) {
+HashRing::HashRing(int shards) {
   TSSA_CHECK(shards >= 0, "shard count must be >= 0");
   for (int s = 0; s < shards; ++s) shardIds_.push_back(s);
   rebuild();
@@ -61,10 +64,9 @@ void HashRing::removeShard(int shard) {
 
 void HashRing::rebuild() {
   points_.clear();
-  points_.reserve(shardIds_.size() *
-                  static_cast<std::size_t>(vnodesPerShard_));
+  points_.reserve(shardIds_.size() * kVnodesPerShard);
   for (int shard : shardIds_)
-    for (int v = 0; v < vnodesPerShard_; ++v)
+    for (std::size_t v = 0; v < kVnodesPerShard; ++v)
       points_.emplace_back(hashKey("shard-" + std::to_string(shard) + "#" +
                                    std::to_string(v)),
                            shard);
@@ -112,7 +114,7 @@ std::vector<int> HashRing::preferenceFor(std::string_view key,
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
-      ring_(options_.shards, options_.vnodesPerShard) {
+      ring_(options_.shards) {
   TSSA_CHECK(options_.shards >= 1, "router needs >= 1 shard");
   shards_.reserve(static_cast<std::size_t>(options_.shards));
   for (int s = 0; s < options_.shards; ++s) {
@@ -419,8 +421,6 @@ MetricsSnapshot Router::mergedMetrics() const {
       merged.rejected[r] += s.rejected[r];
     merged.fallbackRequests += s.fallbackRequests;
     merged.decoalescedBatches += s.decoalescedBatches;
-    merged.arenaFreshAllocs += s.arenaFreshAllocs;
-    merged.arenaReusedAllocs += s.arenaReusedAllocs;
     merged.simBusyUs += s.simBusyUs;
     // Merge the latency samples; scalar names collide in the scratch
     // registry but only the histograms are read back.

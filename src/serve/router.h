@@ -2,7 +2,7 @@
 //
 // One Engine on one pool is a single failure and capacity domain; the router
 // turns the same machine (or, eventually, a fleet) into N isolated shards,
-// each with its own ThreadPool, ProgramCache, and arenas. Placement is
+// each with its own ThreadPool and ProgramCache. Placement is
 // *cache-affine*: a request is routed by consistent hash of the program key
 // Engine::keyFor resolves it to, so every request that would share a
 // compiled program lands on the same shard and the tier-wide compile count
@@ -49,7 +49,7 @@ namespace tssa::serve {
 /// placement depends only on the key bytes and the member shard ids (FNV-1a
 /// + splitmix64, never std::hash), so the same key maps to the same shard
 /// across runs, builds, and platforms — routing decisions are reproducible
-/// and benchable. Virtual nodes (vnodesPerShard ring points per shard) keep
+/// and benchable. Virtual nodes (64 ring points per shard) keep
 /// the load split near-uniform; adding or removing one shard moves only the
 /// keys whose arc changed hands, ~K/N of them (tests/router_test.cpp pins
 /// both properties).
@@ -58,7 +58,7 @@ namespace tssa::serve {
 /// construction. Reads are const and safe to share.
 class HashRing {
  public:
-  explicit HashRing(int shards = 0, int vnodesPerShard = 64);
+  explicit HashRing(int shards = 0);
 
   void addShard(int shard);
   void removeShard(int shard);
@@ -78,7 +78,6 @@ class HashRing {
   static std::uint64_t hashKey(std::string_view key);
 
  private:
-  int vnodesPerShard_;
   std::vector<int> shardIds_;  ///< sorted member ids
   /// Ring points (hash, shard), sorted by hash.
   std::vector<std::pair<std::uint64_t, int>> points_;
@@ -88,7 +87,6 @@ class HashRing {
 
 struct RouterOptions {
   int shards = 2;
-  int vnodesPerShard = 64;
   /// Shed-and-retry budget: how many *additional* ring positions a request
   /// may try after its home shard sheds it with QueueFull (or is found
   /// shutting down mid-flight). 0 disables retries — required when the

@@ -55,8 +55,8 @@ const float* KvCache::pageData(std::int32_t id) const {
 std::int32_t KvCache::allocPage() {
   if (freePages_.empty()) {
     const std::int64_t pageFloats = options_.pageTokens * options_.tokenFloats;
-    slabs_.push_back(
-        arena_.allocate(options_.slabPages * pageFloats, DType::Float32));
+    slabs_.push_back(std::make_shared<Storage>(options_.slabPages * pageFloats,
+                                               DType::Float32));
     stats_.slabBytes += options_.slabPages * pageFloats *
                         static_cast<std::int64_t>(sizeof(float));
     // Newest pages go to the back of the free list so low page ids (and
@@ -163,7 +163,6 @@ void KvCache::clear() {
   sessions_.clear();
   freePages_.clear();
   pagesAllocated_ = 0;
-  for (StoragePtr& slab : slabs_) arena_.recycle(std::move(slab));
   slabs_.clear();
 }
 

@@ -10,13 +10,10 @@
 // a fresh page from the free list, and ending a session returns every page
 // with one splice — O(pages), no per-token bookkeeping.
 //
-// Layered on the arena: backing slabs are allocated through a private
-// tssa::Arena (the same pool allocator the memory planner uses, DESIGN.md
-// §8), so slab storage is zeroed, size-classed, and returned to the pool on
-// clear()/destruction rather than thrashing the heap when a cache is torn
-// down and rebuilt. The arena is not thread-safe, so every touch happens
-// under the cache's own mutex — unlike Arena, a KvCache is shared between
-// the decode scheduler thread and whoever scrapes stats.
+// Backing slabs are plain heap Storage: a slab is zeroed when allocated and
+// freed when clear() drops it or the cache dies. Every touch of the cache
+// happens under its own mutex, because a KvCache is shared between the
+// decode scheduler thread and whoever scrapes stats.
 //
 // Admission is reservation-based: a session reserves its worst-case page
 // count (ceil(totalTokens / pageTokens)) *before* it is admitted, so a
@@ -33,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/tensor/arena.h"
 #include "src/tensor/storage.h"
 
 namespace tssa {
@@ -48,7 +44,7 @@ struct KvCacheOptions {
   /// session's reservation would push past it, tryReserve fails and the
   /// caller sheds the session (kv_exhausted).
   std::int64_t maxPages = 0;
-  /// Pages per backing slab (one arena allocation covers this many pages).
+  /// Pages per backing slab (one allocation covers this many pages).
   std::int64_t slabPages = 64;
 };
 
@@ -101,7 +97,7 @@ class KvCache {
   /// session may never have reserved).
   void release(const std::string& session);
 
-  /// Releases every session and returns all slabs to the arena pool.
+  /// Releases every session and frees all slabs.
   void clear();
 
   Stats stats() const;
@@ -123,7 +119,6 @@ class KvCache {
 
   const KvCacheOptions options_;
   mutable std::mutex mutex_;
-  Arena arena_;  ///< backs the slabs; touched only under mutex_
   std::vector<StoragePtr> slabs_;
   std::vector<std::int32_t> freePages_;
   std::int64_t pagesAllocated_ = 0;  ///< pages carved out of slabs so far

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -18,44 +17,6 @@ class Storage {
   Storage(std::int64_t numel, DType dtype)
       : dtype_(dtype),
         data_(static_cast<std::size_t>(numel) * dtypeSize(dtype)) {}
-
-  /// Constructs with at least `reserveBytes` of capacity (the Arena rounds
-  /// fresh allocations up to their size class so a later recycle lands back
-  /// in the same bucket). Contents are zeroed like the plain constructor.
-  Storage(std::int64_t numel, DType dtype, std::size_t reserveBytes)
-      : dtype_(dtype) {
-    const auto bytes = static_cast<std::size_t>(numel) * dtypeSize(dtype);
-    data_.reserve(reserveBytes > bytes ? reserveBytes : bytes);
-    data_.resize(bytes);  // value-initializes: zeroed, no reallocation
-  }
-
-  /// Adopts a recycled byte buffer from an Arena bucket (its capacity covers
-  /// the request by bucket invariant) and zeroes the logical size, making
-  /// the result bitwise identical to a freshly constructed Storage.
-  Storage(std::int64_t numel, DType dtype, std::vector<std::byte>&& recycled)
-      : dtype_(dtype), data_(std::move(recycled)) {
-    const auto bytes = static_cast<std::size_t>(numel) * dtypeSize(dtype);
-    data_.resize(bytes);
-    std::memset(data_.data(), 0, bytes);
-  }
-
-  /// On the final release, donates the byte buffer to the thread's
-  /// scope-current arena (if any) — see Arena route 1 in src/tensor/arena.h.
-  /// Defined in arena.cpp.
-  ~Storage();
-
-  /// Re-initializes a recycled buffer in place: new logical size and dtype,
-  /// contents zeroed so it is bitwise identical to a freshly constructed
-  /// Storage. Only the Arena calls this, and only on buffers it proved to be
-  /// solely owned.
-  void reinit(std::int64_t numel, DType dtype) {
-    dtype_ = dtype;
-    const auto bytes = static_cast<std::size_t>(numel) * dtypeSize(dtype);
-    data_.resize(bytes);
-    std::memset(data_.data(), 0, bytes);
-  }
-
-  std::size_t capacityBytes() const { return data_.capacity(); }
 
   DType dtype() const { return dtype_; }
 
@@ -78,8 +39,6 @@ class Storage {
   }
 
  private:
-  friend class Arena;  // recycle() moves data_ out of a solely-owned storage
-
   DType dtype_;
   std::vector<std::byte> data_;
 };

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <type_traits>
 
-#include "src/tensor/arena.h"
 #include "src/tensor/strided_loop.h"
 
 namespace tssa {
@@ -49,12 +48,7 @@ void copyRows(detail::StridedLoop<2>& loop, D* pd, const S* ps) {
 Tensor Tensor::empty(Shape sizes, DType dtype) {
   const std::int64_t n = numelOf(sizes);
   TSSA_CHECK(n >= 0, "negative element count");
-  // Inside a planned program run, intermediates come from the execution
-  // context's arena (zeroed either way, so planner on/off is bitwise
-  // identical); outside any Arena::Scope this is a plain heap allocation.
-  Arena* arena = Arena::current();
-  StoragePtr storage = arena != nullptr ? arena->allocate(n, dtype)
-                                        : std::make_shared<Storage>(n, dtype);
+  auto storage = std::make_shared<Storage>(n, dtype);
   Strides strides = contiguousStrides(sizes);
   return Tensor(std::move(storage), 0, std::move(sizes), std::move(strides),
                 dtype);

@@ -145,18 +145,6 @@ class Tensor {
   void copy_(const Tensor& src);
   void fill_(Scalar value);
 
-  /// Detaches and returns this tensor's storage handle, leaving the tensor
-  /// undefined. Used by the runtime memory planner when a value dies: the
-  /// Arena re-checks sole ownership via the refcount before pooling, so
-  /// calling this on a still-aliased tensor is safe (the buffer just stays
-  /// alive with its other owners).
-  StoragePtr releaseStorage() {
-    offset_ = 0;
-    sizes_.clear();
-    strides_.clear();
-    return std::move(storage_);
-  }
-
   /// Renders the tensor (shape, dtype, and up to `maxElems` values).
   std::string toString(std::int64_t maxElems = 64) const;
 

@@ -65,7 +65,6 @@ TunedConfig TunedConfig::defaults(const runtime::PipelineOptions& base) {
   c.fusionMaxOps = base.fusionMaxOps;
   c.parallelizeMask = base.parallelizeMask;
   c.threads = base.threads;
-  c.memoryPlan = base.memoryPlan;
   return c;
 }
 
@@ -74,15 +73,14 @@ runtime::PipelineOptions TunedConfig::applyTo(
   base.fusionMaxOps = fusionMaxOps;
   base.parallelizeMask = parallelizeMask;
   base.threads = threads;
-  base.memoryPlan = memoryPlan;
   return base;
 }
 
 std::string TunedConfig::toString() const {
   std::ostringstream os;
   os << "fuse=" << fusionMaxOps << "|mask=" << std::hex << parallelizeMask
-     << std::dec << "|threads=" << threads << "|mem=" << memoryPlan
-     << "|mb=" << maxBatch << "|wait=" << maxWaitUs;
+     << std::dec << "|threads=" << threads << "|mb=" << maxBatch
+     << "|wait=" << maxWaitUs;
   return os.str();
 }
 
@@ -186,9 +184,7 @@ TuneResult Autotuner::tune(const std::string& workload,
   // beating it on this machine.
   TunedConfig winner = best;
   if (options_.measure) {
-    const int hw = options_.hardwareThreads > 0
-                       ? options_.hardwareThreads
-                       : runtime::ThreadPool::hardwareThreads();
+    const int hw = runtime::ThreadPool::hardwareThreads();
     std::vector<TunedConfig> shortlist{defaults, best};
     if (hw != defaults.threads) {
       TunedConfig t = defaults;
@@ -201,14 +197,11 @@ TuneResult Autotuner::tune(const std::string& workload,
     // Wall-clock-only explorers. The analytic clock models a hypothetical
     // accelerator, so it is structurally blind to (or inverted on) host-side
     // effects: fused bodies vs. plain kernels under a fusion cap, the
-    // ParallelMap merge machinery on a low-core box, arena bookkeeping.
+    // ParallelMap merge machinery on a low-core box.
     // These candidates can only be justified by measuring; each one
     // displaces the default only by beating it for real.
     {
       TunedConfig t = defaults;
-      t.memoryPlan = false;
-      shortlist.push_back(t);
-      t = defaults;
       t.parallelizeMask = 0;
       shortlist.push_back(t);
       for (const std::size_t cap : {std::size_t{2}, std::size_t{4}}) {

@@ -3,8 +3,8 @@
 //
 // The pass pipeline and the serving engine expose knobs that have always run
 // on fixed heuristics: fusion group size (unlimited), per-loop
-// parallelization (always on), interpreter thread count, the memory planner,
-// and the micro-batcher's window. The Autotuner searches that
+// parallelization (always on), interpreter thread count, and the
+// micro-batcher's window. The Autotuner searches that
 // config space per (workload × pipeline kind), in two phases:
 //
 //  * Offline, analytic: candidate configs are compiled with
@@ -15,11 +15,11 @@
 //    group size, drop one loop from parallelization), greedy-with-jitter,
 //    deterministic under TunerOptions::seed. Only knobs the simulated clock
 //    can see are searched here: simUs is thread-count invariant by design,
-//    so threads/memoryPlan are NOT differentiated analytically.
+//    so threads are NOT differentiated analytically.
 //  * Measured shortlist: the analytic winner and the default, crossed with
 //    hardware threads, plus wall-clock-only explorers the analytic clock is
-//    structurally blind to (memory planner off, parallelization off, small
-//    fusion caps — host-side effects a modelled accelerator cannot see),
+//    structurally blind to (parallelization off, small fusion caps —
+//    host-side effects a modelled accelerator cannot see),
 //    are executed for real and the best measured
 //    ns/iter wins. The default is always in the shortlist and measured
 //    first, so the installed config is never worse than the default on the
@@ -66,7 +66,6 @@ struct TunedConfig {
   std::size_t fusionMaxOps = 0;        ///< 0 = unlimited (heuristic)
   std::uint64_t parallelizeMask = ~std::uint64_t{0};
   int threads = 1;
-  bool memoryPlan = true;
   int maxBatch = 0;             ///< micro-batch cap; 0 = engine default
   std::int64_t maxWaitUs = -1;  ///< micro-batch window; < 0 = engine default
 
@@ -85,9 +84,6 @@ struct TunerOptions {
   std::uint64_t seed = 1;  ///< search determinism: same seed ⇒ same config
   int searchSteps = 48;    ///< Markov moves in the analytic phase
   int measureReps = 3;     ///< wall-clock reps per shortlist candidate
-  /// Thread count the "parallel" shortlist candidates use; 0 = the machine's
-  /// runtime::ThreadPool::hardwareThreads().
-  int hardwareThreads = 0;
   /// Skip the measured-shortlist phase (analytic only): the installed config
   /// is the analytic winner with default wall-clock knobs. Used by tests
   /// that need full determinism without timing noise.

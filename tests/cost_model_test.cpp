@@ -310,7 +310,6 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnRandomFusedRegions) {
     // Eager applies no passes, so the pipeline executes this exact graph.
     PipelineOptions po;
     po.threads = 1;
-    po.memoryPlan = false;
     runtime::Pipeline pipeline(PipelineKind::Eager, g, po);
     pipeline.run(built.inputs);
 
@@ -373,7 +372,6 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnMaskedFillAndPermuteGroups) {
   for (const auto& [graph, inputs] : cases) {
     PipelineOptions po;
     po.threads = 1;
-    po.memoryPlan = false;
     runtime::Pipeline pipeline(PipelineKind::Eager, *graph, po);
     pipeline.run(inputs);
     CostOptions opts;

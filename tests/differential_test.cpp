@@ -106,14 +106,14 @@ TEST_P(DifferentialTest, EveryLevelMatchesReference) {
     compileTo(level, *graph);
     if (::testing::Test::HasFatalFailure()) return;
 
-    Interpreter serial(nullptr, /*threads=*/1);
+    Interpreter serial(/*threads=*/1);
     expectMatchesReference(w, expected, serial.run(*graph, w.inputs), level,
                            1);
     if (level == Level::Parallelized) {
       // The same compiled program, now with the threaded engine: iterations
       // of proven-independent ParallelMaps and the element loops of fused
       // kernels actually run concurrently.
-      Interpreter threaded(nullptr, /*threads=*/4);
+      Interpreter threaded(/*threads=*/4);
       expectMatchesReference(w, expected, threaded.run(*graph, w.inputs),
                              level, 4);
     }

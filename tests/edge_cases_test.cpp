@@ -354,9 +354,9 @@ TEST(EdgeCaseTest, OverlappingCopyActsOnSourceSnapshot) {
   }
 }
 
-// Rank-0 and extent-0 tensors through a planner-enabled pipeline: the arena
-// bypasses zero-byte allocations, and repeated runs (which recycle buffers)
-// must stay bitwise identical to the first and to a planner-off pipeline.
+// Rank-0 and extent-0 tensors through a TensorSSA pipeline: repeated runs
+// (with zero-byte buffers and a donated in-place Assign) must stay bitwise
+// identical to a second pipeline's run.
 TEST(EdgeCaseTest, RankZeroAndExtentZeroThroughPlannedPipeline) {
   Graph g;
   Value* s0 = g.addInput(Type::tensor(), "s");   // rank-0
@@ -372,14 +372,11 @@ TEST(EdgeCaseTest, RankZeroAndExtentZeroThroughPlannedPipeline) {
 
   std::vector<RtValue> in{RtValue(Tensor::full({}, Scalar(2.0))),
                           RtValue(Tensor::zeros({0, 3}))};
-  runtime::PipelineOptions planned;
-  runtime::PipelineOptions unplanned;
-  unplanned.memoryPlan = false;
-  runtime::Pipeline on(runtime::PipelineKind::TensorSsa, g, planned);
-  runtime::Pipeline off(runtime::PipelineKind::TensorSsa, g, unplanned);
-  auto reference = off.run(in);
+  runtime::Pipeline pipeline(runtime::PipelineKind::TensorSsa, g);
+  runtime::Pipeline second(runtime::PipelineKind::TensorSsa, g);
+  auto reference = second.run(in);
   for (int run = 0; run < 3; ++run) {
-    auto got = on.run(in);
+    auto got = pipeline.run(in);
     ASSERT_EQ(got.size(), reference.size());
     EXPECT_EQ(got[0].tensor().dim(), 0);
     EXPECT_EQ(got[0].tensor().scalarAt(Shape{}), 9.0);

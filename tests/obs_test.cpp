@@ -348,13 +348,11 @@ TEST_F(ObsTracerTest, TracedThreadedWorkloadShowsAllLayers) {
   for (const JsonValue& e : doc.at("traceEvents").array)
     ++byCatName[e.at("cat").str + "/" + e.at("name").str];
 
-  // Compilation: every pass span once, inside one compile span, plus the
-  // memory-plan span from Pipeline construction.
+  // Compilation: every pass span once, inside one compile span.
   EXPECT_EQ(byCatName["pipeline/compile"], 1);
   EXPECT_EQ(byCatName["pipeline/functionalize"], 1);
   EXPECT_EQ(byCatName["pipeline/fusion"], 1);
   EXPECT_EQ(byCatName["pipeline/parallelize"], 1);
-  EXPECT_EQ(byCatName["pipeline/memory-plan"], 1);
   // Execution: one run span; fused regions execute inside it.
   EXPECT_EQ(byCatName["exec/Interpreter.run"], 1);
   EXPECT_GT(byCatName["exec/FusionGroup"], 0);
@@ -483,11 +481,6 @@ TEST(ObsMetricsTest, ExportedProfilerCountersMatch) {
   EXPECT_EQ(snap.counter("tssa_bytes_moved_total"), prof.bytesMoved());
   EXPECT_EQ(snap.counter("tssa_flops_total"), prof.flops());
   EXPECT_EQ(snap.gauge("tssa_sim_time_us"), prof.simTimeUs());
-  const auto mem = prof.memoryCounters();
-  EXPECT_EQ(snap.counter("tssa_arena_allocs_total{kind=\"fresh\"}"),
-            mem.freshAllocs);
-  EXPECT_EQ(snap.counter("tssa_arena_allocs_total{kind=\"reused\"}"),
-            mem.reusedAllocs);
 
   // The per-kernel invocation counters add up to the total launch count.
   std::int64_t perKernelSum = 0;
@@ -531,10 +524,6 @@ TEST(ObsMetricsTest, ExportedServeMetricsMatchSnapshot) {
             static_cast<std::int64_t>(snap.cacheHits));
   EXPECT_EQ(reg.counter("tssa_serve_cache_misses_total"),
             static_cast<std::int64_t>(snap.cacheMisses));
-  EXPECT_EQ(reg.counter("tssa_arena_allocs_total{kind=\"fresh\"}"),
-            static_cast<std::int64_t>(snap.arenaFreshAllocs));
-  EXPECT_EQ(reg.counter("tssa_arena_allocs_total{kind=\"reused\"}"),
-            static_cast<std::int64_t>(snap.arenaReusedAllocs));
 
   const obs::HistogramStats lat =
       reg.histogram("tssa_serve_request_latency_us");
@@ -585,8 +574,9 @@ std::map<std::string, double> parsePrometheus(const std::string& text) {
 TEST(ObsMetricsTest, PrometheusExpositionRoundTrips) {
   MetricsRegistry registry;
   registry.counterAdd("tssa_kernel_launches_total", 42);
-  registry.counterSet("tssa_arena_allocs_total{kind=\"fresh\"}", 7);
-  registry.counterSet("tssa_arena_allocs_total{kind=\"reused\"}", 35);
+  registry.counterSet("tssa_serve_rejected_total{reason=\"deadline\"}", 7);
+  registry.counterSet("tssa_serve_rejected_total{reason=\"queue_full\"}",
+                      35);
   registry.counterSet(
       "tssa_kernel_invocations_total{kernel=" +
           obs::promLabelValue("fused<add,mul>\"x\"") + "}",
@@ -600,8 +590,9 @@ TEST(ObsMetricsTest, PrometheusExpositionRoundTrips) {
       parsePrometheus(snap.toPrometheus());
 
   EXPECT_EQ(parsed.at("tssa_kernel_launches_total"), 42);
-  EXPECT_EQ(parsed.at("tssa_arena_allocs_total{kind=\"fresh\"}"), 7);
-  EXPECT_EQ(parsed.at("tssa_arena_allocs_total{kind=\"reused\"}"), 35);
+  EXPECT_EQ(parsed.at("tssa_serve_rejected_total{reason=\"deadline\"}"), 7);
+  EXPECT_EQ(parsed.at("tssa_serve_rejected_total{reason=\"queue_full\"}"),
+            35);
   EXPECT_EQ(parsed.at("tssa_serve_throughput_rps"), 123.5);
   EXPECT_EQ(
       parsed.at(
@@ -625,7 +616,7 @@ TEST(ObsMetricsTest, PrometheusExpositionRoundTrips) {
   // One # TYPE line per base name, even with multiple labeled series.
   const std::string text = snap.toPrometheus();
   std::size_t typeCount = 0, pos = 0;
-  while ((pos = text.find("# TYPE tssa_arena_allocs_total ", pos)) !=
+  while ((pos = text.find("# TYPE tssa_serve_rejected_total ", pos)) !=
          std::string::npos) {
     ++typeCount;
     ++pos;

@@ -258,5 +258,31 @@ TEST(ParallelExecTest, YolactActuallyBearsAParallelMap) {
       << "no ParallelMap with par_dims metadata in compiled yolact";
 }
 
+// A caller's outputs survive later runs of the same Pipeline: no buffer a
+// run hands back is written again, in particular not by a donated in-place
+// Assign (core::markInplaceAssigns) of the next run.
+TEST(PipelineOutputsTest, OutputsSurviveLaterRuns) {
+  WorkloadConfig config;
+  config.seqLen = 6;
+  Workload w = buildWorkload("lstm", config);
+  Pipeline p(PipelineKind::TensorSsa, *w.graph);
+
+  const std::vector<RtValue> first = p.run(w.inputs);
+  std::vector<Tensor> saved;
+  for (const RtValue& v : first)
+    if (v.isTensor()) saved.push_back(v.tensor().clone());
+
+  p.run(w.inputs);
+  p.run(w.inputs);
+
+  std::size_t k = 0;
+  for (const RtValue& v : first) {
+    if (!v.isTensor()) continue;
+    EXPECT_TRUE(bitwiseEqual(v.tensor(), saved[k]))
+        << "output " << k << " was clobbered by a later run";
+    ++k;
+  }
+}
+
 }  // namespace
 }  // namespace tssa

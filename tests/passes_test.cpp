@@ -12,6 +12,7 @@
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
 #include "src/runtime/interpreter.h"
+#include "src/runtime/profiler.h"
 #include "src/tensor/random.h"
 
 namespace tssa {

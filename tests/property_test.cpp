@@ -125,7 +125,7 @@ TEST_P(RandomProgramTest, ParallelizedExecutionMatchesSerial) {
   verified("eliminateDeadCode", [&] { core::eliminateDeadCode(g); });
 
   for (int threads : {1, 4}) {
-    runtime::Interpreter interp(nullptr, threads);
+    runtime::Interpreter interp(threads);
     auto actual = interp.run(g, inputs);
     ASSERT_EQ(expected.size(), actual.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {

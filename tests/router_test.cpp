@@ -84,7 +84,7 @@ TEST(HashRingTest, HashIsStableAcrossRuns) {
 }
 
 TEST(HashRingTest, SpreadIsNearUniform) {
-  HashRing ring(4, /*vnodesPerShard=*/64);
+  HashRing ring(4);
   std::vector<int> counts(4, 0);
   const int n = 2000;
   for (const std::string& key : testKeys(n))

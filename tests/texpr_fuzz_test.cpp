@@ -87,7 +87,7 @@ TEST(TexprFuzzTest, FusedMatchesWholeBodyBitwise) {
 
     const auto reference = interpretedBody(g, built.inputs);
     for (const int threads : {1, hw}) {
-      expectBitwiseEqual(Interpreter(nullptr, threads).run(g, built.inputs),
+      expectBitwiseEqual(Interpreter(threads).run(g, built.inputs),
                          reference,
                          "fused(threads=" + std::to_string(threads) +
                              ") vs whole body");
@@ -124,7 +124,7 @@ TEST(TexprFuzzTest, TiledMatchesWholeBodyBitwise) {
     const auto reference = interpretedBody(g, cloned(built.inputs));
     for (const int threads : {1, hw}) {
       expectBitwiseEqual(
-          Interpreter(nullptr, threads).run(g, cloned(built.inputs)),
+          Interpreter(threads).run(g, cloned(built.inputs)),
           reference,
           "tiled(threads=" + std::to_string(threads) + ") vs whole body");
     }

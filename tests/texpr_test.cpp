@@ -86,7 +86,7 @@ std::vector<RtValue> expectTexprMatchesInterpreter(
   const std::vector<RtValue> whole = wholeBodyRun(g, inputs);
   std::vector<RtValue> serial;
   for (const int threads : {1, hwThreads()}) {
-    std::vector<RtValue> fused = Interpreter(nullptr, threads).run(g, inputs);
+    std::vector<RtValue> fused = Interpreter(threads).run(g, inputs);
     EXPECT_EQ(fused.size(), whole.size());
     for (std::size_t i = 0; i < std::min(fused.size(), whole.size()); ++i) {
       expectSameDtypeAndBits(fused[i].tensor(), whole[i].tensor(),
@@ -389,7 +389,7 @@ TEST(TexprTest, InvalidAccessViewRaisesTypedError) {
     // The fused body, the inlined body (Tensor::permute's own checks) and
     // the one-kernel pricing rule (analysis::viewMeta's checks).
     for (const int threads : {1, hwThreads()}) {
-      EXPECT_THROW(Interpreter(nullptr, threads).run(*g, inputs), Error)
+      EXPECT_THROW(Interpreter(threads).run(*g, inputs), Error)
           << "dims " << dims.size() << " threads=" << threads;
     }
     EXPECT_THROW(wholeBodyRun(*g, inputs), Error) << "dims " << dims.size();

@@ -1,13 +1,13 @@
 // Directed tests for tiled fused bodies (src/analysis/tile_plan.h, executed
 // by runtime::Interpreter): each body below tiles into at least three tiles
 // and must reproduce the whole body — the same graph with its FusionGroup
-// inlined — bit for bit, serially and across the pool, with and without a
-// memory plan. The cases cover what a tile may not get wrong: writes through
-// to a param, params read whole by every tile, reductions beside the tiled
-// dim, reshape/expand sizes, errors, and nesting in a threaded ParallelMap;
-// and what the planner must find: a dim class that meets a higher-rank param
-// only through select, tiles sized by what they touch, and one plan for
-// every step of a loop that selects by its index.
+// inlined — bit for bit, serially and across the pool. The cases cover what
+// a tile may not get wrong: writes through to a param, params read whole by
+// every tile, reductions beside the tiled dim, reshape/expand sizes, errors,
+// and nesting in a threaded ParallelMap; and what the planner must find: a
+// dim class that meets a higher-rank param only through select, tiles sized
+// by what they touch, and one plan for every step of a loop that selects by
+// its index.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -15,7 +15,6 @@
 #include <optional>
 #include <string>
 
-#include "src/analysis/liveness.h"
 #include "src/analysis/tile_plan.h"
 #include "src/ir/builder.h"
 #include "src/obs/trace.h"
@@ -92,14 +91,8 @@ std::vector<RtValue> wholeRun(const Graph& g, std::span<const RtValue> in) {
 }
 
 std::vector<RtValue> tiledRun(const Graph& g, std::span<const RtValue> in,
-                              int threads, bool planned) {
-  Interpreter interp(nullptr, threads);
-  std::optional<analysis::MemoryPlan> plan;
-  if (planned) {
-    plan = analysis::planMemory(g);
-    interp.setMemoryPlan(&*plan);
-  }
-  return interp.run(g, in);
+                              int threads) {
+  return Interpreter(threads).run(g, in);
 }
 
 std::optional<analysis::TilePlan> planOf(const FusedGraph& f,
@@ -132,27 +125,24 @@ std::vector<std::map<std::string, std::string>> fusionSpans(
   return spans;
 }
 
-/// Tiled runs of `g` — threads 1 and hw, memory plan off and on — match the
-/// whole body on every output and on every input they write through.
+/// Tiled runs of `g` — threads 1 and hw — match the whole body on every
+/// output and on every input they write through.
 void expectTiledMatchesWhole(const Graph& g,
                              const std::vector<RtValue>& inputs) {
   std::vector<RtValue> wholeIn = cloned(inputs);
   const std::vector<RtValue> want = wholeRun(g, wholeIn);
   for (const int threads : {1, hwThreads()}) {
-    for (const bool planned : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " planned=" + std::to_string(planned));
-      std::vector<RtValue> in = cloned(inputs);
-      const std::vector<RtValue> got = tiledRun(g, in, threads, planned);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(sameBits(got[i].tensor(), want[i].tensor()))
-            << "output " << i;
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        if (in[i].isTensor()) {
-          EXPECT_TRUE(sameBits(in[i].tensor(), wholeIn[i].tensor()))
-              << "input " << i << " after the run";
-        }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<RtValue> in = cloned(inputs);
+    const std::vector<RtValue> got = tiledRun(g, in, threads);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_TRUE(sameBits(got[i].tensor(), want[i].tensor()))
+          << "output " << i;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (in[i].isTensor()) {
+        EXPECT_TRUE(sameBits(in[i].tensor(), wholeIn[i].tensor()))
+            << "input " << i << " after the run";
       }
     }
   }
@@ -206,7 +196,7 @@ TEST(TiledExecTest, InPlaceAssignIntoParamWritesThrough) {
   std::vector<RtValue> in = cloned(c.inputs);
   std::vector<RtValue> out;
   const auto spans = fusionSpans(
-      [&] { out = tiledRun(c.f.graph, in, hwThreads(), /*planned=*/true); });
+      [&] { out = tiledRun(c.f.graph, in, hwThreads()); });
   EXPECT_TRUE(out[1].tensor().sharesStorageWith(in[0].tensor()));
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].at("backend"), "\"tiled\"");
@@ -225,7 +215,7 @@ TEST(TiledExecTest, AliasedInPlaceParamRunsWhole) {
   const auto want = wholeRun(c.f.graph, wholeIn);
   std::vector<RtValue> got;
   const auto spans =
-      fusionSpans([&] { got = tiledRun(c.f.graph, in, 1, false); });
+      fusionSpans([&] { got = tiledRun(c.f.graph, in, 1); });
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].at("backend"), "\"interp\"");
   for (std::size_t i = 0; i < got.size(); ++i)
@@ -413,10 +403,10 @@ TEST(TiledExecTest, OutOfRangeSelectIndexRaisesTheSameError) {
   };
   for (const int threads : {1, hwThreads()}) {
     const std::string at = "threads=" + std::to_string(threads);
-    expectSameError([&] { tiledRun(f.graph, bad, threads, true); }, at);
+    expectSameError([&] { tiledRun(f.graph, bad, threads); }, at);
     // The plan index 7 left behind serves index 9: a select index is not
     // part of the plan's key, and each tile's select range-checks it.
-    Interpreter cached(nullptr, threads);
+    Interpreter cached(threads);
     cached.run(f.graph, inputs);
     std::size_t plans = 0;
     tracedEvents(
@@ -474,7 +464,7 @@ TEST(TiledExecTest, RowWrittenThroughSelectOfRank3ParamTilesAlongBatch) {
 
   std::vector<RtValue> in = cloned(inputs);
   const auto spans = fusionSpans(
-      [&] { tiledRun(f.graph, in, hwThreads(), /*planned=*/true); });
+      [&] { tiledRun(f.graph, in, hwThreads()); });
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].at("backend"), "\"tiled\"");
   EXPECT_EQ(spans[0].at("tiles"), "8");
@@ -523,7 +513,7 @@ TEST(TiledExecTest, ParamReachedOnlyThroughSelectStaysWhole) {
   EXPECT_FALSE(planOf(f, inputs).has_value());
   expectTiledMatchesWhole(f.graph, inputs);
   const auto spans =
-      fusionSpans([&] { tiledRun(f.graph, inputs, hwThreads(), true); });
+      fusionSpans([&] { tiledRun(f.graph, inputs, hwThreads()); });
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].at("backend"), "\"interp\"");
 }
@@ -564,7 +554,7 @@ TEST(TiledExecTest, LoopSelectingByItsIndexPlansOnce) {
     std::vector<RtValue> in = cloned(inputs);
     std::size_t plans = 0;
     std::size_t tiled = 0;
-    tracedEvents([&] { tiledRun(g, in, threads, /*planned=*/true); },
+    tracedEvents([&] { tiledRun(g, in, threads); },
                  [&](const obs::TraceEvent& e) {
                    plans += e.name == "TilePlan";
                    for (const auto& [key, value] : e.args)
@@ -587,7 +577,7 @@ TEST(TiledExecTest, LargeBodiesRunTheirTilesAcrossThePool) {
                                     RtValue(rng.uniform({512, 512}, -1, 1))};
   expectTiledMatchesWhole(f.graph, inputs);
   const auto spans = fusionSpans(
-      [&] { tiledRun(f.graph, inputs, hwThreads(), /*planned=*/true); });
+      [&] { tiledRun(f.graph, inputs, hwThreads()); });
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].at("backend"), "\"tiled\"");
   EXPECT_EQ(spans[0].at("tiles"), "16");
@@ -631,7 +621,7 @@ TEST(TiledExecTest, FusedBodyInThreadedParallelMapRunsTilesSerially) {
   const auto want = wholeRun(g, inputs);
   std::vector<RtValue> got;
   const auto spans = fusionSpans(
-      [&] { got = tiledRun(g, inputs, hwThreads(), /*planned=*/true); });
+      [&] { got = tiledRun(g, inputs, hwThreads()); });
   ASSERT_EQ(got.size(), 1u);
   EXPECT_TRUE(sameBits(got[0].tensor(), want[0].tensor()));
   ASSERT_EQ(spans.size(), 4u);

@@ -112,9 +112,6 @@ TEST(TuneTest, TunedAndDefaultAreBitwiseIdenticalOnAllWorkloads) {
       PipelineOptions v = tuned;
       v.parallelizeMask = 0;
       variants.push_back(v);
-      v = tuned;
-      v.memoryPlan = false;
-      variants.push_back(v);
     }
     for (const PipelineOptions& v : variants) {
       runtime::Pipeline pipeline(PipelineKind::TensorSsa, *w.graph, v);
