@@ -152,13 +152,12 @@ void printSweep(const bench::BenchFlags& flags, runtime::PipelineKind kind,
 }
 
 /// Shape-storm run: one client sweeps 100 distinct sequence lengths over a
-/// single workload. Under exact-shape program keys every length is a new
-/// compile (the cache also churns at cacheCapacity=32, so late requests
-/// re-compile evicted shapes); under the symbolic-pattern keys of
-/// DESIGN.md §13 the whole storm runs through ONE polymorphic program. The
-/// compile count is deterministic and CI-gates it exactly — if a change
-/// re-introduces shape-specialized keys anywhere on the serve path, this
-/// record jumps from 1 to ~100 and the gate fails.
+/// single workload. The engine keys programs on the workload's symbolic
+/// pattern (DESIGN.md §13), so the whole storm runs through ONE polymorphic
+/// program. The compile count is deterministic and CI-gates it exactly — a
+/// change that lets any concrete extent into the program key makes every
+/// length a new compile (and, past cacheCapacity=32, re-compiles of evicted
+/// ones), so this record jumps from 1 to ~100 and the gate fails.
 void printShapeStorm(runtime::PipelineKind kind, bench::BenchReport& report) {
   constexpr int kShapes = 100;
   EngineOptions options;

@@ -35,11 +35,13 @@ std::string promLabelValue(std::string_view v) {
 
 std::string withLabels(const std::string& key, std::string_view labels) {
   if (labels.empty()) return key;
-  const std::size_t brace = key.find('{');
-  if (brace == std::string::npos)
-    return key + "{" + std::string(labels) + "}";
-  std::string out = key;
-  out.insert(out.size() - 1, "," + std::string(labels));
+  // Appended piecewise: GCC 12's -Wrestrict misfires at -O3 on
+  // `"," + std::string(...)`.
+  const bool labelled = key.find('{') != std::string::npos;
+  std::string out = labelled ? key.substr(0, key.size() - 1) : key;
+  out += labelled ? ',' : '{';
+  out += labels;
+  out += '}';
   return out;
 }
 

@@ -61,26 +61,24 @@ MicroBatcher::~MicroBatcher() {
 
 bool MicroBatcher::compatible(const PendingRequest& a,
                               const PendingRequest& b) {
+  // Same key ⇒ both requests instantiate the same symbolic pattern (checked
+  // at admission), so arity, ranks, dtypes and static extents already agree.
   // Shared inputs (batch dim -1) must agree on their values; in the
   // registry those are always scalars (yolact num_dets, fcos normalize).
-  // Batched tensor inputs must be concatenable along the batch dim: a
-  // polymorphic key admits shape diversity (that is its point), so two
+  // Batched tensor inputs must be concatenable along the batch dim: two
   // requests share a batch iff every *non-batch* extent agrees — the batch
-  // extents themselves are free to differ (ragged coalescing). Under
-  // exact-shape keys the concat check is vacuously true (same signature).
+  // extents themselves are free to differ (ragged coalescing).
   for (std::size_t i = 0; i < a.traits.inputDims.size(); ++i) {
     const int d = a.traits.inputDims[i];
     const runtime::RtValue& x = a.request.inputs[i];
     const runtime::RtValue& y = b.request.inputs[i];
     if (d < 0) {
-      if (x.isScalar() != y.isScalar()) return false;
-      if (x.isScalar() && !(x.scalar() == y.scalar())) return false;
       if (!x.isScalar()) return false;  // shared tensors: be conservative
+      if (!(x.scalar() == y.scalar())) return false;
       continue;
     }
     const Tensor& s = x.tensor();
     const Tensor& t = y.tensor();
-    if (s.dim() != t.dim() || s.dtype() != t.dtype()) return false;
     for (std::int64_t dim = 0; dim < s.dim(); ++dim)
       if (dim != d && s.size(dim) != t.size(dim)) return false;
   }

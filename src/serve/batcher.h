@@ -78,10 +78,10 @@ class MicroBatcher {
     std::chrono::steady_clock::time_point sealAt;
   };
 
-  /// Two requests may share a batch iff their shared (non-batched) inputs
-  /// agree and their batched tensor inputs are concatenable along the batch
-  /// dim (equal rank/dtype and equal extents everywhere else — polymorphic
-  /// keys admit ragged batch extents, nothing more).
+  /// Two same-key requests may share a batch iff their shared (non-batched)
+  /// inputs agree and their batched tensor inputs are concatenable along
+  /// the batch dim: equal extents everywhere else (rank and dtype agree
+  /// already — both instantiate the key's pattern), ragged batch extents.
   static bool compatible(const PendingRequest& a, const PendingRequest& b);
 
   void timerLoop();

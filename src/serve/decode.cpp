@@ -21,6 +21,11 @@ namespace {
 /// padded context row, small enough to stay finite through the additions.
 constexpr float kMaskNegative = -1e30f;
 
+/// Program budget of the inner engine: every step request resolves to the
+/// one polymorphic decode_step key, so it needs that program plus the
+/// fallback that stands in for it when its compile fails.
+constexpr std::size_t kStepProgramCapacity = 2;
+
 double usBetween(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
@@ -63,7 +68,7 @@ DecodeScheduler::DecodeScheduler(DecodeOptions options)
         EngineOptions eo;
         eo.kind = options_.kind;
         eo.pipeline = options_.pipeline;
-        eo.cacheCapacity = options_.cacheCapacity;
+        eo.cacheCapacity = kStepProgramCapacity;
         eo.maxBatch = options_.maxStepBatch;
         // Step batches are sealed by the per-iteration drain(), never by the
         // window; a wide window keeps the batcher timer out of the picture

@@ -17,9 +17,9 @@
 // Context lengths are padded up to the smallest configured bucket that
 // holds them, with an additive mask neutralizing the padded rows. Bucketing
 // used to be what kept the compile count bounded (one program per bucket ×
-// coalesced batch size); with the engine's symbolic-shape keys (DESIGN.md
-// §13) ONE polymorphic decode_step program serves every bucket and batch
-// size, and bucketing survives for what it still buys: same-bucket steps
+// coalesced batch size); with the engine's pattern keys (DESIGN.md §13) ONE
+// polymorphic decode_step program serves every bucket and batch size, and
+// bucketing survives for what it still buys: same-bucket steps
 // share a context extent, so the inner engine's batcher can coalesce them,
 // and the largest bucket stays the admission bound. Padding and coalescing
 // are both bitwise-invisible (tests/decode_test.cpp asserts a batched
@@ -52,11 +52,6 @@ namespace tssa::serve {
 struct DecodeOptions {
   runtime::PipelineKind kind = runtime::PipelineKind::TensorSsa;
   runtime::PipelineOptions pipeline{};
-  /// Compiled-program budget of the inner engine. With symbolic-shape keys
-  /// decode needs exactly one polymorphic step program (plus its fallback);
-  /// the old (#buckets × #batch sizes) sizing is kept as headroom for
-  /// engines configured back to exact-shape specialization.
-  std::size_t cacheCapacity = 64;
   /// Sessions coalesced into one step execution (the inner engine's
   /// micro-batch cap).
   int maxStepBatch = 8;

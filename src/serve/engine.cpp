@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "src/obs/json.h"
@@ -26,43 +25,6 @@ double usBetween(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
 
-/// The graph-structure guard of the cache key: config parameters that are
-/// baked into the built graph (output buffer shapes, loop trip counts,
-/// constant weights) beyond what the input shapes already pin down.
-std::string configGuard(const workloads::WorkloadConfig& config) {
-  std::ostringstream os;
-  os << "|b=" << config.batch << "|t=" << config.seqLen
-     << "|seed=" << config.seed;
-  return os.str();
-}
-
-/// The key of `workload`'s program with `signature` under `options`. The
-/// tuned config (when a tuner is installed and has an entry for this
-/// workload × kind) replaces the fixed heuristics *in the key*: programs are
-/// compiled with key.options, so a config change is a different key —
-/// distinct tuned configs can never collide in the cache, and routing on the
-/// rendered key stays cache-affine per config.
-ProgramKey programKey(const EngineOptions& options, const std::string& workload,
-                      std::string signature) {
-  ProgramKey key;
-  key.workload = workload;
-  key.kind = options.kind;
-  key.options = options.tuner != nullptr
-                    ? options.tuner->pipelineFor(workload, options.kind,
-                                                 options.pipeline)
-                    : options.pipeline;
-  key.signature = std::move(signature);
-  return key;
-}
-
-/// The shape-specialized key: `inputs`' signature plus the config guard.
-ProgramKey exactKey(const EngineOptions& options, const std::string& workload,
-                    std::span<const runtime::RtValue> inputs,
-                    const workloads::WorkloadConfig& config) {
-  return programKey(options, workload,
-                    workloads::inputSignature(inputs) + configGuard(config));
-}
-
 std::string describeError(const std::exception_ptr& error) {
   try {
     std::rethrow_exception(error);
@@ -77,6 +39,25 @@ std::string describeError(const std::exception_ptr& error) {
 /// no-op for standalone (shardId < 0) engines, so solo traces stay clean.
 void tagShard(obs::TraceSpan& span, int shardId) {
   if (shardId >= 0) span.arg("shard", static_cast<std::int64_t>(shardId));
+}
+
+/// The Response of a request whose batch started at `execStart`, looked its
+/// program up through `lookup` and ran for `execUs`. Every request of a
+/// batch waited out the same compile (or none): compileUs is that shared
+/// wait, zero when the program was already ready. cacheHit means "paid no
+/// compile", so a single-flight waiter that blocked for the full compile
+/// reports a miss, not a hit.
+Response responseFor(const PendingRequest& request,
+                     Clock::time_point execStart,
+                     const ProgramCache::Lookup& lookup, double execUs,
+                     int batchedWith) {
+  Response resp;
+  resp.timing.queueUs = usBetween(request.enqueueTime, execStart);
+  resp.timing.compileUs = lookup.wasReady ? 0.0 : lookup.waitUs;
+  resp.timing.execUs = execUs;
+  resp.batchedWith = batchedWith;
+  resp.cacheHit = lookup.wasReady;
+  return resp;
 }
 
 }  // namespace
@@ -121,34 +102,29 @@ Response Session::infer(Request request) {
   return submit(std::move(request)).get();
 }
 
-ProgramKey Engine::keyFor(const EngineOptions& options, const Request& request,
-                          bool* polymorphic) {
-  if (options.symbolicShapes) {
-    const workloads::SymbolicPattern& pattern =
-        workloads::workloadSymbolicPattern(request.workload);
-    // Empty inputs mean "use the defaults" (filled at admission); those
-    // instantiate the pattern by construction, so the polymorphic key can be
-    // decided without building the workload — a Router routes on it without
-    // materializing tensors.
-    if (request.inputs.empty() ||
-        workloads::matchesSymbolicPattern(pattern, request.inputs)) {
-      // Polymorphic guard: the pattern plus the one config parameter that is
-      // still baked into the graph (the constant weights' seed). batch and
-      // seqLen are runtime extents of a polymorphic program — they no longer
-      // split the key, so the compile count stays flat as shape diversity
-      // grows.
-      if (polymorphic != nullptr) *polymorphic = true;
-      return programKey(options, request.workload,
-                        pattern.signature + "|seed=" +
-                            std::to_string(request.config.seed));
-    }
-  }
-  if (polymorphic != nullptr) *polymorphic = false;
-  return exactKey(options, request.workload, request.inputs, request.config);
-}
-
-ProgramKey Engine::keyFor(const Request& request, bool* polymorphic) const {
-  return keyFor(options_, request, polymorphic);
+ProgramKey Engine::keyFor(const EngineOptions& options,
+                          const Request& request) {
+  ProgramKey key;
+  key.workload = request.workload;
+  key.kind = options.kind;
+  // The tuned config (when a tuner is installed and has an entry for this
+  // workload × kind) replaces the fixed heuristics *in the key*: programs
+  // are compiled with key.options, so a config change is a different key —
+  // distinct tuned configs can never collide in the cache, and routing on
+  // the rendered key stays cache-affine per config.
+  key.options = options.tuner != nullptr
+                    ? options.tuner->pipelineFor(request.workload,
+                                                 options.kind,
+                                                 options.pipeline)
+                    : options.pipeline;
+  // The pattern plus the one config parameter still baked into the graph
+  // (the constant weights' seed). batch and seqLen are runtime extents of
+  // the polymorphic program — they never split the key, so the compile
+  // count stays flat as shape diversity grows.
+  key.signature =
+      workloads::workloadSymbolicPattern(request.workload).signature +
+      "|seed=" + std::to_string(request.config.seed);
+  return key;
 }
 
 std::vector<runtime::RtValue> Engine::defaultInputs(
@@ -165,25 +141,25 @@ std::future<Response> Engine::submitInternal(const std::string& sessionId,
   tagShard(span, options_.shardId);
   // Validation happens here, synchronously: a malformed request throws a
   // typed RejectedError(BadRequest) on the submitting thread — counted like
-  // every other refusal — rather than escaping as a raw registry error or
-  // poisoning a shared batch later.
+  // every other refusal — rather than escaping as a raw registry error,
+  // costing a compile, or poisoning a shared batch later.
   const workloads::BatchTraits* traits = nullptr;
   try {
     traits = &workloads::workloadBatchTraits(request.workload);
     if (request.inputs.empty())
       request.inputs = defaultInputs(request.workload, request.config);
-    TSSA_CHECK(request.inputs.size() == traits->inputDims.size(),
-               "workload '" << request.workload << "' takes "
-                            << traits->inputDims.size() << " inputs, got "
-                            << request.inputs.size());
+    // The pattern is the program's whole interface: arity, dtypes, ranks,
+    // static extents, scalar types and consistent symbol bindings.
+    const workloads::SymbolicPattern& pattern =
+        workloads::workloadSymbolicPattern(request.workload);
+    TSSA_CHECK(workloads::matchesSymbolicPattern(pattern, request.inputs),
+               "inputs of '" << request.workload
+                             << "' do not instantiate its pattern "
+                             << pattern.signature);
     for (std::size_t i = 0; i < request.inputs.size(); ++i) {
       const int d = traits->inputDims[i];
       if (d < 0) continue;
-      TSSA_CHECK(request.inputs[i].isTensor(),
-                 "input " << i << " of '" << request.workload
-                          << "' must be a tensor");
-      const Tensor& t = request.inputs[i].tensor();
-      TSSA_CHECK(t.dim() > d && t.size(d) == request.config.batch,
+      TSSA_CHECK(request.inputs[i].tensor().size(d) == request.config.batch,
                  "input " << i << " of '" << request.workload
                           << "': batch dim " << d
                           << " must equal config.batch="
@@ -198,7 +174,7 @@ std::future<Response> Engine::submitInternal(const std::string& sessionId,
   }
 
   auto pending = std::make_unique<PendingRequest>();
-  pending->key = keyFor(request, &pending->polymorphic);
+  pending->key = keyFor(options_, request);
   if (options_.tuner != nullptr) {
     const tune::Autotuner::BatchOverride bo =
         options_.tuner->batchOverride(request.workload, options_.kind);
@@ -324,6 +300,64 @@ void Engine::rejectRequest(std::unique_ptr<PendingRequest> request,
 
 // ---- Batch execution -------------------------------------------------------
 
+ProgramCache::Lookup Engine::lookupProgram(const ProgramKey& key,
+                                           workloads::WorkloadConfig config,
+                                           bool fallback) {
+  FaultInjector* const injector = fallback ? nullptr : options_.faultInjector;
+  // Every key is a pattern key, so every program is polymorphic: `config`'s
+  // batch/seqLen only size the builder's sample inputs.
+  config.symbolicDims = true;
+  return cache_.getOrCompile(key, [&] {
+    if (injector != nullptr) injector->onCompile(key.toString());
+    // This span contains the whole compilation — the nested "pipeline"
+    // pass spans (functionalize, fusion, parallelize, ...) land inside it
+    // on the same thread.
+    obs::TraceSpan compileSpan("serve", "compile");
+    compileSpan.arg("workload", key.workload);
+    compileSpan.arg("signature", key.signature);
+    tagShard(compileSpan, options_.shardId);
+    workloads::Workload w = workloads::buildWorkload(key.workload, config);
+    // Compile with the key's options, not the engine defaults: the key IS
+    // the config contract (a tuned key must yield a tuned program).
+    auto pipeline = std::make_unique<runtime::Pipeline>(
+        key.kind, *w.graph, fallback ? options_.pipeline : key.options);
+    // Every launch of an engine-compiled program reports to the injector
+    // (the kernel-fault seam).
+    if (injector != nullptr)
+      pipeline->setLaunchProbe([injector] { injector->onKernelLaunch(); });
+    return pipeline;
+  });
+}
+
+Engine::RunResult Engine::runProgram(
+    const ProgramKey& key, CachedProgram& program,
+    const std::vector<runtime::RtValue>& inputs, int batchSize,
+    bool fallback) {
+  RunResult result;
+  const auto runStart = Clock::now();
+  {
+    obs::TraceSpan execSpan("serve", "exec");
+    execSpan.arg("workload", key.workload);
+    execSpan.arg("batch_size", batchSize);
+    tagShard(execSpan, options_.shardId);
+    if (fallback) execSpan.arg("fallback", std::int64_t{1});
+    std::lock_guard<std::mutex> execLock(program.execMutex);
+    if (!fallback && options_.faultInjector != nullptr)
+      options_.faultInjector->beginRun();
+    try {
+      result.outputs = program.pipeline->run(inputs);
+      // Read the modelled device time while still holding the exec lock:
+      // run() resets the profiler, so a concurrent batch on this program
+      // could clobber it the moment the lock drops.
+      result.simUs = program.pipeline->profiler().simTimeUs();
+    } catch (...) {
+      result.error = std::current_exception();
+    }
+  }
+  result.execUs = usSince(runStart);
+  return result;
+}
+
 void Engine::executeBatch(SealedBatch sealed) {
   std::vector<std::unique_ptr<PendingRequest>> batch =
       std::move(sealed.requests);
@@ -372,29 +406,41 @@ void Engine::executeBatch(SealedBatch sealed) {
       live.push_back(std::move(r));
   }
   if (live.empty()) return;
+  runBatch(std::move(live), execStart, &batchSpan);
+}
 
+void Engine::runBatch(std::vector<std::unique_ptr<PendingRequest>> live,
+                      Clock::time_point execStart,
+                      obs::TraceSpan* batchSpan) {
+  // Close the batch span before any promise is fulfilled: the moment a
+  // client's future resolves, main may tear everything down and export the
+  // trace, and a still-open span would be missing from it.
+  auto closeSpan = [batchSpan] {
+    if (batchSpan != nullptr) batchSpan->finish();
+  };
   const int k = static_cast<int>(live.size());
   const PendingRequest& first = *live.front();
   const workloads::BatchTraits& traits = first.traits;
-  FaultInjector* const injector = options_.faultInjector;
+  // Every member shares the head's pattern key: concatenating along a
+  // symbolic dim cannot leave the pattern, so one program serves solo and
+  // coalesced runs alike.
+  const ProgramKey key = first.key;
+  const bool tuned =
+      options_.tuner != nullptr && key.options != options_.pipeline;
 
   std::vector<Response> responses;
   std::exception_ptr failure;
   try {
     // 1. Coalesce inputs along the workload's batch dimension. Same program
     //    key + batcher compatibility ⇒ per-request shapes agree on every
-    //    non-batch dimension; the batch extents themselves may be ragged
-    //    (polymorphic keys coalesce requests of different batch sizes).
+    //    non-batch dimension; the batch extents themselves may be ragged.
     std::vector<std::int64_t> rows(live.size());
-    std::int64_t totalRows = 0;
-    for (std::size_t j = 0; j < live.size(); ++j) {
+    for (std::size_t j = 0; j < live.size(); ++j)
       rows[j] = live[j]->request.config.batch;  // validated at admission
-      totalRows += rows[j];
-    }
     std::vector<runtime::RtValue> inputs;
     inputs.reserve(first.request.inputs.size());
     for (std::size_t i = 0; i < first.request.inputs.size(); ++i) {
-      const int d = i < traits.inputDims.size() ? traits.inputDims[i] : -1;
+      const int d = traits.inputDims[i];  // arity checked at admission
       if (k == 1 || d < 0) {
         inputs.push_back(first.request.inputs[i]);
         continue;
@@ -406,156 +452,85 @@ void Engine::executeBatch(SealedBatch sealed) {
       inputs.emplace_back(ops::cat(parts, d));
     }
 
-    // 2. Look up (or compile) the program for the *batched* shapes. A
-    //    polymorphic batch keeps the head request's pattern key —
-    //    concatenating along a symbolic dim cannot leave the pattern, so the
-    //    same compiled program serves solo and coalesced runs alike. A
-    //    shape-specialized batch re-keys on the concatenated signature (a
-    //    solo request at batch=N and a coalesced run of N batch-1 requests
-    //    share the same program).
-    workloads::WorkloadConfig compileConfig = first.request.config;
-    ProgramKey key;
-    if (first.polymorphic) {
-      key = first.key;
-      compileConfig.symbolicDims = true;
-    } else {
-      compileConfig.batch = totalRows;
-      key = exactKey(options_, first.request.workload, inputs, compileConfig);
-    }
-
-    ProgramCache::Lookup lookup = cache_.getOrCompile(key, [&] {
-      if (injector != nullptr) injector->onCompile(key.toString());
-      // This span contains the whole compilation — the nested "pipeline"
-      // pass spans (functionalize, fusion, parallelize, ...) land inside it
-      // on the same thread.
-      obs::TraceSpan compileSpan("serve", "compile");
-      compileSpan.arg("workload", key.workload);
-      compileSpan.arg("signature", key.signature);
-      tagShard(compileSpan, options_.shardId);
-      workloads::Workload w =
-          workloads::buildWorkload(key.workload, compileConfig);
-      // Compile with the key's options, not the engine defaults: the key IS
-      // the config contract (a tuned key must yield a tuned program).
-      auto pipeline = std::make_unique<runtime::Pipeline>(
-          options_.kind, *w.graph, key.options);
-      // Every launch of an engine-compiled program reports to the injector
-      // (the kernel-fault seam). The fallback pipeline never gets a probe.
-      if (injector != nullptr)
-        pipeline->setLaunchProbe([injector] { injector->onKernelLaunch(); });
-      return pipeline;
-    });
-
+    // 2. Look up (or compile) the program.
+    ProgramCache::Lookup lookup =
+        lookupProgram(key, first.request.config, /*fallback=*/false);
     if (lookup.error != nullptr) {
       // Compile failed (now, or negatively cached from an earlier attempt):
       // degrade each request individually — the batch as a unit is gone,
       // but every member still gets an answer.
-      batchSpan.finish();
+      closeSpan();
       for (auto& r : live)
         degradeOrReject(std::move(r), execStart, lookup.error);
       return;
     }
 
     // 3. Execute. One batch at a time per program; distinct programs (other
-    //    shapes / workloads) run concurrently on other pool workers.
-    const auto runStart = Clock::now();
-    std::vector<runtime::RtValue> outputs;
-    double simUs = 0;
-    std::exception_ptr runError;
-    {
-      obs::TraceSpan execSpan("serve", "exec");
-      execSpan.arg("workload", key.workload);
-      execSpan.arg("batch_size", k);
-      tagShard(execSpan, options_.shardId);
-      std::lock_guard<std::mutex> execLock(lookup.program->execMutex);
-      if (injector != nullptr) injector->beginRun();
-      try {
-        outputs = lookup.program->pipeline->run(inputs);
-        // Read the modelled device time while still holding the exec lock:
-        // run() resets the profiler, so a concurrent batch on this program
-        // could clobber it the moment the lock drops.
-        simUs = lookup.program->pipeline->profiler().simTimeUs();
-      } catch (...) {
-        runError = std::current_exception();
-      }
-    }
-    metrics_.recordBatch(k);
+    //    workloads / seeds) run concurrently on other pool workers.
+    RunResult run = runProgram(key, *lookup.program, inputs, k,
+                               /*fallback=*/false);
+    if (batchSpan != nullptr) metrics_.recordBatch(k);
 
-    if (runError != nullptr) {
+    if (run.error != nullptr) {
       // A fault under a tuned config rejects the tuned entry immediately:
       // the retries below (and all future traffic) run on the defaults.
-      if (options_.tuner != nullptr && key.options != options_.pipeline)
-        options_.tuner->recordFailure(key.workload, options_.kind);
+      if (tuned) options_.tuner->recordFailure(key.workload, options_.kind);
+      closeSpan();
       if (k == 1) {
-        batchSpan.finish();
-        deliverError(std::move(live.front()), runError);
+        deliverError(std::move(live.front()), run.error);
         return;
       }
       // A kernel threw mid-batch. The failure belongs to one request, not
       // to its co-batched peers: re-execute the batch de-coalesced, each
-      // request solo through its own program, so only the faulty one fails.
+      // request as its own one-request batch, so only the faulty one fails.
       metrics_.recordDecoalesced();
-      batchSpan.finish();
-      for (auto& r : live) executeSolo(std::move(r), execStart);
+      for (auto& r : live) {
+        std::vector<std::unique_ptr<PendingRequest>> solo;
+        solo.push_back(std::move(r));
+        runBatch(std::move(solo), execStart, nullptr);
+      }
       return;
     }
-    metrics_.recordSimBusy(simUs);
-
-    // 4. De-interleave: the j-th (possibly ragged) row block of every
-    //    output belongs to request j.
-    const double execUs = usSince(runStart);
+    metrics_.recordSimBusy(run.simUs);
     // Online refinement: runs under a tuned config report their measured
     // per-request latency back; a tuned entry whose served mean drifts past
     // the tuner's rejection threshold is dropped and serving falls back to
     // the defaults. Default-config runs carry no signal for the tuner.
-    if (options_.tuner != nullptr && key.options != options_.pipeline)
+    if (tuned)
       options_.tuner->recordMeasurement(key.workload, options_.kind,
-                                        execUs * 1000.0 / k);
+                                        run.execUs * 1000.0 / k);
+
+    // 4. De-interleave: the j-th (possibly ragged) row block of every
+    //    output belongs to request j.
     std::int64_t rowOffset = 0;
     for (int j = 0; j < k; ++j) {
-      std::vector<runtime::RtValue> mine;
-      mine.reserve(outputs.size());
+      const std::size_t uj = static_cast<std::size_t>(j);
+      Response resp = responseFor(*live[uj], execStart, lookup, run.execUs, k);
       if (k == 1) {
-        mine = outputs;
+        resp.outputs = std::move(run.outputs);
       } else {
-        for (std::size_t o = 0; o < outputs.size(); ++o) {
+        resp.outputs.reserve(run.outputs.size());
+        for (std::size_t o = 0; o < run.outputs.size(); ++o) {
           const int d =
               o < traits.outputDims.size() ? traits.outputDims[o] : -1;
-          TSSA_CHECK(d >= 0 && outputs[o].isTensor(),
+          TSSA_CHECK(d >= 0 && run.outputs[o].isTensor(),
                      "workload '" << key.workload
                                   << "' output " << o
                                   << " cannot be de-interleaved");
-          mine.emplace_back(
-              outputs[o]
-                  .tensor()
-                  .narrow(d, rowOffset, rows[static_cast<std::size_t>(j)])
-                  .clone());
+          resp.outputs.emplace_back(run.outputs[o]
+                                        .tensor()
+                                        .narrow(d, rowOffset, rows[uj])
+                                        .clone());
         }
       }
-      rowOffset += rows[static_cast<std::size_t>(j)];
-      Response resp;
-      resp.outputs = std::move(mine);
-      resp.timing.queueUs = usBetween(
-          live[static_cast<std::size_t>(j)]->enqueueTime, execStart);
-      // Every request in the batch waited out the same compile (or none):
-      // compileUs is that shared wait, zero when the program was already
-      // ready. cacheHit means "paid no compile", so a single-flight waiter
-      // that blocked for the full compile reports a miss, not a hit.
-      resp.timing.compileUs = lookup.wasReady ? 0.0 : lookup.waitUs;
-      resp.timing.execUs = execUs;
-      resp.batchedWith = k;
-      resp.cacheHit = lookup.wasReady;
+      rowOffset += rows[uj];
       responses.push_back(std::move(resp));
     }
   } catch (...) {
     failure = std::current_exception();
   }
 
-  // Close the batch span before the promises are fulfilled: the moment a
-  // client's future resolves, main may tear everything down and export the
-  // trace, and a still-open RAII span would be missing from it. Delivery
-  // itself is microseconds and not worth a span.
-  batchSpan.finish();
-
+  closeSpan();
   if (failure != nullptr) {
     // Engine-side failure outside the run itself (coalescing,
     // de-interleave): no per-request attribution possible.
@@ -565,63 +540,6 @@ void Engine::executeBatch(SealedBatch sealed) {
       deliver(std::move(live[static_cast<std::size_t>(j)]),
               std::move(responses[static_cast<std::size_t>(j)]));
   }
-}
-
-void Engine::executeSolo(std::unique_ptr<PendingRequest> request,
-                         Clock::time_point execStart) {
-  FaultInjector* const injector = options_.faultInjector;
-  const ProgramKey key = request->key;  // the per-request (unbatched) key
-  workloads::WorkloadConfig config = request->request.config;
-  config.symbolicDims = request->polymorphic;  // match what the key promises
-  ProgramCache::Lookup lookup = cache_.getOrCompile(key, [&] {
-    if (injector != nullptr) injector->onCompile(key.toString());
-    obs::TraceSpan compileSpan("serve", "compile");
-    compileSpan.arg("workload", key.workload);
-    compileSpan.arg("signature", key.signature);
-    tagShard(compileSpan, options_.shardId);
-    workloads::Workload w = workloads::buildWorkload(key.workload, config);
-    auto pipeline = std::make_unique<runtime::Pipeline>(
-        options_.kind, *w.graph, key.options);
-    if (injector != nullptr)
-      pipeline->setLaunchProbe([injector] { injector->onKernelLaunch(); });
-    return pipeline;
-  });
-  if (lookup.error != nullptr) {
-    degradeOrReject(std::move(request), execStart, lookup.error);
-    return;
-  }
-
-  const auto runStart = Clock::now();
-  std::vector<runtime::RtValue> outputs;
-  double simUs = 0;
-  try {
-    obs::TraceSpan execSpan("serve", "exec");
-    execSpan.arg("workload", key.workload);
-    execSpan.arg("batch_size", 1);
-    tagShard(execSpan, options_.shardId);
-    std::lock_guard<std::mutex> execLock(lookup.program->execMutex);
-    if (injector != nullptr) injector->beginRun();
-    outputs = lookup.program->pipeline->run(request->request.inputs);
-    simUs = lookup.program->pipeline->profiler().simTimeUs();
-  } catch (...) {
-    if (options_.tuner != nullptr && key.options != options_.pipeline)
-      options_.tuner->recordFailure(key.workload, options_.kind);
-    deliverError(std::move(request), std::current_exception());
-    return;
-  }
-  metrics_.recordSimBusy(simUs);
-  if (options_.tuner != nullptr && key.options != options_.pipeline)
-    options_.tuner->recordMeasurement(key.workload, options_.kind,
-                                      usSince(runStart) * 1000.0);
-
-  Response resp;
-  resp.outputs = std::move(outputs);
-  resp.timing.queueUs = usBetween(request->enqueueTime, execStart);
-  resp.timing.compileUs = lookup.wasReady ? 0.0 : lookup.waitUs;
-  resp.timing.execUs = usSince(runStart);
-  resp.batchedWith = 1;
-  resp.cacheHit = lookup.wasReady;
-  deliver(std::move(request), std::move(resp));
 }
 
 void Engine::degradeOrReject(std::unique_ptr<PendingRequest> request,
@@ -635,59 +553,34 @@ void Engine::degradeOrReject(std::unique_ptr<PendingRequest> request,
 
   // Graceful degradation: serve through the reference (eager, unbatched)
   // pipeline. Cached under its own key — kind forced to Eager plus a
-  // "|fallback" signature tag, so it cannot collide with a specialized
-  // program even when the engine's kind already is Eager. Deliberately NOT
-  // routed through the fault injector and never given a launch probe: the
-  // recovery path must stay recoverable.
+  // "|fallback" signature tag, so it cannot collide with the engine's
+  // program even when the engine's kind already is Eager. Like the program
+  // it stands in for it is polymorphic: one fallback serves every shape of
+  // the pattern.
   ProgramKey key = request->key;
   key.kind = runtime::PipelineKind::Eager;
   key.signature += "|fallback";
-  workloads::WorkloadConfig config = request->request.config;
-  // A polymorphic key caches one fallback for every shape it guards, so the
-  // fallback graph must be polymorphic too (the interpreter binds its
-  // runtime extents the same way on the eager path).
-  config.symbolicDims = request->polymorphic;
-  ProgramCache::Lookup lookup = cache_.getOrCompile(key, [&] {
-    obs::TraceSpan compileSpan("serve", "compile");
-    compileSpan.arg("workload", key.workload);
-    compileSpan.arg("signature", key.signature);
-    tagShard(compileSpan, options_.shardId);
-    workloads::Workload w = workloads::buildWorkload(key.workload, config);
-    return std::make_unique<runtime::Pipeline>(runtime::PipelineKind::Eager,
-                                               *w.graph, options_.pipeline);
-  });
+  ProgramCache::Lookup lookup =
+      lookupProgram(key, request->request.config, /*fallback=*/true);
   if (lookup.error != nullptr) {
     rejectRequest(std::move(request), RejectReason::CompileFailed,
-                  "specialized compile failed (" +
-                      describeError(compileError) +
+                  "compile failed (" + describeError(compileError) +
                       ") and so did the fallback (" +
                       describeError(lookup.error) + ")");
     return;
   }
 
-  const auto runStart = Clock::now();
-  std::vector<runtime::RtValue> outputs;
-  try {
-    obs::TraceSpan execSpan("serve", "exec");
-    execSpan.arg("workload", key.workload);
-    execSpan.arg("batch_size", 1);
-    tagShard(execSpan, options_.shardId);
-    execSpan.arg("fallback", std::int64_t{1});
-    std::lock_guard<std::mutex> execLock(lookup.program->execMutex);
-    outputs = lookup.program->pipeline->run(request->request.inputs);
-  } catch (...) {
-    deliverError(std::move(request), std::current_exception());
+  RunResult run = runProgram(key, *lookup.program, request->request.inputs,
+                             1, /*fallback=*/true);
+  if (run.error != nullptr) {
+    deliverError(std::move(request), run.error);
     return;
   }
   metrics_.recordFallback();
 
-  Response resp;
-  resp.outputs = std::move(outputs);
-  resp.timing.queueUs = usBetween(request->enqueueTime, execStart);
-  resp.timing.compileUs = lookup.wasReady ? 0.0 : lookup.waitUs;
-  resp.timing.execUs = usSince(runStart);
-  resp.batchedWith = 1;
-  resp.cacheHit = false;  // the specialized program was never served
+  Response resp = responseFor(*request, execStart, lookup, run.execUs, 1);
+  resp.outputs = std::move(run.outputs);
+  resp.cacheHit = false;  // the engine's own program was never served
   resp.fallback = true;
   deliver(std::move(request), std::move(resp));
 }

@@ -10,30 +10,28 @@
 // exports an aggregate MetricsSnapshot (p50/p95/p99, throughput, cache
 // stats).
 //
-// Specialization unit (DESIGN.md §13): with EngineOptions::symbolicShapes
-// (the default), a request whose inputs instantiate the workload's symbolic
-// pattern (workloadSymbolicPattern) is keyed on that *pattern* — one
-// compiled polymorphic program serves every batch size and sequence length,
-// so the compile count stays flat while shape diversity grows. Requests
-// whose inputs deviate from the pattern fall back to the exact-shape
-// signature and get a shape-specialized program, as does the whole engine
-// when symbolicShapes is off.
+// Specialization unit (DESIGN.md §13): every request is keyed on its
+// workload's symbolic pattern (workloadSymbolicPattern) plus the weight
+// seed — one compiled polymorphic program serves every batch size and
+// sequence length, so the compile count stays flat while shape diversity
+// grows. A request whose inputs do not instantiate the pattern is refused at
+// submit with RejectedError(BadRequest); it never reaches the compiler.
 //
 // Batching contract: a micro-batched execution of K compatible requests is
 // bitwise identical to the K individual executions (tests/serve_test.cpp,
 // tests/serve_symbolic_test.cpp assert it). This holds because every
 // registered workload computes batch rows independently (BatchTraits in the
 // registry) and because the executor itself is deterministic at any thread
-// count (DESIGN.md §6). Polymorphic requests may be *ragged* along the batch
-// dimension — requests differing only in batch size coalesce padding-free;
-// the batcher seals on any shape difference along a non-batch dimension.
+// count (DESIGN.md §6). Requests may be *ragged* along the batch dimension —
+// requests differing only in batch size coalesce padding-free; the batcher
+// seals on any shape difference along a non-batch dimension.
 //
 // Robustness contract (DESIGN.md §10): admission is bounded (maxQueueDepth,
 // per-session in-flight caps), deadlines are enforced at admission, in the
 // batcher, and before execution, and failures degrade per request — a
-// failed specialized compile is negatively cached and its traffic served
-// through the reference pipeline; a kernel throw mid-batch fails only the
-// faulty request (the batch is re-executed de-coalesced). Every refusal is
+// failed compile is negatively cached and its traffic served through the
+// reference pipeline; a kernel throw mid-batch fails only the faulty
+// request (the batch is re-executed de-coalesced). Every refusal is
 // a typed RejectedError on the future and a reason-labelled counter in
 // tssa_serve_rejected_total; a submit future is always fulfilled, whatever
 // happens (tests/serve_faults_test.cpp, tests/serve_soak_test.cpp).
@@ -54,6 +52,10 @@
 #include "src/serve/program_cache.h"
 #include "src/serve/request.h"
 
+namespace tssa::obs {
+class TraceSpan;
+}
+
 namespace tssa::runtime {
 class ThreadPool;
 }
@@ -70,12 +72,6 @@ struct EngineOptions {
   /// part of the program cache key.
   runtime::PipelineOptions pipeline{};
   std::size_t cacheCapacity = 32;      ///< compiled programs kept (LRU)
-  /// Key programs on the workload's symbolic shape pattern when the
-  /// request's inputs instantiate it: one polymorphic compiled program per
-  /// (workload, seed) serves every batch size / sequence length instead of
-  /// one program per concrete shape. Off ⇒ exact-shape specialization
-  /// everywhere (the pre-§13 behavior).
-  bool symbolicShapes = true;
   int maxBatch = 8;                    ///< micro-batch request cap
   std::int64_t maxWaitUs = 200;        ///< micro-batch window; <= 0 disables
   /// Worker threads guaranteed on the shared pool for batch execution
@@ -103,12 +99,12 @@ struct EngineOptions {
   /// one runaway client sheds its own traffic before it can exhaust
   /// maxQueueDepth for everyone. 0 = unbounded.
   std::size_t maxInFlightPerSession = 0;
-  /// How long a failed shape-specialized compile is remembered (negative
-  /// cache): traffic for a broken key pays one compile attempt per TTL
-  /// window, then is degraded or rejected straight away. <= 0 retries the
+  /// How long a failed compile is remembered (negative cache): traffic for
+  /// a broken key pays one compile attempt per TTL window, then is degraded
+  /// or rejected straight away. <= 0 retries the
   /// compile on every batch.
   std::int64_t compileFailureTtlUs = 5'000'000;
-  /// When the specialized compile fails, serve the request through the
+  /// When the program's compile fails, serve the request through the
   /// reference (eager, unbatched) pipeline instead of rejecting it —
   /// degraded throughput, correct results. When false, such requests are
   /// rejected with RejectReason::CompileFailed.
@@ -120,9 +116,9 @@ struct EngineOptions {
   FaultInjector* faultInjector = nullptr;
   /// Cost-model-guided autotuner (src/tune/tuner.h). When set, programs are
   /// keyed and compiled with tuner->pipelineFor(workload, kind, pipeline)
-  /// instead of `pipeline` — the tuned config is hashed into the cache key's
-  /// config guard, so distinct configs never collide and a Router hashing
-  /// the key keeps shards cache-affine per config. Micro-batching honors the
+  /// instead of `pipeline` — the tuned config is part of the cache key, so
+  /// distinct configs never collide and a Router hashing the key keeps
+  /// shards cache-affine per config. Micro-batching honors the
   /// tuned window overrides, and every run under a tuned config reports its
   /// measured ns/iter back for online refinement (a rejected entry falls
   /// back to `pipeline`'s heuristics). Not owned; must outlive the Engine.
@@ -140,8 +136,9 @@ class Session {
   /// Asynchronous submit. The future throws RejectedError when the engine
   /// refuses the request (load shed, deadline miss, shutdown, unrecoverable
   /// compile failure) and plain tssa::Error when execution itself fails;
-  /// malformed requests (unknown workload, wrong arity, batch-dim mismatch)
-  /// throw RejectedError(BadRequest) synchronously from submit, counted in
+  /// malformed requests (unknown workload, inputs that do not instantiate
+  /// the workload's symbolic pattern, batch-dim mismatch) throw
+  /// RejectedError(BadRequest) synchronously from submit, counted in
   /// tssa_serve_rejected_total{reason="bad_request"}.
   std::future<Response> submit(Request request);
   /// Blocking convenience: submit + get.
@@ -208,17 +205,13 @@ class Engine {
       const std::string& workload, const workloads::WorkloadConfig& config);
 
   /// The program-cache key that an engine built with `options` resolves
-  /// `request` to — static so a Router can compute routing keys without an
-  /// Engine (cache-affinity routing hashes exactly this key). With
-  /// symbolicShapes on, empty inputs resolve to the polymorphic pattern key
-  /// directly: the defaults filled at admission instantiate the pattern by
-  /// construction, so routing never has to materialize tensors. (With
-  /// symbolicShapes off, empty inputs cannot be keyed before the defaults
-  /// are filled — callers that route exact-shape traffic must send concrete
-  /// inputs.) When the key is polymorphic, `*polymorphic` is set.
+  /// `request` to: the workload's pattern signature plus the weight seed,
+  /// under the (possibly tuned) pipeline options. Static so a Router can
+  /// compute routing keys without an Engine (cache-affinity routing hashes
+  /// exactly this key); it reads no inputs, so routing never has to
+  /// materialize tensors. Throws on unknown workloads.
   static ProgramKey keyFor(const EngineOptions& options,
-                           const Request& request,
-                           bool* polymorphic = nullptr);
+                           const Request& request);
 
  private:
   friend class Session;
@@ -228,23 +221,44 @@ class Engine {
   std::future<Response> submitInternal(const std::string& sessionId,
                                        InFlightCounter inFlight,
                                        Request request);
-  /// Runs one sealed batch: pre-execution deadline check → concat inputs →
-  /// cached compile → execute → de-interleave → fulfill promises. Degrades
-  /// per request on compile failure and de-coalesces on a mid-batch throw.
-  /// Executes on a pool worker.
+  /// Runs one sealed batch: trace its queue waits, shed requests whose
+  /// deadline passed, then runBatch the rest. Executes on a pool worker.
   void executeBatch(SealedBatch batch);
   void onBatchDispatched(SealedBatch batch);
-  /// Re-runs one request of a de-coalesced batch through its own (solo)
-  /// specialized program.
-  void executeSolo(std::unique_ptr<PendingRequest> request,
-                   std::chrono::steady_clock::time_point execStart);
+  /// Concat inputs → cached compile → execute → de-interleave → fulfill
+  /// promises. Degrades per request on compile failure; on a mid-batch
+  /// throw re-runs each request as a one-request batch. `batchSpan` is the
+  /// sealed batch's trace span, closed before any promise is fulfilled;
+  /// null for such a de-coalesced re-run, which is not counted as a batch.
+  void runBatch(std::vector<std::unique_ptr<PendingRequest>> live,
+                std::chrono::steady_clock::time_point execStart,
+                obs::TraceSpan* batchSpan);
   /// Compile failed for `request`'s program: serve it through the reference
   /// pipeline (fallbackOnCompileFailure) or reject it (CompileFailed).
   void degradeOrReject(std::unique_ptr<PendingRequest> request,
                        std::chrono::steady_clock::time_point execStart,
                        const std::exception_ptr& compileError);
-  /// Member shorthand for the static keyFor over this engine's options.
-  ProgramKey keyFor(const Request& request, bool* polymorphic) const;
+
+  /// The engine's one compile step: looks `key` up, building the workload
+  /// polymorphically at `config` and compiling it on a miss. A `fallback`
+  /// compile uses the engine's base pipeline options and bypasses the fault
+  /// injector (no compile fault, no launch probe): the recovery path must
+  /// stay recoverable.
+  ProgramCache::Lookup lookupProgram(const ProgramKey& key,
+                                     workloads::WorkloadConfig config,
+                                     bool fallback);
+  /// What one locked run of a cached program produced.
+  struct RunResult {
+    std::vector<runtime::RtValue> outputs;
+    double simUs = 0;   ///< modelled device time of the run
+    double execUs = 0;  ///< wall-clock time of the run
+    std::exception_ptr error;  ///< set when the run threw
+  };
+  /// The engine's one run step: executes `program` on `inputs` under its
+  /// exec lock inside an "exec" trace span. Never throws.
+  RunResult runProgram(const ProgramKey& key, CachedProgram& program,
+                       const std::vector<runtime::RtValue>& inputs,
+                       int batchSize, bool fallback);
 
   // ---- Per-request terminal transitions (each touches the promise once,
   // ---- then releases the request's admission accounting) -----------------

@@ -10,7 +10,7 @@
 //
 // The injector counts three engine-side event streams and fires armed
 // faults by 1-based occurrence index:
-//   * compiles     — every shape-specialized compile the engine starts
+//   * compiles     — every program compile the engine starts
 //                    (fallback compiles are deliberately NOT routed through
 //                    the injector: the recovery path must stay recoverable);
 //   * runs/launches — every pipeline execution the engine performs, with a

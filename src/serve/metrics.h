@@ -87,7 +87,7 @@ struct MetricsSnapshot {
   // refused with RejectReason r — load shedding and deadline misses are
   // first-class outcomes, not errors. `fallbackRequests` counts requests
   // served through the reference (eager, unbatched) pipeline after their
-  // specialized compile failed; `decoalescedBatches` counts micro-batches
+  // program's compile failed; `decoalescedBatches` counts micro-batches
   // that were re-executed request-by-request after the batched run threw,
   // so one poisoned request cannot fail its co-batched peers.
   std::uint64_t rejected[kNumRejectReasons] = {};

@@ -1,9 +1,8 @@
-// Shape-specialized compiled-program cache.
+// Compiled-program cache.
 //
-// Serving traffic re-runs the same few programs with the same few shapes, so
-// compilation must be paid once per (workload, pipeline kind, shape
-// signature, device, pricing flag) — the same unit of specialization that
-// TorchDynamo guards on and TensorIR serves as compiled artifacts. The cache
+// Serving traffic re-runs the same few programs, so compilation must be paid
+// once per (workload, pipeline kind, symbolic shape pattern, seed, pipeline
+// options) — one polymorphic program per key (DESIGN.md §13). The cache
 // is an LRU map from ProgramKey to a ready-to-run Pipeline; concurrent
 // requests for a key being compiled block on that entry (single-flight: one
 // compile per key, everyone else reuses it), and eviction only unlinks an
@@ -37,8 +36,8 @@ namespace tssa::serve {
 struct ProgramKey {
   std::string workload;
   runtime::PipelineKind kind = runtime::PipelineKind::TensorSsa;
-  /// Shape guard: dtype+shape of every runtime input plus the workload
-  /// config parameters that are baked into the graph (batch, seqLen, seed).
+  /// Shape guard: the workload's symbolic pattern signature plus the config
+  /// parameter still baked into the graph (the weight seed).
   std::string signature;
   runtime::PipelineOptions options;
 
@@ -50,7 +49,7 @@ struct ProgramKeyHash {
   std::size_t operator()(const ProgramKey& key) const;
 };
 
-/// One cached, shape-specialized compiled program. `execMutex` serializes
+/// One cached compiled program. `execMutex` serializes
 /// runs of the contained Pipeline (its interpreter and profiler are
 /// per-program state); distinct programs execute concurrently.
 struct CachedProgram {

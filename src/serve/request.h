@@ -42,9 +42,10 @@ inline bool hasDeadline(std::chrono::steady_clock::time_point deadline) {
 
 /// One inference request for a registered workload. `config` carries the
 /// shape parameters (batch, seqLen) and the seed the workload's constant
-/// weights were drawn with; `inputs` must match the workload's input
-/// signature at that config (use Engine::defaultInputs to get a valid
-/// example tuple).
+/// weights were drawn with; `inputs` must instantiate the workload's
+/// symbolic pattern with its batch dims equal to `config.batch` (empty
+/// inputs are filled with Engine::defaultInputs at submit). Inputs that do
+/// not are refused at submit with RejectedError(BadRequest).
 struct Request {
   std::string workload;
   workloads::WorkloadConfig config;
@@ -66,10 +67,10 @@ struct Response {
   /// Program was compiled and ready when this request's batch looked it up
   /// (timing.compileUs == 0). False both when this batch compiled it and
   /// when it blocked on a concurrent single-flight compile — and always
-  /// false on the fallback path, which never runs a specialized program.
+  /// false on the fallback path, which never runs the engine's program.
   bool cacheHit = false;
   /// Served via the reference (eager, unbatched) pipeline because the
-  /// shape-specialized compile failed (graceful degradation, DESIGN.md §10).
+  /// program's compile failed (graceful degradation, DESIGN.md §10).
   bool fallback = false;
 };
 
@@ -103,12 +104,9 @@ struct PendingRequest {
   /// Absolute expiry, always computed via absoluteDeadline(): kNoDeadline
   /// when the request carries no deadline (deadlineUs == 0).
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
-  ProgramKey key;                   ///< per-request (unbatched) program key
-  /// The key is the workload's symbolic-pattern key (Engine::keyFor matched
-  /// the pattern): the compiled program is shape-polymorphic, so batching
-  /// may be ragged along the batch dim and compiles must set
-  /// WorkloadConfig::symbolicDims.
-  bool polymorphic = false;
+  /// The workload's pattern key (Engine::keyFor): the compiled program is
+  /// shape-polymorphic, so batching may be ragged along the batch dim.
+  ProgramKey key;
   workloads::BatchTraits traits;
   /// Micro-batch knobs from the autotuner (EngineOptions::tuner), resolved
   /// at admission so the batcher never touches the tuner: 0 / -1 keep the

@@ -21,10 +21,13 @@ std::string join(const Container& items, const std::string& sep) {
   return os.str();
 }
 
-/// Renders a container as "[a, b, c]".
+/// Renders a container as "[a, b, c]". Streamed rather than concatenated
+/// with operator+, on which GCC 12's -Wrestrict misfires at -O3.
 template <typename Container>
 std::string bracketed(const Container& items) {
-  return "[" + join(items, ", ") + "]";
+  std::ostringstream os;
+  os << "[" << join(items, ", ") << "]";
+  return os.str();
 }
 
 /// True if `text` starts with `prefix`.

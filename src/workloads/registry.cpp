@@ -7,33 +7,6 @@
 
 namespace tssa::workloads {
 
-std::string inputSignature(std::span<const runtime::RtValue> inputs) {
-  std::ostringstream os;
-  auto shapeOf = [&os](const Tensor& t) {
-    os << dtypeName(t.dtype()) << "[";
-    for (std::int64_t d = 0; d < t.dim(); ++d)
-      os << (d ? "," : "") << t.size(d);
-    os << "]";
-  };
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (i) os << ";";
-    const runtime::RtValue& v = inputs[i];
-    if (v.isTensor()) {
-      shapeOf(v.tensor());
-    } else if (v.isList()) {
-      os << "list(";
-      for (std::size_t j = 0; j < v.list().size(); ++j) {
-        if (j) os << ",";
-        shapeOf(v.list()[j]);
-      }
-      os << ")";
-    } else {
-      os << dtypeName(v.scalar().dtype());
-    }
-  }
-  return os.str();
-}
-
 const BatchTraits& workloadBatchTraits(const std::string& name) {
   // All workloads batch along dim 0 of every tensor input/output; -1 marks
   // shared scalar inputs (coalesced requests must agree on their values).

@@ -74,11 +74,6 @@ struct Workload {
   BatchTraits batchTraits;
 };
 
-/// Compact dtype+shape signature of a runtime input tuple, e.g.
-/// "f32[1,64,128];f32[1,32];i64" — the shape-specialization guard of the
-/// serving engine's program cache (à la TorchDynamo shape guards).
-std::string inputSignature(std::span<const runtime::RtValue> inputs);
-
 /// Workload names in the order the paper's figures list them. The serving-
 /// only "decode_step" workload (src/workloads/decode.cpp) is deliberately
 /// not listed: it is not one of the paper's figure workloads and is driven
@@ -92,12 +87,11 @@ const BatchTraits& workloadBatchTraits(const std::string& name);
 
 /// The symbolic input interface of a workload: one type per graph input —
 /// tensor types carry symbolic dims (`f32[B,T,32]`), scalar inputs keep
-/// their scalar type — plus the printed polymorphic signature in
-/// inputSignature's format with symbols in place of concrete extents, e.g.
-/// "f32[B,T,32];f32[B,32]". This is exactly what the builder stamps on the
+/// their scalar type — plus the printed polymorphic signature: each input's
+/// dtype and dims, `;`-separated, e.g. "f32[B,T,32];f32[B,32];i64". This is exactly what the builder stamps on the
 /// graph inputs when `config.symbolicDims` is set (asserted by tests), and
-/// what the serving engine canonicalizes request shapes against: every
-/// input tuple that instantiates the pattern shares one cached program.
+/// the serving engine's specialization unit: every input tuple that
+/// instantiates the pattern shares one cached program.
 struct SymbolicPattern {
   std::vector<ir::Type> inputs;
   std::string signature;
@@ -110,8 +104,9 @@ const SymbolicPattern& workloadSymbolicPattern(const std::string& name);
 /// True when `inputs` concretely instantiate `pattern`: same arity, tensor
 /// ranks/dtypes/static extents match exactly, scalar inputs have the right
 /// scalar type, and every symbol binds consistently across its occurrences
-/// (with each binding >= 1). This is the residual guard a polymorphic
-/// program's cache entry carries in place of the exact-shape signature.
+/// (with each binding >= 1). This is the serving engine's admission guard:
+/// a request whose inputs fail it is refused, so every cached program only
+/// ever sees inputs its pattern admits.
 bool matchesSymbolicPattern(const SymbolicPattern& pattern,
                             std::span<const runtime::RtValue> inputs);
 

@@ -83,7 +83,7 @@ TEST(KvCacheTest, PagesAreReusedAcrossSessions) {
                  .slabPages = 8});
   std::vector<float> row(2, 1.0f);
   for (int round = 0; round < 5; ++round) {
-    const std::string id = "s" + std::to_string(round);
+    const std::string id = std::string("s") + std::to_string(round);
     ASSERT_TRUE(cache.tryReserve(id, 16));  // 8 pages = one whole slab
     for (int t = 0; t < 16; ++t) cache.append(id, row, row);
     cache.release(id);

@@ -293,6 +293,24 @@ TEST(RouterTest, NonRetryableRejectionsPassThrough) {
   }
   // Deadline is shard-independent: no hop was spent trying elsewhere.
   EXPECT_EQ(router.stats().retryHops, 0u);
+
+  // So is a request that breaks its workload's pattern (an lstm input of
+  // hidden width 64, not 128): refused synchronously by its home shard,
+  // never compiled anywhere.
+  Request bad;
+  bad.workload = "lstm";
+  bad.config = smallConfig();
+  bad.inputs = Engine::defaultInputs("lstm", bad.config);
+  bad.inputs[0] = RtValue(Tensor::zeros({2, 8, 64}));
+  try {
+    router.submit(bad);
+    FAIL() << "expected RejectedError";
+  } catch (const RejectedError& e) {
+    EXPECT_EQ(e.reason(), RejectReason::BadRequest);
+  }
+  EXPECT_EQ(router.stats().retryHops, 0u);
+  for (const auto& snap : router.shardMetrics())
+    EXPECT_EQ(snap.cacheCompiles, 0u);
 }
 
 // ---- (d) drain / restart ---------------------------------------------------

@@ -53,18 +53,21 @@ bool soakEnabled() {
   return value != nullptr && std::string(value) == "1";
 }
 
-/// A small fixed menu of (workload, batch, seqLen) shapes: enough churn to
-/// exercise eviction and shape-specialized recompiles, bounded so the run
-/// spends its time serving rather than compiling.
+/// A small fixed menu of (workload, batch, seqLen, seed) points. Shapes of
+/// one workload share its polymorphic program, but the weight seed is part
+/// of the program key, so the menu spans 8 keys: more than the engine's
+/// cacheCapacity, enough churn to exercise eviction and recompiles, bounded
+/// so the run spends its time serving rather than compiling.
 struct ShapePoint {
   const char* workload;
   std::int64_t batch;
   std::int64_t seqLen;
+  std::uint64_t seed;
 };
 constexpr ShapePoint kShapes[] = {
-    {"lstm", 1, 4},   {"lstm", 2, 4},    {"lstm", 1, 6},
-    {"nasrnn", 1, 4}, {"nasrnn", 2, 4},  {"attention", 1, 4},
-    {"attention", 2, 4}, {"seq2seq", 1, 4},
+    {"lstm", 1, 4, 1},      {"lstm", 2, 4, 2},      {"lstm", 1, 6, 3},
+    {"nasrnn", 1, 4, 1},    {"nasrnn", 2, 4, 2},    {"attention", 1, 4, 1},
+    {"attention", 2, 4, 2}, {"seq2seq", 1, 4, 1},
 };
 constexpr std::size_t kShapeCount = std::size(kShapes);
 
@@ -72,6 +75,7 @@ WorkloadConfig configOf(const ShapePoint& shape) {
   WorkloadConfig config;
   config.batch = shape.batch;
   config.seqLen = shape.seqLen;
+  config.seed = shape.seed;
   return config;
 }
 
@@ -100,7 +104,7 @@ TEST(ServeSoakTest, MultiSessionChurnLosesNoFutureAndBalancesCounters) {
   EngineOptions options;
   options.maxBatch = 4;
   options.maxWaitUs = 200;
-  options.cacheCapacity = 6;  // below the shape-menu size: eviction churn
+  options.cacheCapacity = 6;  // below the menu's 8 keys: eviction churn
   options.maxQueueDepth = 256;
   options.maxInFlightPerSession = 64;
   options.compileFailureTtlUs = 100'000;  // failures expire mid-run
@@ -197,11 +201,13 @@ TEST(ServeSoakTest, MultiSessionChurnLosesNoFutureAndBalancesCounters) {
   EXPECT_EQ(snap.fallbackRequests, fallbacks.load());
   for (const Session& session : sessions) EXPECT_EQ(session.inFlight(), 0);
 
-  // The scripted compile faults actually fired (the menu guarantees more
-  // than enough compiles), so the fallback path saw soak traffic too.
-  EXPECT_GE(injector.faultsInjected(), 1u);
-
+  // The cache churned, and more than one scripted compile fault fired (the
+  // evictions keep recompiles coming), so the negative cache and the
+  // fallback path saw soak traffic too.
   const ProgramCache::Stats cs = engine.cacheStats();
+  EXPECT_GE(cs.evictions, 1u);
+  EXPECT_GE(injector.faultsInjected(), 2u);
+
   std::printf("soak: %llu submitted, %llu ok (%llu fallback), %llu rejected, "
               "%llu errors; cache: %llu compiles, %llu failures, %llu "
               "evictions\n",

@@ -1,16 +1,18 @@
 // Serving over symbolic shapes (DESIGN.md §13).
 //
-// With EngineOptions::symbolicShapes (the default) the program cache is
-// keyed on the workload's symbolic pattern, not the concrete input shapes:
-// the compile count and cache size stay flat while shape diversity grows,
-// requests that differ only along the batch dim coalesce raggedly, and
-// everything stays bitwise identical to solo execution.
+// The program cache is keyed on the workload's symbolic pattern, not the
+// concrete input shapes: the compile count and cache size stay flat while
+// shape diversity grows, requests that differ only along the batch dim
+// coalesce raggedly, everything stays bitwise identical to solo execution
+// and to a shape-specialized build, and a request that breaks the pattern
+// is refused at submit before anything is compiled.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <future>
 #include <vector>
 
+#include "src/runtime/pipeline.h"
 #include "src/serve/engine.h"
 #include "src/tensor/shape.h"
 #include "src/workloads/workload.h"
@@ -67,31 +69,32 @@ TEST(ServeSymbolicTest, CompileCountStaysFlatAcrossShapeDiversity) {
 }
 
 TEST(ServeSymbolicTest, PolymorphicResponsesMatchShapeSpecializedBitwise) {
-  EngineOptions poly;
-  poly.maxBatch = 1;
-  EngineOptions exact = poly;
-  exact.symbolicShapes = false;
-  Engine polyEngine(poly);
-  Engine exactEngine(exact);
+  EngineOptions options;
+  options.maxBatch = 1;
+  Engine engine(options);
 
   for (const char* workload : {"lstm", "seq2seq", "yolov3", "decode_step"}) {
     for (std::int64_t b : {1, 3}) {
-      auto makeRequest = [&] {
-        Request r;
-        r.workload = workload;
-        r.config = configFor(b, 6);
-        return r;
-      };
-      const Response got = polyEngine.submit(makeRequest()).get();
-      const Response want = exactEngine.submit(makeRequest()).get();
-      ASSERT_EQ(got.outputs.size(), want.outputs.size());
+      // Reference: the workload built with concrete extents at this shape
+      // and compiled by the same pipeline kind and options.
+      const WorkloadConfig config = configFor(b, 6);
+      workloads::Workload w = workloads::buildWorkload(workload, config);
+      runtime::Pipeline specialized(options.kind, *w.graph, options.pipeline);
+      const std::vector<RtValue> want = specialized.run(w.inputs);
+
+      Request r;
+      r.workload = workload;
+      r.config = config;
+      r.inputs = w.inputs;
+      const Response got = engine.submit(std::move(r)).get();
+      ASSERT_EQ(got.outputs.size(), want.size());
       for (std::size_t o = 0; o < got.outputs.size(); ++o) {
-        EXPECT_TRUE(
-            bitwiseEqual(got.outputs[o].tensor(), want.outputs[o].tensor()))
+        EXPECT_TRUE(bitwiseEqual(got.outputs[o].tensor(), want[o].tensor()))
             << workload << " output " << o << " at batch " << b;
       }
     }
   }
+  EXPECT_EQ(engine.cacheStats().compiles, 4u);  // one program per workload
 }
 
 TEST(ServeSymbolicTest, RaggedBatchCoalescesAndMatchesSoloBitwise) {
@@ -198,6 +201,59 @@ TEST(ServeSymbolicTest, UnknownWorkloadIsTypedBadRequest) {
   snap = engine.metrics();
   EXPECT_EQ(snap.requests, 1u);
   EXPECT_EQ(snap.rejectedTotal(), 2u);
+}
+
+// A request whose inputs do not instantiate the workload's pattern has no
+// program that admits it: it is a typed, counted refusal at submit, and the
+// engine never compiles anything for it.
+TEST(ServeSymbolicTest, PatternMismatchIsTypedBadRequest) {
+  auto withInput = [](const char* workload, WorkloadConfig config,
+                      std::size_t index, RtValue value) {
+    Request r;
+    r.workload = workload;
+    r.config = config;
+    r.inputs = Engine::defaultInputs(workload, config);
+    r.inputs.at(index) = std::move(value);
+    return r;
+  };
+  const WorkloadConfig two = configFor(2, 8);
+  const WorkloadConfig one = configFor(1, 8);
+  struct Violation {
+    const char* what;
+    Request request;
+  };
+  std::vector<Violation> table;
+  table.push_back({"wrong static extent (lstm x hidden 64)",
+                   withInput("lstm", two, 0, Tensor::zeros({2, 8, 64}))});
+  table.push_back(
+      {"wrong tensor dtype (ssd boxes Int64)",
+       withInput("ssd", one, 0, Tensor::zeros({1, 6144, 4}, DType::Int64))});
+  table.push_back({"wrong rank (nasrnn h rank 3)",
+                   withInput("nasrnn", one, 1, Tensor::zeros({1, 32, 1}))});
+  table.push_back({"wrong scalar type (yolact num_dets Bool)",
+                   withInput("yolact", one, 2, RtValue(true))});
+  table.push_back({"wrong scalar type (fcos normalize Int64)",
+                   withInput("fcos", one, 9, RtValue(std::int64_t{1}))});
+  table.push_back({"inconsistent T across attention inputs",
+                   withInput("attention", two, 1, Tensor::zeros({2, 9, 32}))});
+  // decode_step's mask is [B, C+1]: one longer than the context.
+  table.push_back({"decode mask of length C instead of C+1",
+                   withInput("decode_step", two, 3, Tensor::zeros({2, 8}))});
+
+  Engine engine;
+  for (Violation& v : table) {
+    try {
+      engine.submit(std::move(v.request));
+      ADD_FAILURE() << v.what << ": expected RejectedError";
+    } catch (const RejectedError& e) {
+      EXPECT_EQ(e.reason(), RejectReason::BadRequest) << v.what;
+    }
+  }
+  const serve::MetricsSnapshot snap = engine.metrics();
+  EXPECT_EQ(snap.rejectedFor(RejectReason::BadRequest), table.size());
+  EXPECT_EQ(snap.rejectedTotal(), table.size());
+  EXPECT_EQ(engine.cacheStats().compiles, 0u);
+  EXPECT_EQ(engine.cacheStats().misses, 0u);
 }
 
 }  // namespace

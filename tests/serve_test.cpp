@@ -81,19 +81,16 @@ TEST(ServeCacheTest, SecondSameShapeRequestHitsWithZeroRecompiles) {
   EXPECT_EQ(engine.cacheStats().misses, 1u);
 }
 
-TEST(ServeCacheTest, DistinctShapesMissSeparately) {
-  // Exercises the exact-shape specialization mode: with symbolic shapes
-  // (the default) both shapes share one polymorphic program
+TEST(ServeCacheTest, DistinctSeedsMissSeparately) {
+  // The weight seed is baked into the graph, so it is part of the key;
+  // distinct shapes of one seed share one polymorphic program
   // (tests/serve_symbolic_test.cpp covers that).
-  EngineOptions options = unbatchedOptions();
-  options.symbolicShapes = false;
-  Engine engine(options);
+  Engine engine(unbatchedOptions());
   Request a;
   a.workload = "lstm";
   a.config = smallConfig(2, 8);
-  Request b;
-  b.workload = "lstm";
-  b.config = smallConfig(4, 8);  // different shape signature
+  Request b = a;
+  b.config.seed = a.config.seed + 1;  // different weights, different program
 
   EXPECT_FALSE(engine.submit(a).get().cacheHit);
   EXPECT_FALSE(engine.submit(b).get().cacheHit);
@@ -103,20 +100,18 @@ TEST(ServeCacheTest, DistinctShapesMissSeparately) {
 }
 
 TEST(ServeCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
-  // LRU mechanics need distinct keys; pin exact-shape mode so each batch
-  // size is its own program.
-  EngineOptions options = unbatchedOptions(/*cacheCapacity=*/2);
-  options.symbolicShapes = false;
-  Engine engine(options);
-  auto req = [](std::int64_t batch) {
+  // LRU mechanics need distinct keys: each weight seed is its own program.
+  Engine engine(unbatchedOptions(/*cacheCapacity=*/2));
+  auto req = [](std::uint64_t seed) {
     Request r;
     r.workload = "nasrnn";
-    r.config = smallConfig(batch, 6);
+    r.config = smallConfig(1, 6);
+    r.config.seed = seed;
     return r;
   };
   engine.submit(req(1)).get();
   engine.submit(req(2)).get();
-  engine.submit(req(3)).get();  // capacity 2 → evicts the batch=1 program
+  engine.submit(req(3)).get();  // capacity 2 → evicts the seed=1 program
   EXPECT_EQ(engine.cacheStats().evictions, 1u);
   EXPECT_EQ(engine.cacheStats().size, 2u);
 
