@@ -4,7 +4,6 @@
 #include <string_view>
 #include <utility>
 
-#include "src/runtime/profiler.h"
 #include "src/support/error.h"
 
 namespace tssa::analysis {
@@ -68,40 +67,41 @@ std::vector<CostValue> bindSymbolic(
 
 namespace {
 
-/// Turns charges into Profiler events. Owns the two pieces of state a
-/// metadata walk needs beyond the per-op rules: ParallelMap launch merging
-/// and the suppress scope of interpreted FusionGroup bodies.
+/// Prices charges into a CostReport under the options' device and host
+/// models. Owns the two pieces of state a metadata walk needs beyond the
+/// per-op rules: ParallelMap launch merging and the suppress scope of
+/// interpreted FusionGroup bodies.
 class ChargeSink {
  public:
-  explicit ChargeSink(runtime::Profiler& profiler) : profiler_(profiler) {}
+  ChargeSink(const CostOptions& opts, CostReport& report)
+      : device_(opts.device), host_(opts.host), report_(report) {}
 
   /// Records one op's charge. Inside a merge scope kernel j of the current
   /// iteration joins batched launch slot j and host work is not paid;
   /// inside a suppress scope kernels count only their flops.
   void charge(const Node& node, const Charge& c) {
-    if (c.dispatch && mergeDepth_ == 0) profiler_.opDispatch();
+    if (c.dispatch && mergeDepth_ == 0) hostOnly(host_.perOpUs);
     if (suppressDepth_ > 0) suppressSavedBytes_ += c.savedBytes;
     for (int i = 0; i < c.launches; ++i) kernel(node.kind(), c.bytes, c.flops);
     if (c.hostSyncs > 0 && mergeDepth_ == 0 && suppressDepth_ == 0)
-      profiler_.hostOnly(c.hostSyncs * profiler_.device().syncLatencyUs);
+      hostOnly(c.hostSyncs * device_.syncLatencyUs);
   }
 
   /// Host control-flow charges; free inside a merge scope.
-  void loopIteration() {
-    if (mergeDepth_ == 0) profiler_.loopIteration();
+  void loopIter() {
+    if (mergeDepth_ == 0) hostOnly(host_.perLoopIterUs);
   }
   void branch() {
-    if (mergeDepth_ == 0) profiler_.branch();
+    if (mergeDepth_ == 0) hostOnly(host_.perIfUs);
   }
   /// Graph-break model: entering a block whose segment contains generated
   /// kernels costs one region call (guard checks, Python resume).
   void enterBlock(const ir::Block& block) {
-    if (mergeDepth_ > 0 || suppressDepth_ > 0 ||
-        profiler_.host().perRegionCallUs <= 0)
+    if (mergeDepth_ > 0 || suppressDepth_ > 0 || host_.perRegionCallUs <= 0)
       return;
     for (const Node* node : block) {
       if (node->kind() == OpKind::FusionGroup) {
-        profiler_.regionCall();
+        hostOnly(host_.perRegionCallUs);
         return;
       }
     }
@@ -137,8 +137,8 @@ class ChargeSink {
   void flushParallelMap(std::span<const Slot> slots) {
     if (mergeDepth_ > 0) return;
     for (const Slot& slot : slots) {
-      profiler_.kernel("tssa::ParallelMap(" + std::string(slot.name) + ")",
-                       slot.bytes, slot.flops, profiler_.host().perOpUs);
+      launch("tssa::ParallelMap(" + std::string(slot.name) + ")", slot.bytes,
+             slot.flops);
     }
   }
 
@@ -186,10 +186,33 @@ class ChargeSink {
       ++mergePos_;
       return;
     }
-    profiler_.kernel(opName(kind), bytes, flops, profiler_.host().perOpUs);
+    launch(std::string(opName(kind)), bytes, flops);
   }
 
-  runtime::Profiler& profiler_;
+  /// A device kernel plus the host work that dispatched it.
+  void launch(std::string name, std::int64_t bytes, std::int64_t flops) {
+    const double k = device_.kernelTimeUs(bytes, flops);
+    const double h = host_.perOpUs;
+    ++report_.launches;
+    report_.bytes += bytes;
+    report_.flops += flops;
+    report_.gpuUs += k;
+    report_.hostUs += h;
+    // Asynchronous dispatch pipelines host work under kernel execution;
+    // Python-serialized dispatch pays both.
+    report_.simUs += host_.serialDispatch ? k + h : (k > h ? k : h);
+    report_.perKernel[std::move(name)] += 1;
+  }
+
+  /// Host-only work (op dispatch, control flow, syncs, region calls).
+  void hostOnly(double us) {
+    report_.hostUs += us;
+    report_.simUs += us;
+  }
+
+  const runtime::DeviceSpec& device_;
+  const runtime::HostSpec& host_;
+  CostReport& report_;
   int mergeDepth_ = 0;
   std::size_t mergePos_ = 0;
   std::vector<Slot> slots_;
@@ -203,18 +226,16 @@ class ChargeSink {
 /// abstract propagation of values through blocks, branches and loops.
 class CostWalker {
  public:
-  CostWalker(const CostOptions& opts, runtime::Profiler& profiler)
-      : opts_(opts), sink_(profiler) {}
+  CostWalker(const CostOptions& opts, CostReport& report)
+      : opts_(opts), report_(report), sink_(opts, report) {}
 
-  std::int64_t walk(const ir::Graph& graph,
-                    std::span<const CostValue> inputs) {
+  void walk(const ir::Graph& graph, std::span<const CostValue> inputs) {
     TSSA_CHECK(inputs.size() == graph.inputs().size(),
                "estimateCost: expected " << graph.inputs().size()
                                          << " inputs, got " << inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i)
       env_[graph.inputs()[i]] = inputs[i];
     walkBlock(*graph.topBlock());
-    return unknownOps_;
   }
 
  private:
@@ -253,7 +274,7 @@ class CostWalker {
         // the node's effect cannot be priced. Charges are always issued
         // after a node's metadata resolved, so a throwing node charged
         // nothing.
-        ++unknownOps_;
+        ++report_.unknownOps;
         for (const ir::Value* out : node->outputs())
           env_[out] = CostValue::unknown();
       }
@@ -267,7 +288,7 @@ class CostWalker {
     TSSA_CHECK(trip <= opts_.maxLoopTrip, "loop trip beyond cost budget");
     for (std::int64_t it = 0; it < trip; ++it) {
       if (perIteration) {
-        sink_.loopIteration();
+        sink_.loopIter();
       } else {
         sink_.beginIteration();
       }
@@ -373,9 +394,9 @@ class CostWalker {
   }
 
   const CostOptions& opts_;
+  CostReport& report_;
   ChargeSink sink_;
   std::unordered_map<const ir::Value*, CostValue> env_;
-  std::int64_t unknownOps_ = 0;
 };
 
 }  // namespace
@@ -383,17 +404,9 @@ class CostWalker {
 CostReport estimateCost(const ir::Graph& graph,
                         std::span<const CostValue> inputs,
                         const CostOptions& options) {
-  runtime::Profiler profiler(options.device, options.host);
-  CostReport r;
-  r.unknownOps = CostWalker(options, profiler).walk(graph, inputs);
-  r.launches = profiler.kernelLaunches();
-  r.bytes = profiler.bytesMoved();
-  r.flops = profiler.flops();
-  r.gpuUs = profiler.gpuTimeUs();
-  r.hostUs = profiler.hostTimeUs();
-  r.simUs = profiler.simTimeUs();
-  r.perKernel = profiler.kernelHistogram();
-  return r;
+  CostReport report;
+  CostWalker(options, report).walk(graph, inputs);
+  return report;
 }
 
 }  // namespace tssa::analysis

@@ -6,10 +6,11 @@
 // trips, slice bounds and view extents depend on them), or a list of tensor
 // metas. No tensor data is allocated or moved. The walk owns no per-op rule:
 // each leaf op's outputs come from analysis::inferOutputs and its charge from
-// analysis::chargeOf (src/analysis/op_rules.h). It charges them into a
-// runtime::Profiler configured with the DeviceSpec/HostSpec under study,
-// merging the kernels of ParallelMap iterations into batched launches and
-// pricing FusionGroups as one kernel each. FusionGroups whose body
+// analysis::chargeOf (src/analysis/op_rules.h). It prices them straight
+// into a CostReport with the DeviceSpec/HostSpec under study — per op
+// max(host, kernel), or their sum under serialized dispatch — merging the
+// kernels of ParallelMap iterations into batched launches and pricing
+// FusionGroups as one kernel each. FusionGroups whose body
 // analysis::pricesAsOneKernel accepts are priced by inferFusedBody; other
 // bodies count what their suppressed kernels would. Metadata comes from the
 // kernels' own shape rules (src/tensor), so it is what execution produces.
@@ -19,8 +20,8 @@
 // exact for every run that executes successfully. runtime::Pipeline::run
 // therefore prices each run with it (memoized per input signature) instead
 // of charging while the interpreter executes, and raises a tssa::Error if
-// a run it could not price exactly succeeds. The Profiler numbers a
-// Pipeline reports are this walk's numbers.
+// a run it could not price exactly succeeds. The Profiler of a Pipeline
+// reads this walk's report of its last run; it stores no copy.
 //
 // Symbolic dims: bindSymbolic() turns a workload's SymbolicPattern input
 // types plus a symbol->extent binding into cost inputs, so one polymorphic
@@ -68,7 +69,8 @@ struct CostOptions {
   std::int64_t maxLoopTrip = 1 << 20;
 };
 
-/// The accounting result; field semantics match runtime::Profiler exactly.
+/// The accounting result: the one record of a run's price (a Pipeline's
+/// runtime::Profiler reads it).
 struct CostReport {
   std::int64_t launches = 0;  ///< modelled kernel launches
   std::int64_t bytes = 0;     ///< external memory traffic

@@ -17,9 +17,9 @@ namespace tssa::obs {
 ///   tssa_flops_total                      flops()
 ///   tssa_sim_time_us / tssa_host_time_us / tssa_gpu_time_us   (gauges)
 ///
-/// Counter values are SET (not added): a Profiler is itself cumulative
-/// since its last reset, so re-exporting after more runs refreshes the
-/// registry to the profiler's current totals.
+/// Counter values are SET (not added): a Profiler reads the price of its
+/// Pipeline's last run, so re-exporting after another run refreshes the
+/// registry to that run's numbers.
 void exportProfiler(const runtime::Profiler& profiler,
                     MetricsRegistry& registry);
 

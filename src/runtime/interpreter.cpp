@@ -15,10 +15,9 @@ namespace tssa::runtime {
 using ir::Node;
 using ir::OpKind;
 
-void Interpreter::setThreads(int threads) {
-  threads_ = threads == 0 ? ThreadPool::hardwareThreads()
-                          : std::max(threads, 1);
-}
+Interpreter::Interpreter(int threads)
+    : threads_(threads == 0 ? ThreadPool::hardwareThreads()
+                            : std::max(threads, 1)) {}
 
 // ---- Operands ---------------------------------------------------------------
 

@@ -50,14 +50,10 @@ namespace tssa::runtime {
 class Interpreter {
  public:
   /// Fused bodies run tiled or whole through the tensor/ops.h kernels.
-  /// `threads` caps the worker count for parallel constructs: 1 (default)
-  /// executes fully serially, 0 means ThreadPool::hardwareThreads().
-  explicit Interpreter(int threads = 1) { setThreads(threads); }
-
-  /// Worker-count cap for ParallelMap iteration batches and fused-body
-  /// tiles; 0 resolves to the hardware concurrency.
-  void setThreads(int threads);
-  int threads() const { return threads_; }
+  /// `threads` caps the worker count for ParallelMap iteration batches and
+  /// fused-body tiles: 1 (default) executes fully serially, 0 means
+  /// ThreadPool::hardwareThreads().
+  explicit Interpreter(int threads = 1);
 
   /// Runs `graph` on `inputs` (one per graph input) and returns its outputs.
   std::vector<RtValue> run(const ir::Graph& graph,

@@ -207,7 +207,6 @@ Pipeline::Pipeline(PipelineKind kind, const ir::Graph& source,
                    const PipelineOptions& options)
     : kind_(kind),
       graph_(ir::cloneGraph(source)),
-      profiler_(options.device, hostSpecFor(kind)),
       interpreter_(options.threads) {
   compileGraph(kind, *graph_, options);
   pricing_.device = options.device;
@@ -217,25 +216,19 @@ Pipeline::Pipeline(PipelineKind kind, const ir::Graph& source,
 }
 
 std::vector<RtValue> Pipeline::run(std::span<const RtValue> inputs) {
-  profiler_.reset();
-  return runAccumulate(inputs);
-}
-
-std::vector<RtValue> Pipeline::runAccumulate(std::span<const RtValue> inputs) {
+  profiler_.report_ = nullptr;
   const analysis::CostReport& cost = price(inputs);
-  const std::int64_t unknownOps = cost.unknownOps;
-  if (unknownOps == 0) {
+  if (cost.exact()) {
     if (launchProbe_) {
       for (std::int64_t i = 0; i < cost.launches; ++i) launchProbe_();
     }
-    profiler_.addRun(cost.launches, cost.bytes, cost.flops, cost.gpuUs,
-                     cost.hostUs, cost.simUs, cost.perKernel);
+    profiler_.report_ = &cost;
   }
   // An unpriceable run usually fails here with the interpreter's own error.
   std::vector<RtValue> outs = interpreter_.run(*graph_, inputs);
-  TSSA_CHECK(unknownOps == 0, "pipeline " << name() << ": the run succeeded "
-                                  "but the cost walk left " << unknownOps
-                                  << " ops unpriced");
+  TSSA_CHECK(cost.exact(), "pipeline " << name() << ": the run succeeded "
+                               "but the cost walk left " << cost.unknownOps
+                               << " ops unpriced");
   return outs;
 }
 

@@ -8,7 +8,8 @@
 // which is what produces the paper's metrics. A run is priced, not
 // measured: the cost walk (src/analysis/cost.h) prices the compiled program
 // on the run's input metadata under that system's dispatch model, once per
-// input signature, and the interpreter only executes.
+// input signature, and the interpreter only executes. The memoized
+// CostReport is the run's one record; profiler() reads it.
 #pragma once
 
 #include <cstddef>
@@ -78,8 +79,9 @@ void compileGraph(PipelineKind kind, ir::Graph& graph,
 
 class Pipeline {
  public:
-  /// Compiles `source` for `kind` with explicit runtime options (device,
-  /// thread count, backend choice). The source graph is not modified.
+  /// Compiles `source` for `kind` with explicit options (device, thread
+  /// count, fusion cap, parallelization mask). The source graph is not
+  /// modified.
   Pipeline(PipelineKind kind, const ir::Graph& source,
            const PipelineOptions& options);
 
@@ -91,14 +93,14 @@ class Pipeline {
   PipelineKind kind() const { return kind_; }
   std::string_view name() const { return pipelineName(kind_); }
 
-  /// Executes the compiled program. Profiling restarts on every call.
-  std::vector<RtValue> run(std::span<const RtValue> inputs);
-  /// Executes without resetting the profiler (for accumulating runs). The
-  /// run's price is added to the profiler before the program executes;
+  /// Executes the compiled program. The run is priced before it executes;
   /// throws tssa::Error when the run succeeds but the cost walk could not
   /// price it exactly (a lower bound is never reported as exact).
-  std::vector<RtValue> runAccumulate(std::span<const RtValue> inputs);
+  std::vector<RtValue> run(std::span<const RtValue> inputs);
 
+  /// The price of the last run. Reads zero before the first run, after a
+  /// run whose launch probe threw and after a run the cost walk could not
+  /// price exactly.
   const Profiler& profiler() const { return profiler_; }
   const ir::Graph& compiled() const { return *graph_; }
 
@@ -114,7 +116,8 @@ class Pipeline {
   /// The cost walk's report for a run on `inputs`. Memoized per input
   /// signature — tensor sizes and dtypes, scalar values, list metas — for
   /// the kPricedSignatures most recently priced. Runs of one Pipeline never
-  /// overlap, so the memo needs no lock.
+  /// overlap, so the memo needs no lock. It changes only here, after run()
+  /// has cleared the profiler's pointer into it.
   const analysis::CostReport& price(std::span<const RtValue> inputs);
 
   static constexpr std::size_t kPricedSignatures = 32;

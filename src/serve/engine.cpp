@@ -347,8 +347,8 @@ Engine::RunResult Engine::runProgram(
     try {
       result.outputs = program.pipeline->run(inputs);
       // Read the modelled device time while still holding the exec lock:
-      // run() resets the profiler, so a concurrent batch on this program
-      // could clobber it the moment the lock drops.
+      // the profiler reads the price of the program's last run, which a
+      // concurrent batch on this program replaces the moment the lock drops.
       result.simUs = program.pipeline->profiler().simTimeUs();
     } catch (...) {
       result.error = std::current_exception();

@@ -68,8 +68,8 @@ namespace tssa::serve {
 
 struct EngineOptions {
   runtime::PipelineKind kind = runtime::PipelineKind::TensorSsa;
-  /// Device model, per-program interpreter thread cap, fused-body pricing —
-  /// part of the program cache key.
+  /// Device model, per-program interpreter thread cap, fusion cap and
+  /// parallelization mask — part of the program cache key.
   runtime::PipelineOptions pipeline{};
   std::size_t cacheCapacity = 32;      ///< compiled programs kept (LRU)
   int maxBatch = 8;                    ///< micro-batch request cap

@@ -154,8 +154,8 @@ class MetricsCollector {
   /// Records one batch re-executed de-coalesced after its batched run threw.
   void recordDecoalesced();
   /// Records one executed batch's simulated device time (the program
-  /// profiler's simTimeUs, read under the program's exec lock — run()
-  /// resets the profiler).
+  /// profiler's simTimeUs, read under the program's exec lock: the next
+  /// run re-points the profiler at its own price).
   void recordSimBusy(double simUs);
 
   /// Fills the latency / throughput / batching part of `out` (the engine

@@ -158,7 +158,13 @@ DecodeOptions Router::decodeOptionsFor(int shard,
 }
 
 std::string Router::routingKey(const Request& request) const {
-  return Engine::keyFor(options_.engine, request).toString();
+  try {
+    return Engine::keyFor(options_.engine, request).toString();
+  } catch (const Error&) {
+    // An unknown workload has no program key: route it by its name, so its
+    // home shard's engine refuses it as a BadRequest and counts the refusal.
+    return request.workload;
+  }
 }
 
 int Router::homeShard(const Request& request) const {

@@ -193,7 +193,8 @@ class Router {
     ShardState state = ShardState::Serving;
   };
 
-  /// The ring key for a one-shot request (its program key, rendered).
+  /// The ring key for a one-shot request: its program key, rendered, or
+  /// the workload name when the workload is unknown.
   std::string routingKey(const Request& request) const;
 
   /// Snapshot a shard's engine (and state) under the lock.

@@ -282,9 +282,8 @@ TEST(CostModelDifferentialTest, MatchesProfilerOnAllWorkloadsAndPipelines) {
       opts.device = po.device;
       opts.host = runtime::hostSpecFor(kind);
       const CostReport r = estimateCost(*compiled, costInputs(w.inputs), opts);
-      // The report is thread-invariant: it must equal the serial run's
-      // Profiler and the threaded one's (per-worker ParallelMap slots merged
-      // at the barrier).
+      // The report is thread-invariant: it must equal what the serial and
+      // the threaded Pipeline's Profiler report for the run.
       for (const int threads : {1, runtime::ThreadPool::hardwareThreads()}) {
         po.threads = threads;
         runtime::Pipeline pipeline(kind, *w.graph, po);

@@ -217,9 +217,9 @@ TEST_P(ParallelExecTest, ThreadCountIsUnobservable) {
           << w.name << " output " << i << " not bitwise identical at threads="
           << threads;
     }
-    // Profiler metrics are part of the determinism contract: the threaded
-    // engine merges per-worker accumulators in chunk order, so counts and
-    // the per-kernel histogram must match the serial run exactly.
+    // Profiler metrics are part of the determinism contract: a run is priced
+    // from its program and input metadata, never from execution, so counts
+    // and the per-kernel histogram must match the serial run exactly.
     EXPECT_EQ(serial.profiler().kernelLaunches(), p.profiler().kernelLaunches())
         << w.name << " threads=" << threads;
     EXPECT_EQ(serial.profiler().bytesMoved(), p.profiler().bytesMoved())

@@ -2,6 +2,7 @@
 // and in-place (buffer-donation) marking.
 #include <gtest/gtest.h>
 
+#include "src/analysis/cost.h"
 #include "src/core/dce.h"
 #include "src/core/fusion.h"
 #include "src/core/inplace_reuse.h"
@@ -12,7 +13,6 @@
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
 #include "src/runtime/interpreter.h"
-#include "src/runtime/profiler.h"
 #include "src/tensor/random.h"
 
 namespace tssa {
@@ -270,17 +270,34 @@ TEST(DeviceModelTest, KernelTimeRoofline) {
 }
 
 TEST(ProfilerTest, SerialVsPipelinedDispatch) {
-  runtime::DeviceSpec dev = runtime::DeviceSpec::dataCenter();
-  runtime::HostSpec serial = runtime::HostSpec::eagerPython();
-  runtime::HostSpec pipelined = runtime::HostSpec::torchscriptVm();
-  runtime::Profiler ps(dev, serial);
-  runtime::Profiler pp(dev, pipelined);
-  ps.kernel("k", 0, 0, 3.0);
-  pp.kernel("k", 0, 0, 3.0);
-  EXPECT_DOUBLE_EQ(ps.simTimeUs(), dev.launchOverheadUs + 3.0);
-  EXPECT_DOUBLE_EQ(pp.simTimeUs(), dev.launchOverheadUs);  // overlapped
-  EXPECT_EQ(ps.kernelLaunches(), 1);
-  EXPECT_EQ(ps.kernelHistogram().at("k"), 1);
+  // One kernel, priced under both dispatch models: Python-serialized
+  // dispatch pays host + kernel, the TorchScript VM hides the host work
+  // under the kernel.
+  Graph g;
+  IRBuilder b(g);
+  Value* x = g.addInput(Type::tensor(DType::Float32), "x");
+  g.addOutput(b.relu(x));
+  const std::vector<analysis::CostValue> in = {
+      analysis::CostValue::tensor({4, 8}, DType::Float32)};
+  analysis::CostOptions serial;
+  serial.host = runtime::HostSpec::eagerPython();
+  analysis::CostOptions pipelined;
+  pipelined.host = runtime::HostSpec::torchscriptVm();
+  const analysis::CostReport s = analysis::estimateCost(g, in, serial);
+  const analysis::CostReport p = analysis::estimateCost(g, in, pipelined);
+
+  const double k = serial.device.kernelTimeUs(s.bytes, s.flops);
+  ASSERT_GT(k, pipelined.host.perOpUs);
+  for (const analysis::CostReport* r : {&s, &p}) {
+    EXPECT_EQ(r->launches, 1);
+    EXPECT_DOUBLE_EQ(r->gpuUs, k);
+    ASSERT_EQ(r->perKernel.size(), 1u);
+    EXPECT_EQ(r->perKernel.begin()->second, 1);
+  }
+  EXPECT_DOUBLE_EQ(s.hostUs, serial.host.perOpUs);
+  EXPECT_DOUBLE_EQ(s.simUs, k + serial.host.perOpUs);
+  EXPECT_DOUBLE_EQ(p.hostUs, pipelined.host.perOpUs);
+  EXPECT_DOUBLE_EQ(p.simUs, k);  // overlapped
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // (src/analysis/cost.h), memoized per input signature, and its launch probe
 // fires once per modelled launch before the program executes. The memo must
 // be invisible: a memoized run reports bit for bit what a cold walk and a
-// fresh Pipeline report at that shape.
+// fresh Pipeline report at that shape, also once the memo is full and
+// replaces entries. profiler() reads the memoized report of the last run.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -93,25 +94,55 @@ TEST(PipelinePricingTest, MemoizedRunsMatchColdPricingAtAlternatingShapes) {
   }
   // The shapes differ in price, so a stale memo entry would show.
   EXPECT_NE(cold[0].launches, cold[1].launches);
+}
 
-  // runAccumulate adds each run's price on top of the previous ones.
-  CostReport sum;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (i == 0) {
-      pipeline.run(runs[i].inputs);
-    } else {
-      pipeline.runAccumulate(runs[i].inputs);
-    }
-    const CostReport& r = cold[i];
-    sum.launches += r.launches;
-    sum.bytes += r.bytes;
-    sum.flops += r.flops;
-    sum.gpuUs += r.gpuUs;
-    sum.hostUs += r.hostUs;
-    sum.simUs += r.simUs;
-    for (const auto& [name, count] : r.perKernel) sum.perKernel[name] += count;
+TEST(PipelinePricingTest, MemoStaysInvisiblePastItsCapacity) {
+  // 40 distinct signatures through one Pipeline: more than the memo holds
+  // (32), so later ones replace earlier ones round-robin. Revisiting the
+  // first shapes prices them again and replaces entries the profiler may
+  // no longer point at.
+  std::vector<std::pair<std::int64_t, std::int64_t>> shapes;
+  for (std::int64_t batch : {1, 2})
+    for (std::int64_t seqLen = 1; seqLen <= 20; ++seqLen)
+      shapes.emplace_back(batch, seqLen);
+  const PipelineOptions options;
+  const Workload first = workloads::buildWorkload(
+      "lstm", symbolicConfig(shapes[0].first, shapes[0].second));
+  Pipeline pipeline(PipelineKind::TensorSsa, *first.graph, options);
+  expectSameNumbers(pipeline.profiler(), CostReport{}, "before any run");
+
+  analysis::CostOptions costOptions;
+  costOptions.device = options.device;
+  costOptions.host = runtime::hostSpecFor(PipelineKind::TensorSsa);
+  std::vector<std::size_t> order(shapes.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i : {0, 1, 2, 3, 4, 5, 6, 7, 39, 20, 0}) order.push_back(i);
+  for (std::size_t i : order) {
+    const auto [batch, seqLen] = shapes[i];
+    const std::string label =
+        "b" + std::to_string(batch) + "/t" + std::to_string(seqLen);
+    const Workload w =
+        workloads::buildWorkload("lstm", symbolicConfig(batch, seqLen));
+    pipeline.run(w.inputs);
+    expectSameNumbers(
+        pipeline.profiler(),
+        analysis::estimateCost(pipeline.compiled(),
+                               analysis::costInputs(w.inputs), costOptions),
+        label);
   }
-  expectSameNumbers(pipeline.profiler(), sum, "accumulated");
+  ASSERT_GT(pipeline.profiler().kernelLaunches(), 0);
+
+  // A run refused by its launch probe executes nothing and reports nothing,
+  // memoized signature or not.
+  pipeline.setLaunchProbe(
+      [] { throw std::runtime_error("injected launch failure"); });
+  for (std::size_t i : {std::size_t{0}, std::size_t{10}}) {
+    const Workload w = workloads::buildWorkload(
+        "lstm", symbolicConfig(shapes[i].first, shapes[i].second));
+    EXPECT_THROW(pipeline.run(w.inputs), std::runtime_error);
+    expectSameNumbers(pipeline.profiler(), CostReport{},
+                      "after a refused run");
+  }
 }
 
 TEST(PipelinePricingTest, LaunchProbeFiresOncePerModelledLaunch) {

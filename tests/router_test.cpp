@@ -311,6 +311,25 @@ TEST(RouterTest, NonRetryableRejectionsPassThrough) {
   EXPECT_EQ(router.stats().retryHops, 0u);
   for (const auto& snap : router.shardMetrics())
     EXPECT_EQ(snap.cacheCompiles, 0u);
+
+  // An unknown workload has no program key; its home shard still refuses
+  // it with a typed, counted BadRequest, as a standalone Engine does.
+  const std::uint64_t badBefore =
+      router.mergedMetrics().rejectedFor(RejectReason::BadRequest);
+  Request unknown;
+  unknown.workload = "resnet";
+  unknown.config = smallConfig();
+  try {
+    router.submit(unknown);
+    FAIL() << "expected RejectedError";
+  } catch (const RejectedError& e) {
+    EXPECT_EQ(e.reason(), RejectReason::BadRequest);
+  }
+  EXPECT_EQ(router.mergedMetrics().rejectedFor(RejectReason::BadRequest),
+            badBefore + 1);
+  EXPECT_EQ(router.stats().retryHops, 0u);
+  for (const auto& snap : router.shardMetrics())
+    EXPECT_EQ(snap.cacheCompiles, 0u);
 }
 
 // ---- (d) drain / restart ---------------------------------------------------
