@@ -1,13 +1,13 @@
 // Autotuner win/loss bench (src/tune, DESIGN.md §15, ROADMAP item 5).
 //
-// Runs the full two-phase search — analytic Markov moves scored by the cost
-// pass, then the measured shortlist — for every paper workload on the
-// TensorSsa pipeline, and emits one tssa-bench-v1 record per workload plus a
-// summary record. The records carry the tuner's own honesty evidence:
+// Tunes every paper workload on the TensorSsa pipeline — the default priced
+// once by the cost pass, then the measured shortlist — and emits one
+// tssa-bench-v1 record per workload plus a summary record:
 //
-//   extra.tuned_sim_us / extra.default_sim_us   analytic scores; the gate in
-//       scripts/check_bench.py fails any record where tuned > default (the
-//       search seeds at the default, so a regression means a scoring bug);
+//   sim_us / extra.default_sim_us               analytic score of the default
+//       heuristics, gated exactly against bench/baseline.json;
+//   extra.installed_sim_us                      analytic score of the
+//       installed config (above the default for a measured winner);
 //   extra.tuned_ns / extra.default_ns           measured best-of-N ns/iter
 //       of the installed config vs the default heuristics;
 //   extra.tuned_win                             1 when a non-default config
@@ -15,12 +15,11 @@
 //   summary extra.tuned_wins                    count of winning workloads,
 //       gated against check_bench.py's TUNED_WINS_FLOOR.
 //
-// The binary itself exits non-zero if any tuned config scores worse than
-// the default analytically, or if the tuned program's outputs are not
-// bitwise identical to the default program's — either would mean the tuner
-// traded correctness or honesty for speed, and no record should paper over
-// that. Wall-clock fields stay time_gated=false: the win/loss *counts* are
-// the gated signal, the raw times are for trend inspection.
+// The binary itself exits non-zero if the tuned program's outputs are not
+// bitwise identical to the default program's — that would mean the tuner
+// traded correctness for speed, and no record should paper over it.
+// Wall-clock fields stay time_gated=false: the win/loss *counts* are the
+// gated signal, the raw times are for trend inspection.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -48,8 +47,6 @@ int main(int argc, char** argv) {
   bench::BenchReport report("tune_search", flags);
 
   tune::TunerOptions tunerOpts;
-  tunerOpts.seed = 1;
-  tunerOpts.searchSteps = 48;
   tunerOpts.measureReps = std::max(flags.reps, 3);
   tune::Autotuner tuner(tunerOpts);
 
@@ -60,14 +57,11 @@ int main(int argc, char** argv) {
   const tune::TunedConfig defaults = tune::TunedConfig::defaults(base);
   constexpr auto kind = runtime::PipelineKind::TensorSsa;
 
-  std::printf("autotuner search, TensorSsa pipeline (batch=%lld, seqLen=%lld, "
-              "seed=%llu, %d steps)\n",
+  std::printf("autotuner, TensorSsa pipeline (batch=%lld, seqLen=%lld)\n",
               static_cast<long long>(config.batch),
-              static_cast<long long>(config.seqLen),
-              static_cast<unsigned long long>(tunerOpts.seed),
-              tunerOpts.searchSteps);
-  std::printf("%-10s %12s %12s %14s %14s %5s  %s\n", "workload",
-              "default_sim", "tuned_sim", "default_ns", "tuned_ns", "win",
+              static_cast<long long>(config.seqLen));
+  std::printf("%-10s %12s %14s %14s %14s %5s  %s\n", "workload",
+              "default_sim", "installed_sim", "default_ns", "tuned_ns", "win",
               "config");
 
   int wins = 0;
@@ -75,17 +69,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : benchWorkloads()) {
     const tune::TuneResult r = tuner.tune(name, config, kind, base);
 
-    // Honesty check 1: the analytic winner must never score worse than the
-    // default the search started from.
-    if (r.tunedSimUs > r.defaultSimUs) {
-      std::fprintf(stderr,
-                   "FAIL %s: tuned simUs %.2f > default %.2f — the search "
-                   "installed a config it scored worse than its seed\n",
-                   name.c_str(), r.tunedSimUs, r.defaultSimUs);
-      failed = true;
-    }
-
-    // Honesty check 2: the tuned program is the same program. Scheduling
+    // Honesty check: the tuned program is the same program. Scheduling
     // knobs must not change a single output bit.
     const workloads::Workload w = workloads::buildWorkload(name, config);
     runtime::Pipeline defaultPipeline(kind, *w.graph, base);
@@ -107,10 +91,9 @@ int main(int argc, char** argv) {
     rec.name = "tune/" + name;
     rec.workload = name;
     rec.pipeline = std::string(runtime::pipelineName(kind));
-    rec.simUs = r.tunedSimUs;
+    rec.simUs = r.defaultSimUs;
     rec.timeGated = false;  // win *counts* are gated, raw times are not
-    rec.extra = {{"tuned_sim_us", r.tunedSimUs},
-                 {"default_sim_us", r.defaultSimUs},
+    rec.extra = {{"default_sim_us", r.defaultSimUs},
                  {"installed_sim_us", r.installedSimUs},
                  {"tuned_ns", r.tunedNsPerIter},
                  {"default_ns", r.defaultNsPerIter},
@@ -118,9 +101,9 @@ int main(int argc, char** argv) {
                  {"unknown_ops", static_cast<double>(r.unknownOps)}};
     report.add(std::move(rec));
 
-    std::printf("%-10s %11.1fus %11.1fus %13.0fns %13.0fns %5s  %s\n",
-                name.c_str(), r.defaultSimUs, r.tunedSimUs, r.defaultNsPerIter,
-                r.tunedNsPerIter, win ? "yes" : "no",
+    std::printf("%-10s %11.1fus %13.1fus %13.0fns %13.0fns %5s  %s\n",
+                name.c_str(), r.defaultSimUs, r.installedSimUs,
+                r.defaultNsPerIter, r.tunedNsPerIter, win ? "yes" : "no",
                 r.config.toString().c_str());
   }
 

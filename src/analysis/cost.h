@@ -25,8 +25,7 @@
 //
 // Symbolic dims: bindSymbolic() turns a workload's SymbolicPattern input
 // types plus a symbol->extent binding into cost inputs, so one polymorphic
-// program yields a cost as a function of the bound extents — the offline
-// scoring oracle of the autotuner (src/tune).
+// program yields a cost as a function of the bound extents.
 //
 // Ops whose outcome the metadata cannot determine (an input scalar left
 // unknown, a loop beyond `maxLoopTrip`, operands a rule rejects) are

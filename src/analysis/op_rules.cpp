@@ -1,6 +1,7 @@
 #include "src/analysis/op_rules.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "src/support/error.h"
@@ -227,15 +228,29 @@ Scalar scalarResult(const Node& node, std::span<const Operand> in) {
       default: break;
     }
   } else {
+    // Program text supplies these integers: an overflow is a typed error,
+    // not undefined behaviour.
     const std::int64_t x = a.toInt(), y = b.toInt();
+    std::int64_t r = 0;
     switch (kind) {
-      case OpKind::ScalarAdd: return Scalar(x + y);
-      case OpKind::ScalarSub: return Scalar(x - y);
-      case OpKind::ScalarMul: return Scalar(x * y);
+      case OpKind::ScalarAdd:
+        TSSA_CHECK(!__builtin_add_overflow(x, y, &r),
+                   "int64 overflow in " << x << " + " << y);
+        return Scalar(r);
+      case OpKind::ScalarSub:
+        TSSA_CHECK(!__builtin_sub_overflow(x, y, &r),
+                   "int64 overflow in " << x << " - " << y);
+        return Scalar(r);
+      case OpKind::ScalarMul:
+        TSSA_CHECK(!__builtin_mul_overflow(x, y, &r),
+                   "int64 overflow in " << x << " * " << y);
+        return Scalar(r);
       case OpKind::ScalarMin: return Scalar(std::min(x, y));
       case OpKind::ScalarMax: return Scalar(std::max(x, y));
       case OpKind::ScalarMod:
         TSSA_CHECK(y != 0, "mod by zero");
+        TSSA_CHECK(!(x == std::numeric_limits<std::int64_t>::min() && y == -1),
+                   "int64 overflow in " << x << " mod -1");
         return Scalar(x % y);
       default: break;
     }

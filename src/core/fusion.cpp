@@ -19,6 +19,9 @@ using ir::Value;
 
 namespace {
 
+/// Runs shorter than this stay plain kernels: a one-op group saves nothing.
+constexpr std::size_t kMinKernelOps = 2;
+
 bool policyFusable(const FusionPolicy& policy, const Node& node) {
   switch (ir::opCategory(node.kind())) {
     case OpCategory::EwiseUnary:
@@ -191,7 +194,7 @@ std::size_t fuseInBlock(Graph& graph, Block& block,
 
   std::vector<Node*> run;
   auto flush = [&]() {
-    if (run.size() >= policy.minKernelOps) {
+    if (run.size() >= kMinKernelOps) {
       buildGroup(graph, run);
       ++groups;
     }

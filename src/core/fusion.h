@@ -25,21 +25,16 @@ struct FusionPolicy {
   bool reductionTail = false;     ///< allow one trailing reduction per group
   bool fuseReductions = false;    ///< reductions as full members (TE codegen)
   bool fuseShapeOps = false;      ///< cat/stack codegen (Inductor-style)
-  std::size_t minKernelOps = 2;   ///< don't group fewer kernel ops than this
   /// Cap on ops per group: a run is flushed when it reaches this size, so
   /// longer chains split into several groups. 0 = unlimited (the historical
-  /// behaviour and every preset's default); the autotuner (src/tune) sets it
-  /// to trade launch count against per-kernel working-set size.
+  /// behaviour and every preset's default); the autotuner (src/tune) measures
+  /// small caps, which can run faster on the host.
   std::size_t maxKernelOps = 0;
 
-  static FusionPolicy nnc() { return {false, false, false, false, false, 2}; }
-  static FusionPolicy nvfuser() {
-    return {true, false, true, false, false, 2};
-  }
-  static FusionPolicy inductor() { return {true, true, true, true, true, 2}; }
-  static FusionPolicy tensorssa() {
-    return {true, true, true, true, false, 2};
-  }
+  static FusionPolicy nnc() { return {false, false, false, false, false}; }
+  static FusionPolicy nvfuser() { return {true, false, true, false, false}; }
+  static FusionPolicy inductor() { return {true, true, true, true, true}; }
+  static FusionPolicy tensorssa() { return {true, true, true, true, false}; }
 };
 
 /// Hoists prim::Constant nodes to the top of their blocks so that constant

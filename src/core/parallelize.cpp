@@ -1,6 +1,5 @@
 #include "src/core/parallelize.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "src/analysis/alias_graph.h"
@@ -112,22 +111,21 @@ bool inductionUsesSafe(Value* iv) {
 
 namespace {
 
-/// `alias` may be null (strict mode: views disallowed). On success
-/// `outWriteDims` (when non-null) receives one entry per carried slot: the
+/// On success `outWriteDims` receives one entry per carried slot: the
 /// dimension its assign chain writes at index `i`, or -1 for read-only
 /// pass-throughs.
-bool loopIsParallelizable(const Node& loop, const AliasInfo* alias,
-                          std::vector<std::int64_t>* outWriteDims = nullptr) {
+bool loopIsParallelizable(const Node& loop, const AliasInfo& alias,
+                          std::vector<std::int64_t>& outWriteDims) {
   if (loop.kind() != OpKind::Loop) return false;
   const Block& body = *loop.block(0);
   for (const Node* n : body) {
     if (n->numBlocks() != 0) return false;  // no nested control flow
     if (ir::isPureOp(n->kind())) continue;
     // Views of never-mutated storage are pure reads.
-    if (ir::isViewOp(n->kind()) && alias != nullptr) {
-      const ir::Value* root = alias->memoryRoot(n->output(0));
+    if (ir::isViewOp(n->kind())) {
+      const ir::Value* root = alias.memoryRoot(n->output(0));
       bool mutated = false;
-      for (const analysis::TensorSet& set : alias->sets()) {
+      for (const analysis::TensorSet& set : alias.sets()) {
         if (set.origin == root && !set.mutations.empty()) {
           mutated = true;
           break;
@@ -143,23 +141,17 @@ bool loopIsParallelizable(const Node& loop, const AliasInfo* alias,
   for (std::size_t k = 0; k < loop.numOutputs(); ++k) {
     if (!carriedSlotIndependent(body, k, iv, &writeDims[k])) return false;
   }
-  if (outWriteDims != nullptr) *outWriteDims = std::move(writeDims);
+  outWriteDims = std::move(writeDims);
   return true;
 }
 
-std::size_t parallelizeInBlock(Block& block, const AliasInfo& alias,
-                               std::uint64_t mask, std::size_t& candidate) {
+std::size_t parallelizeInBlock(Block& block, const AliasInfo& alias) {
   std::size_t converted = 0;
   for (Node* node : block.nodesSnapshot()) {
-    for (Block* b : node->blocks())
-      converted += parallelizeInBlock(*b, alias, mask, candidate);
+    for (Block* b : node->blocks()) converted += parallelizeInBlock(*b, alias);
     std::vector<std::int64_t> writeDims;
     if (node->kind() == OpKind::Loop &&
-        loopIsParallelizable(*node, &alias, &writeDims)) {
-      // Candidates are numbered in discovery order whether or not the mask
-      // admits them, so a mask bit always names the same loop.
-      const std::size_t bit = std::min<std::size_t>(candidate++, 63);
-      if ((mask >> bit & 1) == 0) continue;
+        loopIsParallelizable(*node, alias, writeDims)) {
       node->setKind(OpKind::ParallelMap);
       // The proof travels with the node: the runtime's threaded executor
       // needs the written dimension of each carried slot to pre-allocate
@@ -174,14 +166,9 @@ std::size_t parallelizeInBlock(Block& block, const AliasInfo& alias,
 
 }  // namespace
 
-bool isParallelizableLoop(const Node& loop) {
-  return loopIsParallelizable(loop, nullptr);
-}
-
-std::size_t parallelizeLoops(ir::Graph& graph, std::uint64_t mask) {
+std::size_t parallelizeLoops(ir::Graph& graph) {
   AliasInfo alias = AliasInfo::analyze(graph);
-  std::size_t candidate = 0;
-  return parallelizeInBlock(*graph.topBlock(), alias, mask, candidate);
+  return parallelizeInBlock(*graph.topBlock(), alias);
 }
 
 }  // namespace tssa::core

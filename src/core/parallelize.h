@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "src/ir/ir.h"
 
@@ -30,17 +29,6 @@ namespace tssa::core {
 /// carried slot: the dimension whose slice `i` the iteration writes, -1 for
 /// read-only pass-throughs), which the runtime's threaded ParallelMap
 /// executor uses to merge per-iteration results without locks.
-///
-/// `mask` gates conversion per candidate: provably-parallelizable loops are
-/// numbered in discovery order (outer blocks first, nested bodies before
-/// their owner), and candidate i converts only when bit min(i, 63) is set.
-/// The default converts everything; the autotuner (src/tune) searches over
-/// masks to leave serial the loops whose batching the device model says
-/// doesn't pay.
-std::size_t parallelizeLoops(ir::Graph& graph,
-                             std::uint64_t mask = ~std::uint64_t{0});
-
-/// Exposed for testing: checks a single loop node.
-bool isParallelizableLoop(const ir::Node& loop);
+std::size_t parallelizeLoops(ir::Graph& graph);
 
 }  // namespace tssa::core

@@ -62,14 +62,8 @@ Value* IRBuilder::sizeOf(Value* t, std::int64_t dim) {
 Value* IRBuilder::scalarAdd(Value* a, Value* b) {
   return scalarBinary(*this, OpKind::ScalarAdd, a, b, Type::integer());
 }
-Value* IRBuilder::scalarSub(Value* a, Value* b) {
-  return scalarBinary(*this, OpKind::ScalarSub, a, b, Type::integer());
-}
 Value* IRBuilder::scalarMul(Value* a, Value* b) {
   return scalarBinary(*this, OpKind::ScalarMul, a, b, Type::integer());
-}
-Value* IRBuilder::scalarLt(Value* a, Value* b) {
-  return scalarBinary(*this, OpKind::ScalarLt, a, b, Type::boolean());
 }
 Value* IRBuilder::scalarGe(Value* a, Value* b) {
   return scalarBinary(*this, OpKind::ScalarGe, a, b, Type::boolean());

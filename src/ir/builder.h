@@ -38,11 +38,7 @@ class IRBuilder {
   void setInsertionPointToEnd(Block* block) {
     insertBefore_ = block->returnNode();
   }
-  void setInsertionPointToStart(Block* block) {
-    insertBefore_ = block->empty() ? block->returnNode() : block->front();
-  }
   Node* insertionPoint() const { return insertBefore_; }
-  Block* insertionBlock() const { return insertBefore_->owningBlock(); }
 
   /// Inserts an already-created node at the insertion point.
   Node* insert(Node* node) {
@@ -68,9 +64,7 @@ class IRBuilder {
   /// of being baked in as constants.
   Value* sizeOf(Value* t, std::int64_t dim);
   Value* scalarAdd(Value* a, Value* b);
-  Value* scalarSub(Value* a, Value* b);
   Value* scalarMul(Value* a, Value* b);
-  Value* scalarLt(Value* a, Value* b);
   Value* scalarGe(Value* a, Value* b);
   Value* scalarEq(Value* a, Value* b);
 

@@ -260,16 +260,6 @@ Value* Block::addParam(Type type, std::string debugName) {
   return v;
 }
 
-Value* Block::insertParam(std::size_t i, Type type, std::string debugName) {
-  TSSA_CHECK(i <= params_.size(), "param index out of range");
-  Value* v = graph_->newValue(std::move(type));
-  v->paramBlock_ = this;
-  v->setDebugName(std::move(debugName));
-  params_.insert(params_.begin() + static_cast<std::ptrdiff_t>(i), v);
-  for (std::size_t j = i; j < params_.size(); ++j) params_[j]->defIndex_ = j;
-  return v;
-}
-
 Node* Block::front() const {
   TSSA_CHECK(!empty(), "front() of empty block");
   return returnNode_->next_;

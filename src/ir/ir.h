@@ -137,7 +137,6 @@ class Node {
   // ---- Position ----
   Block* owningBlock() const { return owningBlock_; }
   Graph& graph() const { return *graph_; }
-  bool isInList() const { return owningBlock_ != nullptr; }
   /// Next/previous node in the owning block; the block's return node acts as
   /// the list sentinel (never returned by iteration helpers).
   Node* prev() const { return prev_; }
@@ -203,7 +202,6 @@ class Block {
   std::size_t numParams() const { return params_.size(); }
   Value* param(std::size_t i) const;
   Value* addParam(Type type, std::string debugName = {});
-  Value* insertParam(std::size_t i, Type type, std::string debugName = {});
 
   // ---- Returns ----
   /// The sentinel prim::Return node; its inputs are the block's returns.
@@ -211,10 +209,6 @@ class Block {
   std::span<Value* const> returns() const { return returnNode_->inputs(); }
   std::size_t numReturns() const { return returnNode_->numInputs(); }
   void addReturn(Value* v) { returnNode_->addInput(v); }
-  void insertReturn(std::size_t i, Value* v) {
-    returnNode_->insertInput(i, v);
-  }
-  void setReturn(std::size_t i, Value* v) { returnNode_->setInput(i, v); }
 
   // ---- Node list ----
   bool empty() const { return returnNode_->next_ == returnNode_; }

@@ -96,7 +96,6 @@ class Type {
 
   TypeKind kind() const { return kind_; }
   bool isTensor() const { return kind_ == TypeKind::Tensor; }
-  bool isTensorList() const { return kind_ == TypeKind::TensorList; }
   bool isScalar() const {
     return kind_ == TypeKind::Int || kind_ == TypeKind::Float ||
            kind_ == TypeKind::Bool;

@@ -113,13 +113,9 @@ namespace {
 /// outweighs its tiles' work.
 constexpr std::int64_t kParallelGrainBytes = 4 * analysis::kTileBytes;
 
-/// The rows a reduction kernel accumulates side by side (ops::reduceDim):
-/// one row's sum is one dependency chain, in a fixed order.
-constexpr std::int64_t kReductionRows = 8;
-
 /// How many consecutive tiles one thread runs at once. Tiles keep a body's
 /// working set in cache, but a tile of a reduction beside the tiled dim
-/// feeds the kernel only its own rows: fewer than kReductionRows leave it
+/// feeds the kernel only its own rows: fewer than ops::kReductionRows leave it
 /// waiting on one chain at a time, so that a serial run of such tiles is
 /// slower than the whole body. They join until they carry that many rows.
 std::int64_t joinedTiles(const ir::Block& body,
@@ -134,7 +130,7 @@ std::int64_t joinedTiles(const ir::Block& body,
   for (const analysis::TilePlan::Cut& cut : plan.params)
     if (cut.dim >= 0) extent = std::min(extent, cut.extent);
   return std::min(plan.tiles,
-                  (kReductionRows * plan.tiles + extent - 1) / extent);
+                  (ops::kReductionRows * plan.tiles + extent - 1) / extent);
 }
 
 }  // namespace

@@ -171,9 +171,9 @@ void compileGraph(PipelineKind kind, ir::Graph& graph,
       tracedPass("views-to-access", graph, [&] {
         core::readonlyViewsToAccess(graph, FusionPolicy::tensorssa());
       });
-      tracedPass("parallelize", graph, [&] {
-        core::parallelizeLoops(graph, options.parallelizeMask);
-      });
+      if (options.parallelize)
+        tracedPass("parallelize", graph,
+                   [&] { core::parallelizeLoops(graph); });
       tracedPass("hoist-constants", graph,
                  [&] { core::hoistConstants(graph); });
       tracedPass("fusion", graph, [&] {
@@ -199,7 +199,7 @@ std::size_t hashValue(const PipelineOptions& options) {
   mix(std::hash<double>{}(options.device.syncLatencyUs));
   mix(std::hash<int>{}(options.threads));
   mix(std::hash<std::size_t>{}(options.fusionMaxOps));
-  mix(std::hash<std::uint64_t>{}(options.parallelizeMask));
+  mix(std::hash<bool>{}(options.parallelize));
   return h;
 }
 

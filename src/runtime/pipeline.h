@@ -50,14 +50,13 @@ struct PipelineOptions {
   DeviceSpec device = DeviceSpec::dataCenter();
   int threads = 1;
   /// Cap on ops per fusion group (FusionPolicy::maxKernelOps): 0 keeps the
-  /// unlimited heuristic; the autotuner sets small caps when the device
-  /// model favours splitting long chains. Only affects pipelines that fuse.
+  /// unlimited heuristic; the autotuner measures small caps, which can run
+  /// faster on the host. Only affects pipelines that fuse.
   std::size_t fusionMaxOps = 0;
-  /// Per-candidate-loop parallelization gate (see parallelizeLoops): bit i
-  /// admits parallelizable loop i in discovery order. All-ones keeps the
-  /// parallelize-everything heuristic. Only the TensorSSA pipeline
-  /// parallelizes, so other kinds ignore it.
-  std::uint64_t parallelizeMask = ~std::uint64_t{0};
+  /// Runs the loop-parallelization pass (core::parallelizeLoops). Off leaves
+  /// every loop serial; the autotuner measures that too. Only the TensorSSA
+  /// pipeline parallelizes, so other kinds ignore it.
+  bool parallelize = true;
 
   friend bool operator==(const PipelineOptions&,
                          const PipelineOptions&) = default;
@@ -80,7 +79,7 @@ void compileGraph(PipelineKind kind, ir::Graph& graph,
 class Pipeline {
  public:
   /// Compiles `source` for `kind` with explicit options (device, thread
-  /// count, fusion cap, parallelization mask). The source graph is not
+  /// count, fusion cap, parallelization). The source graph is not
   /// modified.
   Pipeline(PipelineKind kind, const ir::Graph& source,
            const PipelineOptions& options);

@@ -50,11 +50,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-int ThreadPool::workerCount() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(workers_.size());
-}
-
 void ThreadPool::ensureWorkers(int count) {
   pinMmapThreshold();
   std::lock_guard<std::mutex> lock(mutex_);

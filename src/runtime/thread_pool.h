@@ -70,9 +70,6 @@ class ThreadPool {
   /// block on caller-held locks.
   void submit(std::function<void()> task, int minWorkers = 1);
 
-  /// Number of live worker threads (excluding callers). Grows on demand.
-  int workerCount();
-
  private:
   void ensureWorkers(int count);
   void workerLoop();

@@ -26,10 +26,6 @@ constexpr float kMaskNegative = -1e30f;
 /// fallback that stands in for it when its compile fails.
 constexpr std::size_t kStepProgramCapacity = 2;
 
-double usBetween(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::micro>(t1 - t0).count();
-}
-
 }  // namespace
 
 /// A session inside the active set. `tokens` counts KV entries appended so

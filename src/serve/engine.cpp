@@ -21,10 +21,6 @@ double usSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
 }
 
-double usBetween(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::micro>(t1 - t0).count();
-}
-
 std::string describeError(const std::exception_ptr& error) {
   try {
     std::rethrow_exception(error);

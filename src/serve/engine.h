@@ -69,7 +69,7 @@ namespace tssa::serve {
 struct EngineOptions {
   runtime::PipelineKind kind = runtime::PipelineKind::TensorSsa;
   /// Device model, per-program interpreter thread cap, fusion cap and
-  /// parallelization mask — part of the program cache key.
+  /// loop parallelization — part of the program cache key.
   runtime::PipelineOptions pipeline{};
   std::size_t cacheCapacity = 32;      ///< compiled programs kept (LRU)
   int maxBatch = 8;                    ///< micro-batch request cap

@@ -25,11 +25,6 @@ void FaultInjector::delayNthBatchSeal(std::uint64_t n, std::int64_t virtualUs) {
   sealDelays_.emplace_back(n, virtualUs);
 }
 
-std::uint64_t FaultInjector::compilesSeen() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return compiles_;
-}
-
 std::uint64_t FaultInjector::runsSeen() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return runs_;

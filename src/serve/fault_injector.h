@@ -65,7 +65,6 @@ class FaultInjector {
 
   // ---- Observation (for test assertions) ----------------------------------
 
-  std::uint64_t compilesSeen() const;
   std::uint64_t runsSeen() const;
   std::uint64_t sealsSeen() const;
   std::uint64_t faultsInjected() const;

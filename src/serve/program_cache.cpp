@@ -20,8 +20,7 @@ std::string ProgramKey::toString() const {
   os << workload << "/" << runtime::pipelineName(kind) << "/" << signature
      << "/" << options.device.name << "/threads=" << options.threads;
   if (options.fusionMaxOps != 0) os << "/fuse=" << options.fusionMaxOps;
-  if (options.parallelizeMask != ~std::uint64_t{0})
-    os << "/par=" << std::hex << options.parallelizeMask << std::dec;
+  if (!options.parallelize) os << "/par=0";
   return os.str();
 }
 

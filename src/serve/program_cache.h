@@ -81,11 +81,6 @@ class ProgramCache {
     double compileUsTotal = 0;     ///< wall-clock spent compiling
     std::size_t size = 0;          ///< entries currently cached
     std::size_t negativeSize = 0;  ///< of which negative (failures in TTL)
-    double hitRate() const {
-      const std::uint64_t n = hits + misses;
-      return n == 0 ? 0.0
-                    : static_cast<double>(hits) / static_cast<double>(n);
-    }
   };
 
   struct Lookup {

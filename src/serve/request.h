@@ -40,6 +40,12 @@ inline bool hasDeadline(std::chrono::steady_clock::time_point deadline) {
   return deadline != kNoDeadline;
 }
 
+/// Microseconds from `t0` to `t1`, for the latency splits a response reports.
+inline double usBetween(std::chrono::steady_clock::time_point t0,
+                        std::chrono::steady_clock::time_point t1) {
+  return std::chrono::duration<double, std::micro>(t1 - t0).count();
+}
+
 /// One inference request for a registered workload. `config` carries the
 /// shape parameters (batch, seqLen) and the seed the workload's constant
 /// weights were drawn with; `inputs` must instantiate the workload's

@@ -62,8 +62,6 @@ class HashRing {
 
   void addShard(int shard);
   void removeShard(int shard);
-  int shardCount() const { return static_cast<int>(shardIds_.size()); }
-  const std::vector<int>& shardIds() const { return shardIds_; }
 
   /// The key's home shard: the first ring point at or clockwise of
   /// hashKey(key). Requires a non-empty ring.

@@ -30,12 +30,6 @@ std::string bracketed(const Container& items) {
   return os.str();
 }
 
-/// True if `text` starts with `prefix`.
-inline bool startsWith(const std::string& text, const std::string& prefix) {
-  return text.size() >= prefix.size() &&
-         text.compare(0, prefix.size(), prefix) == 0;
-}
-
 /// Splits `text` on `sep`, keeping empty fields.
 inline std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> out;

@@ -178,9 +178,10 @@ void reduceRows(const Tensor& a, std::int64_t d, Tensor& out,
     }
   };
   // When d has the smaller stride, each output reads its own run of a:
-  // eight runs side by side hide the chain latency without thrashing the
-  // cache. Otherwise a row of a feeds a whole chunk of outputs.
-  const std::int64_t chunk = std::abs(step) <= std::abs(sa) ? 8 : kRowChunk;
+  // kReductionRows runs side by side hide the chain latency without
+  // thrashing the cache. Otherwise a row of a feeds a whole chunk of outputs.
+  const std::int64_t chunk =
+      std::abs(step) <= std::abs(sa) ? kReductionRows : kRowChunk;
   Acc acc[kRowChunk];
   for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
     U* o = po + loop.offset(0);  // out is contiguous: row stride 1

@@ -71,6 +71,11 @@ Tensor maskedFill(const Tensor& a, const Tensor& mask, Scalar value);
 
 // ---- Reductions ----------------------------------------------------------------
 
+/// The rows a dim reduction accumulates side by side when each output reads
+/// its own run of the input: one row's sum is one dependency chain, in a
+/// fixed order, and this many chains hide its latency.
+inline constexpr std::int64_t kReductionRows = 8;
+
 Tensor sum(const Tensor& a);                       // rank-0 result
 Tensor sum(const Tensor& a, std::int64_t dim, bool keepDim = false);
 Tensor mean(const Tensor& a, std::int64_t dim, bool keepDim = false);

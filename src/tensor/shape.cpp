@@ -92,16 +92,4 @@ std::int64_t arangeLength(std::int64_t start, std::int64_t end,
   return 0;
 }
 
-std::int64_t broadcastOffset(std::span<const std::int64_t> resultIndex,
-                             std::span<const std::int64_t> sizes,
-                             std::span<const std::int64_t> strides) {
-  std::int64_t off = 0;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const std::size_t srcDim = sizes.size() - 1 - i;
-    const std::size_t resDim = resultIndex.size() - 1 - i;
-    if (sizes[srcDim] != 1) off += resultIndex[resDim] * strides[srcDim];
-  }
-  return off;
-}
-
 }  // namespace tssa

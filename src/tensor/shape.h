@@ -90,11 +90,4 @@ inline std::int64_t offsetOf(std::span<const std::int64_t> index,
   return off;
 }
 
-/// Maps a coordinate in a broadcast result shape back to an element offset of
-/// an operand with shape `sizes` / strides `strides` (operand dims are aligned
-/// to the *trailing* dims of the result; size-1 dims contribute offset 0).
-std::int64_t broadcastOffset(std::span<const std::int64_t> resultIndex,
-                             std::span<const std::int64_t> sizes,
-                             std::span<const std::int64_t> strides);
-
 }  // namespace tssa

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "src/analysis/cost.h"
@@ -18,40 +17,6 @@ namespace tssa::tune {
 
 namespace {
 
-/// Deterministic search RNG (xorshift64): the whole analytic phase must
-/// replay bit-for-bit from TunerOptions::seed.
-struct Rng {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  }
-};
-
-std::uint64_t mixSeed(std::uint64_t seed, const std::string& salt) {
-  std::uint64_t h = seed ^ 0x9e3779b97f4a7c15ULL;
-  for (char c : salt) h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
-  return h == 0 ? 1 : h;
-}
-
-std::size_t countParallelMaps(const ir::Graph& graph) {
-  std::size_t n = 0;
-  std::vector<const ir::Block*> stack{graph.topBlock()};
-  while (!stack.empty()) {
-    const ir::Block* b = stack.back();
-    stack.pop_back();
-    for (const ir::Node* node : *b) {
-      if (node->kind() == ir::OpKind::ParallelMap) ++n;
-      for (const ir::Block* inner : node->blocks()) stack.push_back(inner);
-    }
-  }
-  return n;
-}
-
-constexpr std::size_t kFusionCaps[] = {0, 2, 3, 4, 6, 8, 12, 16};
-
 double nowNs() {
   return std::chrono::duration<double, std::nano>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -63,7 +28,7 @@ double nowNs() {
 TunedConfig TunedConfig::defaults(const runtime::PipelineOptions& base) {
   TunedConfig c;
   c.fusionMaxOps = base.fusionMaxOps;
-  c.parallelizeMask = base.parallelizeMask;
+  c.parallelize = base.parallelize;
   c.threads = base.threads;
   return c;
 }
@@ -71,15 +36,15 @@ TunedConfig TunedConfig::defaults(const runtime::PipelineOptions& base) {
 runtime::PipelineOptions TunedConfig::applyTo(
     runtime::PipelineOptions base) const {
   base.fusionMaxOps = fusionMaxOps;
-  base.parallelizeMask = parallelizeMask;
+  base.parallelize = parallelize;
   base.threads = threads;
   return base;
 }
 
 std::string TunedConfig::toString() const {
   std::ostringstream os;
-  os << "fuse=" << fusionMaxOps << "|mask=" << std::hex << parallelizeMask
-     << std::dec << "|threads=" << threads << "|mb=" << maxBatch
+  os << "fuse=" << fusionMaxOps << "|par=" << parallelize
+     << "|threads=" << threads << "|mb=" << maxBatch
      << "|wait=" << maxWaitUs;
   return os.str();
 }
@@ -108,107 +73,39 @@ TuneResult Autotuner::tune(const std::string& workload,
   costOpts.device = base.device;
   costOpts.host = runtime::hostSpecFor(kind);
 
-  // Analytic oracle: compile the candidate pipeline, price it on metadata.
-  // Memoized per config — the Markov walk revisits points freely.
-  std::unordered_map<std::string, analysis::CostReport> memo;
-  auto score = [&](const TunedConfig& c) -> const analysis::CostReport& {
-    auto [it, fresh] = memo.try_emplace(c.toString());
-    if (fresh) {
-      std::unique_ptr<ir::Graph> clone = ir::cloneGraph(*w.graph);
-      runtime::compileGraph(kind, *clone, c.applyTo(base));
-      it->second = analysis::estimateCost(*clone, costIn, costOpts);
-    }
-    return it->second;
+  // Analytic price: compile the config, price it on input metadata.
+  auto price = [&](const TunedConfig& c) {
+    std::unique_ptr<ir::Graph> clone = ir::cloneGraph(*w.graph);
+    runtime::compileGraph(kind, *clone, c.applyTo(base));
+    return analysis::estimateCost(*clone, costIn, costOpts);
   };
 
   TuneResult result;
   const TunedConfig defaults = TunedConfig::defaults(base);
-  const analysis::CostReport& defaultReport = score(defaults);
+  const analysis::CostReport defaultReport = price(defaults);
   result.defaultSimUs = defaultReport.simUs;
   result.unknownOps = defaultReport.unknownOps;
 
-  // How many loops the mask can gate: count what the
-  // parallelize-everything default converted.
-  std::size_t parCandidates = 0;
-  {
-    std::unique_ptr<ir::Graph> clone = ir::cloneGraph(*w.graph);
-    runtime::compileGraph(kind, *clone, defaults.applyTo(base));
-    parCandidates = std::min<std::size_t>(countParallelMaps(*clone), 64);
-  }
-
-  // Markov walk over the simulated-clock-visible knobs. Greedy with an
-  // occasional uphill move; best-seen starts at the default, so the analytic
-  // winner can never be worse than the heuristics it replaces.
-  Rng rng{mixSeed(options_.seed, entryKey(workload, kind))};
-  TunedConfig current = defaults;
-  TunedConfig best = defaults;
-  double currentUs = defaultReport.simUs;
-  double bestUs = defaultReport.simUs;
-  for (int step = 0; step < options_.searchSteps; ++step) {
-    TunedConfig cand = current;
-    const bool moveMask = parCandidates > 0 && (rng.next() & 1) != 0;
-    obs::TraceSpan move("tune", "move");
-    if (moveMask) {
-      const std::size_t bit = rng.next() % parCandidates;
-      cand.parallelizeMask ^= std::uint64_t{1} << bit;
-      move.arg("knob", "parallelize_mask");
-      move.arg("bit", static_cast<std::int64_t>(bit));
-    } else {
-      cand.fusionMaxOps =
-          kFusionCaps[rng.next() % std::size(kFusionCaps)];
-      move.arg("knob", "fusion_max_ops");
-      move.arg("cap", static_cast<std::int64_t>(cand.fusionMaxOps));
-    }
-    const double candUs = score(cand).simUs;
-    move.arg("sim_us", candUs);
-    reg.counterAdd("tssa_tune_moves_total", 1);
-    // Accept improvements; accept a worse point 1 time in 8 to escape local
-    // minima (deterministic — the "temperature" is just the RNG stream).
-    if (candUs <= currentUs || (rng.next() & 7) == 0) {
-      current = cand;
-      currentUs = candUs;
-      reg.counterAdd("tssa_tune_accepts_total", 1);
-    }
-    if (candUs < bestUs) {
-      best = cand;
-      bestUs = candUs;
-    }
-  }
-  result.tunedSimUs = bestUs;
-  result.evaluated = static_cast<int>(memo.size());
-  span.arg("evaluated", static_cast<std::int64_t>(memo.size()));
-
-  // Wall-clock-only knobs (thread count; the analytic clock is invariant to
-  // them by design) are settled by measuring a shortlist that always
-  // includes the default: the pick can lose to the default only by actually
-  // beating it on this machine.
-  TunedConfig winner = best;
+  // Every knob is settled by measuring a shortlist that starts with the
+  // default: the pick can displace the default only by actually beating it
+  // on this machine. The analytic clock cannot rank these candidates: it is
+  // thread-count invariant by design, and it never prices a fusion cap or
+  // serial loops below the default (more launches and bytes, same flops),
+  // while on the host fused bodies vs. plain kernels and the ParallelMap
+  // merge machinery on a low-core box can go either way.
+  TunedConfig winner = defaults;
   if (options_.measure) {
-    const int hw = runtime::ThreadPool::hardwareThreads();
-    std::vector<TunedConfig> shortlist{defaults, best};
-    if (hw != defaults.threads) {
-      TunedConfig t = defaults;
-      t.threads = hw;
+    std::vector<TunedConfig> shortlist{defaults};
+    TunedConfig t = defaults;
+    t.threads = runtime::ThreadPool::hardwareThreads();
+    shortlist.push_back(t);
+    t = defaults;
+    t.parallelize = false;
+    shortlist.push_back(t);
+    for (const std::size_t cap : {std::size_t{2}, std::size_t{4}}) {
+      t = defaults;
+      t.fusionMaxOps = cap;
       shortlist.push_back(t);
-      t = best;
-      t.threads = hw;
-      shortlist.push_back(t);
-    }
-    // Wall-clock-only explorers. The analytic clock models a hypothetical
-    // accelerator, so it is structurally blind to (or inverted on) host-side
-    // effects: fused bodies vs. plain kernels under a fusion cap, the
-    // ParallelMap merge machinery on a low-core box.
-    // These candidates can only be justified by measuring; each one
-    // displaces the default only by beating it for real.
-    {
-      TunedConfig t = defaults;
-      t.parallelizeMask = 0;
-      shortlist.push_back(t);
-      for (const std::size_t cap : {std::size_t{2}, std::size_t{4}}) {
-        t = defaults;
-        t.fusionMaxOps = cap;
-        shortlist.push_back(t);
-      }
     }
 
     serve::FaultInjector* const injector = options_.faultInjector;
@@ -227,12 +124,12 @@ TuneResult Autotuner::tune(const std::string& workload,
     };
 
     try {
-      std::vector<std::string> seen;
       double winnerNs = std::numeric_limits<double>::infinity();
-      for (const TunedConfig& c : shortlist) {
-        const std::string id = c.toString();
-        if (std::find(seen.begin(), seen.end(), id) != seen.end()) continue;
-        seen.push_back(id);
+      for (auto it = shortlist.begin(); it != shortlist.end(); ++it) {
+        // A candidate equal to an earlier one (e.g. hardware threads ==
+        // the default's) is measured once.
+        if (std::find(shortlist.begin(), it, *it) != it) continue;
+        const TunedConfig& c = *it;
         const double ns = measureNs(c);
         if (c == defaults) result.defaultNsPerIter = ns;
         // Strict <: on a tie the earlier candidate (the default first)
@@ -245,10 +142,9 @@ TuneResult Autotuner::tune(const std::string& workload,
       result.tunedNsPerIter = winnerNs;
     } catch (const Error&) {
       // A measurement failure (injected or real) must never install a
-      // config that was only ever priced on paper: keep the defaults.
+      // config whose shortlist did not finish measuring: keep the defaults.
       reg.counterAdd("tssa_tune_measure_failures_total", 1);
       winner = defaults;
-      result.tunedSimUs = result.defaultSimUs;
       result.defaultNsPerIter = 0;
       result.tunedNsPerIter = 0;
       result.measurementFailed = true;
@@ -259,7 +155,7 @@ TuneResult Autotuner::tune(const std::string& workload,
   // wall-clock explorer may measure faster while modelling slower (more
   // launches on the hypothetical device), and the report must not hide that.
   result.installedSimUs =
-      result.measurementFailed ? result.defaultSimUs : score(winner).simUs;
+      winner == defaults ? result.defaultSimUs : price(winner).simUs;
 
   // Micro-batch knobs: a host-bound program amortizes per-request dispatch
   // across a bigger window; a device-bound one gains nothing from waiting.
@@ -272,12 +168,10 @@ TuneResult Autotuner::tune(const std::string& workload,
   }
   result.config = winner;
 
-  if (result.tunedSimUs < result.defaultSimUs ||
-      (result.tunedNsPerIter > 0 &&
-       result.tunedNsPerIter < result.defaultNsPerIter))
+  if (result.tunedNsPerIter < result.defaultNsPerIter)
     reg.counterAdd("tssa_tune_wins_total", 1);
   span.arg("sim_us_default", result.defaultSimUs);
-  span.arg("sim_us_tuned", result.tunedSimUs);
+  span.arg("sim_us_installed", result.installedSimUs);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -1,31 +1,26 @@
-// Cost-model-guided autotuning of pass and batching decisions (ROADMAP
-// item 5).
+// Measured autotuning of pass and batching decisions (ROADMAP item 5).
 //
 // The pass pipeline and the serving engine expose knobs that have always run
-// on fixed heuristics: fusion group size (unlimited), per-loop
-// parallelization (always on), interpreter thread count, and the
-// micro-batcher's window. The Autotuner searches that
-// config space per (workload × pipeline kind), in two phases:
+// on fixed heuristics: fusion group size (unlimited), loop parallelization
+// (on), interpreter thread count, and the micro-batcher's window. The
+// Autotuner settles them per (workload × pipeline kind) by measuring:
 //
-//  * Offline, analytic: candidate configs are compiled with
-//    runtime::compileGraph and priced by the analytic device model over the
-//    cost pass's flops/bytes (analysis::estimateCost) — no execution, but
-//    on the kernels' own shape rules (src/tensor). The
-//    search is Gensor-style Markov moves over single knobs (cap the fusion
-//    group size, drop one loop from parallelization), greedy-with-jitter,
-//    deterministic under TunerOptions::seed. Only knobs the simulated clock
-//    can see are searched here: simUs is thread-count invariant by design,
-//    so threads are NOT differentiated analytically.
-//  * Measured shortlist: the analytic winner and the default, crossed with
-//    hardware threads, plus wall-clock-only explorers the analytic clock is
-//    structurally blind to (parallelization off, small fusion caps —
-//    host-side effects a modelled accelerator cannot see),
-//    are executed for real and the best measured
-//    ns/iter wins. The default is always in the shortlist and measured
-//    first, so the installed config is never worse than the default on the
-//    machine that tuned it. A measurement failure (including an injected
-//    fault from TunerOptions::faultInjector) discards the candidate config
-//    entirely: serving stays on defaults.
+//  * The default is compiled with runtime::compileGraph and priced once by
+//    the analytic device model (analysis::estimateCost). That price is the
+//    reported defaultSimUs, and a host-bound batchable program gets a wider
+//    micro-batch window (hostUs > gpuUs in that price). There is
+//    no analytic search: the device model is monotone in both compile knobs
+//    (a fusion cap or serial loops add launches and bytes at the same
+//    flops), so no config ever prices below the default.
+//    CostModelPropertyTest.LessFusionOrParallelismNeverPricesLower pins that.
+//  * A shortlist of wall-clock candidates is executed for real and the best
+//    measured ns/iter wins: the default, the default at hardware threads,
+//    parallelization off, and fusion caps 2 and 4 — host-side effects a
+//    modelled accelerator cannot see. The default is measured first and a
+//    candidate must be strictly faster, so the installed config is never
+//    worse than the default on the machine that tuned it. A measurement
+//    failure (including an injected fault from TunerOptions::faultInjector)
+//    discards the candidate configs entirely: serving stays on defaults.
 //
 // Tuned entries live in a mutex-protected map keyed by (workload, kind).
 // The serving engine consults pipelineFor() when it builds a program-cache
@@ -38,8 +33,9 @@
 // and pipelineFor falls back to the default heuristics. recordFailure()
 // (a kernel fault under a tuned config) rejects immediately.
 //
-// Observability: tssa_tune_* counters in obs::MetricsRegistry::global() and
-// a "tune" trace span per search plus one per move.
+// Observability: tssa_tune_{searches,wins,measure_failures,rejected}_total
+// counters in obs::MetricsRegistry::global() and one "tune" trace span per
+// tune() call.
 #pragma once
 
 #include <cstddef>
@@ -59,12 +55,12 @@ class FaultInjector;
 
 namespace tssa::tune {
 
-/// One point of the search space. Pipeline-level knobs are concrete values;
+/// One tunable configuration. Pipeline-level knobs are concrete values;
 /// the batching knobs keep "engine default" sentinels (0 / -1) because their
 /// defaults live in serve::EngineOptions, not here.
 struct TunedConfig {
-  std::size_t fusionMaxOps = 0;        ///< 0 = unlimited (heuristic)
-  std::uint64_t parallelizeMask = ~std::uint64_t{0};
+  std::size_t fusionMaxOps = 0;  ///< 0 = unlimited (heuristic)
+  bool parallelize = true;       ///< TensorSSA loop parallelization
   int threads = 1;
   int maxBatch = 0;             ///< micro-batch cap; 0 = engine default
   std::int64_t maxWaitUs = -1;  ///< micro-batch window; < 0 = engine default
@@ -81,11 +77,9 @@ struct TunedConfig {
 };
 
 struct TunerOptions {
-  std::uint64_t seed = 1;  ///< search determinism: same seed ⇒ same config
-  int searchSteps = 48;    ///< Markov moves in the analytic phase
   int measureReps = 3;     ///< wall-clock reps per shortlist candidate
-  /// Skip the measured-shortlist phase (analytic only): the installed config
-  /// is the analytic winner with default wall-clock knobs. Used by tests
+  /// Skip the measured shortlist (analytic only): the installed config is
+  /// the default pipeline knobs plus the batch-window rule. Used by tests
   /// that need full determinism without timing noise.
   bool measure = true;
   /// Online refinement: reject a tuned entry once this many served-run
@@ -102,18 +96,12 @@ struct TunerOptions {
 struct TuneResult {
   TunedConfig config;        ///< the installed (winning) config
   double defaultSimUs = 0;   ///< analytic score of the default heuristics
-  /// Best analytic score the search found (≤ defaultSimUs by construction:
-  /// the search seeds at the default). This is the analytic *winner's*
-  /// score; the installed `config` may differ when a wall-clock explorer
-  /// measured faster.
-  double tunedSimUs = 0;
   /// Analytic score of the installed `config` itself. May exceed
   /// defaultSimUs for a measured wall-clock winner (e.g. a fusion cap: more
   /// modelled launches, less host dispatch) — reported so nothing hides it.
   double installedSimUs = 0;
   double defaultNsPerIter = 0;  ///< measured; 0 when measure == false
   double tunedNsPerIter = 0;    ///< measured; 0 when measure == false
-  int evaluated = 0;            ///< distinct configs scored analytically
   /// Cost-model residue on the default compile: > 0 means the analytic
   /// scores are lower bounds (estimateCost could not resolve every op).
   std::int64_t unknownOps = 0;
@@ -126,10 +114,9 @@ class Autotuner {
  public:
   explicit Autotuner(TunerOptions options = {});
 
-  /// Searches configs for (workload, kind), installs the winner, returns
-  /// the result. Deterministic for a given (options.seed, workload, kind)
-  /// when measure == false; with measurement on, the *shortlist* is
-  /// deterministic and the pick depends on this machine's timings. Builds
+  /// Tunes (workload, kind), installs the winner, returns the result.
+  /// Deterministic when measure == false; with measurement on, the
+  /// shortlist is fixed and the pick depends on this machine's timings. Builds
   /// and (when measuring) executes the workload — offline cost, not for the
   /// request path.
   TuneResult tune(const std::string& workload,

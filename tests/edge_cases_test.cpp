@@ -7,9 +7,11 @@
 #include <limits>
 #include <vector>
 
+#include "src/analysis/cost.h"
 #include "src/core/lower_inplace.h"
 #include "src/core/tensor_ssa.h"
 #include "src/ir/builder.h"
+#include "src/ir/parser.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
 #include "src/runtime/pipeline.h"
@@ -453,6 +455,34 @@ TEST(EdgeCaseTest, NonFiniteFloatToInt64IsInt64Min) {
     ASSERT_EQ(got.dtype(), DType::Int64);
     const std::int64_t* p = got.data<std::int64_t>();
     EXPECT_EQ(std::vector<std::int64_t>(p, p + 10), want);
+  }
+}
+
+// Scalar ops on program-supplied int64s that overflow (or INT64_MIN mod -1,
+// which x86's idiv traps on) are a typed error in both walks: the
+// interpreter throws, the cost walk counts one unknown op. The programs go
+// through their text form, the way malformed program text reaches them.
+TEST(EdgeCaseTest, IntScalarOverflowRaisesTypedError) {
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  struct Case {
+    OpKind kind;
+    std::int64_t x, y;
+  };
+  for (const Case& c : {Case{OpKind::ScalarAdd, hi, 1},
+                        Case{OpKind::ScalarSub, lo, 1},
+                        Case{OpKind::ScalarMul, hi, 2},
+                        Case{OpKind::ScalarMod, lo, -1}}) {
+    Graph built;
+    IRBuilder b(built);
+    Node* n = b.emitNode(c.kind, {b.constInt(c.x), b.constInt(c.y)}, 1);
+    n->output()->setType(Type::integer());
+    built.addOutput(n->output());
+    const std::string text = toString(built);
+    const auto g = ir::parseGraph(text);
+    Interpreter interp;
+    EXPECT_THROW(interp.run(*g, {}), Error) << text;
+    EXPECT_EQ(analysis::estimateCost(*g, {}).unknownOps, 1) << text;
   }
 }
 
