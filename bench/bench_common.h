@@ -35,6 +35,7 @@
 #include "src/obs/json.h"
 #include "src/obs/trace.h"
 #include "src/runtime/pipeline.h"
+#include "src/tensor/ops.h"
 #include "src/workloads/workload.h"
 
 /// Injected by bench/CMakeLists.txt from `git rev-parse`; every bench JSON
@@ -291,6 +292,9 @@ class BenchReport {
     out += "  \"reps\": " +
            obs::jsonNumber(static_cast<std::int64_t>(flags_.reps)) + ",\n";
     out += "  \"calib_ns\": " + obs::jsonNumber(calibrateNs()) + ",\n";
+    // Which copy of the tensor kernels ran (src/tensor/ops.h), so a time
+    // compared across machines says whether the instruction set changed.
+    out += "  \"isa\": " + obs::jsonQuote(ops::kernelIsa()) + ",\n";
     out += "  \"results\": [";
     bool firstRecord = true;
     for (const BenchRecord& r : records_) {

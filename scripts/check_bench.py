@@ -42,6 +42,12 @@ bench/baseline.json and exits non-zero on a regression:
 Everything else in the records (latency percentiles, reuse rates) is
 informational: printed on drift, never fatal.
 
+  * isa: each result file names the copy of the tensor kernels that ran
+    ("avx2" or "sse2", src/tensor/ops.h). When the baseline's and the
+    current run's differ, a NOTE line says so: gated times then compare
+    different instruction sets. No bound changes. A baseline recorded
+    before the field existed reads "unrecorded".
+
 Usage:
   check_bench.py --baseline bench/baseline.json out/fig5.json out/fig6.json
   check_bench.py --baseline bench/baseline.json --filter=shard/ out/shard.json
@@ -102,6 +108,8 @@ def load_results(paths):
         if calib <= 0:
             sys.exit(f"{path}: non-positive calib_ns")
         for record in doc["results"]:
+            if "isa" in doc:
+                record["isa"] = doc["isa"]
             key = f"{doc['binary']}/{record['name']}"
             if key in entries:
                 sys.exit(f"{path}: duplicate record key {key!r}")
@@ -127,6 +135,20 @@ def apply_filter(entries, substring):
     if not substring:
         return entries
     return {key: value for key, value in entries.items() if substring in key}
+
+
+def isa_note(current, baseline):
+    """A NOTE line when the kernel ISAs of `current` and `baseline` differ,
+    else None. Records without the field read "unrecorded"."""
+    def isas(records):
+        return sorted({r.get("isa", "unrecorded") for r in records})
+    cur = isas(record for record, _ in current.values())
+    base = isas(baseline.values())
+    if cur == base:
+        return None
+    return (f"NOTE      kernel ISA differs: baseline {'/'.join(base)}, this "
+            f"run {'/'.join(cur)}; gated times compare different instruction "
+            "sets (bounds unchanged)")
 
 
 def compare(current, baseline, threshold):
@@ -460,6 +482,16 @@ def self_test():
     expect("filtered-out baseline entry is not reported missing",
            not any("b/out" in n for n in notes), repr(notes))
 
+    # Kernel ISA: a baseline without the field against an avx2 run is a
+    # note naming both; the same ISA on both sides is silent.
+    current = {"b/ok": ({"name": "ok", "isa": "avx2"}, 100.0)}
+    note = isa_note(current, {"b/ok": entry("b/ok")})
+    expect("isa differing from an unrecorded baseline is a note",
+           note is not None and note.startswith("NOTE")
+           and "unrecorded" in note and "avx2" in note, repr(note))
+    expect("the same isa on both sides is silent",
+           isa_note(current, {"b/ok": entry("b/ok", isa="avx2")}) is None)
+
     bad = [(name, detail) for name, ok, detail in checks if not ok]
     for name, ok, _ in checks:
         print(f"  {'ok' if ok else 'FAIL'}  {name}")
@@ -521,6 +553,9 @@ def main():
     baseline = apply_filter(baseline_doc["entries"], args.filter)
 
     failures, notes, checked = compare(current, baseline, args.threshold)
+    note = isa_note(current, baseline)
+    if note:
+        notes.append(note)
 
     for note in notes:
         print(note)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
@@ -20,204 +21,8 @@ using detail::kRowChunk;
 using detail::storedAs;
 using detail::StridedLoop;
 
-/// The mixed-dtype form of an elementwise kernel over `loop` (operand 0 the
-/// fresh contiguous output, operands 1..K the inputs): each chunk of a row is
-/// loaded into double buffers, `fn(buf, j)` computes element j, and the
-/// chunk is stored through the output dtype. Conversions are those of
-/// static_cast<double>/storedAs, picked once per call.
-template <std::size_t K, typename Fn>
-void stagedRows(StridedLoop<K + 1>& loop,
-                const std::array<const Tensor*, K>& in, Tensor& out,
-                Fn&& fn) {
-  std::array<detail::LoadRowFn, K> load;
-  for (std::size_t k = 0; k < K; ++k)
-    load[k] = detail::loadRowFor(in[k]->dtype());
-  const detail::StoreRowFn store = detail::storeRowFor(out.dtype());
-  Storage& stOut = *out.storage();
-  const std::int64_t n = loop.rowLength();
-  double buf[K][kRowChunk];
-  double res[kRowChunk];
-  for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
-    for (std::int64_t j0 = 0; j0 < n; j0 += kRowChunk) {
-      const std::int64_t c = std::min(kRowChunk, n - j0);
-      for (std::size_t k = 0; k < K; ++k) {
-        const std::int64_t s = loop.rowStride(k + 1);
-        load[k](*in[k]->storage(), loop.offset(k + 1) + j0 * s, s, c, buf[k]);
-      }
-      for (std::int64_t j = 0; j < c; ++j) res[j] = fn(buf, j);
-      // The output is contiguous, so its row stride is 1.
-      store(stOut, loop.offset(0) + j0, c, res);
-    }
-  }
-}
-
-/// Broadcasting elementwise binary op evaluated in double precision: one row
-/// loop over (out, a, b). All-Float32 operands are read and written
-/// directly; any other dtype mix is staged through double buffers.
-template <typename Fn>
-Tensor binaryOp(const Tensor& a, const Tensor& b, DType outDType, Fn&& fn) {
-  Shape outShape = broadcastShapes(a.sizes(), b.sizes());
-  Tensor out = Tensor::empty(outShape, outDType);
-  StridedLoop<3> loop(outShape, {&out, &a, &b});
-  if (a.dtype() == DType::Float32 && b.dtype() == DType::Float32 &&
-      outDType == DType::Float32) {
-    const float* pa = a.storage()->as<float>();
-    const float* pb = b.storage()->as<float>();
-    float* po = out.storage()->as<float>();
-    const std::int64_t n = loop.rowLength();
-    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
-      float* o = po + loop.offset(0);
-      const float* x = pa + loop.offset(1);
-      const float* y = pb + loop.offset(2);
-      detail::forRow2(n, loop.rowStride(1), loop.rowStride(2),
-                      [&](std::int64_t j, std::int64_t i, std::int64_t k) {
-                        o[j] = static_cast<float>(fn(x[i], y[k]));
-                      });
-    }
-    return out;
-  }
-  stagedRows<2>(loop, {&a, &b}, out, [&](const auto& buf, std::int64_t j) {
-    return fn(buf[0][j], buf[1][j]);
-  });
-  return out;
-}
-
-template <typename Fn>
-Tensor arith(const Tensor& a, const Tensor& b, Fn&& fn) {
-  return binaryOp(a, b, promoteTypes(a.dtype(), b.dtype()),
-                  std::forward<Fn>(fn));
-}
-
-template <typename Fn>
-Tensor compare(const Tensor& a, const Tensor& b, Fn&& fn) {
-  return binaryOp(a, b, DType::Bool,
-                  [&](double x, double y) { return fn(x, y) ? 1.0 : 0.0; });
-}
-
-/// Elementwise unary op: the row loop of binaryOp with one input.
-template <typename Fn>
-Tensor unaryOp(const Tensor& a, DType outDType, Fn&& fn) {
-  Tensor out = Tensor::empty(a.sizes(), outDType);
-  StridedLoop<2> loop(a.sizes(), {&out, &a});
-  if (a.dtype() == DType::Float32 && outDType == DType::Float32) {
-    const float* pa = a.storage()->as<float>();
-    float* po = out.storage()->as<float>();
-    const std::int64_t n = loop.rowLength();
-    const std::int64_t s = loop.rowStride(1);
-    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
-      float* o = po + loop.offset(0);
-      const float* x = pa + loop.offset(1);
-      if (s == 1) {
-        for (std::int64_t j = 0; j < n; ++j)
-          o[j] = static_cast<float>(fn(x[j]));
-      } else {
-        for (std::int64_t j = 0; j < n; ++j)
-          o[j] = static_cast<float>(fn(x[j * s]));
-      }
-    }
-    return out;
-  }
-  stagedRows<1>(loop, {&a}, out, [&](const auto& buf, std::int64_t j) {
-    return fn(buf[0][j]);
-  });
-  return out;
-}
-
 Tensor scalarTensor(Scalar s, DType like) {
   return Tensor::scalar(s, isFloatingPoint(like) ? DType::Float32 : s.dtype());
-}
-
-/// `v` rounded through element type U and read back: a reduction
-/// accumulator is cast through the output dtype after every step. This
-/// matches the historical behaviour of accumulating directly in the output
-/// buffer (Float32 sums round per step, Int64 truncates per step) — but the
-/// cast is only ever applied to values that are representable: max/min seed
-/// from the first element instead of casting ±inf into Int64/Bool, which is
-/// undefined behaviour.
-template <typename U>
-double roundedTo(double v) {
-  return static_cast<double>(storedAs<U>(v));
-}
-
-/// Reduces dim `d` of `a` (element type T) into `out` (element type U, dim d
-/// of extent 1). Each output element accumulates its `extent` inputs in
-/// ascending order along d; see reduceDim for `seedFromFirst`/`fn`/`finish`.
-/// A chunk of one output row accumulates together, one step of d at a time,
-/// so the chunk's dependency chains run side by side.
-template <typename T, typename U, typename Fn, typename Finish>
-void reduceRows(const Tensor& a, std::int64_t d, Tensor& out,
-                bool seedFromFirst, const Fn& fn, const Finish& finish) {
-  const auto du = static_cast<std::size_t>(d);
-  const std::int64_t extent = a.sizes()[du];
-  const std::int64_t step = a.strides()[du];
-  // out has extent 1 at d, so the loop skips it: operand 1 starts each
-  // output's run of a.
-  StridedLoop<2> loop(out.sizes(), {&out, &a});
-  const T* pa = a.storage()->as<T>();
-  U* po = out.storage()->as<U>();
-  const std::int64_t n = loop.rowLength();
-  const std::int64_t sa = loop.rowStride(1);
-  const std::int64_t first = seedFromFirst ? 1 : 0;
-  // Float32 in and out accumulates in float. That gives the bits of the
-  // double step rounded to float (double carries more than twice float's
-  // precision, so a sum of two floats rounded first to double rounds to the
-  // same float), on a dependency chain a third as long: what a reduction
-  // over few outputs, such as a tile of one row, waits on.
-  using Acc = std::conditional_t<
-      std::is_same_v<T, float> && std::is_same_v<U, float>, float, double>;
-  auto seed = [&](const T* p) -> Acc {
-    return seedFromFirst ? static_cast<Acc>(
-                               roundedTo<U>(static_cast<double>(p[0])))
-                         : Acc{0};
-  };
-  auto next = [&](Acc acc, T v) -> Acc {
-    if constexpr (std::is_same_v<Acc, float>) {
-      return fn(acc, v);
-    } else {
-      return roundedTo<U>(fn(acc, static_cast<double>(v)));
-    }
-  };
-  // When d has the smaller stride, each output reads its own run of a:
-  // kReductionRows runs side by side hide the chain latency without
-  // thrashing the cache. Otherwise a row of a feeds a whole chunk of outputs.
-  const std::int64_t chunk =
-      std::abs(step) <= std::abs(sa) ? kReductionRows : kRowChunk;
-  Acc acc[kRowChunk];
-  for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
-    U* o = po + loop.offset(0);  // out is contiguous: row stride 1
-    const T* x = pa + loop.offset(1);
-    for (std::int64_t l0 = 0; l0 < n; l0 += chunk) {
-      const std::int64_t c = std::min(chunk, n - l0);
-      const T* base = x + l0 * sa;
-      for (std::int64_t l = 0; l < c; ++l) acc[l] = seed(base + l * sa);
-      for (std::int64_t j = first; j < extent; ++j) {
-        const T* p = base + j * step;
-        for (std::int64_t l = 0; l < c; ++l) acc[l] = next(acc[l], p[l * sa]);
-      }
-      for (std::int64_t l = 0; l < c; ++l)
-        o[l0 + l] = storedAs<U>(finish(acc[l]));
-    }
-  }
-}
-
-/// Shared driver for dim reductions: reduces `dim` of `a` with `fn` into
-/// reducedMeta's result for `op`. The accumulator starts at 0, or for max
-/// and min, which have no dtype-safe identity, at the first element along
-/// the reduced dim. Each accumulated value is post-processed with `finish`.
-template <typename Fn, typename Finish>
-Tensor reduceDim(const Tensor& a, std::int64_t dim, bool keepDim,
-                 Reduction op, Fn&& fn, Finish&& finish) {
-  TensorMeta meta = reducedMeta(op, a.sizes(), a.dtype(), dim, true);
-  const std::int64_t d = normalizeDim(dim, a.dim());
-  const bool seedFromFirst = op == Reduction::Max || op == Reduction::Min;
-  Tensor out = Tensor::empty(std::move(meta.sizes), meta.dtype);
-  dispatchDType(a.dtype(), [&](auto inTag) {
-    dispatchDType(out.dtype(), [&](auto outTag) {
-      reduceRows<decltype(inTag), decltype(outTag)>(a, d, out, seedFromFirst,
-                                                    fn, finish);
-    });
-  });
-  return keepDim ? out : out.squeeze(d);
 }
 
 /// Float32 matmul operand as a contiguous buffer: the operand itself when it
@@ -227,64 +32,89 @@ Tensor contiguousFloat(const Tensor& t) {
                                                          : t.to(DType::Float32);
 }
 
-/// po[m, n] = pa[m, k] x pb[k, n] over contiguous row-major Float32 blocks.
-/// The i-k-j loop is blocked over four output rows that share each row of B
-/// and over column tiles whose sums stay in a local buffer. Each output
-/// element still starts at +0.0f and adds its k products in ascending k
-/// order, as the plain i-k-j loop does.
-void matmulInto(const float* pa, const float* pb, float* po, std::int64_t m,
-                std::int64_t k, std::int64_t n) {
-  constexpr std::int64_t kRows = 4;
-  constexpr std::int64_t kTileCols = 256;
-  float acc[kRows][kTileCols];
-  for (std::int64_t i0 = 0; i0 < m; i0 += kRows) {
-    const std::int64_t rows = std::min(kRows, m - i0);
-    for (std::int64_t j0 = 0; j0 < n; j0 += kTileCols) {
-      const std::int64_t w = std::min(kTileCols, n - j0);
-      // Rows past `rows` (the last block of a ragged m) are computed from
-      // zeros and never stored; a fixed row count keeps the loop unrolled.
-      for (auto& row : acc) std::fill(row, row + w, 0.0f);
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        float va[kRows] = {};
-        for (std::int64_t r = 0; r < rows; ++r) va[r] = pa[(i0 + r) * k + kk];
-        const float* rowB = pb + kk * n + j0;
-        for (std::int64_t j = 0; j < w; ++j) {
-          const float b = rowB[j];
-          for (std::int64_t r = 0; r < kRows; ++r) acc[r][j] += va[r] * b;
-        }
-      }
-      for (std::int64_t r = 0; r < rows; ++r)
-        std::copy(acc[r], acc[r] + w, po + (i0 + r) * n + j0);
-    }
+}  // namespace
+}  // namespace tssa::ops
+
+// The kernels, one source compiled twice: for the baseline target (SSE2 on
+// x86-64) and, on x86-64, for AVX2 in a `#pragma GCC target` region. The
+// region holds only the second copy, and every #include stays above it: a
+// header inline or template instantiated inside the region would be compiled
+// for AVX2 and, being COMDAT, could stand in for the baseline copy the rest
+// of the program calls. A header template that takes a kernel lambda, such
+// as detail::forRow2, must be always_inline, or its baseline instantiation
+// cannot inline the AVX2 lambda. FMA stays off: it would change results.
+
+namespace tssa::ops::sse2 {
+#include "src/tensor/ops_kernels.inc"
+}  // namespace tssa::ops::sse2
+
+#if defined(__x86_64__)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace tssa::ops::avx2 {
+#include "src/tensor/ops_kernels.inc"
+}  // namespace tssa::ops::avx2
+#pragma GCC pop_options
+#endif
+
+namespace tssa::ops {
+
+// ---- Instruction set ------------------------------------------------------------
+
+bool kernelIsaSupported(KernelIsa isa) {
+#if defined(__x86_64__)
+  if (isa == KernelIsa::Avx2) {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
   }
+  return true;
+#else
+  return isa == KernelIsa::Sse2;
+#endif
+}
+
+namespace {
+
+/// Whether the public ops run the AVX2 copy: the host's answer, read once.
+std::atomic<bool>& avx2Selected() {
+  static std::atomic<bool> selected{kernelIsaSupported(KernelIsa::Avx2)};
+  return selected;
 }
 
 }  // namespace
 
+const char* kernelIsa() {
+  return avx2Selected().load(std::memory_order_relaxed) ? "avx2" : "sse2";
+}
+
+ScopedKernelIsa::ScopedKernelIsa(KernelIsa isa)
+    : previousAvx2_(avx2Selected().load()) {
+  TSSA_CHECK(kernelIsaSupported(isa), "this host cannot run the avx2 kernels");
+  avx2Selected().store(isa == KernelIsa::Avx2);
+}
+
+ScopedKernelIsa::~ScopedKernelIsa() { avx2Selected().store(previousAvx2_); }
+
+#if defined(__x86_64__)
+#define TSSA_KERNEL(call)                                       \
+  (avx2Selected().load(std::memory_order_relaxed) ? avx2::call \
+                                                  : sse2::call)
+#else
+#define TSSA_KERNEL(call) sse2::call
+#endif
+
 // ---- Binary -------------------------------------------------------------------
 
-Tensor add(const Tensor& a, const Tensor& b) {
-  return arith(a, b, [](double x, double y) { return x + y; });
-}
-Tensor sub(const Tensor& a, const Tensor& b) {
-  return arith(a, b, [](double x, double y) { return x - y; });
-}
-Tensor mul(const Tensor& a, const Tensor& b) {
-  return arith(a, b, [](double x, double y) { return x * y; });
-}
-Tensor div(const Tensor& a, const Tensor& b) {
-  return binaryOp(a, b, DType::Float32,
-                  [](double x, double y) { return x / y; });
-}
-Tensor pow(const Tensor& a, const Tensor& b) {
-  return binaryOp(a, b, DType::Float32,
-                  [](double x, double y) { return std::pow(x, y); });
-}
+Tensor add(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(add(a, b)); }
+Tensor sub(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(sub(a, b)); }
+Tensor mul(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(mul(a, b)); }
+Tensor div(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(div(a, b)); }
+Tensor pow(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(pow(a, b)); }
 Tensor minimum(const Tensor& a, const Tensor& b) {
-  return arith(a, b, [](double x, double y) { return std::min(x, y); });
+  return TSSA_KERNEL(minimum(a, b));
 }
 Tensor maximum(const Tensor& a, const Tensor& b) {
-  return arith(a, b, [](double x, double y) { return std::max(x, y); });
+  return TSSA_KERNEL(maximum(a, b));
 }
 
 Tensor add(const Tensor& a, Scalar b) {
@@ -302,105 +132,38 @@ Tensor div(const Tensor& a, Scalar b) {
 
 // ---- Comparisons -----------------------------------------------------------------
 
-Tensor eq(const Tensor& a, const Tensor& b) {
-  return compare(a, b, [](double x, double y) { return x == y; });
-}
-Tensor ne(const Tensor& a, const Tensor& b) {
-  return compare(a, b, [](double x, double y) { return x != y; });
-}
-Tensor lt(const Tensor& a, const Tensor& b) {
-  return compare(a, b, [](double x, double y) { return x < y; });
-}
-Tensor le(const Tensor& a, const Tensor& b) {
-  return compare(a, b, [](double x, double y) { return x <= y; });
-}
-Tensor gt(const Tensor& a, const Tensor& b) {
-  return compare(a, b, [](double x, double y) { return x > y; });
-}
-Tensor ge(const Tensor& a, const Tensor& b) {
-  return compare(a, b, [](double x, double y) { return x >= y; });
-}
+Tensor eq(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(eq(a, b)); }
+Tensor ne(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(ne(a, b)); }
+Tensor lt(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(lt(a, b)); }
+Tensor le(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(le(a, b)); }
+Tensor gt(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(gt(a, b)); }
+Tensor ge(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(ge(a, b)); }
 Tensor logicalAnd(const Tensor& a, const Tensor& b) {
-  return compare(a, b,
-                 [](double x, double y) { return x != 0.0 && y != 0.0; });
+  return TSSA_KERNEL(logicalAnd(a, b));
 }
 Tensor logicalOr(const Tensor& a, const Tensor& b) {
-  return compare(a, b,
-                 [](double x, double y) { return x != 0.0 || y != 0.0; });
+  return TSSA_KERNEL(logicalOr(a, b));
 }
-Tensor logicalNot(const Tensor& a) {
-  return unaryOp(a, DType::Bool,
-                 [](double x) { return x == 0.0 ? 1.0 : 0.0; });
-}
+Tensor logicalNot(const Tensor& a) { return TSSA_KERNEL(logicalNot(a)); }
 
 // ---- Unary ------------------------------------------------------------------------
 
-Tensor neg(const Tensor& a) {
-  return unaryOp(a, a.dtype(), [](double x) { return -x; });
-}
-Tensor exp(const Tensor& a) {
-  return unaryOp(a, DType::Float32, [](float x) { return fmath::exp(x); });
-}
-Tensor log(const Tensor& a) {
-  return unaryOp(a, DType::Float32, [](float x) { return fmath::log(x); });
-}
-Tensor sqrt(const Tensor& a) {
-  // A Float32 operand takes the float sqrt, which has the bits of the double
-  // one rounded to float; staged operands keep the double one.
-  return unaryOp(a, DType::Float32, [](auto x) { return std::sqrt(x); });
-}
-Tensor abs(const Tensor& a) {
-  return unaryOp(a, a.dtype(), [](double x) { return std::abs(x); });
-}
-Tensor sigmoid(const Tensor& a) {
-  return unaryOp(a, DType::Float32,
-                 [](float x) { return fmath::sigmoid(x); });
-}
-Tensor tanh(const Tensor& a) {
-  return unaryOp(a, DType::Float32, [](float x) { return fmath::tanh(x); });
-}
-Tensor relu(const Tensor& a) {
-  return unaryOp(a, a.dtype(), [](double x) { return x > 0 ? x : 0.0; });
-}
+Tensor neg(const Tensor& a) { return TSSA_KERNEL(neg(a)); }
+Tensor exp(const Tensor& a) { return TSSA_KERNEL(exp(a)); }
+Tensor log(const Tensor& a) { return TSSA_KERNEL(log(a)); }
+Tensor sqrt(const Tensor& a) { return TSSA_KERNEL(sqrt(a)); }
+Tensor abs(const Tensor& a) { return TSSA_KERNEL(abs(a)); }
+Tensor sigmoid(const Tensor& a) { return TSSA_KERNEL(sigmoid(a)); }
+Tensor tanh(const Tensor& a) { return TSSA_KERNEL(tanh(a)); }
+Tensor relu(const Tensor& a) { return TSSA_KERNEL(relu(a)); }
 Tensor clamp(const Tensor& a, Scalar lo, Scalar hi) {
-  const double l = lo.toDouble();
-  const double h = hi.toDouble();
-  return unaryOp(a, a.dtype(),
-                 [=](double x) { return std::clamp(x, l, h); });
+  return TSSA_KERNEL(clamp(a, lo, hi));
 }
 
 // ---- Selection -----------------------------------------------------------------------
 
 Tensor where(const Tensor& cond, const Tensor& a, const Tensor& b) {
-  const DType dtype = whereDType(cond.dtype(), a.dtype(), b.dtype());
-  Shape shape = broadcastShapes(cond.sizes(), a.sizes());
-  shape = broadcastShapes(shape, b.sizes());
-  Tensor out = Tensor::empty(shape, dtype);
-  StridedLoop<4> loop(shape, {&out, &cond, &a, &b});
-  if (a.dtype() == DType::Float32 && b.dtype() == DType::Float32) {
-    const std::uint8_t* pc = cond.storage()->as<std::uint8_t>();
-    const float* pa = a.storage()->as<float>();
-    const float* pb = b.storage()->as<float>();
-    float* po = out.storage()->as<float>();
-    const std::int64_t n = loop.rowLength();
-    const std::int64_t tc = loop.rowStride(1);
-    const std::int64_t ta = loop.rowStride(2);
-    const std::int64_t tb = loop.rowStride(3);
-    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
-      float* o = po + loop.offset(0);
-      const std::uint8_t* c = pc + loop.offset(1);
-      const float* x = pa + loop.offset(2);
-      const float* y = pb + loop.offset(3);
-      for (std::int64_t j = 0; j < n; ++j)
-        o[j] = c[j * tc] != 0 ? x[j * ta] : y[j * tb];
-    }
-    return out;
-  }
-  stagedRows<3>(loop, {&cond, &a, &b}, out,
-                [&](const auto& buf, std::int64_t j) {
-                  return buf[0][j] != 0.0 ? buf[1][j] : buf[2][j];
-                });
-  return out;
+  return TSSA_KERNEL(where(cond, a, b));
 }
 
 Tensor maskedFill(const Tensor& a, const Tensor& mask, Scalar value) {
@@ -412,124 +175,34 @@ Tensor maskedFill(const Tensor& a, const Tensor& mask, Scalar value) {
 
 // ---- Reductions ------------------------------------------------------------------------
 
-Tensor sum(const Tensor& a) {
-  double acc = 0;
-  StridedLoop<1> loop(a.sizes(), {&a});
-  const std::int64_t n = loop.rowLength();
-  const std::int64_t s = loop.rowStride(0);
-  dispatchDType(a.dtype(), [&](auto tag) {
-    const auto* p = a.storage()->as<decltype(tag)>();
-    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
-      const auto* x = p + loop.offset(0);
-      for (std::int64_t j = 0; j < n; ++j) acc += static_cast<double>(x[j * s]);
-    }
-  });
-  return Tensor::scalar(Scalar(acc), reducedDType(Reduction::Sum, a.dtype()));
-}
-
+Tensor sum(const Tensor& a) { return TSSA_KERNEL(sum(a)); }
 Tensor sum(const Tensor& a, std::int64_t dim, bool keepDim) {
-  return reduceDim(
-      a, dim, keepDim, Reduction::Sum,
-      [](auto acc, auto v) { return acc + v; },
-      [](double v) { return v; });
+  return TSSA_KERNEL(sum(a, dim, keepDim));
 }
-
 Tensor mean(const Tensor& a, std::int64_t dim, bool keepDim) {
-  const std::int64_t d = normalizeDim(dim, a.dim());
-  const double count = static_cast<double>(a.size(d));
-  return reduceDim(
-      a, dim, keepDim, Reduction::Mean,
-      [](auto acc, auto v) { return acc + v; },
-      [=](double v) { return v / count; });
+  return TSSA_KERNEL(mean(a, dim, keepDim));
 }
-
-// max/min seed the accumulator from the first element along the reduced dim
-// rather than a ±inf sentinel: casting ±inf into an Int64/Bool output is
-// undefined behaviour, and an all--inf Float32 row must reduce to -inf, not
-// to the sentinel. NaN propagates like PyTorch: any NaN in the row wins.
-
 Tensor maxReduce(const Tensor& a, std::int64_t dim, bool keepDim) {
-  return reduceDim(
-      a, dim, keepDim, Reduction::Max,
-      [](auto acc, auto v) { return (std::isnan(v) || v > acc) ? v : acc; },
-      [](double v) { return v; });
+  return TSSA_KERNEL(maxReduce(a, dim, keepDim));
 }
-
 Tensor minReduce(const Tensor& a, std::int64_t dim, bool keepDim) {
-  return reduceDim(
-      a, dim, keepDim, Reduction::Min,
-      [](auto acc, auto v) { return (std::isnan(v) || v < acc) ? v : acc; },
-      [](double v) { return v; });
+  return TSSA_KERNEL(minReduce(a, dim, keepDim));
 }
-
 Tensor argmax(const Tensor& a, std::int64_t dim, bool keepDim) {
-  TensorMeta meta =
-      reducedMeta(Reduction::Argmax, a.sizes(), a.dtype(), dim, true);
-  const std::int64_t d = normalizeDim(dim, a.dim());
-  const std::int64_t extent = a.size(d);
-  const std::int64_t step = a.strides()[static_cast<std::size_t>(d)];
-  Tensor out = Tensor::empty(std::move(meta.sizes), meta.dtype);
-  StridedLoop<2> loop(out.sizes(), {&out, &a});
-  const std::int64_t n = loop.rowLength();
-  const std::int64_t sa = loop.rowStride(1);
-  std::int64_t* po = out.storage()->as<std::int64_t>();
-  dispatchDType(a.dtype(), [&](auto tag) {
-    const auto* pa = a.storage()->as<decltype(tag)>();
-    for (std::int64_t r = loop.rows(); r > 0; --r, loop.nextRow()) {
-      for (std::int64_t l = 0; l < n; ++l) {
-        const auto* p = pa + loop.offset(1) + l * sa;
-        double best = static_cast<double>(p[0]);
-        std::int64_t bestIndex = 0;
-        for (std::int64_t j = 1; j < extent; ++j) {
-          const double v = static_cast<double>(p[j * step]);
-          // PyTorch semantics: NaN compares greater than everything, the
-          // first NaN wins; among ordinary values ties keep the earlier
-          // index.
-          if ((std::isnan(v) && !std::isnan(best)) || v > best) {
-            best = v;
-            bestIndex = j;
-          }
-        }
-        po[loop.offset(0) + l] = bestIndex;  // out is contiguous
-      }
-    }
-  });
-  return keepDim ? out : out.squeeze(d);
+  return TSSA_KERNEL(argmax(a, dim, keepDim));
 }
-
 Tensor softmax(const Tensor& a, std::int64_t dim) {
-  const std::int64_t d = normalizeDim(dim, a.dim());
-  Tensor m = maxReduce(a, d, /*keepDim=*/true);
-  Tensor e = exp(sub(a, m));
-  Tensor s = sum(e, d, /*keepDim=*/true);
-  return div(e, s);
+  return TSSA_KERNEL(softmax(a, dim));
 }
 
 // ---- Linear algebra -----------------------------------------------------------------------
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  if (a.dim() == 3 && b.dim() == 3) return bmm(a, b);
-  Shape outShape = matmulSizes(a.sizes(), b.sizes());
-  const std::int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  const Tensor ac = contiguousFloat(a);
-  const Tensor bc = contiguousFloat(b);
-  Tensor out = Tensor::empty(std::move(outShape), DType::Float32);
-  matmulInto(ac.data<float>(), bc.data<float>(), out.data<float>(), m, k, n);
-  return out;
+  return TSSA_KERNEL(matmul(a, b));
 }
+Tensor bmm(const Tensor& a, const Tensor& b) { return TSSA_KERNEL(bmm(a, b)); }
 
-Tensor bmm(const Tensor& a, const Tensor& b) {
-  Shape outShape = bmmSizes(a.sizes(), b.sizes());
-  const std::int64_t batch = a.size(0);
-  const std::int64_t m = a.size(1), k = a.size(2), n = b.size(2);
-  const Tensor ac = contiguousFloat(a);
-  const Tensor bc = contiguousFloat(b);
-  Tensor out = Tensor::empty(std::move(outShape), DType::Float32);
-  for (std::int64_t i = 0; i < batch; ++i)
-    matmulInto(ac.data<float>() + i * m * k, bc.data<float>() + i * k * n,
-               out.data<float>() + i * m * n, m, k, n);
-  return out;
-}
+#undef TSSA_KERNEL
 
 // ---- Shape combinators -----------------------------------------------------------------------
 

@@ -113,6 +113,33 @@ Tensor argsort(const Tensor& a, bool descending);
 /// Cumulative sum along `dim`.
 Tensor cumsum(const Tensor& a, std::int64_t dim);
 
+// ---- Instruction set ---------------------------------------------------------------------
+// The elementwise, comparison, unary, where/maskedFill, reduction, softmax
+// and matmul/bmm kernels above are compiled twice from one source: for the
+// baseline x86-64 target (SSE2) and for AVX2, with the same bits. A process
+// runs the AVX2 copy when its CPU has AVX2; there is no option to choose.
+
+enum class KernelIsa : std::uint8_t { Sse2, Avx2 };
+
+/// The copy the kernels run: "avx2" or "sse2".
+const char* kernelIsa();
+
+/// Whether this host can run `isa`'s copy.
+bool kernelIsaSupported(KernelIsa isa);
+
+/// For tests: every thread runs `isa`'s copy of the kernels while this
+/// lives, then the previous copy again. Throws when the host cannot run it.
+class ScopedKernelIsa {
+ public:
+  explicit ScopedKernelIsa(KernelIsa isa);
+  ~ScopedKernelIsa();
+  ScopedKernelIsa(const ScopedKernelIsa&) = delete;
+  ScopedKernelIsa& operator=(const ScopedKernelIsa&) = delete;
+
+ private:
+  bool previousAvx2_;
+};
+
 // ---- Output metadata ---------------------------------------------------------------------
 // The kernels' shape and dtype rules, on metadata alone: each kernel checks
 // its operands through its rule and analysis::inferOutputs applies the same

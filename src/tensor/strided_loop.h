@@ -130,9 +130,12 @@ class StridedLoop {
 
 /// Runs `body(j, j * s0, j * s1)` for j in [0, n): element j of a row and
 /// its index in two strided operands. The unit/zero stride cases are
-/// separate loops so the compiler sees constant strides there.
+/// separate loops so the compiler sees constant strides there. Always
+/// inlined: called from the AVX2 copy of the kernels (src/tensor/ops.cpp),
+/// an out-of-line instantiation would be baseline code that cannot inline
+/// the AVX2 body, and the row loop would not vectorize for AVX2.
 template <typename Body>
-inline void forRow2(std::int64_t n, std::int64_t s0, std::int64_t s1,
+[[gnu::always_inline]] inline void forRow2(std::int64_t n, std::int64_t s0, std::int64_t s1,
                     Body&& body) {
   if (s0 == 1 && s1 == 1) {
     for (std::int64_t j = 0; j < n; ++j) body(j, j, j);

@@ -156,6 +156,20 @@ inline Tensor refArgmax(const Tensor& a, std::int64_t dim, bool keepDim) {
   return keepDim ? out : out.squeeze(d);
 }
 
+/// Softmax along `dim` as the composed ops compute it: max, subtract in
+/// the promoted dtype, exp, sum from +0.0 in ascending order, divide.
+inline Tensor refSoftmax(const Tensor& a, std::int64_t dim) {
+  const std::int64_t d = normalizeDim(dim, a.dim());
+  const Tensor m = refReduce(a, d, true, Reduce::Max);
+  const Tensor e = refUnary(
+      refBinary(a, m, promoteTypes(a.dtype(), m.dtype()),
+                [](double x, double y) { return x - y; }),
+      DType::Float32, refExp);
+  const Tensor s = refReduce(e, d, true, Reduce::Sum);
+  return refBinary(e, s, DType::Float32,
+                   [](double x, double y) { return x / y; });
+}
+
 inline Tensor refSumAll(const Tensor& a) {
   double acc = 0;
   for (std::int64_t i = 0; i < a.numel(); ++i) acc += a.scalarAtLinear(i);

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/random.h"
@@ -311,6 +312,47 @@ TEST(OpsOracleTest, ReductionsOverEveryDimMatchPerElementReference) {
       EXPECT_TRUE(bitwiseEqual(ops::argmax(a, d, keep), refArgmax(a, d, keep)));
     }
   }
+}
+
+TEST(OpsOracleTest, SoftmaxMatchesComposedReference) {
+  Rng rng(109);
+  ViewedTensorGenerator gen(rng);
+  for (int rep = 0; rep < kOracleReps; ++rep) {
+    Shape shape = gen.shape(3);
+    if (rng.nextBool(0.5)) shape.push_back(rng.nextInt(6, 40));
+    const Tensor a = gen.viewOf(shape, gen.dtype(), rng.nextBool(0.3)).view();
+    SCOPED_TRACE(a.toString());
+    for (std::int64_t d = -a.dim(); d < a.dim(); ++d) {
+      SCOPED_TRACE("dim " + std::to_string(d));
+      if (a.size(d) == 0) {
+        EXPECT_THROW(ops::softmax(a, d), Error);
+        continue;
+      }
+      EXPECT_TRUE(bitwiseEqual(ops::softmax(a, d), refSoftmax(a, d)));
+    }
+  }
+  // A row holding a NaN is all NaN, and so is a row of -inf (-inf - -inf)
+  // and a row holding +inf (inf - inf enters the sum); -inf beside finite
+  // values is 0.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor rows = Tensor::empty({4, 19});
+  float* p = rows.data<float>();
+  for (std::int64_t j = 0; j < 19; ++j) {
+    p[j] = j == 11 ? nan : 0.25f * static_cast<float>(j);
+    p[19 + j] = -kInf;
+    p[2 * 19 + j] = j == 3 ? kInf : -1.0f;
+    p[3 * 19 + j] = j % 2 == 0 ? -kInf : 0.5f;
+  }
+  for (const std::int64_t d : {0, 1}) {
+    const Tensor got = ops::softmax(rows, d);
+    EXPECT_TRUE(bitwiseEqual(got, refSoftmax(rows, d))) << "dim " << d;
+  }
+  const Tensor got = ops::softmax(rows, 1);
+  const float* q = got.data<float>();
+  for (std::int64_t j = 0; j < 3 * 19; ++j) EXPECT_TRUE(std::isnan(q[j])) << j;
+  EXPECT_EQ(q[3 * 19], 0.0f);
+  EXPECT_GT(q[3 * 19 + 1], 0.0f);
 }
 
 TEST(OpsOracleTest, MatmulAndBmmMatchPlainLoop) {
